@@ -6,10 +6,9 @@ using hard-thresholded band-limited wavelet coefficients; includes
 simulation, Monte Carlo verification suites, and rate benchmarks.
 """
 
-from .wavelets import (FourierCoeffTable, ResolutionOverflowError,
-                       WaveletSpec, band_limit, base_table, build_basis,
-                       eval_on_points, level_range, shift_count,
-                       synthesize_fine)
+from .wavelets import (ResolutionOverflowError, WaveletSpec, band_limit,
+                       base_table, build_basis, eval_on_points, level_range,
+                       shift_count)
 from .model import (DesignDensity, KernelSpec, NoiseSpec, ObservationGrid,
                     ParameterError, TestFunction, bump_ramp,
                     convolved_signal, fractional_kernel, identity_kernel,

@@ -258,27 +258,27 @@ def verify_lemma1(kernel: md.KernelSpec, wspec: wv.WaveletSpec,
     nu = kernel.nu
     entries = []
     for j1 in levels1:
-        m, a = es._deconvolved_base(wspec, kernel, j1)
-        mra1, _ = wv._resolve_level(wspec, j1, 0)
-        count1 = wv.shift_count(wspec, j1, 0)
+        m1, psi = wv.build_basis(wspec, j1, axis=0)
+        count1 = psi.shape[1]
         k10 = round(d1.x0 * 2 ** j1)
         # shifts away from the singularity, spaced across the circle
         ks1 = [(k10 + max(2, count1 // 8) + i * max(1, count1 // (shifts_per_level + 1))) % count1
                for i in range(shifts_per_level)]
+        u = wv.eval_on_points(tg, m1, psi[:, ks1] / es._conj_kernel(kernel, m1, None, j1))
+        q2_t = np.mean(u ** 2 / h1[:, None], axis=0)
+        q4_t = np.mean(u ** 4 / h1[:, None] ** 3, axis=0)
         for j2 in levels2:
-            count2 = wv.shift_count(wspec, j2, 1)
+            m2, eta = wv.build_basis(wspec, j2, axis=1)
+            count2 = eta.shape[1]
             k20 = round(d2.x0 * 2 ** j2)
             ks2 = [(k20 + max(2, count2 // 4)) % count2]
-            tables2 = wv.build_basis(wspec, j2, axis=1)
-            for k1 in ks1:
-                ph = a * np.exp(-2j * np.pi * m * (k1 / 2 ** mra1))
-                u = np.real(np.exp(2j * np.pi * np.outer(tg, m)) @ ph)
-                q2_t = np.mean(u ** 2 / h1)
-                q4_t = np.mean(u ** 4 / h1 ** 3)
-                for k2 in ks2:
-                    eta = wv.eval_on_points(tables2[k2], tg)
-                    q2 = q2_t * np.mean(eta ** 2 / h2)
-                    q4 = q4_t * np.mean(eta ** 4 / h2 ** 3)
+            v = wv.eval_on_points(tg, m2, eta[:, ks2])
+            q2_x = np.mean(v ** 2 / h2[:, None], axis=0)
+            q4_x = np.mean(v ** 4 / h2[:, None] ** 3, axis=0)
+            for a, k1 in enumerate(ks1):
+                for b, k2 in enumerate(ks2):
+                    q2 = q2_t[a] * q2_x[b]
+                    q4 = q4_t[a] * q4_x[b]
                     dist1 = max(1.0, abs(k1 - k10))
                     dist2 = max(1.0, abs(k2 - k20))
                     f2 = (2.0 ** ((2 * nu + d1.beta) * j1 + d2.beta * j2)

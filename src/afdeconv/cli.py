@@ -70,8 +70,11 @@ def validate_config(cfg: dict, command: str) -> None:
         if not cond:
             errors.append(f"{field}: {msg}")
 
+    def known(name, registry):
+        return isinstance(name, str) and name in registry
+
     k = cfg["kernel"]
-    need(k.get("name") in ("regular-smooth", "complex-smooth", "identity"),
+    need(known(k.get("name"), md._KERNELS),
          "kernel.name", f"unknown kernel {k.get('name')!r}")
     need(isinstance(k.get("nu"), (int, float)) and k["nu"] >= 0,
          "kernel.nu", "must be a nonnegative number")
@@ -84,15 +87,15 @@ def validate_config(cfg: dict, command: str) -> None:
     nz = cfg["noise"]
     need(isinstance(nz.get("alpha"), (int, float)) and 0 < nz["alpha"] <= 1,
          "noise.alpha", "must lie in (0, 1]")
-    need(nz.get("kind") in ("gaussian-fgn", "subgaussian-rademacher"),
+    need(known(nz.get("kind"), md.NOISE_KINDS),
          "noise.kind", f"unknown kind {nz.get('kind')!r}")
     need(isinstance(nz.get("sigma"), (int, float)) and nz["sigma"] >= 0,
          "noise.sigma", "must be >= 0")
     w = cfg["wavelet"]
-    need(w.get("family") in ("meyer", "daubechies"),
+    need(known(w.get("family"), wv._FAMILIES),
          "wavelet.family", f"unknown family {w.get('family')!r}")
     fn = cfg["function"]
-    need(fn.get("name") in ("tensor-sinusoid", "bump-ramp", "single-atom"),
+    need(known(fn.get("name"), md._TEST_FUNCTIONS),
          "function.name", f"unknown test function {fn.get('name')!r}")
     e = cfg["estimator"]
     need(isinstance(e.get("gamma"), (int, float)) and e["gamma"] > 0,

@@ -166,42 +166,30 @@ def threshold(index: Index, cfg: EstimatorConfig, M: int, N: int) -> float:
 # Deconvolving functions U
 # ----------------------------------------------------------------------
 
-def _deconvolved_base(wspec: wv.WaveletSpec, kernel: KernelSpec, level: int):
-    """psihat_{j,0}(m) / conj(g(m)) over the band (x-independent kernels).
+def _conj_kernel(kernel: KernelSpec, m: np.ndarray, x, level: int) -> np.ndarray:
+    """conj(g(m, x)) over the band of a t-level: shape (band, 1) for an
+    x-independent kernel, (band, len(x)) for an x-dependent one.
 
-    Dividing by conj(g(m)) = g(-m) makes the design-weighted sum against
-    the convolved signal (Fourier coefficients fhat * ghat) reproduce the
-    plain wavelet coefficient of f.
+    Dividing the wavelet coefficients by conj(g(m, x)) = g(-m, x) makes the
+    design-weighted sum against the convolved signal (Fourier coefficients
+    fhat * ghat) reproduce the plain wavelet coefficient of f.
     """
-    m, base = wv.base_table(wspec, level, axis=0)
-    g = kernel.coeff(m)
+    g = kernel.coeff(m[:, None], None if x is None else np.asarray(x)[None, :])
     if np.any(np.abs(g) == 0.0):
         raise KernelNotInvertibleError(
             f"kernel not invertible on band of level {level}")
-    return m, base / np.conj(g)
+    return np.conj(g)
 
 
 def compute_U(index: Index, kernel: KernelSpec, wspec: wv.WaveletSpec,
               t_points, x_points) -> np.ndarray:
     """U_omega evaluated on the grid (t_points x x_points); shape (N, M)."""
-    t = np.asarray(t_points, dtype=float)
     x = np.asarray(x_points, dtype=float)
-    eta = wv.build_basis(wspec, index.j2, axis=1)[index.k2]
-    eta_vals = wv.eval_on_points(eta, x)
-    mra1, _ = wv._resolve_level(wspec, index.j1, 0)
-    if not kernel.x_dependent:
-        m, a = _deconvolved_base(wspec, kernel, index.j1)
-        a = a * np.exp(-2j * np.pi * m * (index.k1 / 2 ** mra1))
-        u_t = np.real(np.exp(2j * np.pi * np.outer(t, m)) @ a)
-        return u_t[:, None] * eta_vals[None, :]
-    m, base = wv.base_table(wspec, index.j1, axis=0)
-    g = kernel.coeff(m[:, None], x[None, :])
-    if np.any(np.abs(g) == 0.0):
-        raise KernelNotInvertibleError(
-            f"kernel not invertible on band of level {index.j1}")
-    a = base * np.exp(-2j * np.pi * m * (index.k1 / 2 ** mra1))
-    u_tx = np.real(np.exp(2j * np.pi * np.outer(t, m)) @ (a[:, None] / np.conj(g)))
-    return u_tx * eta_vals[None, :]
+    m1, psi = wv.build_basis(wspec, index.j1, axis=0)
+    m2, eta = wv.build_basis(wspec, index.j2, axis=1)
+    a = psi[:, index.k1, None] / _conj_kernel(kernel, m1, x, index.j1)
+    u_tx = wv.eval_on_points(t_points, m1, a)
+    return u_tx * wv.eval_on_points(x, m2, eta[:, index.k2])[None, :]
 
 
 def _reciprocal_weights(t: np.ndarray, x: np.ndarray,
@@ -284,11 +272,19 @@ class CoefficientField:
 
 
 class FieldPlan:
-    """Precomputed design-dependent matrices for fast field estimation.
+    """Design-dependent matrices that estimate every coefficient at once.
 
-    Reused across replicates that share the same design, kernel and basis;
-    ``estimate(Y)`` is then a handful of matrix products.  Mathematically
-    identical to calling ``estimate_coefficient`` for every index.
+    With W = Y / (h1 h2), the estimate of index (j1, k1; j2, k2) is
+    ``(NM)^{-1} sum_{i,l} U(t_i, x_l) W_il``.  Writing U through its Fourier
+    coefficients ``psihat_{j1,k1}(m) / conj(g(m, x_l))`` splits the sum into
+    products: the t-transform ``What[m, l] = sum_i e^{i 2 pi m t_i} W_il``
+    over the union t-band, then per t-level
+    ``Z = Re(psi^T (What[band] / conj(G)))`` with psi the level matrix of
+    ``wavelets.build_basis``, then ``Z @ eta / (NM)`` per x-level.  The
+    kernel enters as ``G = g(m, x)``, a band x 1 column for an x-independent
+    kernel and a band x M block otherwise, so both kinds take this one path.
+    Reused across replicates that share the design, kernel and basis; equal
+    to ``estimate_coefficient`` for every index up to rounding.
     """
 
     def __init__(self, t, x, d1: DesignDensity, d2: DesignDensity,
@@ -297,64 +293,35 @@ class FieldPlan:
         self.t = np.asarray(t, dtype=float)
         self.x = np.asarray(x, dtype=float)
         self.N, self.M = self.t.size, self.x.size
-        self.wspec = wspec
-        self.kernel = kernel
         self.J1, self.J2 = J1, J2
         self.weights = _reciprocal_weights(self.t, self.x, d1, d2)
         self.levels1 = wv.level_range(wspec, J1, axis=0)
         self.levels2 = wv.level_range(wspec, J2, axis=1)
-        # eta_{j2,k2}(x_l) matrices, one per x-level
-        self.eta = {}
-        for j2 in self.levels2:
-            tables = wv.build_basis(wspec, j2, axis=1)
-            self.eta[j2] = np.column_stack(
-                [wv.eval_on_points(tb, self.x) for tb in tables])
-        if kernel.x_dependent:
-            self.u = None  # slow path handled in estimate()
-            self._x_dep_bases = {j1: wv.base_table(wspec, j1, axis=0)
-                                 for j1 in self.levels1}
-        else:
-            self.u = {}
-            for j1 in self.levels1:
-                m, a = _deconvolved_base(wspec, kernel, j1)
-                mra1, _ = wv._resolve_level(wspec, j1, 0)
-                count = wv.shift_count(wspec, j1, 0)
-                phase_t = np.exp(2j * np.pi * np.outer(self.t, m)) * a[None, :]
-                phase_k = np.exp(-2j * np.pi * np.outer(m, np.arange(count) / 2 ** mra1))
-                self.u[j1] = np.real(phase_t @ phase_k)
+        # eta_{j2,k2}(x_l), one (M, count) matrix per x-level
+        self.eta = {j2: wv.eval_on_points(self.x, *wv.build_basis(wspec, j2, axis=1))
+                    for j2 in self.levels2}
+        # per t-level: rows of the union band, psi matrix, conj(g) on the band
+        basis1 = _bases(wspec, self.levels1, axis=0)
+        self.band = _band(basis1)
+        self.t_basis = {j1: (m + self.band, psi, _conj_kernel(kernel, m, self.x, j1))
+                        for j1, (m, psi) in basis1.items()}
+        # cos and sin rows of e^{i 2 pi m t_i} stacked, so the t-transform
+        # of the real W is one real product
+        arg = 2.0 * np.pi * np.outer(np.arange(-self.band, self.band + 1), self.t)
+        self.phase = np.vstack([np.cos(arg), np.sin(arg)])
 
     def estimate(self, Y: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
         if Y.shape != (self.N, self.M):
             raise ParameterError("observation shape mismatch")
-        W = Y * self.weights
+        CS = self.phase @ (Y * self.weights)
+        half = CS.shape[0] // 2
+        What = CS[:half] + 1j * CS[half:]
         scale = 1.0 / (self.N * self.M)
         blocks = {}
-        if self.u is not None:
-            Z = {j2: W @ self.eta[j2] for j2 in self.levels2}
-            for j1 in self.levels1:
-                for j2 in self.levels2:
-                    blocks[(j1, j2)] = scale * (self.u[j1].T @ Z[j2])
-            return blocks
-        # x-dependent kernel: U does not factorize; loop over (j1, k1)
-        for j1 in self.levels1:
-            m, base = self._x_dep_bases[j1]
-            g = self.kernel.coeff(m[:, None], self.x[None, :])
-            if np.any(np.abs(g) == 0.0):
-                raise KernelNotInvertibleError(
-                    f"kernel not invertible on band of level {j1}")
-            mra1, _ = wv._resolve_level(self.wspec, j1, 0)
-            exp_t = np.exp(2j * np.pi * np.outer(self.t, m))
-            count1 = wv.shift_count(self.wspec, j1, 0)
-            rows = {j2: np.empty((count1, self.eta[j2].shape[1]))
-                    for j2 in self.levels2}
-            for k1 in range(count1):
-                a = base * np.exp(-2j * np.pi * m * (k1 / 2 ** mra1))
-                u_tx = np.real(exp_t @ (a[:, None] / np.conj(g)))
-                uw = u_tx * W
-                for j2 in self.levels2:
-                    rows[j2][k1, :] = scale * (uw @ self.eta[j2]).sum(axis=0)
+        for j1, (rows, psi, conj_g) in self.t_basis.items():
+            Z = np.real(psi.T @ (What[rows] / conj_g))
             for j2 in self.levels2:
-                blocks[(j1, j2)] = rows[j2]
+                blocks[(j1, j2)] = scale * (Z @ self.eta[j2])
         return blocks
 
 
@@ -394,13 +361,14 @@ def hard_threshold(fieldobj: CoefficientField,
 # True coefficients and reconstruction
 # ----------------------------------------------------------------------
 
-def _synthesis_matrix(wspec: wv.WaveletSpec, level: int, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """(offsets, matrix psihat_{j,k}(m)) with shape (band, count)."""
-    m, base = wv.base_table(wspec, level, axis)
-    mra, _ = wv._resolve_level(wspec, level, axis)
-    count = wv.shift_count(wspec, level, axis)
-    phases = np.exp(-2j * np.pi * np.outer(m, np.arange(count) / 2 ** mra))
-    return m, base[:, None] * phases
+def _bases(wspec: wv.WaveletSpec, levels, axis: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """``wavelets.build_basis`` of each level, keyed by level."""
+    return {j: wv.build_basis(wspec, j, axis) for j in levels}
+
+
+def _band(bases: dict[int, tuple[np.ndarray, np.ndarray]]) -> int:
+    """Largest |m| over the bands of the given levels."""
+    return max(m.max() for m, _ in bases.values())
 
 
 def true_coefficients(f: TestFunction, wspec: wv.WaveletSpec,
@@ -411,10 +379,9 @@ def true_coefficients(f: TestFunction, wspec: wv.WaveletSpec,
     Uses the exact t-Fourier rule of f on a fine x-grid and an FFT across x,
     so the only discretization is the x-grid (trapezoid at `grid` points).
     """
-    levels1 = wv.level_range(wspec, J1, axis=0)
-    levels2 = wv.level_range(wspec, J2, axis=1)
-    b1 = max(wv.base_table(wspec, j, 0)[0].max() for j in levels1)
-    b2 = max(wv.base_table(wspec, j, 1)[0].max() for j in levels2)
+    basis1 = _bases(wspec, wv.level_range(wspec, J1, axis=0), 0)
+    basis2 = _bases(wspec, wv.level_range(wspec, J2, axis=1), 1)
+    b1, b2 = _band(basis1), _band(basis2)
     if 2 * b2 >= grid:
         raise wv.ResolutionOverflowError("x-grid too small for requested levels")
     xg = np.arange(grid) / grid
@@ -422,11 +389,9 @@ def true_coefficients(f: TestFunction, wspec: wv.WaveletSpec,
     F1 = f.fourier_t(m1, xg)                     # (2 b1 + 1, grid)
     F2 = np.fft.fft(F1, axis=1) / grid           # columns indexed by m2 mod grid
     out = {}
-    for j1 in levels1:
-        off1, psi = _synthesis_matrix(wspec, j1, 0)
+    for j1, (off1, psi) in basis1.items():
         rows = F2[off1 + b1, :]
-        for j2 in levels2:
-            off2, etam = _synthesis_matrix(wspec, j2, 1)
+        for j2, (off2, etam) in basis2.items():
             sub = rows[:, np.mod(off2, grid)]
             out[(j1, j2)] = np.real(np.conj(psi).T @ sub @ np.conj(etam))
     return out
@@ -451,8 +416,9 @@ def reconstruct(fieldobj: CoefficientField, wspec: wv.WaveletSpec,
     which: "kept" (post-threshold), "all" (ignore flags), or "true"
     (synthesize beta_true blocks instead).
     """
-    b1 = max(wv.base_table(wspec, j, 0)[0].max() for j in fieldobj.levels1)
-    b2 = max(wv.base_table(wspec, j, 1)[0].max() for j in fieldobj.levels2)
+    basis1 = _bases(wspec, fieldobj.levels1, 0)
+    basis2 = _bases(wspec, fieldobj.levels2, 1)
+    b1, b2 = _band(basis1), _band(basis2)
     F = np.zeros((2 * b1 + 1, 2 * b2 + 1), dtype=complex)
     for (j1, j2), blk in fieldobj.blocks.items():
         if which == "true":
@@ -463,8 +429,8 @@ def reconstruct(fieldobj: CoefficientField, wspec: wv.WaveletSpec,
                 C = np.where(blk.kept, C, 0.0)
         if C is None:
             continue
-        off1, psi = _synthesis_matrix(wspec, j1, 0)
-        off2, etam = _synthesis_matrix(wspec, j2, 1)
+        off1, psi = basis1[j1]
+        off2, etam = basis2[j2]
         F[np.ix_(off1 + b1, off2 + b2)] += psi @ C @ etam.T
     folded = np.zeros((grid, grid), dtype=complex)
     np.add.at(folded,
@@ -478,10 +444,12 @@ def reconstruct(fieldobj: CoefficientField, wspec: wv.WaveletSpec,
 def reanalyze(recon: Reconstruction, wspec: wv.WaveletSpec) -> dict[tuple[int, int], np.ndarray]:
     """Exact coefficient blocks of a reconstruction (biorthogonality check)."""
     fieldobj = recon.field
+    basis1 = _bases(wspec, fieldobj.levels1, 0)
+    basis2 = _bases(wspec, fieldobj.levels2, 1)
     out = {}
     for (j1, j2) in fieldobj.blocks:
-        off1, psi = _synthesis_matrix(wspec, j1, 0)
-        off2, etam = _synthesis_matrix(wspec, j2, 1)
+        off1, psi = basis1[j1]
+        off2, etam = basis2[j2]
         sub = recon.fourier[np.ix_(off1 + recon.band1, off2 + recon.band2)]
         out[(j1, j2)] = np.real(np.conj(psi).T @ sub @ np.conj(etam))
     return out

@@ -9,7 +9,6 @@ long-memory within a profile ``x_l`` and independent across profiles.
 
 from __future__ import annotations
 
-import io
 import struct
 from dataclasses import dataclass, field
 from typing import Callable
@@ -22,6 +21,7 @@ __all__ = [
     "KernelSpec",
     "DesignDensity",
     "NoiseSpec",
+    "NOISE_KINDS",
     "ObservationGrid",
     "TestFunction",
     "normalize_density",
@@ -80,6 +80,8 @@ class KernelSpec:
                                  "(not invertible)")
 
     def coeff(self, m, x=None) -> np.ndarray:
+        """g(m, x); an x-independent kernel ignores x, so ``coeff(m[:, None],
+        x[None, :])`` broadcasts as band x 1 or band x len(x) alike."""
         m = np.asarray(m)
         if self.x_dependent:
             if x is None:
@@ -157,11 +159,6 @@ class DesignDensity:
     def c(self) -> float:
         return normalize_density(self.beta, self.x0)
 
-    @property
-    def bound_constants(self) -> tuple[float, float]:
-        """(c_h1, c_h2) sandwich constants; equal to c for the pure power law."""
-        return 0.5 * self.c, 2.0 * self.c
-
     def pdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return self.c * np.abs(x - self.x0) ** self.beta
@@ -235,6 +232,9 @@ def noise_factor(N: int, alpha: float, sigma: float = 1.0) -> np.ndarray:
         raise ParameterError("covariance not positive definite") from exc
 
 
+NOISE_KINDS = ("gaussian-fgn", "subgaussian-rademacher")
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Long-memory error law within each profile."""
@@ -247,7 +247,7 @@ class NoiseSpec:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ParameterError("alpha must be in (0, 1]")
-        if self.kind not in ("gaussian-fgn", "subgaussian-rademacher"):
+        if self.kind not in NOISE_KINDS:
             raise ParameterError(f"unknown noise kind {self.kind!r}")
         if self.sigma < 0:
             raise ParameterError("sigma must be >= 0")
@@ -422,21 +422,23 @@ def single_atom(j1: int, k1: int, j2: int, k2: int, wspec) -> TestFunction:
     """f equal to one tensor basis atom (testing aid)."""
     from . import wavelets as wv
 
-    t_table = wv.build_basis(wspec, j1, axis=0)[k1]
-    x_table = wv.build_basis(wspec, j2, axis=1)[k2]
+    m1, psi = wv.build_basis(wspec, j1, axis=0)
+    m2, eta = wv.build_basis(wspec, j2, axis=1)
+    psi, eta = psi[:, k1], eta[:, k2]
+
+    def along(points, offsets, coeffs):
+        points = np.asarray(points)
+        return wv.eval_on_points(points.reshape(-1), offsets, coeffs).reshape(points.shape)
 
     def f_eval(t, x):
-        return wv.eval_on_points(t_table, np.asarray(t).reshape(-1)).reshape(np.asarray(t).shape) \
-            * wv.eval_on_points(x_table, np.asarray(x).reshape(-1)).reshape(np.asarray(x).shape)
+        return along(t, m1, psi) * along(x, m2, eta)
 
     def f_fourier(m, x):
         m = np.asarray(m)
         vals = np.zeros(m.shape, dtype=complex)
-        lookup = dict(zip(t_table.offsets.tolist(), t_table.values))
-        for i, mm in enumerate(m):
-            vals[i] = lookup.get(int(mm), 0.0)
-        xv = wv.eval_on_points(x_table, np.asarray(x).reshape(-1))
-        return vals[:, None] * xv[None, :]
+        hit = np.isin(m, m1)
+        vals[hit] = psi[np.searchsorted(m1, m[hit])]
+        return vals[:, None] * along(x, m2, eta).reshape(-1)[None, :]
 
     return TestFunction(name=f"atom-{j1}.{k1}.{j2}.{k2}", eval=f_eval,
                         fourier_t=f_fourier)
@@ -488,8 +490,7 @@ def convolved_signal(f: TestFunction, kernel: KernelSpec,
     for lo in range(-band, band + 1, step):
         m = np.arange(lo, min(lo + step, band + 1))
         fh = f.fourier_t(m, x)
-        g = kernel.coeff(m[:, None], x[None, :]) if kernel.x_dependent \
-            else kernel.coeff(m)[:, None]
+        g = kernel.coeff(m[:, None], x[None, :])
         q += np.real(np.exp(2j * np.pi * np.outer(t, m)) @ (fh * g))
     return q
 
@@ -527,16 +528,39 @@ def save_csv(obs: ObservationGrid, path) -> None:
 
 
 def load_csv(path) -> ObservationGrid:
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    i = data["i"].astype(int)
-    l = data["l"].astype(int)
-    N, M = int(i.max()), int(l.max())
+    """Read a ``save_csv`` file; every (i, l) of the N x M grid must appear
+    exactly once, with N and M the largest indices."""
+    try:
+        data = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
+    except (ValueError, IndexError) as exc:  # ragged rows; an empty file
+        raise ParameterError(f"{path}: not an i,l,t,x,Y table: {exc}") from exc
+    if data.dtype.names is None or not {"i", "l", "t", "x", "Y"} <= set(data.dtype.names) \
+            or data.size == 0:
+        raise ParameterError(f"{path}: expected a header i,l,t,x,Y and data rows")
+    i, l = data["i"], data["l"]
+    valid = ((i >= 1) & (l >= 1) & (i <= i.size) & (l <= l.size)
+             & (i == np.round(i)) & (l == np.round(l)))
+    if not np.all(valid):
+        row = int(np.argmin(valid))
+        raise ParameterError(f"{path}: data row {row + 1} has an invalid "
+                             f"index (i, l) = ({i[row]}, {l[row]})")
+    i, l = i.astype(int) - 1, l.astype(int) - 1
+    N, M = int(i.max()) + 1, int(l.max()) + 1
+    if N * M != i.size:
+        raise ParameterError(f"{path}: {i.size} data rows for the {N} x {M} "
+                             "grid of its largest indices: rows are missing, "
+                             "duplicated or out of range")
+    counts = np.bincount(i * M + l, minlength=N * M)
+    if counts.max() > 1:
+        bad = int(np.argmax(counts))
+        raise ParameterError(f"{path}: duplicate row for (i, l) = "
+                             f"({bad // M + 1}, {bad % M + 1})")
     t = np.empty(N)
     x = np.empty(M)
     Y = np.empty((N, M))
-    t[i - 1] = data["t"]
-    x[l - 1] = data["x"]
-    Y[i - 1, l - 1] = data["Y"]
+    t[i] = data["t"]
+    x[l] = data["x"]
+    Y[i, l] = data["Y"]
     return ObservationGrid(N=N, M=M, t=t, x=x, Y=Y)
 
 
@@ -556,10 +580,17 @@ def load_binary(path) -> ObservationGrid:
         magic = fh.read(4)
         if magic != BINARY_MAGIC:
             raise ParameterError(f"not an AFDC container: magic {magic!r}")
-        version, N, M = struct.unpack("<III", fh.read(12))
+        header = fh.read(12)
+        if len(header) < 12:
+            raise ParameterError(f"{path}: truncated AFDC header")
+        version, N, M = struct.unpack("<III", header)
         if version != _BINARY_VERSION:
             raise ParameterError(f"unsupported container version {version}")
         t = np.fromfile(fh, dtype="<f8", count=N)
         x = np.fromfile(fh, dtype="<f8", count=M)
-        Y = np.fromfile(fh, dtype="<f8", count=N * M).reshape(N, M)
-    return ObservationGrid(N=N, M=M, t=t, x=x, Y=Y)
+        Y = np.fromfile(fh, dtype="<f8", count=N * M)
+    if (t.size, x.size, Y.size) != (N, M, N * M):
+        raise ParameterError(
+            f"{path}: truncated AFDC container: read {t.size + x.size + Y.size} "
+            f"of {N + M + N * M} values for N={N}, M={M}")
+    return ObservationGrid(N=N, M=M, t=t, x=x, Y=Y.reshape(N, M))

@@ -1,10 +1,14 @@
 """Periodized band-limited wavelet bases on [0, 1].
 
-The bases are represented by their Fourier coefficient tables: for a
-periodized wavelet ``psi_{j,k}(t) = sum_n 2^{j/2} psi(2^j (t+n) - k)`` the
-table stores ``psihat_{j,k}(m) = int_0^1 psi_{j,k}(t) exp(-i 2 pi m t) dt``
-over the finite band where it is nonzero.  All downstream quadratures,
-inner products and deconvolution sums reduce to finite sums over this band.
+A basis level is one matrix of Fourier coefficients.  For a periodized
+wavelet ``psi_{j,k}(t) = sum_n 2^{j/2} psi(2^j (t+n) - k)``,
+``build_basis`` returns the band offsets ``m`` and the matrix
+``psihat_{j,k}(m) = int_0^1 psi_{j,k}(t) exp(-i 2 pi m t) dt`` with one
+column per shift k, and ``eval_on_points`` evaluates one column or the
+whole level at arbitrary points in one product.  All downstream
+quadratures, inner products and deconvolution sums reduce to finite sums
+over this band.  This module is the only place that knows the shift phase
+``exp(-i 2 pi m k / 2^j)``.
 
 The Meyer family is band-limited by construction, so the tables are exact.
 The Daubechies family is compactly supported in time, hence not band-limited;
@@ -28,11 +32,8 @@ import numpy as np
 __all__ = [
     "ResolutionOverflowError",
     "WaveletSpec",
-    "FourierCoeffTable",
     "build_basis",
     "eval_on_points",
-    "synthesize_fine",
-    "constant_table",
     "shift_count",
     "level_range",
     "band_limit",
@@ -177,30 +178,6 @@ class WaveletSpec:
         return self.m10 if axis == 0 else self.m20
 
 
-@dataclass(frozen=True, eq=False)
-class FourierCoeffTable:
-    """Fourier coefficients of one periodized basis function.
-
-    ``values[i]`` is the coefficient of ``exp(i 2 pi offsets[i] t)`` in the
-    synthesis sum, i.e. ``psihat(m) = int psi(t) exp(-i 2 pi m t) dt``.
-    """
-
-    level: int
-    shift: int
-    offsets: np.ndarray
-    values: np.ndarray
-
-    def coefficient(self, m: int) -> complex:
-        hit = np.nonzero(self.offsets == m)[0]
-        return complex(self.values[hit[0]]) if hit.size else 0.0 + 0.0j
-
-    def parseval_sum(self) -> float:
-        return float(np.sum(np.abs(self.values) ** 2))
-
-    def max_offset(self) -> int:
-        return int(np.max(np.abs(self.offsets)))
-
-
 def band_limit(level: int) -> int:
     """Largest |m| with a nonzero Meyer coefficient at the given MRA level."""
     return int(np.ceil(2 ** (level + 2) / 3.0)) + 1
@@ -281,50 +258,26 @@ def base_table(spec: WaveletSpec, level: int, axis: int = 0):
     return m, vals
 
 
-def build_basis(spec: WaveletSpec, level: int, axis: int = 0) -> list[FourierCoeffTable]:
-    """All shifted tables at one Omega level.
+def build_basis(spec: WaveletSpec, level: int, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets m, coefficient matrix) of one Omega level.
 
-    The shift-k table is the shift-0 table modulated by
-    ``exp(-i 2 pi m k / 2^j)`` with j the underlying MRA level, which is the
-    exact Fourier image of the circular shift by ``k 2^{-j}``.
+    Column k of the (band, shift_count) matrix holds ``psihat_{j,k}(m)``:
+    the shift-0 coefficients modulated by ``exp(-i 2 pi m k / 2^j)`` with j
+    the underlying MRA level, which is the exact Fourier image of the
+    circular shift by ``k 2^{-j}``.
     """
     m, base = base_table(spec, level, axis)
     mra_level, _ = _resolve_level(spec, level, axis)
-    n_shifts = shift_count(spec, level, axis)
-    tables = []
-    for k in range(n_shifts):
-        phase = np.exp(-2j * np.pi * m * (k / 2 ** mra_level))
-        tables.append(FourierCoeffTable(level=level, shift=k,
-                                        offsets=m, values=base * phase))
-    return tables
+    shifts = np.arange(shift_count(spec, level, axis))
+    return m, base[:, None] * np.exp(-2j * np.pi * np.outer(m, shifts / 2 ** mra_level))
 
 
-def constant_table(level: int = 0) -> FourierCoeffTable:
-    """DC-only table representing the constant function 1 on [0, 1]."""
-    return FourierCoeffTable(level=level, shift=0,
-                             offsets=np.array([0]),
-                             values=np.array([1.0 + 0.0j]))
+def eval_on_points(points, offsets: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """``Re sum_m coeffs[m] exp(i 2 pi m t)`` at every point t.
 
-
-def eval_on_points(table: FourierCoeffTable, points) -> np.ndarray:
-    """Evaluate the basis function at arbitrary points in [0, 1)."""
-    t = np.atleast_1d(np.asarray(points, dtype=float))
-    phases = np.exp(2j * np.pi * np.outer(t, table.offsets))
-    return np.real(phases @ table.values)
-
-
-def synthesize_fine(table: FourierCoeffTable, grid_size: int,
-                    offset: float = 0.0) -> np.ndarray:
-    """Values on the fine grid ``t_g = (g + offset) / grid_size`` via FFT.
-
-    Exact for band-limited tables whose band fits below the grid Nyquist.
+    A 1-D ``coeffs`` (one basis function) gives shape (len(points),); a 2-D
+    one (band, n), such as a whole level from ``build_basis``, gives
+    (len(points), n).
     """
-    if table.max_offset() >= grid_size // 2:
-        raise ResolutionOverflowError(
-            "resolution overflow: table band exceeds synthesis grid Nyquist")
-    coeffs = np.zeros(grid_size, dtype=complex)
-    vals = table.values
-    if offset != 0.0:
-        vals = vals * np.exp(2j * np.pi * table.offsets * (offset / grid_size))
-    np.add.at(coeffs, np.mod(table.offsets, grid_size), vals)
-    return np.real(np.fft.ifft(coeffs) * grid_size)
+    t = np.atleast_1d(np.asarray(points, dtype=float))
+    return np.real(np.exp(2j * np.pi * np.outer(t, offsets)) @ coeffs)

@@ -49,6 +49,13 @@ class TestValidation:
                        "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_unregistered_test_function_rejected(self, tmp_path):
+        """Names come from the registries: a name `make_test_function`
+        does not know fails validation, not the later run."""
+        path = write_config(tmp_path, function={"name": "single-atom"})
+        with pytest.raises(cli.ConfigError, match="function.name"):
+            cli.validate_config(cli.load_config(path), "simulate")
+
     def test_missing_observation_file(self, tmp_path, capsys):
         path = write_config(
             tmp_path, extra={"estimate": {"observations": "nope.csv"}})
@@ -129,6 +136,25 @@ class TestEstimate:
         rows = (out / "coefficients.csv").read_text().splitlines()[1:]
         assert kept == sum(1 for r in rows if r.split(",")[6] == "1")
         assert (out / "reconstruction.pgm").read_bytes()[:2] == b"P5"
+
+    def test_corrupt_observation_file_exits_2(self, tmp_path, capsys):
+        obs_dir = tmp_path / "obs"
+        sim = write_config(tmp_path, simulate={"N": 64, "M": 64,
+                                               "format": "both"})
+        assert cli.main(["simulate", "--config", str(sim),
+                         "--out", str(obs_dir)]) == 0
+        csv_path = obs_dir / "observations.csv"
+        lines = csv_path.read_text().splitlines(keepends=True)
+        del lines[99]
+        csv_path.write_text("".join(lines))
+        afdc_path = obs_dir / "observations.afdc"
+        afdc_path.write_bytes(afdc_path.read_bytes()[:20000])
+        for path, message in ((csv_path, "missing"), (afdc_path, "truncated")):
+            cfg = write_config(tmp_path, extra={"estimate": {
+                "observations": str(path)}})
+            assert cli.main(["estimate", "--config", str(cfg),
+                             "--out", str(tmp_path / "est")]) == 2
+            assert message in capsys.readouterr().err
 
 
 class TestVerifyAndBench:

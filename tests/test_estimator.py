@@ -10,6 +10,12 @@ from afdeconv import wavelets as wv
 WSPEC = wv.WaveletSpec()
 UNIFORM = md.DesignDensity(beta=0.0, x0=0.5)
 SILENT = md.NoiseSpec(alpha=1.0, sigma=0.0)
+# power_kernel(1) scaled by (1 + x/2): a kernel whose coefficients vary in x
+_POWER = md.power_kernel(1.0)
+X_VARYING = md.KernelSpec(nu=1.0,
+                          fourier=lambda m, x: _POWER.fourier(m)
+                          * (1.0 + 0.5 * np.asarray(x)),
+                          x_dependent=True, name="x-varying")
 
 
 class TestLevelSelection:
@@ -104,31 +110,31 @@ class TestCoefficientRecovery:
             assert np.allclose(blk.beta_hat, expected, atol=1e-12)
 
     def test_field_matches_single_coefficient_path(self):
-        """Vectorized field estimation equals the per-index formula."""
+        """Vectorized field estimation equals the per-index formula, for an
+        x-independent and an x-dependent kernel, on uniform and singular
+        designs."""
         f = md.tensor_sinusoid(1.5, 1.5, max_freq=64)
-        ker = md.power_kernel(1.0)
         noise = md.NoiseSpec(alpha=0.8, sigma=0.5)
-        obs = md.simulate_observations(f, ker, UNIFORM, UNIFORM, noise,
-                                       N=64, M=64, seed=5)
-        cfg = es.EstimatorConfig.from_specs(ker, UNIFORM, UNIFORM, noise,
-                                            J1=4, J2=4)
-        field = es.estimate_field(obs, UNIFORM, UNIFORM, ker, WSPEC, cfg)
-        for idx in [es.Index(2, 0, 2, 3), es.Index(3, 7, 2, 1),
-                    es.Index(2, 4, 3, 6)]:
-            single = es.estimate_coefficient(idx, obs, UNIFORM, UNIFORM,
-                                             ker, WSPEC)
-            blk = field.blocks[(idx.j1, idx.j2)]
-            assert blk.beta_hat[idx.k1, idx.k2] == pytest.approx(single,
-                                                                 abs=1e-12)
+        for ker in (md.power_kernel(1.0), X_VARYING):
+            for design in (UNIFORM, md.DesignDensity(beta=0.3, x0=0.5)):
+                obs = md.simulate_observations(f, ker, design, design, noise,
+                                               N=64, M=64, seed=5)
+                cfg = es.EstimatorConfig.from_specs(ker, design, design,
+                                                    noise, J1=4, J2=4)
+                field = es.estimate_field(obs, design, design, ker, WSPEC,
+                                          cfg)
+                for idx in [es.Index(2, 0, 2, 3), es.Index(3, 7, 2, 1),
+                            es.Index(2, 4, 3, 6)]:
+                    single = es.estimate_coefficient(idx, obs, design, design,
+                                                     ker, WSPEC)
+                    blk = field.blocks[(idx.j1, idx.j2)]
+                    assert blk.beta_hat[idx.k1, idx.k2] == pytest.approx(
+                        single, abs=1e-12)
 
     def test_x_dependent_kernel_path(self):
-        """A kernel with x-varying coefficients uses the non-factorized
-        path and still recovers a band-limited atom."""
-        base = md.power_kernel(1.0)
-        ker = md.KernelSpec(nu=1.0,
-                            fourier=lambda m, x: base.fourier(m)
-                            * (1.0 + 0.5 * np.asarray(x)),
-                            x_dependent=True, name="x-varying")
+        """A kernel with x-varying coefficients recovers a band-limited
+        atom exactly."""
+        ker = X_VARYING
         f = md.single_atom(3, 1, 3, 2, WSPEC)
         obs_clean = md.simulate_observations(f, md.identity_kernel(), UNIFORM,
                                              UNIFORM, SILENT, N=128, M=128,
@@ -191,8 +197,10 @@ class TestCoefficientRecovery:
         blocks = es.true_coefficients(f, WSPEC, 4, 4, grid=2048)
         g = np.arange(1024) / 1024
         F = f.eval(g[:, None], g[None, :])
-        psi = wv.eval_on_points(wv.build_basis(WSPEC, 3, axis=0)[2], g)
-        eta = wv.eval_on_points(wv.build_basis(WSPEC, 3, axis=1)[5], g)
+        m1, psi = wv.build_basis(WSPEC, 3, axis=0)
+        m2, eta = wv.build_basis(WSPEC, 3, axis=1)
+        psi = wv.eval_on_points(g, m1, psi[:, 2])
+        eta = wv.eval_on_points(g, m2, eta[:, 5])
         quad = psi @ F @ eta / 1024 ** 2
         assert blocks[(3, 3)][2, 5] == pytest.approx(quad, abs=1e-9)
 

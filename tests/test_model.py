@@ -279,3 +279,44 @@ class TestSerialization:
         path.write_bytes(b"NOPE" + b"\0" * 12)
         with pytest.raises(md.ParameterError):
             md.load_binary(path)
+
+    def test_csv_rejects_deleted_row(self, obs, tmp_path):
+        path = tmp_path / "obs.csv"
+        md.save_csv(obs, path)
+        lines = path.read_text().splitlines(keepends=True)
+        del lines[100]
+        path.write_text("".join(lines))
+        with pytest.raises(md.ParameterError, match="missing"):
+            md.load_csv(path)
+
+    def test_csv_rejects_duplicated_row(self, obs, tmp_path):
+        path = tmp_path / "obs.csv"
+        md.save_csv(obs, path)
+        lines = path.read_text().splitlines(keepends=True)
+        # replace one row by a copy of another: the row count stays N * M
+        lines[100] = lines[101]
+        path.write_text("".join(lines))
+        with pytest.raises(md.ParameterError, match="duplicate"):
+            md.load_csv(path)
+        # an extra copy of a row
+        path.write_text("".join(lines[:100] + lines[101:] + [lines[5]]))
+        with pytest.raises(md.ParameterError, match="duplicated"):
+            md.load_csv(path)
+
+    def test_csv_rejects_out_of_range_index(self, obs, tmp_path):
+        path = tmp_path / "obs.csv"
+        md.save_csv(obs, path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[7] = "0," + lines[7].split(",", 1)[1]
+        path.write_text("".join(lines))
+        with pytest.raises(md.ParameterError, match="invalid index"):
+            md.load_csv(path)
+
+    @pytest.mark.parametrize("keep", [10, 16 + 8 * 20, 16 + 8 * 40, -8])
+    def test_binary_rejects_truncated(self, obs, tmp_path, keep):
+        """Cut inside the header, t (N = 32), x (M = 16) and Y."""
+        path = tmp_path / "obs.afdc"
+        md.save_binary(obs, path)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(md.ParameterError, match="truncated"):
+            md.load_binary(path)

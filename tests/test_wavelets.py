@@ -17,8 +17,10 @@ def daub():
 FINE = 4096
 
 
-def _fine_values(table, grid=FINE):
-    return wv.eval_on_points(table, np.arange(grid) / grid)
+def _fine_values(spec, level, grid=FINE):
+    """(grid, shifts) values of every basis function of one level."""
+    return wv.eval_on_points(np.arange(grid) / grid,
+                             *wv.build_basis(spec, level, axis=0))
 
 
 class TestBandStructure:
@@ -53,31 +55,28 @@ class TestOrthonormality:
 
     @pytest.mark.parametrize("level", [3, 4, 5])
     def test_within_level(self, meyer, level):
-        tables = wv.build_basis(meyer, level, axis=0)
-        V = np.column_stack([_fine_values(tb) for tb in tables])
+        V = _fine_values(meyer, level)
         G = V.T @ V / FINE
-        assert np.allclose(G, np.eye(len(tables)), atol=1e-10)
+        assert V.shape[1] == wv.shift_count(meyer, level, 0)
+        assert np.allclose(G, np.eye(V.shape[1]), atol=1e-10)
 
     def test_across_levels(self, meyer):
-        t3 = wv.build_basis(meyer, 3, axis=0)
-        t4 = wv.build_basis(meyer, 4, axis=0)
-        V3 = np.column_stack([_fine_values(tb) for tb in t3])
-        V4 = np.column_stack([_fine_values(tb) for tb in t4])
+        V3 = _fine_values(meyer, 3)
+        V4 = _fine_values(meyer, 4)
         assert np.allclose(V3.T @ V4 / FINE, 0.0, atol=1e-10)
 
     def test_scaling_against_wavelets(self, meyer):
-        scaling = wv.build_basis(meyer, meyer.m10 - 1, axis=0)
-        t3 = wv.build_basis(meyer, 3, axis=0)
-        S = np.column_stack([_fine_values(tb) for tb in scaling])
-        V3 = np.column_stack([_fine_values(tb) for tb in t3])
+        S = _fine_values(meyer, meyer.m10 - 1)
+        V3 = _fine_values(meyer, 3)
         assert np.allclose(S.T @ S / FINE, np.eye(S.shape[1]), atol=1e-10)
         assert np.allclose(S.T @ V3 / FINE, 0.0, atol=1e-10)
 
     def test_parseval_sum(self, meyer):
-        for level in (3, 5):
-            tables = wv.build_basis(meyer, level, axis=0)
-            for tb in tables[:2]:
-                assert tb.parseval_sum() == pytest.approx(1.0, abs=1e-12)
+        """Every column of a level matrix has unit norm (Parseval)."""
+        for level in (meyer.m10 - 1, 3, 5):
+            _, coeffs = wv.build_basis(meyer, level, axis=0)
+            norms = np.sum(np.abs(coeffs) ** 2, axis=0)
+            assert np.allclose(norms, 1.0, atol=1e-12)
 
 
 class TestCompleteness:
@@ -96,9 +95,8 @@ class TestCompleteness:
                      for c, k in zip(coefs, freqs))
         approx = np.zeros_like(target)
         for level in levels:
-            for tb in wv.build_basis(meyer, level, axis=0):
-                vals = _fine_values(tb)
-                approx += (vals @ target / FINE) * vals
+            V = _fine_values(meyer, level)
+            approx += V @ (V.T @ target / FINE)
         assert np.max(np.abs(approx - target)) < 1e-10
 
     def test_level_range_and_counts(self, meyer):
@@ -123,33 +121,31 @@ class TestDaubechies:
             assert np.dot(h[shift:], h[:-shift]) == pytest.approx(0, abs=1e-9)
 
     def test_near_orthonormal_basis(self, daub):
-        tables = wv.build_basis(daub, 4, axis=0)
-        V = np.column_stack([_fine_values(tb) for tb in tables])
+        V = _fine_values(daub, 4)
         G = V.T @ V / FINE
-        assert np.max(np.abs(G - np.eye(len(tables)))) < 1e-6
+        assert np.max(np.abs(G - np.eye(V.shape[1]))) < 1e-6
 
 
 class TestEvaluation:
 
     def test_periodicity(self, meyer):
-        tb = wv.build_basis(meyer, 3, axis=0)[2]
+        m, coeffs = wv.build_basis(meyer, 3, axis=0)
         pts = np.array([0.12, 0.57, 0.93])
-        assert np.allclose(wv.eval_on_points(tb, pts),
-                           wv.eval_on_points(tb, pts + 1.0), atol=1e-12)
+        assert np.allclose(wv.eval_on_points(pts, m, coeffs),
+                           wv.eval_on_points(pts + 1.0, m, coeffs), atol=1e-12)
 
     def test_shift_relation(self, meyer):
-        tables = wv.build_basis(meyer, 4, axis=0)
+        m, coeffs = wv.build_basis(meyer, 4, axis=0)
         pts = np.linspace(0, 1, 57, endpoint=False)
-        v0 = wv.eval_on_points(tables[0], pts - 3 / 16)
-        v3 = wv.eval_on_points(tables[3], pts)
+        v0 = wv.eval_on_points(pts - 3 / 16, m, coeffs[:, 0])
+        v3 = wv.eval_on_points(pts, m, coeffs[:, 3])
         assert np.allclose(v0, v3, atol=1e-10)
 
-    def test_synthesize_fine_matches_pointwise(self, meyer):
-        tb = wv.build_basis(meyer, 4, axis=0)[5]
-        vals = wv.synthesize_fine(tb, 1024)
-        direct = wv.eval_on_points(tb, np.arange(1024) / 1024)
-        assert np.allclose(vals, direct, atol=1e-10)
-
-    def test_constant_table(self, meyer):
-        tb = wv.constant_table(0)
-        assert np.allclose(wv.eval_on_points(tb, np.array([0.1, 0.9])), 1.0)
+    def test_level_matrix_matches_single_columns(self, meyer):
+        """Evaluating a whole level equals evaluating each shift alone."""
+        m, coeffs = wv.build_basis(meyer, 4, axis=0)
+        pts = np.linspace(0, 1, 33, endpoint=False)
+        V = wv.eval_on_points(pts, m, coeffs)
+        for k in (0, 5, 15):
+            assert np.allclose(V[:, k], wv.eval_on_points(pts, m, coeffs[:, k]),
+                               atol=1e-12)
