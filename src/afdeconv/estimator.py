@@ -302,12 +302,12 @@ class FieldPlan:
                     for j2 in self.levels2}
         # per t-level: rows of the union band, psi matrix, conj(g) on the band
         basis1 = _bases(wspec, self.levels1, axis=0)
-        self.band = _band(basis1)
-        self.t_basis = {j1: (m + self.band, psi, _conj_kernel(kernel, m, self.x, j1))
+        band = _band(basis1)
+        self.t_basis = {j1: (m + band, psi, _conj_kernel(kernel, m, self.x, j1))
                         for j1, (m, psi) in basis1.items()}
         # cos and sin rows of e^{i 2 pi m t_i} stacked, so the t-transform
         # of the real W is one real product
-        arg = 2.0 * np.pi * np.outer(np.arange(-self.band, self.band + 1), self.t)
+        arg = 2.0 * np.pi * np.outer(np.arange(-band, band + 1), self.t)
         self.phase = np.vstack([np.cos(arg), np.sin(arg)])
 
     def estimate(self, Y: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
