@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -36,7 +37,7 @@ _DEFAULTS = {
     "design": {"t": {"beta": 0.0, "x0": 0.5}, "x": {"beta": 0.0, "x0": 0.5}},
     "noise": {"alpha": 1.0, "kind": "gaussian-fgn", "sigma": 1.0},
     "wavelet": {"family": "meyer", "regularity": 8, "m10": 3, "m20": 3},
-    "function": {"name": "tensor-sinusoid", "s1": 1.0, "s2": 1.0},
+    "function": {"name": "tensor-sinusoid"},
     "estimator": {"gamma": 4.0, "mu": 4.0, "besov_radius": 1.0,
                   "J1": None, "J2": None},
     "seed": 0,
@@ -97,6 +98,11 @@ def validate_config(cfg: dict, command: str) -> None:
     fn = cfg["function"]
     need(known(fn.get("name"), md._TEST_FUNCTIONS),
          "function.name", f"unknown test function {fn.get('name')!r}")
+    if known(fn.get("name"), md._TEST_FUNCTIONS):
+        params = inspect.signature(md._TEST_FUNCTIONS[fn["name"]]).parameters
+        for key in sorted(set(fn) - {"name"} - set(params), key=str):
+            errors.append(f"function.{key}: not a parameter of {fn['name']}; "
+                          f"choose from {sorted(params)}")
     e = cfg["estimator"]
     need(isinstance(e.get("gamma"), (int, float)) and e["gamma"] > 0,
          "estimator.gamma", "must be > 0")
@@ -379,9 +385,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="YAML run configuration")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for experiments")
         p.add_argument("--out", default=".", help="output directory")
+        if name == "bench-rate":
+            p.add_argument("--threads", type=int, default=1,
+                           help="worker threads over the ladder points")
         if name == "report":
             p.add_argument("--source", default=None,
                            help="bench-rate output directory or CSV")

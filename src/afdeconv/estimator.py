@@ -374,27 +374,24 @@ def _band(bases: dict[int, tuple[np.ndarray, np.ndarray]]) -> int:
 def true_coefficients(f: TestFunction, wspec: wv.WaveletSpec,
                       J1: int, J2: int,
                       grid: int = 4096) -> dict[tuple[int, int], np.ndarray]:
-    """Tensor quadrature of f against the basis, per level-pair block.
+    """Tensor quadrature of f = u(t) v(x) against the basis, per level-pair
+    block.
 
-    Uses the exact t-Fourier rule of f on a fine x-grid and an FFT across x,
-    so the only discretization is the x-grid (trapezoid at `grid` points).
+    Each block is the outer product of the exact t-coefficients
+    ``<u, psi_{j1,k1}>`` and ``<v, eta_{j2,k2}>`` from an FFT of v on a fine
+    x-grid, so the only discretization is the x-grid (trapezoid at `grid`
+    points).
     """
     basis1 = _bases(wspec, wv.level_range(wspec, J1, axis=0), 0)
     basis2 = _bases(wspec, wv.level_range(wspec, J2, axis=1), 1)
-    b1, b2 = _band(basis1), _band(basis2)
-    if 2 * b2 >= grid:
+    if 2 * _band(basis2) >= grid:
         raise wv.ResolutionOverflowError("x-grid too small for requested levels")
-    xg = np.arange(grid) / grid
-    m1 = np.arange(-b1, b1 + 1)
-    F1 = f.fourier_t(m1, xg)                     # (2 b1 + 1, grid)
-    F2 = np.fft.fft(F1, axis=1) / grid           # columns indexed by m2 mod grid
-    out = {}
-    for j1, (off1, psi) in basis1.items():
-        rows = F2[off1 + b1, :]
-        for j2, (off2, etam) in basis2.items():
-            sub = rows[:, np.mod(off2, grid)]
-            out[(j1, j2)] = np.real(np.conj(psi).T @ sub @ np.conj(etam))
-    return out
+    vhat = np.fft.fft(f.v(np.arange(grid) / grid)) / grid   # indexed by m2 mod grid
+    along_t = {j1: np.conj(psi).T @ f.u_hat_at(off1) for j1, (off1, psi) in basis1.items()}
+    along_x = {j2: vhat[np.mod(off2, grid)] @ np.conj(etam)
+               for j2, (off2, etam) in basis2.items()}
+    return {(j1, j2): np.real(np.outer(a, b))
+            for j1, a in along_t.items() for j2, b in along_x.items()}
 
 
 @dataclass

@@ -1,10 +1,14 @@
 """Synthetic data generation: irregular designs, convolution kernels,
-long-memory errors and observation grids.
+long-memory errors, test functions and observation grids.
 
 The observation model is
-``Y(t_i, x_l) = (g * f)(t_i, x_l) + sigma * eps_{i,l}`` with design points
-that are quantiles of known densities in each direction, errors that are
-long-memory within a profile ``x_l`` and independent across profiles.
+``Y(t_i, x_l) = int g(t_i - s, x_l) f(s, x_l) ds + sigma * eps_{i,l}`` with
+design points that are quantiles of known densities in each direction,
+errors that are long-memory within a profile ``x_l`` and independent across
+profiles.  The kernel convolves in t only, and every test function is a
+tensor product ``f(t, x) = u(t) v(x)`` that carries the t-Fourier
+coefficients of u over its own band, so the clean signal is one
+band-limited synthesis in t (``wavelets.eval_on_points``) times v(x).
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import toeplitz
+
+from . import wavelets as wv
 
 __all__ = [
     "ParameterError",
@@ -310,20 +316,36 @@ def sample_errors(spec: NoiseSpec, N: int, M: int, seed) -> np.ndarray:
 
 @dataclass
 class TestFunction:
-    """Ground-truth surface, 1-periodic in t, with known t-Fourier rule.
+    """Ground-truth surface f(t, x) = u(t) v(x), 1-periodic in t.
 
-    ``fourier_t(m, x)`` returns the coefficients of exp(i 2 pi m t) of
-    f(., x) as an array of shape (len(m), len(x)).
+    Every test function is such a tensor product.  ``u`` and ``v`` evaluate
+    the two profiles at points of any shape, and ``u_hat[m + band]`` holds
+    the coefficients of exp(i 2 pi m t) in u for |m| <= band, the band over
+    which u is synthesized (u is zero or truncated beyond it).
     """
 
     name: str
-    eval: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    fourier_t: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    u: Callable[[np.ndarray], np.ndarray]
+    v: Callable[[np.ndarray], np.ndarray]
+    u_hat: np.ndarray
     s1: float = 1.0
     s2: float = 1.0
     p: float = 2.0
     q: float = 2.0
     radius: float = 1.0
+
+    @property
+    def band(self) -> int:
+        return (self.u_hat.size - 1) // 2
+
+    def u_hat_at(self, m) -> np.ndarray:
+        """Coefficients of u at the frequencies m; zero outside the band."""
+        m = np.asarray(m)
+        inside = np.abs(m) <= self.band
+        return np.where(inside, self.u_hat[np.where(inside, m + self.band, 0)], 0.0)
+
+    def eval(self, t, x) -> np.ndarray:
+        return self.u(t) * self.v(x)
 
     def grid(self, size: int) -> np.ndarray:
         g = np.arange(size) / size
@@ -336,112 +358,64 @@ def _harmonic_profile(s: float, max_freq: int):
     The quadratic irrational phase spreads energy evenly across shifts, so
     each wavelet level carries ~2^{-2js} energy split over all positions
     (the dense configuration of a Besov ball of smoothness s).  Unit L2 norm.
+    Returns the evaluator, c_0 + 2 Re sum_{0 < m <= max_freq} c_m e^{i 2 pi m t}
+    (half the band of the symmetric sum), and the coefficients c_m for
+    |m| <= max_freq.
     """
     m = np.arange(1, max_freq + 1)
     mag = (1.0 + m) ** (-(s + 0.5))
     phase = 2.0 * np.pi * np.mod(0.6180339887498949 * m * m, 1.0)
-    coeff = mag * np.exp(1j * phase)
-    dc = 0.5
-    norm = np.sqrt(dc ** 2 + 2.0 * np.sum(mag ** 2))
-    coeff = coeff / norm
-    dc = dc / norm
+    norm = np.sqrt(0.25 + 2.0 * np.sum(mag ** 2))
+    coeff = mag * np.exp(1j * phase) / norm
+    dc = 0.5 / norm
 
-    def u_hat(mm):
-        mm = np.asarray(mm)
-        out = np.zeros(mm.shape, dtype=complex)
-        pos = (mm > 0) & (mm <= max_freq)
-        neg = (mm < 0) & (mm >= -max_freq)
-        out[pos] = coeff[mm[pos] - 1]
-        out[neg] = np.conj(coeff[-mm[neg] - 1])
-        out[mm == 0] = dc
-        return out
+    def profile(t):
+        return dc + wv.eval_on_points(t, m, 2.0 * coeff)
 
-    def u_eval(t):
-        t = np.asarray(t, dtype=float)
-        flat = t.reshape(-1)
-        vals = np.full(flat.shape, dc, dtype=float)
-        # chunk the band to bound memory on large grids
-        step = 2048
-        for lo in range(0, max_freq, step):
-            mm = np.arange(lo + 1, min(lo + step, max_freq) + 1)
-            vals += 2.0 * np.real(np.exp(2j * np.pi * np.outer(flat, mm)) @ coeff[mm - 1])
-        return vals.reshape(t.shape)
-
-    return u_eval, u_hat
+    return profile, np.concatenate([np.conj(coeff[::-1]), [dc], coeff])
 
 
 def tensor_sinusoid(s1: float = 1.0, s2: float = 1.0,
                     max_freq: int = 4096) -> TestFunction:
     """Smooth tensor product of harmonic series with Besov smoothness (s1, s2)."""
-    u_eval, u_hat = _harmonic_profile(s1, max_freq)
-    v_eval, _ = _harmonic_profile(s2, max_freq)
-
-    def f_eval(t, x):
-        return u_eval(t) * v_eval(x)
-
-    def f_fourier(m, x):
-        return u_hat(np.asarray(m))[:, None] * v_eval(np.asarray(x))[None, :]
-
-    return TestFunction(name="tensor-sinusoid", eval=f_eval, fourier_t=f_fourier,
+    u, u_hat = _harmonic_profile(s1, max_freq)
+    v, _ = _harmonic_profile(s2, max_freq)
+    return TestFunction(name="tensor-sinusoid", u=u, v=v, u_hat=u_hat,
                         s1=s1, s2=s2, p=2.0, q=2.0, radius=1.0)
 
 
 def bump_ramp(center: float = 0.45, width: float = 0.15) -> TestFunction:
     """Triangular bump in t times a centred sawtooth ramp in x.
 
-    Spatially inhomogeneous: a kink in t, a jump in x (sparse regimes).
+    Spatially inhomogeneous: a kink in t, a jump in x (sparse regimes).  The
+    bump's sinc^2 coefficients are kept for |m| <= 8192, where they have
+    fallen below 1e-8.
     """
 
-    def u_eval(t):
+    def u(t):
         t = np.asarray(t, dtype=float)
         return np.maximum(0.0, 1.0 - np.abs(np.mod(t - center + 0.5, 1.0) - 0.5) / width)
 
-    def u_hat(m):
-        m = np.asarray(m, dtype=float)
-        arg = np.pi * m * width
-        core = np.ones_like(arg)
-        nz = arg != 0
-        core[nz] = (np.sin(arg[nz]) / arg[nz]) ** 2
-        return width * core * np.exp(-2j * np.pi * m * center)
+    def v(x):
+        return np.mod(np.asarray(x, dtype=float), 1.0) - 0.5
 
-    def v_eval(x):
-        x = np.asarray(x, dtype=float)
-        return np.mod(x, 1.0) - 0.5
-
-    def f_eval(t, x):
-        return u_eval(t) * v_eval(x)
-
-    def f_fourier(m, x):
-        return u_hat(np.asarray(m))[:, None] * v_eval(np.asarray(x))[None, :]
-
-    return TestFunction(name="bump-ramp", eval=f_eval, fourier_t=f_fourier,
+    m = np.arange(-8192, 8193)
+    u_hat = width * np.sinc(m * width) ** 2 * np.exp(-2j * np.pi * m * center)
+    return TestFunction(name="bump-ramp", u=u, v=v, u_hat=u_hat,
                         s1=1.5, s2=0.5, p=2.0, q=2.0, radius=1.0)
 
 
 def single_atom(j1: int, k1: int, j2: int, k2: int, wspec) -> TestFunction:
     """f equal to one tensor basis atom (testing aid)."""
-    from . import wavelets as wv
-
     m1, psi = wv.build_basis(wspec, j1, axis=0)
     m2, eta = wv.build_basis(wspec, j2, axis=1)
     psi, eta = psi[:, k1], eta[:, k2]
-
-    def along(points, offsets, coeffs):
-        points = np.asarray(points)
-        return wv.eval_on_points(points.reshape(-1), offsets, coeffs).reshape(points.shape)
-
-    def f_eval(t, x):
-        return along(t, m1, psi) * along(x, m2, eta)
-
-    def f_fourier(m, x):
-        m = np.asarray(m)
-        vals = np.zeros(m.shape, dtype=complex)
-        hit = np.isin(m, m1)
-        vals[hit] = psi[np.searchsorted(m1, m[hit])]
-        return vals[:, None] * along(x, m2, eta).reshape(-1)[None, :]
-
-    return TestFunction(name=f"atom-{j1}.{k1}.{j2}.{k2}", eval=f_eval,
-                        fourier_t=f_fourier)
+    band = np.abs(m1).max()
+    u_hat = np.zeros(2 * band + 1, dtype=complex)
+    u_hat[m1 + band] = psi
+    return TestFunction(name=f"atom-{j1}.{k1}.{j2}.{k2}",
+                        u=lambda t: wv.eval_on_points(t, m1, psi),
+                        v=lambda x: wv.eval_on_points(x, m2, eta), u_hat=u_hat)
 
 
 _TEST_FUNCTIONS = {
@@ -482,27 +456,26 @@ class ObservationGrid:
 
 
 def convolved_signal(f: TestFunction, kernel: KernelSpec,
-                     t: np.ndarray, x: np.ndarray,
-                     band: int = 8192) -> np.ndarray:
-    """Clean signal q(t_i, x_l) = sum_m fhat(m, x_l) g(m, x_l) e^{i2pi m t_i}."""
-    q = np.zeros((t.size, x.size))
-    step = 2048
-    for lo in range(-band, band + 1, step):
-        m = np.arange(lo, min(lo + step, band + 1))
-        fh = f.fourier_t(m, x)
-        g = kernel.coeff(m[:, None], x[None, :])
-        q += np.real(np.exp(2j * np.pi * np.outer(t, m)) @ (fh * g))
-    return q
+                     t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Clean signal q(t_i, x_l) = v(x_l) sum_m uhat(m) g(m, x_l) e^{i2pi m t_i}.
+
+    The kernel convolves in t only, so q is one synthesis over the band of
+    u: its coefficient block uhat * g is band x 1 for an x-independent
+    kernel and band x len(x) for an x-dependent one.
+    """
+    m = np.arange(-f.band, f.band + 1)
+    coeffs = f.u_hat[:, None] * kernel.coeff(m[:, None], x[None, :])
+    return wv.eval_on_points(t, m, coeffs) * f.v(x)[None, :]
 
 
 def simulate_observations(f: TestFunction, kernel: KernelSpec,
                           d1: DesignDensity, d2: DesignDensity,
-                          noise: NoiseSpec, N: int, M: int, seed,
-                          band: int = 8192) -> ObservationGrid:
+                          noise: NoiseSpec, N: int, M: int,
+                          seed) -> ObservationGrid:
     """Draw one observation grid from the model."""
     t = quantile_design(N, d1)
     x = quantile_design(M, d2)
-    q = convolved_signal(f, kernel, t, x, band=band)
+    q = convolved_signal(f, kernel, t, x)
     if noise.sigma > 0:
         q = q + noise.sigma * sample_errors(noise, N, M, seed)
     return ObservationGrid(N=N, M=M, t=t, x=x, Y=q, seed=seed)

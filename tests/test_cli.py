@@ -56,6 +56,23 @@ class TestValidation:
         with pytest.raises(cli.ConfigError, match="function.name"):
             cli.validate_config(cli.load_config(path), "simulate")
 
+    def test_function_parameters_checked_against_factory(self, tmp_path, capsys):
+        """A function section takes exactly its factory's keywords: a key
+        the factory does not take exits 2 naming it."""
+        path = write_config(tmp_path, function={"name": "tensor-sinusoid",
+                                                "maxfreq": 12})
+        rc = cli.main(["simulate", "--config", str(path),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "function.maxfreq" in capsys.readouterr().err
+
+    def test_threads_only_on_bench_rate(self, tmp_path):
+        path = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--config", str(path), "--threads", "2",
+                      "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+
     def test_missing_observation_file(self, tmp_path, capsys):
         path = write_config(
             tmp_path, extra={"estimate": {"observations": "nope.csv"}})
@@ -98,6 +115,13 @@ class TestSimulate:
                   "--out", str(out2)])
         assert (out1 / "observations.csv").read_bytes() == \
                (out2 / "observations.csv").read_bytes()
+
+    def test_bump_ramp_simulates(self, tmp_path):
+        path = write_config(tmp_path, function={"name": "bump-ramp"})
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(path),
+                         "--out", str(out)]) == 0
+        assert (out / "observations.csv").read_bytes().count(b"\n") == 64 * 64 + 1
 
     def test_manifest_and_resolved_config(self, tmp_path):
         path = write_config(tmp_path)

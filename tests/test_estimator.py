@@ -143,7 +143,7 @@ class TestCoefficientRecovery:
         Y = np.empty_like(obs_clean.Y)
         m, base_tab = wv.base_table(WSPEC, 3, axis=0)
         for l, xl in enumerate(obs_clean.x):
-            fhat = f.fourier_t(m, np.array([xl]))[:, 0] * ker.coeff(m, xl)
+            fhat = f.u_hat_at(m) * f.v(xl) * ker.coeff(m, xl)
             Y[:, l] = np.real(np.exp(
                 2j * np.pi * np.outer(obs_clean.t, m)) @ fhat)
         obs = md.ObservationGrid(N=128, M=128, t=obs_clean.t, x=obs_clean.x,
@@ -177,11 +177,8 @@ class TestCoefficientRecovery:
     def test_constant_function_hits_only_scaling_level(self):
         one = md.TestFunction(
             name="constant",
-            eval=lambda t, x: np.ones(np.broadcast(t, x).shape),
-            fourier_t=lambda m, x: np.where(
-                np.asarray(m)[:, None] == 0, 1.0, 0.0)
-            * np.ones((1, np.asarray(x).size)),
-            s1=2.0, s2=2.0)
+            u=lambda t: np.ones(np.shape(t)), v=lambda x: np.ones(np.shape(x)),
+            u_hat=np.array([1.0 + 0.0j]), s1=2.0, s2=2.0)
         blocks = es.true_coefficients(one, WSPEC, 5, 5)
         s1, s2 = WSPEC.m10 - 1, WSPEC.m20 - 1
         for (j1, j2), blk in blocks.items():

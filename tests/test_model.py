@@ -5,6 +5,13 @@ from hypothesis import given, settings, strategies as st
 from afdeconv import model as md
 from afdeconv import wavelets as wv
 
+# power_kernel(1) scaled by (1 + x/2): a kernel whose coefficients vary in x
+_POWER = md.power_kernel(1.0)
+X_VARYING = md.KernelSpec(nu=1.0,
+                          fourier=lambda m, x: _POWER.fourier(m)
+                          * (1.0 + 0.5 * np.asarray(x)),
+                          x_dependent=True, name="x-varying")
+
 
 class TestKernels:
 
@@ -172,14 +179,14 @@ class TestTestFunctions:
         # FFT along t of the evaluated surface vs the exact rule
         col = np.fft.fft(F, axis=0) / 512
         m = np.array([0, 1, 5, 17])
-        exact = f.fourier_t(m, g)
+        exact = f.u_hat_at(m)[:, None] * f.v(g)[None, :]
         assert np.allclose(col[m], exact, atol=1e-8)
 
     def test_coefficient_decay_envelope(self):
         f = md.tensor_sinusoid(1.0, 1.0, max_freq=256)
         m = np.arange(1, 200)
-        mags = np.abs(f.fourier_t(m, np.array([0.3]))[:, 0])
-        # |u1_hat(m)| ~ (1+m)^{-1.5} times the x-profile value
+        mags = np.abs(f.u_hat_at(m))
+        # |u1_hat(m)| ~ (1+m)^{-1.5}
         ratio = mags * (1.0 + m) ** 1.5
         assert ratio.max() / ratio.min() == pytest.approx(1.0, abs=1e-6)
 
@@ -189,7 +196,15 @@ class TestTestFunctions:
         F = f.eval(g[:, None], g[None, :])
         col = np.fft.fft(F, axis=0) / 1024
         m = np.array([1, 3, 11])
-        assert np.allclose(col[m], f.fourier_t(m, g)[:, :], atol=1e-3)
+        assert np.allclose(col[m], f.u_hat_at(m)[:, None] * f.v(g)[None, :],
+                           atol=1e-3)
+
+    def test_u_hat_band(self):
+        """u_hat covers the declared band and is zero outside it."""
+        f = md.tensor_sinusoid(1.0, 1.0, max_freq=64)
+        assert f.band == 64 and f.u_hat.shape == (129,)
+        assert np.array_equal(f.u_hat_at(np.array([-65, 65, 1000])), np.zeros(3))
+        assert f.u_hat_at(-5) == np.conj(f.u_hat_at(5))
 
     def test_registry(self):
         f = md.make_test_function("tensor-sinusoid", s1=2.0, s2=1.0)
@@ -210,18 +225,22 @@ class TestSimulation:
         assert np.allclose(obs.Y, direct, atol=1e-12)
 
     def test_convolution_is_fourier_product(self):
-        """Observed signal spectrum equals fhat * ghat on a uniform grid."""
+        """Observed signal spectrum equals uhat(m) v(x_l) g(m, x_l) in every
+        column on a uniform grid, for a kernel constant in x and one that
+        varies in x."""
         f = md.tensor_sinusoid(2.0, 2.0, max_freq=64)
-        ker = md.power_kernel(1.0)
         d = md.DesignDensity(beta=0.0, x0=0.5)
         silent = md.NoiseSpec(alpha=1.0, sigma=0.0)
-        obs = md.simulate_observations(f, ker, d, d, silent, N=256, M=64,
-                                       seed=0)
-        # design t_i = (i - 1/2)/N: FFT plus per-frequency phase correction
-        m = np.arange(1, 20)
-        spec_obs = np.fft.fft(obs.Y[:, 10])[m] / 256 * np.exp(-1j * np.pi * m / 256)
-        expected = (f.fourier_t(m, obs.x[10:11])[:, 0] * ker.coeff(m))
-        assert np.allclose(spec_obs, expected, atol=1e-6)
+        m = np.arange(-20, 20)
+        for ker in (md.power_kernel(1.0), X_VARYING):
+            obs = md.simulate_observations(f, ker, d, d, silent, N=256, M=64,
+                                           seed=0)
+            # design t_i = (i - 1/2)/N: FFT plus per-frequency phase correction
+            spec_obs = (np.fft.fft(obs.Y, axis=0)[m] / 256
+                        * np.exp(-1j * np.pi * m / 256)[:, None])
+            expected = (f.u_hat_at(m)[:, None] * f.v(obs.x)[None, :]
+                        * ker.coeff(m[:, None], obs.x[None, :]))
+            assert np.allclose(spec_obs, expected, atol=1e-6)
 
     def test_noise_scale(self):
         f = md.tensor_sinusoid(1.0, 1.0, max_freq=32)

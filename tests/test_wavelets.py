@@ -142,10 +142,21 @@ class TestEvaluation:
         assert np.allclose(v0, v3, atol=1e-10)
 
     def test_level_matrix_matches_single_columns(self, meyer):
-        """Evaluating a whole level equals evaluating each shift alone."""
+        """Evaluating a whole level equals evaluating each shift alone and
+        one direct product, also for more points than one block of
+        exponentials and for 2-D points (the result has the points' shape)."""
         m, coeffs = wv.build_basis(meyer, 4, axis=0)
         pts = np.linspace(0, 1, 33, endpoint=False)
         V = wv.eval_on_points(pts, m, coeffs)
         for k in (0, 5, 15):
             assert np.allclose(V[:, k], wv.eval_on_points(pts, m, coeffs[:, k]),
                                atol=1e-12)
+        many = np.random.default_rng(0).random(2 * wv._BLOCK_EXPONENTIALS // m.size + 7)
+        grid = pts.reshape(3, 11)
+        for points in (pts, many, grid):
+            direct = np.real(np.exp(2j * np.pi * points[..., None] * m) @ coeffs)
+            V = wv.eval_on_points(points, m, coeffs)
+            assert V.shape == points.shape + (coeffs.shape[1],)
+            assert np.allclose(V, direct, atol=1e-12)
+            assert np.allclose(wv.eval_on_points(points, m, coeffs[:, 3]),
+                               direct[..., 3], atol=1e-12)
