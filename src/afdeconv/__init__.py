@@ -15,8 +15,8 @@ from .model import (DesignDensity, KernelSpec, NoiseSpec, ObservationGrid,
                     load_binary, load_csv, lrd_covariance, make_kernel,
                     make_test_function, noise_factor, normalize_density,
                     power_kernel, quantile_design, sample_errors, save_binary,
-                    save_csv, simulate_observations, single_atom,
-                    tensor_sinusoid)
+                    save_csv, simulate_observations, simulate_replicates,
+                    single_atom, tensor_sinusoid)
 from .estimator import (CoefficientField, EstimatorConfig, FieldPlan, Index,
                         KernelNotInvertibleError, Reconstruction,
                         SingularDesignError, choose_levels,

@@ -474,14 +474,13 @@ class RateReport:
 
 def _ladder_point(f, kernel, d1, d2, noise, wspec, cfg, N, M, replicates,
                   seed, grid, f_ref):
-    plan = None
+    J1, J2 = cfg.resolve_levels(M, N, wspec)
+    plan = es.FieldPlan(md.quantile_design(N, d1), md.quantile_design(M, d2),
+                        d1, d2, kernel, wspec, J1, J2)
     values = np.empty(replicates)
-    for r in range(replicates):
-        obs = md.simulate_observations(f, kernel, d1, d2, noise, N=N, M=M,
-                                       seed=seed + r)
-        if plan is None:
-            J1, J2 = cfg.resolve_levels(M, N, wspec)
-            plan = es.FieldPlan(obs.t, obs.x, d1, d2, kernel, wspec, J1, J2)
+    grids = md.simulate_replicates(f, kernel, d1, d2, noise, N, M,
+                                   range(seed, seed + replicates))
+    for r, obs in enumerate(grids):
         fld = es.estimate_field(obs, d1, d2, kernel, wspec, cfg, plan=plan)
         rec = es.reconstruct(fld, wspec, grid=grid, which="kept")
         values[r] = mise(rec, f_ref)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import inspect
+import math
 import sys
 from pathlib import Path
 
@@ -64,6 +65,13 @@ def load_config(path) -> dict:
     return merged
 
 
+def _is_number(val, integer: bool = False) -> bool:
+    """A finite int or float (an int if `integer`); bools are not numbers."""
+    if isinstance(val, bool) or not isinstance(val, int if integer else (int, float)):
+        return False
+    return math.isfinite(val)
+
+
 def validate_config(cfg: dict, command: str) -> None:
     errors = []
 
@@ -100,9 +108,21 @@ def validate_config(cfg: dict, command: str) -> None:
          "function.name", f"unknown test function {fn.get('name')!r}")
     if known(fn.get("name"), md._TEST_FUNCTIONS):
         params = inspect.signature(md._TEST_FUNCTIONS[fn["name"]]).parameters
-        for key in sorted(set(fn) - {"name"} - set(params), key=str):
+        unknown = sorted(set(fn) - {"name"} - set(params), key=str)
+        for key in unknown:
             errors.append(f"function.{key}: not a parameter of {fn['name']}; "
                           f"choose from {sorted(params)}")
+        kwargs = {key: val for key, val in fn.items() if key != "name"}
+        mistyped = [key for key, val in kwargs.items() if key not in unknown
+                    and not _is_number(val, integer=(key == "max_freq"))]
+        for key in mistyped:
+            kind = "an integer" if key == "max_freq" else "a real number"
+            errors.append(f"function.{key}: must be {kind}, got {kwargs[key]!r}")
+        if not unknown and not mistyped:
+            try:  # the factory owns the admissible ranges
+                md.make_test_function(fn["name"], **kwargs)
+            except md.ParameterError as exc:
+                errors.append(f"function.{exc}")
     e = cfg["estimator"]
     need(isinstance(e.get("gamma"), (int, float)) and e["gamma"] > 0,
          "estimator.gamma", "must be > 0")

@@ -9,13 +9,16 @@ profiles.  The kernel convolves in t only, and every test function is a
 tensor product ``f(t, x) = u(t) v(x)`` that carries the t-Fourier
 coefficients of u over its own band, so the clean signal is one
 band-limited synthesis in t (``wavelets.eval_on_points``) times v(x).
+``simulate_replicates`` computes the designs, q and the noise colouring
+once and yields one grid per seed; ``simulate_observations`` is its
+one-seed case.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -36,6 +39,7 @@ __all__ = [
     "noise_factor",
     "sample_errors",
     "simulate_observations",
+    "simulate_replicates",
     "power_kernel",
     "fractional_kernel",
     "identity_kernel",
@@ -276,6 +280,41 @@ def _davies_harte_embedding(N: int, alpha: float) -> np.ndarray:
     return np.sqrt(np.maximum(lam, 0.0))
 
 
+def _error_sampler(spec: NoiseSpec, N: int, M: int) -> Callable[..., np.ndarray]:
+    """``draw(seed)`` returning the errors of ``sample_errors``.  The
+    colouring (Cholesky factor or circulant embedding) is built here, once;
+    each draw spawns the per-column substreams of its seed."""
+    if spec.alpha == 1.0 or N <= _EXACT_FACTOR_LIMIT:
+        factor = None if spec.alpha == 1.0 else noise_factor(N, spec.alpha, 1.0)
+
+        def column(rng):
+            return _draw_innovations(rng, N, spec.kind)
+    else:
+        # Large N: circulant-embedding spectral sampling (Gaussian only; the
+        # embedding mixes innovations, so the Rademacher kind keeps the exact
+        # factor path and is capped at the exact-factor size).
+        if spec.kind != "gaussian-fgn":
+            raise ParameterError(
+                f"subgaussian-rademacher noise requires N <= {_EXACT_FACTOR_LIMIT}")
+        factor = None
+        sq = _davies_harte_embedding(N, spec.alpha)
+        two_n = sq.size
+
+        def column(rng):
+            z = rng.standard_normal(two_n) + 1j * rng.standard_normal(two_n)
+            # Re sum a_k z_k e^{-i..} has variance sum a_k^2 = 2N r(0), and
+            # covariance 2N r(|j-j'|); dividing by sqrt(2N) restores r exactly.
+            return np.real(np.fft.fft(sq * z))[:N] / np.sqrt(two_n)
+
+    def draw(seed) -> np.ndarray:
+        eps = np.empty((N, M))
+        for l, ss in enumerate(np.random.SeedSequence(seed).spawn(M)):
+            eps[:, l] = column(np.random.default_rng(ss))
+        return eps if factor is None else factor @ eps
+
+    return draw
+
+
 def sample_errors(spec: NoiseSpec, N: int, M: int, seed) -> np.ndarray:
     """M independent unit-scale long-memory N-vectors, one per column.
 
@@ -284,30 +323,7 @@ def sample_errors(spec: NoiseSpec, N: int, M: int, seed) -> np.ndarray:
     ``lrd_covariance(N, alpha, sigma=1)`` per column; the observation noise
     scale sigma is applied by the caller (``Y = q + sigma * eps``).
     """
-    streams = np.random.SeedSequence(seed).spawn(M)
-    eta = np.empty((N, M))
-    if spec.alpha == 1.0 or N <= _EXACT_FACTOR_LIMIT:
-        for l, ss in enumerate(streams):
-            eta[:, l] = _draw_innovations(np.random.default_rng(ss), N, spec.kind)
-        if spec.alpha == 1.0:
-            return eta
-        return noise_factor(N, spec.alpha, 1.0) @ eta
-    # Large N: circulant-embedding spectral sampling (Gaussian only; the
-    # embedding mixes innovations, so the Rademacher kind keeps the exact
-    # factor path and is capped at the exact-factor size).
-    if spec.kind != "gaussian-fgn":
-        raise ParameterError(
-            f"subgaussian-rademacher noise requires N <= {_EXACT_FACTOR_LIMIT}")
-    sq = _davies_harte_embedding(N, spec.alpha)
-    two_n = sq.size
-    out = np.empty((N, M))
-    for l, ss in enumerate(streams):
-        rng = np.random.default_rng(ss)
-        z = rng.standard_normal(two_n) + 1j * rng.standard_normal(two_n)
-        # Re sum a_k z_k e^{-i..} has variance sum a_k^2 = 2N r(0), and
-        # covariance 2N r(|j-j'|); dividing by sqrt(2N) restores r exactly.
-        out[:, l] = np.real(np.fft.fft(sq * z))[:N] / np.sqrt(two_n)
-    return out
+    return _error_sampler(spec, N, M)(seed)
 
 
 # ----------------------------------------------------------------------
@@ -378,6 +394,11 @@ def _harmonic_profile(s: float, max_freq: int):
 def tensor_sinusoid(s1: float = 1.0, s2: float = 1.0,
                     max_freq: int = 4096) -> TestFunction:
     """Smooth tensor product of harmonic series with Besov smoothness (s1, s2)."""
+    for key, s in (("s1", s1), ("s2", s2)):
+        if not s > 0:
+            raise ParameterError(f"{key}: must be > 0, got {s!r}")
+    if not max_freq >= 1:
+        raise ParameterError(f"max_freq: must be >= 1, got {max_freq!r}")
     u, u_hat = _harmonic_profile(s1, max_freq)
     v, _ = _harmonic_profile(s2, max_freq)
     return TestFunction(name="tensor-sinusoid", u=u, v=v, u_hat=u_hat,
@@ -391,6 +412,10 @@ def bump_ramp(center: float = 0.45, width: float = 0.15) -> TestFunction:
     bump's sinc^2 coefficients are kept for |m| <= 8192, where they have
     fallen below 1e-8.
     """
+    if not 0.0 < width <= 0.5:
+        raise ParameterError(f"width: must lie in (0, 0.5], got {width!r}")
+    if not 0.0 <= center < 1.0:
+        raise ParameterError(f"center: must lie in [0, 1), got {center!r}")
 
     def u(t):
         t = np.asarray(t, dtype=float)
@@ -468,17 +493,32 @@ def convolved_signal(f: TestFunction, kernel: KernelSpec,
     return wv.eval_on_points(t, m, coeffs) * f.v(x)[None, :]
 
 
+def simulate_replicates(f: TestFunction, kernel: KernelSpec,
+                        d1: DesignDensity, d2: DesignDensity,
+                        noise: NoiseSpec, N: int, M: int,
+                        seeds) -> Iterator[ObservationGrid]:
+    """Yield one observation grid per seed, Y = q + sigma * eps(seed).
+
+    The designs, the clean signal q and the noise colouring do not depend
+    on the seed and are computed once; each grid then costs one innovation
+    draw.  Grids are yielded one at a time and share t, x (and, at
+    sigma = 0, Y = q), so callers must not modify them in place.
+    """
+    t = quantile_design(N, d1)
+    x = quantile_design(M, d2)
+    draw = _error_sampler(noise, N, M) if noise.sigma > 0 else None
+    q = convolved_signal(f, kernel, t, x)
+    for seed in seeds:
+        Y = q if draw is None else q + noise.sigma * draw(seed)
+        yield ObservationGrid(N=N, M=M, t=t, x=x, Y=Y, seed=seed)
+
+
 def simulate_observations(f: TestFunction, kernel: KernelSpec,
                           d1: DesignDensity, d2: DesignDensity,
                           noise: NoiseSpec, N: int, M: int,
                           seed) -> ObservationGrid:
     """Draw one observation grid from the model."""
-    t = quantile_design(N, d1)
-    x = quantile_design(M, d2)
-    q = convolved_signal(f, kernel, t, x)
-    if noise.sigma > 0:
-        q = q + noise.sigma * sample_errors(noise, N, M, seed)
-    return ObservationGrid(N=N, M=M, t=t, x=x, Y=q, seed=seed)
+    return next(simulate_replicates(f, kernel, d1, d2, noise, N, M, [seed]))
 
 
 # ----------------------------------------------------------------------

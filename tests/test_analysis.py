@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,19 @@ from afdeconv import wavelets as wv
 
 WSPEC = wv.WaveletSpec()
 UNIFORM = md.DesignDensity(beta=0.0, x0=0.5)
+SINGULAR = md.DesignDensity(beta=0.3, x0=0.5)
+
+
+def count_calls(monkeypatch, module, names):
+    """Replace each named function of `module` by a wrapper that counts its
+    calls; returns the live {name: count} dict."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestBesovParams:
@@ -193,6 +208,50 @@ class TestRateExperiment:
                                       cfg, threads=3, **kw)
         assert [p["mise_mean"] for p in serial.points] == \
                [p["mise_mean"] for p in threaded.points]
+
+    @pytest.mark.parametrize("kind, sigma", [("gaussian-fgn", 0.1),
+                                             ("subgaussian-rademacher", 0.1),
+                                             ("gaussian-fgn", 0.0)])
+    def test_ladder_point_equals_independent_replicates(self, kind, sigma):
+        """A ladder point builds its designs, clean signal, noise colouring
+        and plan once; its MISE mean and standard error equal, bit for bit,
+        those of replicates simulated and estimated one by one (replicate r
+        of point i uses seed + 100003 i + r)."""
+        f = md.tensor_sinusoid(1.5, 1.5, max_freq=256)
+        ker = md.power_kernel(1.0)
+        noise = md.NoiseSpec(alpha=0.7, kind=kind, sigma=sigma)
+        cfg = es.EstimatorConfig.from_specs(ker, SINGULAR, SINGULAR, noise)
+        ladder, replicates, seed, grid = [(64, 64), (128, 64)], 3, 8, 128
+        rep = an.rate_experiment(f, ker, SINGULAR, SINGULAR, noise, WSPEC, cfg,
+                                 ladder, replicates=replicates, seed=seed,
+                                 grid=grid)
+        f_ref = f.grid(grid)
+        for i, ((N, M), point) in enumerate(zip(ladder, rep.points)):
+            values = []
+            for r in range(replicates):
+                obs = md.simulate_observations(f, ker, SINGULAR, SINGULAR,
+                                               noise, N=N, M=M,
+                                               seed=seed + 100003 * i + r)
+                fld = es.estimate_field(obs, SINGULAR, SINGULAR, ker, WSPEC, cfg)
+                values.append(an.mise(es.reconstruct(fld, WSPEC, grid=grid),
+                                      f_ref))
+            values = np.array(values)
+            assert point["mise_mean"] == float(values.mean())
+            assert point["mise_se"] == float(values.std(ddof=1)
+                                             / math.sqrt(replicates))
+
+    def test_invariants_computed_once_per_point(self, monkeypatch):
+        """One clean signal and one Cholesky factor per ladder point, not
+        one per replicate."""
+        calls = count_calls(monkeypatch, md, ["convolved_signal", "noise_factor"])
+        f = md.tensor_sinusoid(1.5, 1.5, max_freq=256)
+        ker = md.power_kernel(1.0)
+        noise = md.NoiseSpec(alpha=0.7, sigma=0.2)
+        cfg = es.EstimatorConfig.from_specs(ker, UNIFORM, UNIFORM, noise)
+        an.rate_experiment(f, ker, UNIFORM, UNIFORM, noise, WSPEC, cfg,
+                           [(64, 64), (128, 128), (256, 256)], replicates=4,
+                           seed=5, grid=256)
+        assert calls == {"convolved_signal": 3, "noise_factor": 3}
 
     def test_empty_ladder_rejected(self):
         f = md.tensor_sinusoid(1.0, 1.0, max_freq=64)

@@ -66,6 +66,27 @@ class TestValidation:
         assert rc == 2
         assert "function.maxfreq" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("function, key", [
+        ({"name": "tensor-sinusoid", "s1": "abc"}, "s1"),
+        ({"name": "tensor-sinusoid", "s2": True}, "s2"),
+        ({"name": "tensor-sinusoid", "max_freq": 0}, "max_freq"),
+        ({"name": "tensor-sinusoid", "max_freq": 12.5}, "max_freq"),
+        ({"name": "bump-ramp", "width": 0}, "width"),
+        ({"name": "bump-ramp", "center": 2.5, "width": -1}, "width"),
+        ({"name": "bump-ramp", "center": 2.5}, "center"),
+    ])
+    def test_function_values_checked(self, tmp_path, capsys, function, key):
+        """Each function value must be a number in its factory's range: a
+        string, a bool or a degenerate value exits 2 naming the key, not
+        with a traceback or a simulated degenerate signal."""
+        path = write_config(tmp_path, function=function,
+                            simulate={"N": 32, "M": 32, "format": "csv"})
+        out = tmp_path / "o"
+        rc = cli.main(["simulate", "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        assert f"function.{key}" in capsys.readouterr().err
+        assert not (out / "observations.csv").exists()
+
     def test_threads_only_on_bench_rate(self, tmp_path):
         path = write_config(tmp_path)
         with pytest.raises(SystemExit) as exc:

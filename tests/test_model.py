@@ -253,6 +253,29 @@ class TestSimulation:
         resid = o1.Y - o0.Y
         assert np.std(resid) == pytest.approx(2.0, abs=0.1)
 
+    @pytest.mark.parametrize("alpha, N, M", [(0.7, 64, 8), (1.0, 64, 8),
+                                             (0.7, 4096, 4)])
+    def test_replicates_equal_single_draws(self, alpha, N, M):
+        """`simulate_replicates` computes the clean signal and the noise
+        colouring once, yet yields, seed for seed, the grid of
+        `simulate_observations` and of q + sigma * sample_errors(seed); the
+        last case takes the Davies-Harte branch."""
+        f = md.tensor_sinusoid(1.0, 1.0, max_freq=32)
+        ker = md.power_kernel(1.0)
+        d = md.DesignDensity(beta=0.3, x0=0.5)
+        noise = md.NoiseSpec(alpha=alpha, sigma=0.5)
+        seeds = [3, 4, 11]
+        grids = list(md.simulate_replicates(f, ker, d, d, noise, N, M, seeds))
+        assert [g.seed for g in grids] == seeds
+        for seed, grid in zip(seeds, grids):
+            one = md.simulate_observations(f, ker, d, d, noise, N=N, M=M,
+                                           seed=seed)
+            expected = (md.convolved_signal(f, ker, one.t, one.x)
+                        + noise.sigma * md.sample_errors(noise, N, M, seed))
+            for name in ("t", "x", "Y"):
+                assert np.array_equal(getattr(grid, name), getattr(one, name))
+            assert np.array_equal(grid.Y, expected)
+
 
 class TestSerialization:
 
