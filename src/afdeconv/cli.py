@@ -369,9 +369,8 @@ def cmd_report(cfg: dict, outdir: Path, source: Path | None = None) -> list[Path
     csv_path = src / "rate_report.csv" if src.is_dir() else src
     if not csv_path.exists():
         raise FileNotFoundError(f"rate report not found: {csv_path}")
-    rows = np.genfromtxt(csv_path, delimiter=",", names=True)
-    rows = np.atleast_1d(rows)
-    pairs = [(float(r["n"]), float(r["mise_mean"])) for r in rows]
+    rows = md._read_csv(csv_path, ("n", "mise_mean"))
+    pairs = list(zip(rows["n"].tolist(), rows["mise_mean"].tolist()))
     lines = [f"points: {len(pairs)}"]
     if len(pairs) >= 3:
         slope, se = an.fit_rate(pairs)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import wavelets as wv
 from .model import (DesignDensity, KernelSpec, NoiseSpec, ObservationGrid,
-                    ParameterError, TestFunction)
+                    ParameterError, TestFunction, _read_csv, _write_rows)
 
 __all__ = [
     "Index",
@@ -252,20 +252,6 @@ class CoefficientField:
     def scaling_pair(self) -> tuple[int, int]:
         return self.levels1[0], self.levels2[0]
 
-    def indices(self):
-        for (j1, j2), _ in sorted(self.blocks.items()):
-            for k1 in range(self.counts1[j1]):
-                for k2 in range(self.counts2[j2]):
-                    yield Index(j1, k1, j2, k2)
-
-    def record(self, index: Index) -> dict:
-        blk = self.blocks[(index.j1, index.j2)]
-        out = {}
-        for name in ("beta_hat", "lam", "kept", "beta_true"):
-            arr = getattr(blk, name)
-            out[name] = None if arr is None else arr[index.k1, index.k2]
-        return out
-
     def kept_count(self) -> int:
         return int(sum(blk.kept.sum() for blk in self.blocks.values()
                        if blk.kept is not None))
@@ -456,47 +442,61 @@ def reanalyze(recon: Reconstruction, wspec: wv.WaveletSpec) -> dict[tuple[int, i
 # Serialization
 # ----------------------------------------------------------------------
 
+_FIELD_COLUMNS = ("j1", "k1", "j2", "k2", "beta_hat", "lambda", "kept")
+
+
 def save_field_csv(fieldobj: CoefficientField, path) -> None:
-    """Columns j1,k1,j2,k2,beta_hat,lambda,kept[,beta_true]."""
+    """Columns j1,k1,j2,k2,beta_hat,lambda,kept[,beta_true]; one row per
+    index, level blocks in (j1, j2) order and k1, k2 row-major inside."""
     has_true = any(blk.beta_true is not None for blk in fieldobj.blocks.values())
-    header = "j1,k1,j2,k2,beta_hat,lambda,kept"
-    if has_true:
-        header += ",beta_true"
+    header = ",".join(_FIELD_COLUMNS + (("beta_true",) if has_true else ()))
+    row_format = ("%d,%d,%d,%d,%.17g,%.17g,%d"
+                  + (",%.17g" if has_true else "") + "\n")
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for idx in fieldobj.indices():
-            rec = fieldobj.record(idx)
-            row = (f"{idx.j1},{idx.k1},{idx.j2},{idx.k2},"
-                   f"{rec['beta_hat']:.17g},{rec['lam']:.17g},"
-                   f"{int(rec['kept'])}")
+        for (j1, j2), blk in sorted(fieldobj.blocks.items()):
+            shape = (fieldobj.counts1[j1], fieldobj.counts2[j2])
+            k1, k2 = np.indices(shape).reshape(2, -1)
+            columns = [np.full(k1.size, j1), k1, np.full(k1.size, j2), k2,
+                       blk.beta_hat.ravel(), blk.lam.ravel(), blk.kept.ravel()]
             if has_true:
-                bt = rec["beta_true"]
-                row += f",{0.0 if bt is None else bt:.17g}"
-            fh.write(row + "\n")
+                columns.append(np.zeros(k1.size) if blk.beta_true is None
+                               else blk.beta_true.ravel())
+            _write_rows(fh, row_format, np.column_stack(columns))
 
 
 def load_field_csv(path, wspec: wv.WaveletSpec, J1: int, J2: int) -> CoefficientField:
+    """Read a ``save_field_csv`` file into the field of levels (J1, J2);
+    its rows must list every index of that field exactly once."""
+    data = _read_csv(path, _FIELD_COLUMNS, optional=("beta_true",))
+    j1, k1, j2, k2 = (data[name].astype(int) for name in _FIELD_COLUMNS[:4])
     fieldobj = CoefficientField.empty(wspec, J1, J2)
-    for (j1, j2), blk in fieldobj.blocks.items():
-        shape = (fieldobj.counts1[j1], fieldobj.counts2[j2])
+    placed = 0
+    for (lev1, lev2), blk in fieldobj.blocks.items():
+        shape = (fieldobj.counts1[lev1], fieldobj.counts2[lev2])
+        rows = np.flatnonzero((j1 == lev1) & (j2 == lev2))
+        placed += rows.size
+        try:
+            flat = np.ravel_multi_index((k1[rows], k2[rows]), shape)
+        except ValueError as exc:
+            raise ParameterError(f"{path}: a shift outside level block "
+                                 f"({lev1}, {lev2})") from exc
+        if flat.size != math.prod(shape) or np.unique(flat).size != flat.size:
+            raise ParameterError(f"{path}: level block ({lev1}, {lev2}) must "
+                                 f"list each of its {math.prod(shape)} shifts "
+                                 "once")
         blk.beta_hat = np.zeros(shape)
         blk.lam = np.zeros(shape)
         blk.kept = np.zeros(shape, dtype=bool)
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    has_true = "beta_true" in (data.dtype.names or ())
-    if has_true:
-        for blk in fieldobj.blocks.values():
-            blk.beta_true = np.zeros((fieldobj.counts1[blk.j1],
-                                      fieldobj.counts2[blk.j2]))
-    for row in np.atleast_1d(data):
-        j1, k1, j2, k2 = (int(row["j1"]), int(row["k1"]),
-                          int(row["j2"]), int(row["k2"]))
-        blk = fieldobj.blocks[(j1, j2)]
-        blk.beta_hat[k1, k2] = row["beta_hat"]
-        blk.lam[k1, k2] = row["lambda"]
-        blk.kept[k1, k2] = bool(row["kept"])
-        if has_true:
-            blk.beta_true[k1, k2] = row["beta_true"]
+        blk.beta_hat.flat[flat] = data["beta_hat"][rows]
+        blk.lam.flat[flat] = data["lambda"][rows]
+        blk.kept.flat[flat] = data["kept"][rows] != 0
+        if "beta_true" in data:
+            blk.beta_true = np.zeros(shape)
+            blk.beta_true.flat[flat] = data["beta_true"][rows]
+    if placed != j1.size:
+        raise ParameterError(f"{path}: rows outside the levels of "
+                             f"J1={J1}, J2={J2}")
     return fieldobj
 
 

@@ -16,7 +16,9 @@ one-seed case.
 
 from __future__ import annotations
 
+import os
 import struct
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -529,27 +531,82 @@ BINARY_MAGIC = b"AFDC"
 _BINARY_VERSION = 1
 
 
+_BLOCK_ROWS = 1 << 16
+
+
+def _write_rows(fh, row_format: str, table: np.ndarray) -> None:
+    """Write each row of a 2-D table through the %-format ``row_format``,
+    one formatted string per block of 2^16 rows."""
+    for start in range(0, table.shape[0], _BLOCK_ROWS):
+        block = table[start:start + _BLOCK_ROWS]
+        fh.write(row_format * block.shape[0] % tuple(block.ravel().tolist()))
+
+
+def _read_csv(path, names, optional=()) -> dict[str, np.ndarray]:
+    """The named columns of a numeric CSV table with one header line.
+
+    numpy's C parser reads the data rows.  A missing header column, a
+    field that is not a number, a row whose field count differs from the
+    header's, no data rows, or a last line without its newline (the file
+    was cut) raise ``ParameterError``.  ``optional`` columns appear in the
+    result only when the header has them.
+    """
+    with open(path, "rb") as fh:
+        header = [name.strip() for name in
+                  fh.readline().decode("latin-1").split(",")]
+        fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))
+        cut = fh.read(1) != b"\n"
+    missing = [name for name in names if name not in header]
+    if missing:
+        raise ParameterError(f"{path}: expected a header with the columns "
+                             f"{','.join(names)}; {','.join(missing)} missing")
+    if cut:
+        raise ParameterError(f"{path}: the last line has no newline; "
+                             "the file is cut short")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # no data: checked below
+        try:
+            table = np.loadtxt(path, delimiter=",", skiprows=1, comments=None,
+                               ndmin=2)
+        except ValueError as exc:
+            raise ParameterError(f"{path}: unreadable data: {exc}") from exc
+    if table.shape[0] == 0:
+        raise ParameterError(f"{path}: no data rows below the header")
+    if table.shape[1] != len(header):
+        raise ParameterError(f"{path}: {table.shape[1]} fields per data row "
+                             f"for the {len(header)} header columns")
+    return {name: table[:, header.index(name)]
+            for name in (*names, *optional) if name in header}
+
+
 def save_csv(obs: ObservationGrid, path) -> None:
     """Columns i,l,t,x,Y; one row per observation; LF newlines."""
+    N, M = obs.N, obs.M
+    step = max(1, _BLOCK_ROWS // M)
     with open(path, "w", newline="\n") as fh:
         fh.write("i,l,t,x,Y\n")
-        for i in range(obs.N):
-            ti = obs.t[i]
-            for l in range(obs.M):
-                fh.write(f"{i + 1},{l + 1},{ti:.17g},{obs.x[l]:.17g},"
-                         f"{obs.Y[i, l]:.17g}\n")
+        for a in range(0, N, step):
+            n = min(step, N - a)
+            _write_rows(fh, "%d,%d,%.17g,%.17g,%.17g\n", np.column_stack((
+                np.repeat(np.arange(a + 1, a + n + 1), M),
+                np.tile(np.arange(1, M + 1), n),
+                np.repeat(obs.t[a:a + n], M),
+                np.tile(obs.x, n),
+                obs.Y[a:a + n].ravel())))
 
 
 def load_csv(path) -> ObservationGrid:
     """Read a ``save_csv`` file; every (i, l) of the N x M grid must appear
-    exactly once, with N and M the largest indices."""
-    try:
-        data = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
-    except (ValueError, IndexError) as exc:  # ragged rows; an empty file
-        raise ParameterError(f"{path}: not an i,l,t,x,Y table: {exc}") from exc
-    if data.dtype.names is None or not {"i", "l", "t", "x", "Y"} <= set(data.dtype.names) \
-            or data.size == 0:
-        raise ParameterError(f"{path}: expected a header i,l,t,x,Y and data rows")
+    exactly once, with N and M the largest indices, every t, x and Y must
+    be finite, and all rows of one i (one l) must give the same t (x)."""
+    data = _read_csv(path, ("i", "l", "t", "x", "Y"))
+    finite = (np.isfinite(data["t"]) & np.isfinite(data["x"])
+              & np.isfinite(data["Y"]))
+    if not np.all(finite):
+        row = int(np.argmin(finite))
+        raise ParameterError(f"{path}: data row {row + 1} has a non-finite "
+                             f"value (t, x, Y) = ({data['t'][row]}, "
+                             f"{data['x'][row]}, {data['Y'][row]})")
     i, l = data["i"], data["l"]
     valid = ((i >= 1) & (l >= 1) & (i <= i.size) & (l <= l.size)
              & (i == np.round(i)) & (l == np.round(l)))
@@ -574,6 +631,15 @@ def load_csv(path) -> ObservationGrid:
     t[i] = data["t"]
     x[l] = data["x"]
     Y[i, l] = data["Y"]
+    for name, axis, index, values in (("t", "i", i, t), ("x", "l", l, x)):
+        conflict = values[index] != data[name]
+        if np.any(conflict):
+            row = int(np.argmax(conflict))
+            raise ParameterError(
+                f"{path}: data row {row + 1} gives {name} = "
+                f"{data[name][row]:.17g} for {axis} = {index[row] + 1}, "
+                f"another row of {axis} = {index[row] + 1} gives "
+                f"{values[index[row]]:.17g}")
     return ObservationGrid(N=N, M=M, t=t, x=x, Y=Y)
 
 

@@ -202,6 +202,24 @@ class TestEstimate:
             assert message in capsys.readouterr().err
 
 
+    def test_non_numeric_observation_exits_2(self, tmp_path, capsys):
+        """A non-numeric Y field fails the load; it is not read as NaN."""
+        obs_dir = tmp_path / "obs"
+        sim = write_config(tmp_path, simulate={"N": 32, "M": 32,
+                                               "format": "csv"})
+        assert cli.main(["simulate", "--config", str(sim),
+                         "--out", str(obs_dir)]) == 0
+        csv_path = obs_dir / "observations.csv"
+        lines = csv_path.read_text().splitlines(keepends=True)
+        lines[5] = lines[5].rsplit(",", 1)[0] + ",abc\n"
+        csv_path.write_text("".join(lines))
+        cfg = write_config(tmp_path, extra={"estimate": {
+            "observations": str(csv_path)}})
+        assert cli.main(["estimate", "--config", str(cfg),
+                         "--out", str(tmp_path / "est")]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "abc" in err
+
 class TestVerifyAndBench:
 
     def test_verify_lemma1_only(self, tmp_path):
@@ -242,3 +260,17 @@ class TestVerifyAndBench:
         expected = an.theoretical_exponent(
             an.BesovParams(s1=2.0, s2=2.0, p=2.0), 1.0, 0.0, 0.0)
         assert f"regime: {expected.regime}" in summary
+
+    @pytest.mark.parametrize("text", [
+        "N,M,mise_mean\n64,64,0.1\n128,128,0.05\n256,256,0.02\n",
+        "N,M,n\n64,64,100\n128,128,200\n256,256,400\n",
+        "n,mise_mean\n100,0.1\nabc,0.05\n400,0.02\n",
+    ])
+    def test_report_bad_table_exits_2(self, tmp_path, capsys, text):
+        """A rate report without n or mise_mean, or with a non-numeric n,
+        exits 2 with a message, not a traceback or a LAPACK failure."""
+        src = tmp_path / "rate_report.csv"
+        src.write_text(text)
+        assert cli.main(["report", "--source", str(src),
+                         "--out", str(tmp_path / "rep")]) == 2
+        assert str(src) in capsys.readouterr().err

@@ -311,6 +311,64 @@ class TestErrorsAndIO:
             assert np.array_equal(back.blocks[key].kept, blk.kept)
             assert np.allclose(back.blocks[key].beta_true, blk.beta_true)
 
+    @pytest.mark.parametrize("with_truth", [True, False])
+    def test_field_csv_bytes_and_exact_roundtrip(self, tmp_path, monkeypatch,
+                                                 with_truth):
+        """On beta = 0.3 designs the block writer's bytes equal one f-string
+        per index, and the loader returns every array bitwise."""
+        monkeypatch.setattr(md, "_BLOCK_ROWS", 100)
+        f = md.tensor_sinusoid(1.0, 1.0, max_freq=64)
+        ker = md.power_kernel(1.0)
+        d = md.DesignDensity(beta=0.3, x0=0.4)
+        noise = md.NoiseSpec(alpha=0.8, sigma=0.5)
+        obs = md.simulate_observations(f, ker, d, d, noise, N=64, M=64, seed=9)
+        cfg = es.EstimatorConfig.from_specs(ker, d, d, noise, J1=4, J2=5)
+        truth = es.true_coefficients(f, WSPEC, 4, 5) if with_truth else None
+        field = es.estimate_field(obs, d, d, ker, WSPEC, cfg, beta_true=truth)
+        path = tmp_path / "field.csv"
+        es.save_field_csv(field, path)
+        rows = ["j1,k1,j2,k2,beta_hat,lambda,kept"
+                + (",beta_true" if with_truth else "")]
+        for (j1, j2), blk in sorted(field.blocks.items()):
+            for k1 in range(field.counts1[j1]):
+                for k2 in range(field.counts2[j2]):
+                    row = (f"{j1},{k1},{j2},{k2},{blk.beta_hat[k1, k2]:.17g},"
+                           f"{blk.lam[k1, k2]:.17g},{int(blk.kept[k1, k2])}")
+                    if with_truth:
+                        row += f",{blk.beta_true[k1, k2]:.17g}"
+                    rows.append(row)
+        assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+        back = es.load_field_csv(path, WSPEC, 4, 5)
+        assert back.blocks.keys() == field.blocks.keys()
+        for key, blk in field.blocks.items():
+            got = back.blocks[key]
+            assert np.array_equal(got.beta_hat, blk.beta_hat)
+            assert np.array_equal(got.lam, blk.lam)
+            assert np.array_equal(got.kept, blk.kept)
+            if with_truth:
+                assert np.array_equal(got.beta_true, blk.beta_true)
+            else:
+                assert got.beta_true is None
+
+    def test_field_csv_load_rejects_bad_rows(self, tmp_path):
+        field = es.CoefficientField.empty(WSPEC, 4, 4)
+        for (j1, j2), blk in field.blocks.items():
+            shape = (field.counts1[j1], field.counts2[j2])
+            blk.beta_hat, blk.lam = np.ones(shape), np.ones(shape)
+            blk.kept = np.ones(shape, dtype=bool)
+        path = tmp_path / "field.csv"
+        es.save_field_csv(field, path)
+        lines = path.read_text().splitlines(keepends=True)
+        for k, line in ((1, "2,0,2,0,abc,0.1,1\n"),  # not a number
+                        (1, "2,9,2,0,0.5,0.1,1\n"),  # k1 outside level 2
+                        (1, "9,0,2,0,0.5,0.1,1\n"),  # level outside J1 = 4
+                        (2, lines[1])):                # one index twice
+            path.write_text("".join(lines[:k] + [line] + lines[k + 1:]))
+            with pytest.raises(md.ParameterError):
+                es.load_field_csv(path, WSPEC, 4, 4)
+        path.write_text("".join(lines))
+        es.load_field_csv(path, WSPEC, 4, 4)
+
     def test_pgm_export(self, tmp_path):
         values = np.linspace(0, 1, 64 * 64).reshape(64, 64)
         recon = es.Reconstruction(values=values, fourier=np.zeros((1, 1)),

@@ -1,3 +1,8 @@
+import functools
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -354,6 +359,76 @@ class TestSerialization:
         with pytest.raises(md.ParameterError, match="invalid index"):
             md.load_csv(path)
 
+    @pytest.mark.parametrize("block_rows", [7, 1 << 16])
+    def test_csv_writer_matches_row_oracle(self, obs, tmp_path, monkeypatch,
+                                           block_rows):
+        """The block writer's bytes equal one f-string per row, also when a
+        block ends inside a run of rows of one i."""
+        monkeypatch.setattr(md, "_BLOCK_ROWS", block_rows)
+        path = tmp_path / "obs.csv"
+        md.save_csv(obs, path)
+        oracle = "i,l,t,x,Y\n" + "".join(
+            f"{i + 1},{l + 1},{obs.t[i]:.17g},{obs.x[l]:.17g},{obs.Y[i, l]:.17g}\n"
+            for i in range(obs.N) for l in range(obs.M))
+        assert path.read_bytes() == oracle.encode()
+        back = md.load_csv(path)
+        for name in ("t", "x", "Y"):
+            assert np.array_equal(getattr(back, name), getattr(obs, name))
+
+    @pytest.mark.parametrize("field", ["abc", "", "0.5x", "1,2"])
+    def test_csv_rejects_unreadable_field(self, obs, tmp_path, field):
+        """A blank, non-numeric or split Y field fails; it never loads as
+        NaN or shifts the row."""
+        path = tmp_path / "obs.csv"
+        md.save_csv(obs, path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[40] = lines[40].rsplit(",", 1)[0] + f",{field}\n"
+        path.write_text("".join(lines))
+        with pytest.raises(md.ParameterError, match="row"):
+            md.load_csv(path)
+
+    @pytest.mark.parametrize("column", [2, 3, 4])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_csv_rejects_non_finite(self, obs, tmp_path, column, value):
+        path = tmp_path / "obs.csv"
+        md.save_csv(obs, path)
+        lines = path.read_text().splitlines(keepends=True)
+        fields = lines[40].rstrip("\n").split(",")
+        fields[column] = value
+        lines[40] = ",".join(fields) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(md.ParameterError, match="data row 40 has a non-finite"):
+            md.load_csv(path)
+
+    @pytest.mark.parametrize("text", ["", "i,l,t,x,Y\n", "i,l,t,x,Y",
+                                      "i,l,t,x\n1,1,0.5,0.5\n",
+                                      "i,l,t,x,Y\n1,1,0.5,0.5,0.25,7\n",
+                                      "i,l,t,x,Y\n1,1,0.5,0.5,0.25"])
+    def test_csv_rejects_empty_header_only_and_cut(self, tmp_path, text):
+        """No data, no Y column, rows longer than the header or a last line
+        without its newline fail, and no warning escapes."""
+        path = tmp_path / "obs.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(md.ParameterError):
+                md.load_csv(path)
+
+    @pytest.mark.parametrize("column,axis", [(2, "i"), (3, "l")])
+    def test_csv_rejects_conflicting_design_value(self, obs, tmp_path,
+                                                  column, axis):
+        """Two rows with the same i (l) but different t (x) fail, naming
+        the first row whose value disagrees with the loaded one."""
+        path = tmp_path / "obs.csv"
+        md.save_csv(obs, path)
+        lines = path.read_text().splitlines(keepends=True)
+        fields = lines[50].rstrip("\n").split(",")
+        fields[column] = f"{float(fields[column]) + 1e-9:.17g}"
+        lines[50] = ",".join(fields) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(md.ParameterError, match=f"for {axis} = "):
+            md.load_csv(path)
+
     @pytest.mark.parametrize("keep", [10, 16 + 8 * 20, 16 + 8 * 40, -8])
     def test_binary_rejects_truncated(self, obs, tmp_path, keep):
         """Cut inside the header, t (N = 32), x (M = 16) and Y."""
@@ -362,3 +437,83 @@ class TestSerialization:
         path.write_bytes(path.read_bytes()[:keep])
         with pytest.raises(md.ParameterError, match="truncated"):
             md.load_binary(path)
+
+
+# ----------------------------------------------------------------------
+# The CSV loader against corrupted files
+# ----------------------------------------------------------------------
+
+# One inserted character from this set never turns a number into another
+# number: no digits, sign, point, exponent, whitespace, comma or newline.
+_NON_NUMERIC = "abcdfghjkmoqrsuvwxyz!?;:#\"'/_"
+
+
+@functools.lru_cache(maxsize=1)
+def _small_grid() -> md.ObservationGrid:
+    d = md.DesignDensity(beta=0.3, x0=0.4)
+    return md.simulate_observations(md.tensor_sinusoid(1.0, 1.0, max_freq=16),
+                                    md.power_kernel(1.0), d, d,
+                                    md.NoiseSpec(alpha=0.8, sigma=0.5),
+                                    N=16, M=8, seed=5)
+
+
+def _small_csv_lines() -> list[str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "obs.csv"
+        md.save_csv(_small_grid(), path)
+        return path.read_text().splitlines(keepends=True)
+
+
+@st.composite
+def _corrupted_csv(draw) -> str:
+    """The 16 x 8 observation file with one corruption applied."""
+    lines = _small_csv_lines()
+    kind = draw(st.sampled_from(["delete", "duplicate", "garble", "cut",
+                                 "change t"]))
+    if kind == "delete":
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    elif kind == "duplicate":
+        line = lines[draw(st.integers(0, len(lines) - 1))]
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    elif kind == "garble":
+        k = draw(st.integers(0, len(lines) - 1))
+        fields = lines[k].rstrip("\n").split(",")
+        f = draw(st.integers(0, len(fields) - 1))
+        if draw(st.booleans()):
+            fields[f] = ""
+        else:
+            pos = draw(st.integers(0, len(fields[f])))
+            fields[f] = (fields[f][:pos] + draw(st.sampled_from(_NON_NUMERIC))
+                         + fields[f][pos:])
+        lines[k] = ",".join(fields) + "\n"
+    elif kind == "cut":
+        text = "".join(lines)
+        end = draw(st.integers(1, len(text) - 1)
+                   .filter(lambda p: text[p - 1] != "\n"))
+        return text[:end]
+    else:
+        k = draw(st.integers(1, len(lines) - 1))
+        fields = lines[k].split(",")
+        t = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+                 .filter(lambda v: v != float(fields[2])))
+        fields[2] = f"{t:.17g}"
+        lines[k] = ",".join(fields)
+    return "".join(lines)
+
+
+@given(text=_corrupted_csv())
+@settings(max_examples=300, deadline=None)
+def test_load_csv_rejects_or_recovers_corrupted_file(text):
+    """A corrupted file raises ParameterError or loads the original grid;
+    it never raises anything else or loads a different grid."""
+    obs = _small_grid()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "obs.csv"
+        path.write_text(text)
+        try:
+            back = md.load_csv(path)
+        except md.ParameterError:
+            return
+    assert (back.N, back.M) == (obs.N, obs.M)
+    for name in ("t", "x", "Y"):
+        assert np.array_equal(getattr(back, name), getattr(obs, name))
