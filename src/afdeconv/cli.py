@@ -37,7 +37,7 @@ _DEFAULTS = {
     "kernel": {"name": "regular-smooth", "nu": 1.0},
     "design": {"t": {"beta": 0.0, "x0": 0.5}, "x": {"beta": 0.0, "x0": 0.5}},
     "noise": {"alpha": 1.0, "kind": "gaussian-fgn", "sigma": 1.0},
-    "wavelet": {"family": "meyer", "regularity": 8, "m10": 3, "m20": 3},
+    "wavelet": {"family": "meyer", "m10": 3, "m20": 3},
     "function": {"name": "tensor-sinusoid"},
     "estimator": {"gamma": 4.0, "mu": 4.0, "besov_radius": 1.0,
                   "J1": None, "J2": None},
@@ -45,24 +45,23 @@ _DEFAULTS = {
 }
 
 
+def _merge(defaults: dict, given, where: str = "") -> dict:
+    """`given` over `defaults`, recursing into the nested sections; `where`
+    is the dotted name of the section."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"{where or 'config root'}: must be a mapping, "
+                          f"got {given!r}")
+    merged = {**defaults, **given}
+    for key, val in defaults.items():
+        if isinstance(val, dict):
+            merged[key] = _merge(val, given.get(key) or {},
+                                 f"{where}.{key}".lstrip("."))
+    return merged
+
+
 def load_config(path) -> dict:
     with open(path) as fh:
-        data = yaml.safe_load(fh)
-    if not isinstance(data, dict):
-        raise ConfigError(f"config root must be a mapping, got {type(data).__name__}")
-    merged = {}
-    for key, val in _DEFAULTS.items():
-        if isinstance(val, dict):
-            merged[key] = {**val, **(data.get(key) or {})}
-            for sub, subval in val.items():
-                if isinstance(subval, dict):
-                    merged[key][sub] = {**subval, **((data.get(key) or {}).get(sub) or {})}
-        else:
-            merged[key] = data.get(key, val)
-    for key in data:
-        if key not in merged:
-            merged[key] = data[key]
-    return merged
+        return _merge(_DEFAULTS, yaml.safe_load(fh))
 
 
 def _is_number(val, integer: bool = False) -> bool:
@@ -101,8 +100,15 @@ def validate_config(cfg: dict, command: str) -> None:
     need(isinstance(nz.get("sigma"), (int, float)) and nz["sigma"] >= 0,
          "noise.sigma", "must be >= 0")
     w = cfg["wavelet"]
-    need(known(w.get("family"), wv._FAMILIES),
-         "wavelet.family", f"unknown family {w.get('family')!r}")
+    for key in sorted(set(w) - {"family", "m10", "m20"}, key=str):
+        errors.append(f"wavelet.{key}: not a wavelet key; "
+                      f"choose from ['family', 'm10', 'm20']")
+    need(w.get("family") == "meyer", "wavelet.family",
+         f"must be meyer, the only basis (other families were removed), "
+         f"got {w.get('family')!r}")
+    for key in ("m10", "m20"):
+        need(_is_number(w.get(key), integer=True) and w[key] >= 2,
+             f"wavelet.{key}", f"must be an integer >= 2, got {w.get(key)!r}")
     fn = cfg["function"]
     need(known(fn.get("name"), md._TEST_FUNCTIONS),
          "function.name", f"unknown test function {fn.get('name')!r}")
@@ -128,6 +134,12 @@ def validate_config(cfg: dict, command: str) -> None:
          "estimator.gamma", "must be > 0")
     need(isinstance(e.get("mu"), (int, float)) and e["mu"] > 0,
          "estimator.mu", "must be > 0")
+    need(_is_number(e.get("besov_radius")) and e["besov_radius"] > 0,
+         "estimator.besov_radius",
+         f"must be a positive number, got {e.get('besov_radius')!r}")
+    for key in ("J1", "J2"):
+        need(e.get(key) is None or _is_number(e[key], integer=True),
+             f"estimator.{key}", f"must be null or an integer, got {e.get(key)!r}")
     if command == "simulate":
         sim = cfg.get("simulate")
         need(isinstance(sim, dict), "simulate", "section required")
@@ -188,8 +200,7 @@ def _specs(cfg: dict):
     nz = cfg["noise"]
     noise = md.NoiseSpec(alpha=nz["alpha"], kind=nz["kind"], sigma=nz["sigma"])
     w = cfg["wavelet"]
-    wspec = wv.WaveletSpec(family=w["family"], regularity=w["regularity"],
-                           m10=w["m10"], m20=w["m20"])
+    wspec = wv.WaveletSpec(m10=w["m10"], m20=w["m20"])
     fn = dict(cfg["function"])
     f = md.make_test_function(fn.pop("name"), **fn)
     e = cfg["estimator"]
@@ -235,8 +246,9 @@ def cmd_simulate(cfg: dict, outdir: Path) -> list[Path]:
 
 
 def _load_observations(path: Path) -> md.ObservationGrid:
-    if not path.exists():
-        raise FileNotFoundError(f"observation file not found: {path}")
+    if not path.is_file():
+        raise FileNotFoundError(
+            f"observation file not found or not a file: {path}")
     with open(path, "rb") as fh:
         magic = fh.read(4)
     if magic == b"AFDC":

@@ -254,7 +254,6 @@ class NoiseSpec:
     alpha: float = 1.0
     kind: str = "gaussian-fgn"
     sigma: float = 1.0
-    sub_gaussian_norm: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:

@@ -11,10 +11,8 @@ products and deconvolution sums reduce to finite sums over this band, and
 test functions and clean signal.  This module is the only place that knows
 the shift phase ``exp(-i 2 pi m k / 2^j)``.
 
-The Meyer family is band-limited by construction, so the tables are exact.
-The Daubechies family is compactly supported in time, hence not band-limited;
-its tables are truncated at ``|m| <= grid_size/2`` (see ``WaveletSpec``),
-which is the documented truncation error of that option.
+The basis is the periodized Meyer basis, band-limited by construction, so
+the tables are exact.  Levels run up to ``MAX_LEVEL``.
 
 Level indexing convention: a basis in one direction is indexed by levels
 ``j = m0-1, m0, m0+1, ...`` where ``m0`` is the lowest wavelet level.  The
@@ -40,16 +38,21 @@ __all__ = [
     "band_limit",
     "meyer_scaling_fourier",
     "meyer_wavelet_fourier",
-    "daubechies_filter",
+    "MAX_LEVEL",
 ]
 
 
 class ResolutionOverflowError(RuntimeError):
-    """Requested level does not fit on the configured fine grid."""
+    """Requested level is above ``MAX_LEVEL``."""
+
+
+# Largest MRA level j.  The basis matrix of level 12 is (8192, 4096)
+# complex, 512 MiB.
+MAX_LEVEL = 12
 
 
 # ----------------------------------------------------------------------
-# Meyer family (exact, band-limited)
+# Meyer basis (exact, band-limited)
 # ----------------------------------------------------------------------
 
 def _meyer_aux(x: np.ndarray) -> np.ndarray:
@@ -86,94 +89,19 @@ def meyer_wavelet_fourier(xi):
 
 
 # ----------------------------------------------------------------------
-# Daubechies family (spectral factorization, band-truncated)
-# ----------------------------------------------------------------------
-
-def daubechies_filter(vanishing_moments: int) -> np.ndarray:
-    """Minimum-phase Daubechies low-pass filter with the given number of
-    vanishing moments (2p taps), normalized so the taps sum to sqrt(2)."""
-    p = int(vanishing_moments)
-    if p < 1:
-        raise ValueError("vanishing_moments must be >= 1")
-    # Daubechies polynomial P(y) = sum_k C(p-1+k, k) y^k, y = sin^2(pi xi).
-    from math import comb
-
-    coeffs = np.array([comb(p - 1 + k, k) for k in range(p)], dtype=float)
-    # In z = exp(-i 2 pi xi): y = (2 - z - 1/z) / 4.  Build the Laurent
-    # polynomial z^{p-1} P(y(z)) and take the roots inside the unit circle.
-    poly = np.zeros(2 * p - 1)
-    poly[p - 1] = coeffs[0]
-    base = np.array([-0.25, 0.5, -0.25])  # y(z) as Laurent coeffs of z
-    term = np.array([1.0])
-    for k in range(1, p):
-        term = np.convolve(term, base)
-        lo = p - 1 - k
-        poly[lo:lo + 2 * k + 1] += coeffs[k] * term
-    roots = np.roots(poly[::-1])
-    inside = roots[np.abs(roots) < 1.0]
-    # Spectral factor from the inside roots times the (1+z)^p factor.
-    h = np.array([1.0 + 0j])
-    for r in inside:
-        h = np.convolve(h, np.array([1.0, -r]))
-    for _ in range(p):
-        h = np.convolve(h, np.array([0.5, 0.5]))
-    h = np.real(h)
-    return h * (np.sqrt(2.0) / h.sum())
-
-
-def _daubechies_scaling_fourier(xi: np.ndarray, h: np.ndarray, iters: int = 28) -> np.ndarray:
-    """phihat(xi) = prod_{k>=1} m0(xi / 2^k) via truncated cascade."""
-    n = np.arange(len(h))
-    out = np.ones_like(xi, dtype=complex)
-    cur = np.asarray(xi, dtype=float)
-    for _ in range(iters):
-        cur = cur / 2.0
-        out = out * (np.exp(-2j * np.pi * np.outer(cur, n)) @ h) / np.sqrt(2.0)
-    return out
-
-
-def _daubechies_wavelet_fourier(xi: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """psihat(xi) = m1(xi/2) phihat(xi/2), m1(xi) = -e^{-i2pi xi} conj(m0(xi + 1/2))."""
-    n = np.arange(len(h))
-    half = np.asarray(xi, dtype=float) / 2.0
-    m0_shift = (np.exp(-2j * np.pi * np.outer(half + 0.5, n)) @ h) / np.sqrt(2.0)
-    m1 = -np.exp(-2j * np.pi * half) * np.conj(m0_shift)
-    return m1 * _daubechies_scaling_fourier(half, h)
-
-
-# ----------------------------------------------------------------------
 # Spec and tables
 # ----------------------------------------------------------------------
 
-_FAMILIES = ("meyer", "daubechies")
-
-
 @dataclass(frozen=True)
 class WaveletSpec:
-    """Configuration of the two periodized bases.
+    """Lowest wavelet levels of the two periodized Meyer bases."""
 
-    regularity: smoothness order s0 of the mother wavelet; for the Daubechies
-    family this is the number of vanishing moments.  Must exceed both the
-    kernel ill-posedness and its secondary differentiability order for the
-    deconvolution sums to behave (checked by the consumer, not here).
-    """
-
-    family: str = "meyer"
-    regularity: int = 8
     m10: int = 3
     m20: int = 3
-    grid_size: int = 1 << 14
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown wavelet family {self.family!r}")
         if self.m10 < 2 or self.m20 < 2:
             raise ValueError("lowest levels m10, m20 must be >= 2")
-        g = self.grid_size
-        if g < 16 or (g & (g - 1)) != 0:
-            raise ValueError("grid_size must be a power of two >= 16")
-        if self.regularity < 1:
-            raise ValueError("regularity must be >= 1")
 
     def lowest_level(self, axis: int) -> int:
         return self.m10 if axis == 0 else self.m20
@@ -187,32 +115,22 @@ def band_limit(level: int) -> int:
 _BASE_CACHE: dict = {}
 
 
-def _mother_fourier(spec: WaveletSpec, mra_level: int, kind: str):
+def _mother_fourier(mra_level: int, kind: str):
     """Offsets and shift-0 coefficients at a true MRA level.
 
-    kind is "wavelet" or "scaling".  Cached per (family, regularity,
-    grid_size, level, kind).
+    kind is "wavelet" or "scaling".  Cached per (level, kind).
     """
-    key = (spec.family, spec.regularity, spec.grid_size, mra_level, kind)
+    key = (mra_level, kind)
     cached = _BASE_CACHE.get(key)
     if cached is not None:
         return cached
     scale = 2 ** mra_level
-    if spec.family == "meyer":
-        b = band_limit(mra_level)
-        m = np.arange(-b, b + 1)
-        if kind == "wavelet":
-            vals = meyer_wavelet_fourier(m / scale).astype(complex)
-        else:
-            vals = meyer_scaling_fourier(m / scale).astype(complex)
+    b = band_limit(mra_level)
+    m = np.arange(-b, b + 1)
+    if kind == "wavelet":
+        vals = meyer_wavelet_fourier(m / scale).astype(complex)
     else:
-        b = spec.grid_size // 2
-        m = np.arange(-b, b + 1)
-        h = daubechies_filter(spec.regularity)
-        if kind == "wavelet":
-            vals = _daubechies_wavelet_fourier(m / scale, h)
-        else:
-            vals = _daubechies_scaling_fourier(m / scale, h)
+        vals = meyer_scaling_fourier(m / scale).astype(complex)
     vals = vals / np.sqrt(scale)
     keep = np.abs(vals) > 0.0
     m, vals = m[keep], vals[keep]
@@ -229,34 +147,32 @@ def shift_count(spec: WaveletSpec, level: int, axis: int = 0) -> int:
 
 
 def level_range(spec: WaveletSpec, J: int, axis: int = 0) -> list[int]:
-    """Omega levels m0-1 .. J-1 for one direction."""
+    """Omega levels m0-1 .. J-1 for one direction.
+
+    A top level above ``MAX_LEVEL`` raises here, before any level is built.
+    """
     m0 = spec.lowest_level(axis)
     if J < m0:
         raise ValueError(f"J={J} below lowest level m0={m0}")
+    _resolve_level(spec, J - 1, axis)
     return list(range(m0 - 1, J))
 
 
 def _resolve_level(spec: WaveletSpec, level: int, axis: int) -> tuple[int, str]:
+    """(MRA level, kind) of an Omega level, checked against ``MAX_LEVEL``."""
     m0 = spec.lowest_level(axis)
     if level < m0 - 1:
         raise ValueError(f"level {level} below scaling pseudo-level {m0 - 1}")
-    if level == m0 - 1:
-        return m0, "scaling"
-    return level, "wavelet"
+    mra_level, kind = (m0, "scaling") if level == m0 - 1 else (level, "wavelet")
+    if mra_level > MAX_LEVEL:
+        raise ResolutionOverflowError(
+            f"resolution overflow: level {level} needs 2^j <= 2^{MAX_LEVEL}")
+    return mra_level, kind
 
 
 def base_table(spec: WaveletSpec, level: int, axis: int = 0):
-    """(offsets, shift-0 values) for an Omega level, with capacity checks."""
-    mra_level, kind = _resolve_level(spec, level, axis)
-    if 2 ** mra_level > spec.grid_size // 4:
-        raise ResolutionOverflowError(
-            f"resolution overflow: level {level} needs 2^j <= grid_size/4 "
-            f"({spec.grid_size // 4})")
-    m, vals = _mother_fourier(spec, mra_level, kind)
-    if m[-1] > spec.grid_size // 2:
-        raise ResolutionOverflowError(
-            f"resolution overflow: band of level {level} exceeds grid Nyquist")
-    return m, vals
+    """(offsets, shift-0 values) for an Omega level."""
+    return _mother_fourier(*_resolve_level(spec, level, axis))
 
 
 def build_basis(spec: WaveletSpec, level: int, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
@@ -87,6 +89,55 @@ class TestValidation:
         assert f"function.{key}" in capsys.readouterr().err
         assert not (out / "observations.csv").exists()
 
+    @pytest.mark.parametrize("section, values, message", [
+        ("wavelet", {"m10": 1}, "wavelet.m10: must be an integer >= 2"),
+        ("wavelet", {"m10": "3"}, "wavelet.m10"),
+        ("wavelet", {"m20": 2.5}, "wavelet.m20"),
+        ("wavelet", {"m20": True}, "wavelet.m20"),
+        ("wavelet", {"regularity": -3}, "wavelet.regularity: not a wavelet key"),
+        ("wavelet", {"grid_size": 64}, "wavelet.grid_size"),
+        ("wavelet", {"family": "haar"},
+         "wavelet.family: must be meyer, the only basis (other families "
+         "were removed)"),
+        ("wavelet", {"family": None}, "wavelet.family"),
+        ("wavelet", 5, "wavelet: must be a mapping"),
+        ("design", {"t": 0.3}, "design.t: must be a mapping"),
+        ("estimator", {"besov_radius": "x"}, "estimator.besov_radius"),
+        ("estimator", {"besov_radius": 0}, "estimator.besov_radius"),
+        ("estimator", {"J1": "x"}, "estimator.J1: must be null or an integer"),
+        ("estimator", {"J1": 2.5}, "estimator.J1"),
+        ("estimator", {"J2": True}, "estimator.J2"),
+    ], ids=["m10-low", "m10-string", "m20-float", "m20-bool", "regularity",
+            "grid_size", "family-haar", "family-null", "wavelet-scalar",
+            "design-t-scalar", "besov-string", "besov-zero", "J1-string",
+            "J1-float", "J2-bool"])
+    def test_config_values_checked(self, tmp_path, capsys, section, values,
+                                   message):
+        """A section must be a mapping. The wavelet section takes only
+        family (meyer), m10 and m20 (integers >= 2); J1 and J2 are null or
+        integers and besov_radius is positive. Anything else exits 2 with a
+        message, not with a traceback or a silent load."""
+        path = write_config(tmp_path, extra={section: values},
+                            simulate={"N": 32, "M": 32, "format": "csv"})
+        out = tmp_path / "o"
+        rc = cli.main(["simulate", "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "observations.csv").exists()
+
+    def test_readme_example_config_validates(self, tmp_path):
+        """The README's example config passes validation for every
+        subcommand, so the documented keys cannot drift from the checks."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("Example config:")[1].split("```yaml\n")[1]
+        path = tmp_path / "example.yaml"
+        path.write_text(block.split("```")[0])
+        cfg = cli.load_config(path)
+        assert cfg["wavelet"]["family"] == "meyer"
+        for command in ("simulate", "estimate", "verify-lemmas",
+                        "bench-rate", "report"):
+            cli.validate_config(cfg, command)
+
     def test_threads_only_on_bench_rate(self, tmp_path):
         path = write_config(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -95,12 +146,15 @@ class TestValidation:
         assert exc.value.code == 2
 
     def test_missing_observation_file(self, tmp_path, capsys):
-        path = write_config(
-            tmp_path, extra={"estimate": {"observations": "nope.csv"}})
-        rc = cli.main(["estimate", "--config", str(path),
-                       "--out", str(tmp_path / "o")])
-        assert rc == 2
-        assert "nope.csv" in capsys.readouterr().err
+        """A path that names no file, or a directory, exits 2 naming it."""
+        (tmp_path / "obs_dir").mkdir()
+        for name in ("nope.csv", str(tmp_path / "obs_dir")):
+            path = write_config(
+                tmp_path, extra={"estimate": {"observations": name}})
+            rc = cli.main(["estimate", "--config", str(path),
+                           "--out", str(tmp_path / "o")])
+            assert rc == 2
+            assert name in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -201,6 +255,20 @@ class TestEstimate:
                              "--out", str(tmp_path / "est")]) == 2
             assert message in capsys.readouterr().err
 
+    def test_level_above_cap_exits_3(self, tmp_path, capsys):
+        """J1 = 14 asks for level 13, above the largest level 12: exit 3
+        with the overflow message, raised before any level is built."""
+        obs_dir = tmp_path / "obs"
+        sim = write_config(tmp_path, simulate={"N": 32, "M": 32,
+                                               "format": "csv"})
+        assert cli.main(["simulate", "--config", str(sim),
+                         "--out", str(obs_dir)]) == 0
+        cfg = write_config(tmp_path, extra={
+            "estimator": {"J1": 14},
+            "estimate": {"observations": str(obs_dir / "observations.csv")}})
+        assert cli.main(["estimate", "--config", str(cfg),
+                         "--out", str(tmp_path / "est")]) == 3
+        assert "resolution overflow: level 13" in capsys.readouterr().err
 
     def test_non_numeric_observation_exits_2(self, tmp_path, capsys):
         """A non-numeric Y field fails the load; it is not read as NaN."""

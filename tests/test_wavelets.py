@@ -9,11 +9,6 @@ def meyer():
     return wv.WaveletSpec()
 
 
-@pytest.fixture(scope="module")
-def daub():
-    return wv.WaveletSpec(family="daubechies", regularity=8)
-
-
 FINE = 4096
 
 
@@ -45,10 +40,17 @@ class TestBandStructure:
             dc = vals[m == 0]
             assert np.allclose(dc, 0.0)
 
-    def test_resolution_overflow(self):
-        tiny = wv.WaveletSpec(grid_size=64)
+    def test_resolution_overflow(self, meyer):
+        """Level 12 is the largest; level 13 and a range reaching it raise,
+        and so does a scaling pseudo-level whose MRA level is above 12."""
+        assert wv.base_table(meyer, wv.MAX_LEVEL, axis=0)[0].max() == 5461
+        with pytest.raises(wv.ResolutionOverflowError, match="level 13"):
+            wv.base_table(meyer, 13, axis=0)
+        with pytest.raises(wv.ResolutionOverflowError, match="level 13"):
+            wv.level_range(meyer, 14, axis=0)
+        assert wv.level_range(meyer, 13, axis=0)[-1] == wv.MAX_LEVEL
         with pytest.raises(wv.ResolutionOverflowError):
-            wv.base_table(tiny, 8, axis=0)
+            wv.base_table(wv.WaveletSpec(m20=13), 12, axis=1)
 
 
 class TestOrthonormality:
@@ -108,22 +110,6 @@ class TestCompleteness:
         assert wv.shift_count(meyer, 4, 0) == 16
         total = sum(wv.shift_count(meyer, j, 0) for j in levels)
         assert total == 2 ** 6
-
-
-class TestDaubechies:
-
-    def test_filter_is_orthonormal(self):
-        h = wv.daubechies_filter(8)
-        assert np.sum(h ** 2) == pytest.approx(1.0, abs=1e-10)
-        assert np.sum(h) == pytest.approx(np.sqrt(2), abs=1e-10)
-        # double-shift orthogonality
-        for shift in (2, 4, 6):
-            assert np.dot(h[shift:], h[:-shift]) == pytest.approx(0, abs=1e-9)
-
-    def test_near_orthonormal_basis(self, daub):
-        V = _fine_values(daub, 4)
-        G = V.T @ V / FINE
-        assert np.max(np.abs(G - np.eye(V.shape[1]))) < 1e-6
 
 
 class TestEvaluation:
