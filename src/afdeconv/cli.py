@@ -71,6 +71,35 @@ def _is_number(val, integer: bool = False) -> bool:
     return math.isfinite(val)
 
 
+def _int_list(val, size: int | None = None, low: int | None = None) -> bool:
+    """A non-empty list of integers, of length `size` and each >= `low`
+    when given."""
+    return (isinstance(val, list) and len(val) > 0
+            and (size is None or len(val) == size)
+            and all(_is_number(v, integer=True) and (low is None or v >= low)
+                    for v in val))
+
+
+_POSITIVE_INT = (lambda val: _is_number(val, integer=True) and val >= 1,
+                 "a positive integer")
+# every key cmd_verify reads besides `lemmas`: (check, what it wants)
+_VERIFY_CHECKS = {
+    "index": (lambda val: _int_list(val, 4), "a list of 4 integers"),
+    "indices": (lambda val: isinstance(val, list) and len(val) > 0
+                and all(_int_list(i, 4) for i in val),
+                "a non-empty list of lists of 4 integers"),
+    "levels1": (_int_list, "a non-empty list of integers"),
+    "N_ladder": (lambda val: _int_list(val, low=1),
+                 "a non-empty list of positive integers"),
+    "M": _POSITIVE_INT,
+    "N": _POSITIVE_INT,
+    "replicates": _POSITIVE_INT,
+    "ladder": (lambda val: isinstance(val, list)
+               and all(_int_list(p, 2, low=1) for p in val),
+               "a list of [N, M] pairs of positive integers"),
+}
+
+
 def validate_config(cfg: dict, command: str) -> None:
     errors = []
 
@@ -84,20 +113,20 @@ def validate_config(cfg: dict, command: str) -> None:
     k = cfg["kernel"]
     need(known(k.get("name"), md._KERNELS),
          "kernel.name", f"unknown kernel {k.get('name')!r}")
-    need(isinstance(k.get("nu"), (int, float)) and k["nu"] >= 0,
+    need(_is_number(k.get("nu")) and k["nu"] >= 0,
          "kernel.nu", "must be a nonnegative number")
     for axis in ("t", "x"):
         d = cfg["design"][axis]
-        need(isinstance(d.get("beta"), (int, float)) and 0 <= d["beta"] < 1,
+        need(_is_number(d.get("beta")) and 0 <= d["beta"] < 1,
              f"design.{axis}.beta", "must lie in [0, 1)")
-        need(isinstance(d.get("x0"), (int, float)) and 0 < d["x0"] < 1,
+        need(_is_number(d.get("x0")) and 0 < d["x0"] < 1,
              f"design.{axis}.x0", "must lie in (0, 1)")
     nz = cfg["noise"]
-    need(isinstance(nz.get("alpha"), (int, float)) and 0 < nz["alpha"] <= 1,
+    need(_is_number(nz.get("alpha")) and 0 < nz["alpha"] <= 1,
          "noise.alpha", "must lie in (0, 1]")
     need(known(nz.get("kind"), md.NOISE_KINDS),
          "noise.kind", f"unknown kind {nz.get('kind')!r}")
-    need(isinstance(nz.get("sigma"), (int, float)) and nz["sigma"] >= 0,
+    need(_is_number(nz.get("sigma")) and nz["sigma"] >= 0,
          "noise.sigma", "must be >= 0")
     w = cfg["wavelet"]
     for key in sorted(set(w) - {"family", "m10", "m20"}, key=str):
@@ -130,9 +159,9 @@ def validate_config(cfg: dict, command: str) -> None:
             except md.ParameterError as exc:
                 errors.append(f"function.{exc}")
     e = cfg["estimator"]
-    need(isinstance(e.get("gamma"), (int, float)) and e["gamma"] > 0,
+    need(_is_number(e.get("gamma")) and e["gamma"] > 0,
          "estimator.gamma", "must be > 0")
-    need(isinstance(e.get("mu"), (int, float)) and e["mu"] > 0,
+    need(_is_number(e.get("mu")) and e["mu"] > 0,
          "estimator.mu", "must be > 0")
     need(_is_number(e.get("besov_radius")) and e["besov_radius"] > 0,
          "estimator.besov_radius",
@@ -145,7 +174,7 @@ def validate_config(cfg: dict, command: str) -> None:
         need(isinstance(sim, dict), "simulate", "section required")
         if isinstance(sim, dict):
             for dim in ("N", "M"):
-                need(isinstance(sim.get(dim), int) and sim[dim] >= 16,
+                need(_is_number(sim.get(dim), integer=True) and sim[dim] >= 16,
                      f"simulate.{dim}", "must be an integer >= 16")
             need(sim.get("format", "csv") in ("csv", "binary", "both"),
                  "simulate.format", "must be csv, binary or both")
@@ -164,23 +193,28 @@ def validate_config(cfg: dict, command: str) -> None:
                  "bench.ladder", "must be a non-empty list of [N, M] pairs")
             if isinstance(ladder, list):
                 for pair in ladder:
-                    need(isinstance(pair, list) and len(pair) == 2
-                         and all(isinstance(v, int) for v in pair),
-                         "bench.ladder", f"bad ladder entry {pair!r}")
-            need(isinstance(b.get("replicates", 20), int)
-                 and b.get("replicates", 20) >= 1,
-                 "bench.replicates", "must be a positive integer")
+                    need(_int_list(pair, 2, low=1), "bench.ladder",
+                         f"bad ladder entry {pair!r}, not 2 positive integers")
+            need(_is_number(b.get("replicates", 20), integer=True)
+                 and b.get("replicates", 20) >= 1, "bench.replicates",
+                 f"must be a positive integer, got {b.get('replicates')!r}")
     if command == "verify-lemmas":
         v = cfg.get("verify")
         need(isinstance(v, dict), "verify", "section required")
         if isinstance(v, dict):
+            for key in sorted(set(v) - {"lemmas", *_VERIFY_CHECKS}, key=str):
+                errors.append(f"verify.{key}: not a verify key; choose from "
+                              f"{['lemmas', *_VERIFY_CHECKS]}")
+            for key, (ok, what) in _VERIFY_CHECKS.items():
+                need(key not in v or ok(v[key]), f"verify.{key}",
+                     f"must be {what}, got {v.get(key)!r}")
             lemmas = v.get("lemmas", [1, 2, 3])
-            need(isinstance(lemmas, list) and lemmas
-                 and set(lemmas) <= {1, 2, 3},
-                 "verify.lemmas", "must be a non-empty subset of [1, 2, 3]")
-            if 2 in (lemmas or []):
-                need(isinstance(v.get("N_ladder", [128, 256, 512]), list)
-                     and len(v.get("N_ladder", [128, 256, 512])) >= 3,
+            lemmas_ok = _int_list(lemmas) and set(lemmas) <= {1, 2, 3}
+            need(lemmas_ok, "verify.lemmas",
+                 "must be a non-empty subset of [1, 2, 3]")
+            if lemmas_ok and 2 in lemmas:
+                ladder = v.get("N_ladder", [128, 256, 512, 1024])
+                need(not isinstance(ladder, list) or len(ladder) >= 3,
                      "verify.N_ladder", "needs at least 3 entries")
     if errors:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))

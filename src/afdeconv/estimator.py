@@ -14,9 +14,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from . import model as md
 from . import wavelets as wv
 from .model import (DesignDensity, KernelSpec, NoiseSpec, ObservationGrid,
-                    ParameterError, TestFunction, _read_csv, _write_rows)
+                    ParameterError, TestFunction, _read_csv)
 
 __all__ = [
     "Index",
@@ -447,22 +448,27 @@ _FIELD_COLUMNS = ("j1", "k1", "j2", "k2", "beta_hat", "lambda", "kept")
 
 def save_field_csv(fieldobj: CoefficientField, path) -> None:
     """Columns j1,k1,j2,k2,beta_hat,lambda,kept[,beta_true]; one row per
-    index, level blocks in (j1, j2) order and k1, k2 row-major inside."""
+    index, level blocks in (j1, j2) order and k1, k2 row-major inside.
+    Per block, j1, j2 and k2 are formatted once, into a one-k1-row template
+    holding chr(0) for k1, as in ``model.save_csv``."""
     has_true = any(blk.beta_true is not None for blk in fieldobj.blocks.values())
     header = ",".join(_FIELD_COLUMNS + (("beta_true",) if has_true else ()))
-    row_format = ("%d,%d,%d,%d,%.17g,%.17g,%d"
-                  + (",%.17g" if has_true else "") + "\n")
+    values = "%.17g,%.17g,%d" + (",%.17g" if has_true else "") + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
         for (j1, j2), blk in sorted(fieldobj.blocks.items()):
-            shape = (fieldobj.counts1[j1], fieldobj.counts2[j2])
-            k1, k2 = np.indices(shape).reshape(2, -1)
-            columns = [np.full(k1.size, j1), k1, np.full(k1.size, j2), k2,
-                       blk.beta_hat.ravel(), blk.lam.ravel(), blk.kept.ravel()]
+            columns = [blk.beta_hat, blk.lam, blk.kept]
             if has_true:
-                columns.append(np.zeros(k1.size) if blk.beta_true is None
-                               else blk.beta_true.ravel())
-            _write_rows(fh, row_format, np.column_stack(columns))
+                columns.append(np.zeros_like(blk.beta_hat) if blk.beta_true is None
+                               else blk.beta_true)
+            table = np.stack(columns, axis=-1)  # (count1, count2, values)
+            count1, count2 = table.shape[:2]
+            template = "".join(f"{j1},\0,{j2},{k2},{values}" for k2 in range(count2))
+            step = max(1, md._BLOCK_ROWS // count2)
+            for a in range(0, count1, step):
+                rows = "".join(template.replace("\0", str(k1))
+                               for k1 in range(a, min(a + step, count1)))
+                fh.write(rows % tuple(table[a:a + step].ravel().tolist()))
 
 
 def load_field_csv(path, wspec: wv.WaveletSpec, J1: int, J2: int) -> CoefficientField:

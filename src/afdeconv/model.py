@@ -476,7 +476,8 @@ class ObservationGrid:
         if self.Y.shape != (self.N, self.M):
             raise ParameterError("Y must have shape (N, M)")
         for pts in (self.t, self.x):
-            if np.any(pts <= 0.0) or np.any(pts >= 1.0) or np.any(np.diff(pts) <= 0):
+            # positive form, so that NaN fails it too
+            if not (np.all((pts > 0.0) & (pts < 1.0)) and np.all(np.diff(pts) > 0)):
                 raise ParameterError("design points must be strictly "
                                      "increasing inside (0, 1)")
 
@@ -533,12 +534,23 @@ _BINARY_VERSION = 1
 _BLOCK_ROWS = 1 << 16
 
 
-def _write_rows(fh, row_format: str, table: np.ndarray) -> None:
-    """Write each row of a 2-D table through the %-format ``row_format``,
-    one formatted string per block of 2^16 rows."""
-    for start in range(0, table.shape[0], _BLOCK_ROWS):
-        block = table[start:start + _BLOCK_ROWS]
-        fh.write(row_format * block.shape[0] % tuple(block.ravel().tolist()))
+def _bad_row(path, width: int, exc: ValueError) -> str:
+    """Name the first data row, counted from 1, that numpy's parser cannot
+    read: its field count differs from the header's ``width``, or a field
+    is not a number; numpy's own message when no row is found."""
+    with open(path, encoding="latin-1") as fh:
+        fh.readline()
+        for row, line in enumerate(fh, 1):
+            fields = line.rstrip("\n").split(",")
+            if len(fields) != width:
+                return (f"data row {row} has {len(fields)} fields for the "
+                        f"{width} header columns")
+            for text in fields:
+                try:
+                    float(text.replace("_", "x"))  # numpy rejects 1_0
+                except ValueError:
+                    return f"data row {row} has the field {text!r}, not a number"
+    return f"unreadable data: {exc}"
 
 
 def _read_csv(path, names, optional=()) -> dict[str, np.ndarray]:
@@ -568,7 +580,8 @@ def _read_csv(path, names, optional=()) -> dict[str, np.ndarray]:
             table = np.loadtxt(path, delimiter=",", skiprows=1, comments=None,
                                ndmin=2)
         except ValueError as exc:
-            raise ParameterError(f"{path}: unreadable data: {exc}") from exc
+            raise ParameterError(f"{path}: {_bad_row(path, len(header), exc)}"
+                                 ) from exc
     if table.shape[0] == 0:
         raise ParameterError(f"{path}: no data rows below the header")
     if table.shape[1] != len(header):
@@ -579,19 +592,20 @@ def _read_csv(path, names, optional=()) -> dict[str, np.ndarray]:
 
 
 def save_csv(obs: ObservationGrid, path) -> None:
-    """Columns i,l,t,x,Y; one row per observation; LF newlines."""
-    N, M = obs.N, obs.M
-    step = max(1, _BLOCK_ROWS // M)
+    """Columns i,l,t,x,Y; one row per observation; LF newlines.  l and x are
+    formatted once, into a one-i-row template holding chr(0) for i and
+    chr(1) for t, characters no number's text contains; i and t are
+    formatted once per i, and each block of about ``_BLOCK_ROWS`` rows is
+    one %-format of its Y values."""
+    step = max(1, _BLOCK_ROWS // obs.M)
+    template = "".join(f"\0,{l},\1,{x:.17g},%.17g\n"
+                       for l, x in enumerate(obs.x.tolist(), 1))
     with open(path, "w", newline="\n") as fh:
         fh.write("i,l,t,x,Y\n")
-        for a in range(0, N, step):
-            n = min(step, N - a)
-            _write_rows(fh, "%d,%d,%.17g,%.17g,%.17g\n", np.column_stack((
-                np.repeat(np.arange(a + 1, a + n + 1), M),
-                np.tile(np.arange(1, M + 1), n),
-                np.repeat(obs.t[a:a + n], M),
-                np.tile(obs.x, n),
-                obs.Y[a:a + n].ravel())))
+        for a in range(0, obs.N, step):
+            rows = "".join(template.replace("\0", str(i)).replace("\1", f"{t:.17g}")
+                           for i, t in enumerate(obs.t[a:a + step].tolist(), a + 1))
+            fh.write(rows % tuple(obs.Y[a:a + step].ravel().tolist()))
 
 
 def load_csv(path) -> ObservationGrid:
@@ -654,6 +668,9 @@ def save_binary(obs: ObservationGrid, path) -> None:
 
 
 def load_binary(path) -> ObservationGrid:
+    """Read a ``save_binary`` file.  A wrong magic or version, an empty
+    grid, a file shorter than its header's N and M need (trailing bytes
+    are ignored) or a non-finite t, x or Y raise ``ParameterError``."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != BINARY_MAGIC:
@@ -664,11 +681,21 @@ def load_binary(path) -> ObservationGrid:
         version, N, M = struct.unpack("<III", header)
         if version != _BINARY_VERSION:
             raise ParameterError(f"unsupported container version {version}")
+        if N == 0 or M == 0:
+            raise ParameterError(f"{path}: empty AFDC grid N={N}, M={M}")
+        size, needed = os.fstat(fh.fileno()).st_size, 16 + 8 * (N + M + N * M)
+        if size < needed:
+            raise ParameterError(
+                f"{path}: truncated AFDC container: {size} of the {needed} "
+                f"bytes that N={N}, M={M} need")
         t = np.fromfile(fh, dtype="<f8", count=N)
         x = np.fromfile(fh, dtype="<f8", count=M)
-        Y = np.fromfile(fh, dtype="<f8", count=N * M)
-    if (t.size, x.size, Y.size) != (N, M, N * M):
-        raise ParameterError(
-            f"{path}: truncated AFDC container: read {t.size + x.size + Y.size} "
-            f"of {N + M + N * M} values for N={N}, M={M}")
-    return ObservationGrid(N=N, M=M, t=t, x=x, Y=Y.reshape(N, M))
+        Y = np.fromfile(fh, dtype="<f8", count=N * M).reshape(N, M)
+    for name, values in (("t", t), ("x", x), ("Y", Y)):
+        finite = np.isfinite(values)
+        if not np.all(finite):
+            at = np.unravel_index(np.argmin(finite), values.shape)
+            where = ", ".join(str(k + 1) for k in at)
+            raise ParameterError(f"{path}: {name}[{where}] has a non-finite "
+                                 f"value {values[at]}")
+    return ObservationGrid(N=N, M=M, t=t, x=x, Y=Y)

@@ -125,6 +125,62 @@ class TestValidation:
         assert message in capsys.readouterr().err
         assert not (out / "observations.csv").exists()
 
+    @pytest.mark.parametrize("command, extra, key", [
+        ("simulate", {"kernel": {"name": "regular-smooth", "nu": True}},
+         "kernel.nu"),
+        ("simulate", {"design": {"t": {"beta": True}}}, "design.t.beta"),
+        ("simulate", {"design": {"x": {"x0": True}}}, "design.x.x0"),
+        ("simulate", {"noise": {"alpha": True}}, "noise.alpha"),
+        ("simulate", {"noise": {"sigma": True}}, "noise.sigma"),
+        ("simulate", {"noise": {"sigma": False}}, "noise.sigma"),
+        ("simulate", {"design": {"t": {"beta": False}}}, "design.t.beta"),
+        ("simulate", {"estimator": {"gamma": True}}, "estimator.gamma"),
+        ("simulate", {"estimator": {"mu": True}}, "estimator.mu"),
+        ("simulate", {"simulate": {"N": True, "M": 32}}, "simulate.N"),
+        ("simulate", {"simulate": {"N": 32, "M": True}}, "simulate.M"),
+        ("bench-rate", {"bench": {"ladder": [[64, True]]}}, "bench.ladder"),
+        ("bench-rate", {"bench": {"ladder": [[64, 64]], "replicates": True}},
+         "bench.replicates"),
+    ], ids=lambda v: v if isinstance(v, str) and "." in v else None)
+    def test_boolean_is_not_a_number(self, tmp_path, capsys, command, extra,
+                                     key):
+        """YAML `true` and `false` are not the numbers 1 and 0: a numeric
+        key set to one exits 2 naming the key, before any work is done."""
+        path = write_config(tmp_path, extra=extra)
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert f"{key}: " in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("verify, key", [
+        ({"lemmas": [2], "index": [3, 2]}, "verify.index"),
+        ({"lemmas": [2], "index": [3, 2, 2, 1.5]}, "verify.index"),
+        ({"lemmas": [3], "indices": [[3, 2, 2, 1], [2, 0]]}, "verify.indices"),
+        ({"lemmas": [3], "indices": []}, "verify.indices"),
+        ({"lemmas": [1], "levels1": []}, "verify.levels1"),
+        ({"lemmas": [1], "levels1": [3, "4"]}, "verify.levels1"),
+        ({"lemmas": [2], "N_ladder": [128, 256, 0]}, "verify.N_ladder"),
+        ({"lemmas": [2], "N_ladder": [128, 256]}, "verify.N_ladder"),
+        ({"lemmas": [2], "M": 0}, "verify.M"),
+        ({"lemmas": [3], "N": True}, "verify.N"),
+        ({"lemmas": [2], "replicates": 2.5}, "verify.replicates"),
+        ({"lemmas": [3], "ladder": [[64]]}, "verify.ladder"),
+        ({"lemmas": [3], "ladder": [[64, 64.5]]}, "verify.ladder"),
+        ({"lemmas": [3], "ladder": 64}, "verify.ladder"),
+        ({"lemmas": [True]}, "verify.lemmas"),
+        ({"lemmas": 2}, "verify.lemmas"),
+        ({"lemmas": [1], "replicate": 10}, "verify.replicate: not a verify key"),
+    ])
+    def test_verify_section_checked(self, tmp_path, capsys, verify, key):
+        """Every key cmd_verify reads is type-checked and any other key is
+        rejected: exit 2 naming the key, not a traceback from the library."""
+        path = write_config(tmp_path, extra={"verify": verify})
+        out = tmp_path / "o"
+        assert cli.main(["verify-lemmas", "--config", str(path),
+                         "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (out / "verify_summary.txt").exists()
+
     def test_readme_example_config_validates(self, tmp_path):
         """The README's example config passes validation for every
         subcommand, so the documented keys cannot drift from the checks."""

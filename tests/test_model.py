@@ -1,4 +1,5 @@
 import functools
+import struct
 import tempfile
 import warnings
 from pathlib import Path
@@ -327,6 +328,24 @@ class TestSerialization:
         with pytest.raises(md.ParameterError):
             md.load_binary(path)
 
+    @pytest.mark.parametrize("array, index", [("t", 0), ("x", 3),
+                                              ("Y", (0, 0)), ("Y", (5, 2))])
+    def test_binary_rejects_non_finite(self, obs, tmp_path, array, index):
+        """NaN or infinity in t, x or Y fails the load naming the entry;
+        NaN must not slip through the design check either."""
+        for value in (np.nan, -np.inf):
+            bad = md.ObservationGrid(N=obs.N, M=obs.M, t=obs.t.copy(),
+                                     x=obs.x.copy(), Y=obs.Y.copy())
+            getattr(bad, array)[index] = value
+            path = tmp_path / "obs.afdc"
+            md.save_binary(bad, path)
+            with pytest.raises(md.ParameterError, match="non-finite"):
+                md.load_binary(path)
+        with pytest.raises(md.ParameterError, match="strictly increasing"):
+            md.ObservationGrid(N=obs.N, M=obs.M,
+                               t=np.where(np.arange(obs.N) == 0, np.nan, obs.t),
+                               x=obs.x, Y=obs.Y)
+
     def test_csv_rejects_deleted_row(self, obs, tmp_path):
         path = tmp_path / "obs.csv"
         md.save_csv(obs, path)
@@ -365,6 +384,23 @@ class TestSerialization:
         """The block writer's bytes equal one f-string per row, also when a
         block ends inside a run of rows of one i."""
         monkeypatch.setattr(md, "_BLOCK_ROWS", block_rows)
+        self._check_row_oracle(obs, tmp_path)
+
+    def test_csv_writer_matches_row_oracle_on_awkward_values(self, obs,
+                                                             tmp_path):
+        """Signed zero, a subnormal, a huge value, a value with no short
+        binary form and the smallest positive t are written as one
+        f-string per row would write them, and read back bitwise."""
+        obs.Y = obs.Y.copy()
+        obs.Y[0, :4] = [-0.0, 1e-310, 1e300, 0.1]
+        obs.Y[-1, -1] = -0.0
+        obs.t = obs.t.copy()
+        obs.t[0] = 5e-324
+        self._check_row_oracle(obs, tmp_path)
+        assert np.signbit(md.load_csv(tmp_path / "obs.csv").Y[-1, -1])
+
+    @staticmethod
+    def _check_row_oracle(obs, tmp_path):
         path = tmp_path / "obs.csv"
         md.save_csv(obs, path)
         oracle = "i,l,t,x,Y\n" + "".join(
@@ -385,6 +421,16 @@ class TestSerialization:
         lines[40] = lines[40].rsplit(",", 1)[0] + f",{field}\n"
         path.write_text("".join(lines))
         with pytest.raises(md.ParameterError, match="row"):
+            md.load_csv(path)
+
+    @pytest.mark.parametrize("text", ["1,2,0.5,0.6,abc\n",
+                                      "1,2,0.5,0.6,0.25,7\n"])
+    def test_csv_error_names_the_data_row(self, tmp_path, text):
+        """A non-numeric field and an extra field in the second data row
+        are both reported as data row 2, counted as load_csv counts."""
+        path = tmp_path / "obs.csv"
+        path.write_text("i,l,t,x,Y\n1,1,0.5,0.5,0.125\n" + text)
+        with pytest.raises(md.ParameterError, match="data row 2 has"):
             md.load_csv(path)
 
     @pytest.mark.parametrize("column", [2, 3, 4])
@@ -517,3 +563,42 @@ def test_load_csv_rejects_or_recovers_corrupted_file(text):
     assert (back.N, back.M) == (obs.N, obs.M)
     for name in ("t", "x", "Y"):
         assert np.array_equal(getattr(back, name), getattr(obs, name))
+
+
+@functools.lru_cache(maxsize=1)
+def _small_afdc() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "obs.afdc"
+        md.save_binary(_small_grid(), path)
+        return path.read_bytes()
+
+
+@st.composite
+def _corrupted_afdc(draw) -> bytes:
+    """The 16 x 8 AFDC file cut short, or with a run of bytes overwritten
+    (the header's N and M included)."""
+    raw = _small_afdc()
+    if draw(st.booleans()):
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    start = draw(st.integers(0, len(raw) - 1))
+    patch = draw(st.binary(min_size=1, max_size=16))
+    return raw[:start] + patch + raw[start + len(patch):]
+
+
+@given(raw=_corrupted_afdc())
+@settings(max_examples=300, deadline=None)
+def test_load_binary_rejects_or_loads_finite_grid(raw):
+    """A cut or overwritten AFDC file raises ParameterError or loads a grid
+    of its header's shape with every value finite; nothing else."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "obs.afdc"
+        path.write_bytes(raw)
+        try:
+            back = md.load_binary(path)
+        except md.ParameterError:
+            return
+    N, M = struct.unpack("<II", raw[8:16])
+    assert (back.N, back.M, back.t.shape, back.x.shape, back.Y.shape) == (
+        N, M, (N,), (M,), (N, M))
+    for values in (back.t, back.x, back.Y):
+        assert np.all(np.isfinite(values))
