@@ -305,23 +305,42 @@ def _deviation_weights(index: es.Index, kernel: md.KernelSpec,
     return U * es._reciprocal_weights(t, x, d1, d2) / (N * M)
 
 
+# 16 MiB of float64 innovations per block, the budget of
+# wavelets._BLOCK_EXPONENTIALS: the whole (replicates, N*M) matrix would be
+# 1 GiB at N = 2048, M = 128 and 500 replicates.
+_BLOCK_INNOVATIONS = 1 << 21
+
+
 def _colored_deviations(V: np.ndarray, noise: md.NoiseSpec, replicates: int,
-                        seed) -> np.ndarray:
+                        seed) -> tuple[np.ndarray, np.ndarray]:
     """Draw the noise part of beta-tilde for many replicates at once.
 
     Uses the exact linear form: the deviation equals sum_l w_l . z_l with
     w_l = sigma L^T V[:, l] and z the unit innovations, so sampling the
     innovations directly reproduces the estimator's noise distribution.
+    Returns (w, deviations); Var = ||w||^2 since the innovations have unit
+    variance.  The innovations are drawn in row blocks of about
+    `_BLOCK_INNOVATIONS` values from the one generator, which gives the
+    same stream as one draw of the whole (replicates, N*M) matrix.
     """
     N, M = V.shape
     L = md.noise_factor(N, noise.alpha)
     w = (noise.sigma * (L.T @ V)).ravel()
     rng = np.random.default_rng(seed)
+    # a block drawn inside `draw` is freed right after its product, before
+    # the next block is drawn
     if noise.kind == "gaussian-fgn":
-        Z = rng.standard_normal((replicates, w.size))
+        def draw(rows):
+            return rng.standard_normal((rows, w.size))
     else:
-        Z = rng.integers(0, 2, size=(replicates, w.size)) * 2.0 - 1.0
-    return Z @ w
+        def draw(rows):
+            return rng.integers(0, 2, size=(rows, w.size)) * 2.0 - 1.0
+    dev = np.empty(replicates)
+    step = max(1, _BLOCK_INNOVATIONS // w.size)
+    for lo in range(0, replicates, step):
+        rows = min(step, replicates - lo)
+        dev[lo:lo + rows] = draw(rows) @ w
+    return w, dev
 
 
 @dataclass
@@ -331,6 +350,8 @@ class Lemma2Report:
     variances: list[float]
     slope: float
     slope_se: float
+    exact_variances: list[float]
+    exact_slope: float
     kurtosis: float
     fourth_ratios: list[float]
 
@@ -343,9 +364,11 @@ def verify_lemma2(index: es.Index, kernel: md.KernelSpec,
 
     Fits the slope of log Var against log N (predicted -alpha at fixed M),
     reports the sample kurtosis at the largest N, and the ratio of the
-    empirical fourth central moment to the predicted two-term bound.
+    empirical fourth central moment to the predicted two-term bound.  The
+    exact variance sigma^2 ||L^T V||_F^2 and its slope are reported next to
+    the Monte Carlo ones.
     """
-    variances, fourth_ratios = [], []
+    variances, exact_variances, fourth_ratios = [], [], []
     kurt = math.nan
     nu = kernel.nu
     k10 = round(d1.x0 * 2 ** index.j1)
@@ -354,9 +377,9 @@ def verify_lemma2(index: es.Index, kernel: md.KernelSpec,
     dist2 = max(1.0, abs(index.k2 - k20))
     for i, N in enumerate(N_ladder):
         V = _deviation_weights(index, kernel, wspec, d1, d2, N, M)
-        dev = _colored_deviations(V, noise, replicates, seed + i)
-        var = float(np.var(dev, ddof=1))
-        variances.append(var)
+        w, dev = _colored_deviations(V, noise, replicates, seed + i)
+        variances.append(float(np.var(dev, ddof=1)))
+        exact_variances.append(float(w @ w))
         m4 = float(np.mean((dev - dev.mean()) ** 4))
         term1 = (noise.sigma ** 4 / (M ** 3 * N ** 2)
                  * 2.0 ** (index.j1 * (4 * nu + 3 * d1.beta)
@@ -371,9 +394,12 @@ def verify_lemma2(index: es.Index, kernel: md.KernelSpec,
             centered = dev - dev.mean()
             kurt = float(np.mean(centered ** 4) / np.mean(centered ** 2) ** 2)
     slope, se = fit_rate(zip(N_ladder, variances))
+    exact_slope, _ = fit_rate(zip(N_ladder, exact_variances))
     return Lemma2Report(alpha=noise.alpha, N_ladder=list(N_ladder),
                         variances=variances, slope=slope, slope_se=se,
-                        kurtosis=kurt, fourth_ratios=fourth_ratios)
+                        exact_variances=exact_variances,
+                        exact_slope=exact_slope, kurtosis=kurt,
+                        fourth_ratios=fourth_ratios)
 
 
 @dataclass
@@ -445,11 +471,8 @@ def _tail_ingredients(f, kernel, wspec, d1, d2, noise, cfg, index,
     bias = clean - beta
     lam = es.threshold(index, cfg, M, N)
     V = _deviation_weights(index, kernel, wspec, d1, d2, N, M)
-    L = md.noise_factor(N, noise.alpha)
-    w_norm = float(noise.sigma * np.linalg.norm(L.T @ V))
-    dev = (_colored_deviations(V, noise, replicates, seed)
-           if replicates else np.zeros(0))
-    return bias, lam, w_norm, dev
+    w, dev = _colored_deviations(V, noise, replicates, seed)
+    return bias, lam, float(np.linalg.norm(w)), dev
 
 
 # ----------------------------------------------------------------------

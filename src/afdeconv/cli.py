@@ -110,6 +110,17 @@ def validate_config(cfg: dict, command: str) -> None:
     def known(name, registry):
         return isinstance(name, str) and name in registry
 
+    def only(where, section, keys):
+        article = "an" if where[0] in "aeiou" else "a"
+        for key in sorted(set(section) - set(keys), key=str):
+            errors.append(f"{where}.{key}: not {article} {where} key; "
+                          f"choose from {list(keys)}")
+
+    def check_grid(where, section):
+        grid = section.get("grid", 512)
+        need(_is_number(grid, integer=True) and grid >= 2, f"{where}.grid",
+             f"must be an integer >= 2, got {grid!r}")
+
     k = cfg["kernel"]
     need(known(k.get("name"), md._KERNELS),
          "kernel.name", f"unknown kernel {k.get('name')!r}")
@@ -129,9 +140,7 @@ def validate_config(cfg: dict, command: str) -> None:
     need(_is_number(nz.get("sigma")) and nz["sigma"] >= 0,
          "noise.sigma", "must be >= 0")
     w = cfg["wavelet"]
-    for key in sorted(set(w) - {"family", "m10", "m20"}, key=str):
-        errors.append(f"wavelet.{key}: not a wavelet key; "
-                      f"choose from ['family', 'm10', 'm20']")
+    only("wavelet", w, ("family", "m10", "m20"))
     need(w.get("family") == "meyer", "wavelet.family",
          f"must be meyer, the only basis (other families were removed), "
          f"got {w.get('family')!r}")
@@ -182,12 +191,19 @@ def validate_config(cfg: dict, command: str) -> None:
         sec = cfg.get("estimate")
         need(isinstance(sec, dict), "estimate", "section required")
         if isinstance(sec, dict):
-            need(bool(sec.get("observations")), "estimate.observations",
-                 "path to an observation file is required")
+            only("estimate", sec, ("observations", "grid", "pgm"))
+            need(isinstance(sec.get("observations"), str)
+                 and sec["observations"], "estimate.observations",
+                 "path to an observation file is required, got "
+                 f"{sec.get('observations')!r}")
+            check_grid("estimate", sec)
+            need(isinstance(sec.get("pgm", False), bool), "estimate.pgm",
+                 f"must be true or false, got {sec.get('pgm')!r}")
     if command == "bench-rate":
         b = cfg.get("bench")
         need(isinstance(b, dict), "bench", "section required")
         if isinstance(b, dict):
+            only("bench", b, ("ladder", "replicates", "grid"))
             ladder = b.get("ladder")
             need(isinstance(ladder, list) and len(ladder) > 0,
                  "bench.ladder", "must be a non-empty list of [N, M] pairs")
@@ -198,13 +214,12 @@ def validate_config(cfg: dict, command: str) -> None:
             need(_is_number(b.get("replicates", 20), integer=True)
                  and b.get("replicates", 20) >= 1, "bench.replicates",
                  f"must be a positive integer, got {b.get('replicates')!r}")
+            check_grid("bench", b)
     if command == "verify-lemmas":
         v = cfg.get("verify")
         need(isinstance(v, dict), "verify", "section required")
         if isinstance(v, dict):
-            for key in sorted(set(v) - {"lemmas", *_VERIFY_CHECKS}, key=str):
-                errors.append(f"verify.{key}: not a verify key; choose from "
-                              f"{['lemmas', *_VERIFY_CHECKS]}")
+            only("verify", v, ("lemmas", *_VERIFY_CHECKS))
             for key, (ok, what) in _VERIFY_CHECKS.items():
                 need(key not in v or ok(v[key]), f"verify.{key}",
                      f"must be {what}, got {v.get(key)!r}")
@@ -351,11 +366,13 @@ def cmd_verify(cfg: dict, outdir: Path) -> list[Path]:
                                replicates=v.get("replicates", 500), seed=seed)
         path = outdir / "lemma2.csv"
         with open(path, "w", newline="\n") as fh:
-            fh.write("N,variance,fourth_ratio\n")
-            for N, var, fr in zip(rep.N_ladder, rep.variances, rep.fourth_ratios):
-                fh.write(f"{N},{var:.17g},{fr:.17g}\n")
+            fh.write("N,variance,fourth_ratio,variance_exact\n")
+            for N, var, fr, exact in zip(rep.N_ladder, rep.variances,
+                                         rep.fourth_ratios, rep.exact_variances):
+                fh.write(f"{N},{var:.17g},{fr:.17g},{exact:.17g}\n")
         artifacts.append(path)
         lines.append(f"lemma2: slope={rep.slope:.4f} (predicted {-noise.alpha})"
+                     f" exact slope={rep.exact_slope:.4f}"
                      f" kurtosis={rep.kurtosis:.3f}")
     if 3 in lemmas:
         indices = [es.Index(*i) for i in

@@ -228,7 +228,7 @@ class TestAcceptance:
             clean_val = clean.blocks[(j1, j2)].beta_hat[k1, k2]
             V = an._deviation_weights(idx, ker, WSPEC, UNIFORM, UNIFORM,
                                       256, 256)
-            dev = an._colored_deviations(V, noise, replicates, 1000 + draw)
+            _, dev = an._colored_deviations(V, noise, replicates, 1000 + draw)
             mc_mean = clean_val + float(dev.mean())
             se = float(dev.std(ddof=1)) / math.sqrt(replicates)
             worst = max(worst, abs(mc_mean - beta) / se)

@@ -181,6 +181,97 @@ class TestLemmaSuites:
             freqs.append(rep.max_frequency)
         assert freqs[1] <= freqs[0]
 
+    def test_lemma3_one_noise_factor_per_index(self, monkeypatch):
+        """The noise colouring w = sigma L^T V is built once per index and
+        serves both the draws and the norm ||w||."""
+        calls = count_calls(monkeypatch, md, ["noise_factor"])
+        f = md.tensor_sinusoid(2.0, 2.0, max_freq=128)
+        ker = md.power_kernel(1.0)
+        noise = md.NoiseSpec(alpha=0.8, sigma=1.0)
+        cfg = es.EstimatorConfig.from_specs(ker, UNIFORM, UNIFORM, noise)
+        an.verify_lemma3(f, ker, WSPEC, UNIFORM, UNIFORM, noise, cfg,
+                         [es.Index(3, 2, 2, 1), es.Index(2, 0, 3, 4)],
+                         M=64, N=64, replicates=50, seed=3)
+        assert calls == {"noise_factor": 2}
+
+
+def one_shot_deviations(V, noise, replicates, seed):
+    """The reference: the whole (replicates, N*M) innovation matrix in one
+    draw, then one product."""
+    L = md.noise_factor(V.shape[0], noise.alpha)
+    w = (noise.sigma * (L.T @ V)).ravel()
+    rng = np.random.default_rng(seed)
+    if noise.kind == "gaussian-fgn":
+        Z = rng.standard_normal((replicates, w.size))
+    else:
+        Z = rng.integers(0, 2, size=(replicates, w.size)) * 2.0 - 1.0
+    return w, Z @ w
+
+
+class TestColoredDeviations:
+
+    @pytest.mark.parametrize("kind", md.NOISE_KINDS)
+    @pytest.mark.parametrize("N, M, replicates, budget", [
+        (15, 7, 40, 1000),    # odd N*M; 9 rows a block, 40 not a multiple
+        (15, 7, 5, 64),       # one row is larger than the block budget
+        (15, 7, 1, 1000),     # a single replicate
+        (32, 16, 300, None),  # the module's own budget, one block
+    ])
+    def test_blocked_draws_equal_one_draw(self, monkeypatch, kind, N, M,
+                                          replicates, budget):
+        """Row blocks from the one generator give the same innovations as
+        one draw of the whole matrix: w is equal, and each deviation equals
+        the one-shot product up to the rounding of one dot product."""
+        if budget is not None:
+            monkeypatch.setattr(an, "_BLOCK_INNOVATIONS", budget)
+        V = np.random.default_rng(2).standard_normal((N, M))
+        noise = md.NoiseSpec(alpha=0.6, kind=kind, sigma=0.7)
+        w, dev = an._colored_deviations(V, noise, replicates, seed=11)
+        w_ref, dev_ref = one_shot_deviations(V, noise, replicates, seed=11)
+        assert np.array_equal(w, w_ref)
+        assert dev.shape == (replicates,)
+        np.testing.assert_allclose(dev, dev_ref, rtol=0,
+                                   atol=1e-13 * np.abs(w).sum())
+
+    @pytest.mark.parametrize("kind", md.NOISE_KINDS)
+    def test_peak_memory_is_bounded(self, kind):
+        """400 replicates of an N*M = 65,536 linear form: the whole
+        innovation matrix would be 200 MiB; the row blocks keep the traced
+        peak under 48 MiB."""
+        import tracemalloc
+        V = np.random.default_rng(3).standard_normal((256, 256))
+        noise = md.NoiseSpec(alpha=0.6, kind=kind, sigma=1.0)
+        tracemalloc.start()
+        try:
+            an._colored_deviations(V, noise, 400, seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * 2 ** 20
+
+    @pytest.mark.parametrize("kind", md.NOISE_KINDS)
+    def test_lemma2_variance_matches_exact(self, kind):
+        """The exact variance is sigma^2 sum_l V_l^T Sigma_N V_l, computed
+        here from the covariance, not its Cholesky factor; the Monte Carlo
+        variance lies within 5 standard errors, sqrt(2/(R-1)) relative, of
+        it at every ladder point."""
+        idx, ker = es.Index(3, 2, 2, 1), md.power_kernel(1.0)
+        noise = md.NoiseSpec(alpha=0.6, kind=kind, sigma=0.7)
+        M, ladder, replicates = 64, [64, 128, 256], 400
+        rep = an.verify_lemma2(idx, ker, WSPEC, SINGULAR, SINGULAR, noise,
+                               M=M, N_ladder=ladder, replicates=replicates,
+                               seed=4)
+        se = math.sqrt(2 / (replicates - 1))
+        for N, var, exact in zip(ladder, rep.variances, rep.exact_variances):
+            V = an._deviation_weights(idx, ker, WSPEC, SINGULAR, SINGULAR,
+                                      N, M)
+            cov = md.lrd_covariance(N, noise.alpha)
+            truth = noise.sigma ** 2 * float(np.sum(V * (cov @ V)))
+            assert exact == pytest.approx(truth, rel=1e-9)
+            assert abs(var / truth - 1) <= 5 * se
+        assert rep.exact_slope == pytest.approx(
+            an.fit_rate(zip(ladder, rep.exact_variances))[0], abs=1e-12)
+
 
 class TestRateExperiment:
 

@@ -181,6 +181,37 @@ class TestValidation:
         assert key in capsys.readouterr().err
         assert not (out / "verify_summary.txt").exists()
 
+    @pytest.mark.parametrize("command, section, key", [
+        ("estimate", {"grid": "abc"}, "estimate.grid: must be an integer >= 2"),
+        ("estimate", {"grid": True}, "estimate.grid"),
+        ("estimate", {"grid": 1}, "estimate.grid"),
+        ("estimate", {"grid": 256.0}, "estimate.grid"),
+        ("estimate", {"pgm": "yes"}, "estimate.pgm: must be true or false"),
+        ("estimate", {"pgm": 1}, "estimate.pgm"),
+        ("estimate", {"grids": 512}, "estimate.grids: not an estimate key"),
+        ("estimate", {"observations": 5}, "estimate.observations"),
+        ("bench-rate", {"grid": "abc"}, "bench.grid: must be an integer >= 2"),
+        ("bench-rate", {"grid": False}, "bench.grid"),
+        ("bench-rate", {"grid": 0}, "bench.grid"),
+        ("bench-rate", {"replicate": 5}, "bench.replicate: not a bench key"),
+    ])
+    def test_estimate_and_bench_sections_checked(self, tmp_path, capsys,
+                                                 command, section, key):
+        """`grid` is an integer >= 2, `pgm` a boolean, `observations` a
+        path string, and the estimate and bench sections take no other
+        keys: exit 2 naming the key, not a traceback."""
+        obs = tmp_path / "obs"
+        assert cli.main(["simulate", "--config", str(write_config(tmp_path)),
+                         "--out", str(obs)]) == 0
+        name = "estimate" if command == "estimate" else "bench"
+        base = ({"observations": str(obs / "observations.csv")}
+                if command == "estimate" else {"ladder": [[64, 64]]})
+        path = write_config(tmp_path, extra={name: {**base, **section}})
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_readme_example_config_validates(self, tmp_path):
         """The README's example config passes validation for every
         subcommand, so the documented keys cannot drift from the checks."""
