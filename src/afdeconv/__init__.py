@@ -19,10 +19,9 @@ from .model import (DesignDensity, KernelSpec, NoiseSpec, ObservationGrid,
                     single_atom, tensor_sinusoid)
 from .estimator import (CoefficientField, EstimatorConfig, FieldPlan, Index,
                         KernelNotInvertibleError, Reconstruction,
-                        SingularDesignError, choose_levels,
-                        estimate_coefficient, estimate_field, hard_threshold,
-                        load_field_csv, reanalyze, reconstruct,
-                        save_field_csv, save_reconstruction_csv,
+                        SingularDesignError, choose_levels, estimate_field,
+                        hard_threshold, load_field_csv, reanalyze,
+                        reconstruct, save_field_csv, save_reconstruction_csv,
                         save_reconstruction_pgm, threshold,
                         true_coefficients)
 from .analysis import (BesovParams, RateReport, RegimeResult,

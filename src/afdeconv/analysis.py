@@ -298,7 +298,9 @@ def verify_lemma1(kernel: md.KernelSpec, wspec: wv.WaveletSpec,
 def _deviation_weights(index: es.Index, kernel: md.KernelSpec,
                        wspec: wv.WaveletSpec, d1: md.DesignDensity,
                        d2: md.DesignDensity, N: int, M: int) -> np.ndarray:
-    """V such that beta-tilde = beta-tilde(clean) + (sigma/MN) sum V_il e_il."""
+    """V such that beta-tilde = sum V_il Y_il on the quantile designs of
+    d1 and d2: the clean estimate is sum V q and the noise part
+    sigma sum V eps."""
     t = md.quantile_design(N, d1)
     x = md.quantile_design(M, d2)
     U = es.compute_U(index, kernel, wspec, t, x)
@@ -327,19 +329,13 @@ def _colored_deviations(V: np.ndarray, noise: md.NoiseSpec, replicates: int,
     L = md.noise_factor(N, noise.alpha)
     w = (noise.sigma * (L.T @ V)).ravel()
     rng = np.random.default_rng(seed)
-    # a block drawn inside `draw` is freed right after its product, before
-    # the next block is drawn
-    if noise.kind == "gaussian-fgn":
-        def draw(rows):
-            return rng.standard_normal((rows, w.size))
-    else:
-        def draw(rows):
-            return rng.integers(0, 2, size=(rows, w.size)) * 2.0 - 1.0
     dev = np.empty(replicates)
     step = max(1, _BLOCK_INNOVATIONS // w.size)
     for lo in range(0, replicates, step):
         rows = min(step, replicates - lo)
-        dev[lo:lo + rows] = draw(rows) @ w
+        # each block is freed right after its product
+        dev[lo:lo + rows] = md._draw_innovations(rng, (rows, w.size),
+                                                 noise.kind) @ w
     return w, dev
 
 
@@ -410,9 +406,7 @@ class Lemma3Report:
     ladder: list[tuple[int, int, float]]
 
 
-def verify_lemma3(f: md.TestFunction, kernel: md.KernelSpec,
-                  wspec: wv.WaveletSpec, d1: md.DesignDensity,
-                  d2: md.DesignDensity, noise: md.NoiseSpec,
+def verify_lemma3(f: md.TestFunction, wspec: wv.WaveletSpec,
                   cfg: es.EstimatorConfig, indices, M: int = 256,
                   N: int = 256, replicates: int = 1000, seed: int = 0,
                   ladder=None) -> Lemma3Report:
@@ -430,8 +424,7 @@ def verify_lemma3(f: md.TestFunction, kernel: md.KernelSpec,
     freqs = {}
     for pos, index in enumerate(indices):
         bias, lam, w_norm, dev = _tail_ingredients(
-            f, kernel, wspec, d1, d2, noise, cfg, index, M, N, J1, J2,
-            replicates, seed + 7919 * pos)
+            f, wspec, cfg, index, M, N, J1, J2, replicates, seed + 7919 * pos)
         freqs[index.astuple()] = float(np.mean(np.abs(bias + dev) > lam / 2))
     tail_exponent = None
     ladder_rows = []
@@ -441,17 +434,16 @@ def verify_lemma3(f: md.TestFunction, kernel: md.KernelSpec,
         index = indices[0]
         for pos, (Mi, Ni) in enumerate(ladder):
             bias, lam, w_norm, _ = _tail_ingredients(
-                f, kernel, wspec, d1, d2, noise, cfg, index, Mi, Ni, J1, J2,
-                0, seed)
+                f, wspec, cfg, index, Mi, Ni, J1, J2, 0, seed)
             # closed-form Gaussian tail of bias + Normal(0, w_norm^2)
-            from math import erfc, sqrt
             if w_norm == 0:
                 p = float(abs(bias) > lam / 2)
             else:
-                p = 0.5 * (erfc((lam / 2 - bias) / (sqrt(2) * w_norm))
-                           + erfc((lam / 2 + bias) / (sqrt(2) * w_norm)))
+                scale = math.sqrt(2) * w_norm
+                p = 0.5 * (math.erfc((lam / 2 - bias) / scale)
+                           + math.erfc((lam / 2 + bias) / scale))
             probs.append(max(p, 1e-300))
-            ns.append(Mi * Ni ** noise.alpha)
+            ns.append(Mi * Ni ** cfg.noise.alpha)
             ladder_rows.append((Mi, Ni, p))
         if len(ladder) >= 3:
             tail_exponent = fit_rate(zip(ns, probs))[0]
@@ -460,18 +452,16 @@ def verify_lemma3(f: md.TestFunction, kernel: md.KernelSpec,
                         tail_exponent=tail_exponent, ladder=ladder_rows)
 
 
-def _tail_ingredients(f, kernel, wspec, d1, d2, noise, cfg, index,
-                      M, N, J1, J2, replicates, seed):
-    silent = md.NoiseSpec(alpha=noise.alpha, kind=noise.kind, sigma=0.0)
-    obs = md.simulate_observations(f, kernel, d1, d2, silent, N=N, M=M,
-                                   seed=seed)
-    clean = es.estimate_coefficient(index, obs, d1, d2, kernel, wspec)
+def _tail_ingredients(f, wspec, cfg, index, M, N, J1, J2, replicates, seed):
+    kernel, d1, d2 = cfg.kernel, cfg.d1, cfg.d2
+    V = _deviation_weights(index, kernel, wspec, d1, d2, N, M)
+    q = md.convolved_signal(f, kernel, md.quantile_design(N, d1),
+                            md.quantile_design(M, d2))
     true_blocks = es.true_coefficients(f, wspec, J1, J2)
     beta = true_blocks[(index.j1, index.j2)][index.k1, index.k2]
-    bias = clean - beta
+    bias = float(np.sum(V * q)) - beta
     lam = es.threshold(index, cfg, M, N)
-    V = _deviation_weights(index, kernel, wspec, d1, d2, N, M)
-    w, dev = _colored_deviations(V, noise, replicates, seed)
+    w, dev = _colored_deviations(V, cfg.noise, replicates, seed)
     return bias, lam, float(np.linalg.norm(w)), dev
 
 
@@ -495,24 +485,22 @@ class RateReport:
         return [(p["n"], p["mise_mean"]) for p in self.points]
 
 
-def _ladder_point(f, kernel, d1, d2, noise, wspec, cfg, N, M, replicates,
-                  seed, grid, f_ref):
+def _ladder_point(f, wspec, cfg, N, M, replicates, seed, grid, f_ref):
+    kernel, d1, d2 = cfg.kernel, cfg.d1, cfg.d2
     J1, J2 = cfg.resolve_levels(M, N, wspec)
     plan = es.FieldPlan(md.quantile_design(N, d1), md.quantile_design(M, d2),
                         d1, d2, kernel, wspec, J1, J2)
     values = np.empty(replicates)
-    grids = md.simulate_replicates(f, kernel, d1, d2, noise, N, M,
+    grids = md.simulate_replicates(f, kernel, d1, d2, cfg.noise, N, M,
                                    range(seed, seed + replicates))
     for r, obs in enumerate(grids):
-        fld = es.estimate_field(obs, d1, d2, kernel, wspec, cfg, plan=plan)
+        fld = es.estimate_field(obs, wspec, cfg, plan=plan)
         rec = es.reconstruct(fld, wspec, grid=grid, which="kept")
         values[r] = mise(rec, f_ref)
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(replicates)) if replicates > 1 else 0.0
 
 
-def rate_experiment(f: md.TestFunction, kernel: md.KernelSpec,
-                    d1: md.DesignDensity, d2: md.DesignDensity,
-                    noise: md.NoiseSpec, wspec: wv.WaveletSpec,
+def rate_experiment(f: md.TestFunction, wspec: wv.WaveletSpec,
                     cfg: es.EstimatorConfig, ladder,
                     replicates: int = 20, seed: int = 0, grid: int = 512,
                     threads: int = 1,
@@ -528,13 +516,13 @@ def rate_experiment(f: md.TestFunction, kernel: md.KernelSpec,
         raise md.ParameterError("ladder must contain at least one (N, M) pair")
     if bp is None:
         bp = BesovParams.from_test_function(f)
-    regime = theoretical_exponent(bp, kernel.nu, d1.beta, d2.beta)
+    regime = theoretical_exponent(bp, cfg.kernel.nu, cfg.d1.beta, cfg.d2.beta)
     f_ref = f.grid(grid)
 
     def work(args):
         i, (N, M) = args
-        return _ladder_point(f, kernel, d1, d2, noise, wspec, cfg, N, M,
-                             replicates, seed + 100003 * i, grid, f_ref)
+        return _ladder_point(f, wspec, cfg, N, M, replicates,
+                             seed + 100003 * i, grid, f_ref)
 
     jobs = list(enumerate(ladder))
     if threads > 1:
@@ -542,6 +530,7 @@ def rate_experiment(f: md.TestFunction, kernel: md.KernelSpec,
             results = list(pool.map(work, jobs))
     else:
         results = [work(j) for j in jobs]
+    noise = cfg.noise
     points = []
     for (N, M), (mean, se) in zip(ladder, results):
         n_eff = M * N ** noise.alpha

@@ -240,6 +240,8 @@ def validate_config(cfg: dict, command: str) -> None:
 # ----------------------------------------------------------------------
 
 def _specs(cfg: dict):
+    """(test function, wavelet spec, estimator config); the estimator
+    config carries the kernel, the designs and the noise law."""
     k = cfg["kernel"]
     kernel = md.make_kernel(k["name"], nu=k["nu"])
     d1 = md.DesignDensity(beta=cfg["design"]["t"]["beta"],
@@ -253,10 +255,10 @@ def _specs(cfg: dict):
     fn = dict(cfg["function"])
     f = md.make_test_function(fn.pop("name"), **fn)
     e = cfg["estimator"]
-    est_cfg = es.EstimatorConfig.from_specs(
-        kernel, d1, d2, noise, besov_radius=e["besov_radius"],
-        gamma=e["gamma"], mu=e["mu"], J1=e.get("J1"), J2=e.get("J2"))
-    return kernel, d1, d2, noise, wspec, f, est_cfg
+    est_cfg = es.EstimatorConfig(
+        kernel, d1, d2, noise, gamma=e["gamma"], mu=e["mu"],
+        besov_radius=e["besov_radius"], J1=e.get("J1"), J2=e.get("J2"))
+    return f, wspec, est_cfg
 
 
 def _write_run_metadata(outdir: Path, cfg: dict, artifacts: list[Path]) -> None:
@@ -275,10 +277,11 @@ def _write_run_metadata(outdir: Path, cfg: dict, artifacts: list[Path]) -> None:
 # ----------------------------------------------------------------------
 
 def cmd_simulate(cfg: dict, outdir: Path) -> list[Path]:
-    kernel, d1, d2, noise, wspec, f, _ = _specs(cfg)
+    f, _, est_cfg = _specs(cfg)
     sim = cfg["simulate"]
-    obs = md.simulate_observations(f, kernel, d1, d2, noise,
-                                   N=sim["N"], M=sim["M"], seed=cfg["seed"])
+    obs = md.simulate_observations(f, est_cfg.kernel, est_cfg.d1, est_cfg.d2,
+                                   est_cfg.noise, N=sim["N"], M=sim["M"],
+                                   seed=cfg["seed"])
     artifacts = []
     fmt = sim.get("format", "csv")
     if fmt in ("csv", "both"):
@@ -306,13 +309,12 @@ def _load_observations(path: Path) -> md.ObservationGrid:
 
 
 def cmd_estimate(cfg: dict, outdir: Path) -> list[Path]:
-    kernel, d1, d2, noise, wspec, f, est_cfg = _specs(cfg)
+    f, wspec, est_cfg = _specs(cfg)
     sec = cfg["estimate"]
     obs = _load_observations(Path(sec["observations"]))
     J1, J2 = est_cfg.resolve_levels(obs.M, obs.N, wspec)
     beta_true = es.true_coefficients(f, wspec, J1, J2)
-    field = es.estimate_field(obs, d1, d2, kernel, wspec, est_cfg,
-                              beta_true=beta_true)
+    field = es.estimate_field(obs, wspec, est_cfg, beta_true=beta_true)
     grid = sec.get("grid", 512)
     recon = es.reconstruct(field, wspec, grid=grid, which="kept")
     err = an.mise(recon, f.grid(grid))
@@ -341,7 +343,8 @@ def cmd_estimate(cfg: dict, outdir: Path) -> list[Path]:
 
 
 def cmd_verify(cfg: dict, outdir: Path) -> list[Path]:
-    kernel, d1, d2, noise, wspec, f, est_cfg = _specs(cfg)
+    f, wspec, est_cfg = _specs(cfg)
+    kernel, d1, d2, noise = est_cfg.kernel, est_cfg.d1, est_cfg.d2, est_cfg.noise
     v = cfg.get("verify") or {}
     lemmas = v.get("lemmas", [1, 2, 3])
     seed = cfg["seed"]
@@ -377,8 +380,8 @@ def cmd_verify(cfg: dict, outdir: Path) -> list[Path]:
     if 3 in lemmas:
         indices = [es.Index(*i) for i in
                    v.get("indices", [[3, 2, 2, 1], [2, 0, 3, 4]])]
-        rep = an.verify_lemma3(f, kernel, wspec, d1, d2, noise, est_cfg,
-                               indices, M=v.get("M", 256), N=v.get("N", 256),
+        rep = an.verify_lemma3(f, wspec, est_cfg, indices,
+                               M=v.get("M", 256), N=v.get("N", 256),
                                replicates=v.get("replicates", 1000), seed=seed,
                                ladder=[tuple(p) for p in v.get("ladder", [])] or None)
         path = outdir / "lemma3.csv"
@@ -398,8 +401,18 @@ def cmd_verify(cfg: dict, outdir: Path) -> list[Path]:
     return artifacts
 
 
+def _write_rate_plot(outdir: Path, pairs) -> Path:
+    """Write the (n, MISE) pairs of a rate ladder to `rate_plot.csv`."""
+    path = outdir / "rate_plot.csv"
+    with open(path, "w", newline="\n") as fh:
+        fh.write("n,mise\n")
+        for n, v in pairs:
+            fh.write(f"{n:.17g},{v:.17g}\n")
+    return path
+
+
 def cmd_bench_rate(cfg: dict, outdir: Path, threads: int = 1) -> list[Path]:
-    kernel, d1, d2, noise, wspec, f, est_cfg = _specs(cfg)
+    f, wspec, est_cfg = _specs(cfg)
     b = cfg["bench"]
     ladder = [tuple(p) for p in b["ladder"]]
     besov = cfg.get("besov")
@@ -407,17 +420,13 @@ def cmd_bench_rate(cfg: dict, outdir: Path, threads: int = 1) -> list[Path]:
                          p=besov.get("p", 2.0), q=besov.get("q", 2.0),
                          radius=besov.get("radius", 1.0))
           if besov else None)
-    report = an.rate_experiment(f, kernel, d1, d2, noise, wspec, est_cfg,
-                                ladder, replicates=b.get("replicates", 20),
+    report = an.rate_experiment(f, wspec, est_cfg, ladder,
+                                replicates=b.get("replicates", 20),
                                 seed=cfg["seed"], grid=b.get("grid", 512),
                                 threads=threads, bp=bp)
     csv_path = outdir / "rate_report.csv"
     an.rate_report_csv(report, csv_path)
-    plot_path = outdir / "rate_plot.csv"
-    with open(plot_path, "w", newline="\n") as fh:
-        fh.write("n,mise\n")
-        for n, v in report.pairs():
-            fh.write(f"{n:.17g},{v:.17g}\n")
+    plot_path = _write_rate_plot(outdir, report.pairs())
     summary = outdir / "rate_summary.txt"
     summary.write_text(an.rate_report_text(report) + "\n")
     artifacts = [csv_path, plot_path, summary]
@@ -438,11 +447,7 @@ def cmd_report(cfg: dict, outdir: Path, source: Path | None = None) -> list[Path
     if len(pairs) >= 3:
         slope, se = an.fit_rate(pairs)
         lines.append(f"fitted slope: {slope:.4f} +/- {se:.4f}")
-    plot_path = outdir / "rate_plot.csv"
-    with open(plot_path, "w", newline="\n") as fh:
-        fh.write("n,mise\n")
-        for n, v in pairs:
-            fh.write(f"{n:.17g},{v:.17g}\n")
+    plot_path = _write_rate_plot(outdir, pairs)
     summary = outdir / "report_summary.txt"
     summary.write_text("\n".join(lines) + "\n")
     _write_run_metadata(outdir, cfg, [plot_path, summary])

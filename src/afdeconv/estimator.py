@@ -29,7 +29,6 @@ __all__ = [
     "choose_levels",
     "threshold",
     "compute_U",
-    "estimate_coefficient",
     "estimate_field",
     "true_coefficients",
     "hard_threshold",
@@ -66,25 +65,23 @@ class Index:
 
 @dataclass
 class EstimatorConfig:
-    """Resolved estimator parameters.
+    """The model the estimator assumes, plus its own constants.
 
-    gamma and mu are the Gaussian and sub-Gaussian threshold constants;
-    besov_radius is the radius A entering the level selection rule.  The
-    direction-specific quantities (nu, beta_i, singularity locations) are
-    copied from the kernel and design densities by ``from_specs``.
+    kernel, d1 (the t-design), d2 (the x-design) and noise are the model
+    objects the level rule and the thresholds read: the ill-posedness nu,
+    the singularities (beta_i, x0_i) and the noise law (alpha, sigma,
+    kind).  gamma and mu are the Gaussian and sub-Gaussian threshold
+    constants; besov_radius is the radius A entering the level selection
+    rule; J1 and J2, when given, override the chosen levels.
     """
 
+    kernel: KernelSpec
+    d1: DesignDensity
+    d2: DesignDensity
+    noise: NoiseSpec
     gamma: float = 4.0
     mu: float = 4.0
-    noise_kind: str = "gaussian-fgn"
-    sigma: float = 1.0
-    alpha: float = 1.0
     besov_radius: float = 1.0
-    nu: float = 1.0
-    beta1: float = 0.0
-    beta2: float = 0.0
-    t0: float = 0.5
-    x0: float = 0.5
     J1: int | None = None
     J2: int | None = None
 
@@ -92,23 +89,11 @@ class EstimatorConfig:
         if self.gamma <= 0 or self.mu <= 0:
             raise ParameterError("threshold constants must be positive")
 
-    @classmethod
-    def from_specs(cls, kernel: KernelSpec, d1: DesignDensity,
-                   d2: DesignDensity, noise: NoiseSpec,
-                   besov_radius: float = 1.0, gamma: float = 4.0,
-                   mu: float = 4.0, J1: int | None = None,
-                   J2: int | None = None) -> "EstimatorConfig":
-        return cls(gamma=gamma, mu=mu, noise_kind=noise.kind,
-                   sigma=noise.sigma, alpha=noise.alpha,
-                   besov_radius=besov_radius, nu=kernel.nu,
-                   beta1=d1.beta, beta2=d2.beta, t0=d1.x0, x0=d2.x0,
-                   J1=J1, J2=J2)
-
     def resolve_levels(self, M: int, N: int, wspec: wv.WaveletSpec) -> tuple[int, int]:
         J1, J2 = self.J1, self.J2
         if J1 is None or J2 is None:
-            a1, a2 = choose_levels(M, N, self.alpha, self.sigma,
-                                   self.besov_radius, self.nu)
+            a1, a2 = choose_levels(M, N, self.noise.alpha, self.noise.sigma,
+                                   self.besov_radius, self.kernel.nu)
             J1 = a1 if J1 is None else J1
             J2 = a2 if J2 is None else J2
         J1 = max(J1, wspec.m10)
@@ -144,16 +129,17 @@ def _shift_distance_factor(level: int, count: int, beta: float,
 
 def _threshold_block(cfg: EstimatorConfig, M: int, N: int, j1: int, j2: int,
                      count1: int, count2: int) -> np.ndarray:
-    n_eff = M * N ** cfg.alpha
-    level_factor = 2.0 ** ((2.0 * cfg.nu + cfg.beta1) * j1 + cfg.beta2 * j2)
-    if cfg.noise_kind == "gaussian-fgn":
+    noise, d1, d2 = cfg.noise, cfg.d1, cfg.d2
+    n_eff = M * N ** noise.alpha
+    level_factor = 2.0 ** ((2.0 * cfg.kernel.nu + d1.beta) * j1 + d2.beta * j2)
+    if noise.kind == "gaussian-fgn":
         log_factor = cfg.gamma ** 2 * math.log(n_eff)
     else:
         log_factor = 1.0 + cfg.mu ** 2 * math.log(n_eff)
-    base = cfg.sigma ** 2 * level_factor * log_factor / n_eff
-    d1 = _shift_distance_factor(j1, count1, cfg.beta1, cfg.t0)
-    d2 = _shift_distance_factor(j2, count2, cfg.beta2, cfg.x0)
-    return np.sqrt(base / (d1[:, None] * d2[None, :]))
+    base = noise.sigma ** 2 * level_factor * log_factor / n_eff
+    dist1 = _shift_distance_factor(j1, count1, d1.beta, d1.x0)
+    dist2 = _shift_distance_factor(j2, count2, d2.beta, d2.x0)
+    return np.sqrt(base / (dist1[:, None] * dist2[None, :]))
 
 
 def threshold(index: Index, cfg: EstimatorConfig, M: int, N: int) -> float:
@@ -201,16 +187,6 @@ def _reciprocal_weights(t: np.ndarray, x: np.ndarray,
         raise SingularDesignError("singular design point: density vanishes "
                                   "at a design location")
     return 1.0 / np.outer(h1, h2)
-
-
-def estimate_coefficient(index: Index, obs: ObservationGrid,
-                         d1: DesignDensity, d2: DesignDensity,
-                         kernel: KernelSpec, wspec: wv.WaveletSpec) -> float:
-    """Weighted empirical coefficient
-    (MN)^{-1} sum_{i,l} U_omega(t_i, x_l) Y(t_i, x_l) / (h1(t_i) h2(x_l))."""
-    U = compute_U(index, kernel, wspec, obs.t, obs.x)
-    W = obs.Y * _reciprocal_weights(obs.t, obs.x, d1, d2)
-    return float(np.sum(U * W) / (obs.N * obs.M))
 
 
 # ----------------------------------------------------------------------
@@ -271,7 +247,8 @@ class FieldPlan:
     kernel enters as ``G = g(m, x)``, a band x 1 column for an x-independent
     kernel and a band x M block otherwise, so both kinds take this one path.
     Reused across replicates that share the design, kernel and basis; equal
-    to ``estimate_coefficient`` for every index up to rounding.
+    for every index, up to rounding, to the per-index quadrature with
+    ``compute_U``.
     """
 
     def __init__(self, t, x, d1: DesignDensity, d2: DesignDensity,
@@ -312,15 +289,16 @@ class FieldPlan:
         return blocks
 
 
-def estimate_field(obs: ObservationGrid, d1: DesignDensity, d2: DesignDensity,
-                   kernel: KernelSpec, wspec: wv.WaveletSpec,
+def estimate_field(obs: ObservationGrid, wspec: wv.WaveletSpec,
                    cfg: EstimatorConfig,
                    beta_true: dict[tuple[int, int], np.ndarray] | None = None,
                    plan: FieldPlan | None = None) -> CoefficientField:
-    """Estimate, threshold-annotate and flag the full coefficient field."""
+    """Estimate, threshold-annotate and flag the full coefficient field of
+    the model ``cfg`` describes."""
     J1, J2 = cfg.resolve_levels(obs.M, obs.N, wspec)
     if plan is None:
-        plan = FieldPlan(obs.t, obs.x, d1, d2, kernel, wspec, J1, J2)
+        plan = FieldPlan(obs.t, obs.x, cfg.d1, cfg.d2, cfg.kernel, wspec,
+                         J1, J2)
     blocks = plan.estimate(obs.Y)
     fieldobj = CoefficientField.empty(wspec, J1, J2)
     for (j1, j2), blk in fieldobj.blocks.items():
@@ -329,12 +307,11 @@ def estimate_field(obs: ObservationGrid, d1: DesignDensity, d2: DesignDensity,
                                    fieldobj.counts1[j1], fieldobj.counts2[j2])
         if beta_true is not None:
             blk.beta_true = beta_true.get((j1, j2))
-    hard_threshold(fieldobj, cfg)
+    hard_threshold(fieldobj)
     return fieldobj
 
 
-def hard_threshold(fieldobj: CoefficientField,
-                   cfg: EstimatorConfig) -> CoefficientField:
+def hard_threshold(fieldobj: CoefficientField) -> CoefficientField:
     """kept iff |beta_hat| strictly exceeds lambda; the pure scaling block
     bypasses thresholding (its risk is controlled by variance, not bias)."""
     for (j1, j2), blk in fieldobj.blocks.items():
@@ -395,24 +372,20 @@ class Reconstruction:
 
 def reconstruct(fieldobj: CoefficientField, wspec: wv.WaveletSpec,
                 grid: int = 512, which: str = "kept") -> Reconstruction:
-    """Tensor synthesis of the selected coefficients on a uniform grid.
+    """Tensor synthesis of the estimated coefficients on a uniform grid.
 
-    which: "kept" (post-threshold), "all" (ignore flags), or "true"
-    (synthesize beta_true blocks instead).
+    which: "kept" (post-threshold) or "all" (ignore flags).
     """
+    if which not in ("kept", "all"):
+        raise ParameterError(f"which must be 'kept' or 'all', got {which!r}")
     basis1 = _bases(wspec, fieldobj.levels1, 0)
     basis2 = _bases(wspec, fieldobj.levels2, 1)
     b1, b2 = _band(basis1), _band(basis2)
     F = np.zeros((2 * b1 + 1, 2 * b2 + 1), dtype=complex)
     for (j1, j2), blk in fieldobj.blocks.items():
-        if which == "true":
-            C = blk.beta_true
-        else:
-            C = blk.beta_hat
-            if C is not None and which == "kept":
-                C = np.where(blk.kept, C, 0.0)
-        if C is None:
-            continue
+        C = blk.beta_hat
+        if which == "kept":
+            C = np.where(blk.kept, C, 0.0)
         off1, psi = basis1[j1]
         off2, etam = basis2[j2]
         F[np.ix_(off1 + b1, off2 + b2)] += psi @ C @ etam.T

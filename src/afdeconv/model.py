@@ -40,6 +40,7 @@ __all__ = [
     "lrd_covariance",
     "noise_factor",
     "sample_errors",
+    "convolved_signal",
     "simulate_observations",
     "simulate_replicates",
     "power_kernel",
@@ -47,6 +48,7 @@ __all__ = [
     "identity_kernel",
     "tensor_sinusoid",
     "bump_ramp",
+    "single_atom",
     "make_test_function",
     "make_kernel",
     "save_csv",
@@ -264,11 +266,12 @@ class NoiseSpec:
             raise ParameterError("sigma must be >= 0")
 
 
-def _draw_innovations(rng: np.random.Generator, n: int, kind: str) -> np.ndarray:
+def _draw_innovations(rng: np.random.Generator, shape, kind: str) -> np.ndarray:
+    """Unit-variance innovations of the noise law `kind`, of shape `shape`."""
     if kind == "gaussian-fgn":
-        return rng.standard_normal(n)
+        return rng.standard_normal(shape)
     # Rademacher +-1: unit variance, psi_2 norm bounded by 1.
-    return rng.integers(0, 2, size=n) * 2.0 - 1.0
+    return rng.integers(0, 2, size=shape) * 2.0 - 1.0
 
 
 def _davies_harte_embedding(N: int, alpha: float) -> np.ndarray:

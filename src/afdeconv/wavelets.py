@@ -32,6 +32,7 @@ __all__ = [
     "ResolutionOverflowError",
     "WaveletSpec",
     "build_basis",
+    "base_table",
     "eval_on_points",
     "shift_count",
     "level_range",

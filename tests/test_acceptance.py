@@ -36,9 +36,8 @@ def rate_runs():
     out = {}
     for alpha in (1.0, 0.5):
         noise = md.NoiseSpec(alpha=alpha, sigma=0.05)
-        cfg = es.EstimatorConfig.from_specs(ker, UNIFORM, UNIFORM, noise)
-        out[alpha] = an.rate_experiment(f, ker, UNIFORM, UNIFORM, noise,
-                                        WSPEC, cfg, ladder, replicates=20,
+        cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, noise)
+        out[alpha] = an.rate_experiment(f, WSPEC, cfg, ladder, replicates=20,
                                         seed=11, threads=THREADS)
     return out
 
@@ -137,14 +136,13 @@ class TestAcceptance:
         f = md.tensor_sinusoid(2.0, 2.0, max_freq=256)
         ker = md.power_kernel(1.0)
         noise = md.NoiseSpec(alpha=0.8, kind=kind, sigma=1.0)
-        cfg = es.EstimatorConfig.from_specs(ker, UNIFORM, UNIFORM, noise,
-                                            gamma=const, mu=const)
+        cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, noise,
+                                 gamma=const, mu=const)
         indices = [es.Index(2, 1, 2, 2), es.Index(3, 2, 2, 1),
                    es.Index(3, 5, 3, 4), es.Index(4, 9, 2, 3),
                    es.Index(2, 0, 4, 11)]
-        rep = an.verify_lemma3(f, ker, WSPEC, UNIFORM, UNIFORM, noise, cfg,
-                               indices, M=256, N=256, replicates=1000,
-                               seed=17)
+        rep = an.verify_lemma3(f, WSPEC, cfg, indices, M=256, N=256,
+                               replicates=1000, seed=17)
         ok = rep.max_frequency <= 0.01
         _report("A5", f"{kind}: max exceedance frequency="
                 f"{rep.max_frequency:.4f} (<=0.01)", ok)
@@ -162,9 +160,9 @@ class TestAcceptance:
         truth = f.grid(512)
         errs = []
         for J1 in range(3, cap + 1):
-            cfg = es.EstimatorConfig.from_specs(ker, UNIFORM, UNIFORM,
-                                                silent, J1=J1, J2=cap)
-            field = es.estimate_field(obs, UNIFORM, UNIFORM, ker, WSPEC, cfg)
+            cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, silent,
+                                     J1=J1, J2=cap)
+            field = es.estimate_field(obs, WSPEC, cfg)
             rec = es.reconstruct(field, WSPEC, grid=512, which="kept")
             errs.append(an.mise(rec, truth))
         decreasing = all(a > b for a, b in zip(errs, errs[1:]))
@@ -213,9 +211,8 @@ class TestAcceptance:
                                        N=256, M=256, seed=5)
         J1 = J2 = 5
         truth = es.true_coefficients(f, WSPEC, J1, J2)
-        cfg = es.EstimatorConfig.from_specs(ker, UNIFORM, UNIFORM, noise,
-                                            J1=J1, J2=J2)
-        clean = es.estimate_field(obs, UNIFORM, UNIFORM, ker, WSPEC, cfg)
+        cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, noise, J1=J1, J2=J2)
+        clean = es.estimate_field(obs, WSPEC, cfg)
         rng = np.random.default_rng(99)
         worst = 0.0
         for draw in range(10):

@@ -65,9 +65,8 @@ class TestMise:
         silent = md.NoiseSpec(alpha=1.0, sigma=0.0)
         obs = md.simulate_observations(f, ker, UNIFORM, UNIFORM, silent,
                                        N=128, M=128, seed=1)
-        cfg = es.EstimatorConfig.from_specs(ker, UNIFORM, UNIFORM, silent,
-                                            J1=5, J2=5)
-        field = es.estimate_field(obs, UNIFORM, UNIFORM, ker, WSPEC, cfg)
+        cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, silent, J1=5, J2=5)
+        field = es.estimate_field(obs, WSPEC, cfg)
         base = es.reconstruct(field, WSPEC, grid=512, which="all")
         rng = np.random.default_rng(7)
         total = 0.0
@@ -173,11 +172,10 @@ class TestLemmaSuites:
         idx = [es.Index(3, 2, 2, 1)]
         freqs = []
         for gamma in (0.5, 1.0):
-            cfg = es.EstimatorConfig.from_specs(ker, UNIFORM, UNIFORM, noise,
-                                                gamma=gamma)
-            rep = an.verify_lemma3(f, ker, WSPEC, UNIFORM, UNIFORM, noise,
-                                   cfg, idx, M=64, N=64, replicates=400,
-                                   seed=3)
+            cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, noise,
+                                     gamma=gamma)
+            rep = an.verify_lemma3(f, WSPEC, cfg, idx, M=64, N=64,
+                                   replicates=400, seed=3)
             freqs.append(rep.max_frequency)
         assert freqs[1] <= freqs[0]
 
@@ -188,8 +186,8 @@ class TestLemmaSuites:
         f = md.tensor_sinusoid(2.0, 2.0, max_freq=128)
         ker = md.power_kernel(1.0)
         noise = md.NoiseSpec(alpha=0.8, sigma=1.0)
-        cfg = es.EstimatorConfig.from_specs(ker, UNIFORM, UNIFORM, noise)
-        an.verify_lemma3(f, ker, WSPEC, UNIFORM, UNIFORM, noise, cfg,
+        cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, noise)
+        an.verify_lemma3(f, WSPEC, cfg,
                          [es.Index(3, 2, 2, 1), es.Index(2, 0, 3, 4)],
                          M=64, N=64, replicates=50, seed=3)
         assert calls == {"noise_factor": 2}
@@ -279,8 +277,8 @@ class TestRateExperiment:
         f = md.tensor_sinusoid(2.0, 2.0, max_freq=256)
         ker = md.identity_kernel()
         silent = md.NoiseSpec(alpha=1.0, sigma=0.0)
-        cfg = es.EstimatorConfig.from_specs(ker, UNIFORM, UNIFORM, silent)
-        rep = an.rate_experiment(f, ker, UNIFORM, UNIFORM, silent, WSPEC, cfg,
+        cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, silent)
+        rep = an.rate_experiment(f, WSPEC, cfg,
                                  [(64, 64), (128, 128), (256, 256)],
                                  replicates=2, seed=0, grid=256)
         for p in rep.points:
@@ -290,13 +288,11 @@ class TestRateExperiment:
         f = md.tensor_sinusoid(1.5, 1.5, max_freq=256)
         ker = md.power_kernel(1.0)
         noise = md.NoiseSpec(alpha=1.0, sigma=0.2)
-        cfg = es.EstimatorConfig.from_specs(ker, UNIFORM, UNIFORM, noise)
+        cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, noise)
         kw = dict(ladder=[(64, 64), (128, 128), (256, 256)], replicates=2,
                   seed=5, grid=256)
-        serial = an.rate_experiment(f, ker, UNIFORM, UNIFORM, noise, WSPEC,
-                                    cfg, threads=1, **kw)
-        threaded = an.rate_experiment(f, ker, UNIFORM, UNIFORM, noise, WSPEC,
-                                      cfg, threads=3, **kw)
+        serial = an.rate_experiment(f, WSPEC, cfg, threads=1, **kw)
+        threaded = an.rate_experiment(f, WSPEC, cfg, threads=3, **kw)
         assert [p["mise_mean"] for p in serial.points] == \
                [p["mise_mean"] for p in threaded.points]
 
@@ -311,11 +307,10 @@ class TestRateExperiment:
         f = md.tensor_sinusoid(1.5, 1.5, max_freq=256)
         ker = md.power_kernel(1.0)
         noise = md.NoiseSpec(alpha=0.7, kind=kind, sigma=sigma)
-        cfg = es.EstimatorConfig.from_specs(ker, SINGULAR, SINGULAR, noise)
+        cfg = es.EstimatorConfig(ker, SINGULAR, SINGULAR, noise)
         ladder, replicates, seed, grid = [(64, 64), (128, 64)], 3, 8, 128
-        rep = an.rate_experiment(f, ker, SINGULAR, SINGULAR, noise, WSPEC, cfg,
-                                 ladder, replicates=replicates, seed=seed,
-                                 grid=grid)
+        rep = an.rate_experiment(f, WSPEC, cfg, ladder,
+                                 replicates=replicates, seed=seed, grid=grid)
         f_ref = f.grid(grid)
         for i, ((N, M), point) in enumerate(zip(ladder, rep.points)):
             values = []
@@ -323,7 +318,7 @@ class TestRateExperiment:
                 obs = md.simulate_observations(f, ker, SINGULAR, SINGULAR,
                                                noise, N=N, M=M,
                                                seed=seed + 100003 * i + r)
-                fld = es.estimate_field(obs, SINGULAR, SINGULAR, ker, WSPEC, cfg)
+                fld = es.estimate_field(obs, WSPEC, cfg)
                 values.append(an.mise(es.reconstruct(fld, WSPEC, grid=grid),
                                       f_ref))
             values = np.array(values)
@@ -338,8 +333,8 @@ class TestRateExperiment:
         f = md.tensor_sinusoid(1.5, 1.5, max_freq=256)
         ker = md.power_kernel(1.0)
         noise = md.NoiseSpec(alpha=0.7, sigma=0.2)
-        cfg = es.EstimatorConfig.from_specs(ker, UNIFORM, UNIFORM, noise)
-        an.rate_experiment(f, ker, UNIFORM, UNIFORM, noise, WSPEC, cfg,
+        cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, noise)
+        an.rate_experiment(f, WSPEC, cfg,
                            [(64, 64), (128, 128), (256, 256)], replicates=4,
                            seed=5, grid=256)
         assert calls == {"convolved_signal": 3, "noise_factor": 3}
@@ -348,7 +343,6 @@ class TestRateExperiment:
         f = md.tensor_sinusoid(1.0, 1.0, max_freq=64)
         ker = md.identity_kernel()
         silent = md.NoiseSpec(alpha=1.0, sigma=0.0)
-        cfg = es.EstimatorConfig.from_specs(ker, UNIFORM, UNIFORM, silent)
+        cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, silent)
         with pytest.raises(md.ParameterError):
-            an.rate_experiment(f, ker, UNIFORM, UNIFORM, silent, WSPEC, cfg,
-                               ladder=[])
+            an.rate_experiment(f, WSPEC, cfg, ladder=[])

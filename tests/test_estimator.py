@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,15 @@ X_VARYING = md.KernelSpec(nu=1.0,
                           fourier=lambda m, x: _POWER.fourier(m)
                           * (1.0 + 0.5 * np.asarray(x)),
                           x_dependent=True, name="x-varying")
+
+
+def _config(nu=1.0, d1=UNIFORM, d2=UNIFORM, alpha=1.0, sigma=1.0,
+            kind="gaussian-fgn", **kw):
+    """An estimator config over power_kernel(nu) and the given designs and
+    noise law."""
+    return es.EstimatorConfig(md.power_kernel(nu), d1, d2,
+                              md.NoiseSpec(alpha=alpha, kind=kind,
+                                           sigma=sigma), **kw)
 
 
 class TestLevelSelection:
@@ -44,38 +54,40 @@ class TestThreshold:
     def test_worked_value(self):
         # gamma=4, sigma=1, nu=1, beta=0, alpha=1, M=N=1024, j1=3, j2=2:
         # lambda^2 = 16 * 2^6 * ln(2^20) / 2^20
-        cfg = es.EstimatorConfig(gamma=4.0, sigma=1.0, alpha=1.0, nu=1.0)
+        cfg = _config(gamma=4.0)
         lam = es.threshold(es.Index(3, 1, 2, 1), cfg, M=1024, N=1024)
         expected = math.sqrt(16 * 64 * math.log(2 ** 20) / 2 ** 20)
         assert lam == pytest.approx(expected, rel=1e-12)
 
     def test_pinned_numeric_value(self):
         # lambda^2 = 16 * 64 * ln(65536) / 65536 at M = N = 256
-        cfg = es.EstimatorConfig(gamma=4.0, sigma=1.0, alpha=1.0, nu=1.0)
+        cfg = _config(gamma=4.0)
         lam = es.threshold(es.Index(3, 1, 2, 1), cfg, M=256, N=256)
         assert lam == pytest.approx(0.4163, abs=5e-4)
 
     def test_stronger_long_memory_raises_threshold(self):
-        kw = dict(sigma=1.0, nu=1.0)
-        lam_1 = es.threshold(es.Index(3, 1, 2, 1),
-                             es.EstimatorConfig(alpha=1.0, **kw), 256, 256)
-        lam_05 = es.threshold(es.Index(3, 1, 2, 1),
-                              es.EstimatorConfig(alpha=0.5, **kw), 256, 256)
+        lam_1 = es.threshold(es.Index(3, 1, 2, 1), _config(alpha=1.0),
+                             256, 256)
+        lam_05 = es.threshold(es.Index(3, 1, 2, 1), _config(alpha=0.5),
+                              256, 256)
         assert lam_05 > lam_1
 
     def test_distance_discount(self):
-        cfg = es.EstimatorConfig(sigma=1.0, alpha=1.0, nu=1.0,
-                                 beta1=0.5, beta2=0.5, t0=0.5, x0=0.5)
-        near = es.threshold(es.Index(4, 8, 4, 8), cfg, 256, 256)
-        far = es.threshold(es.Index(4, 0, 4, 8), cfg, 256, 256)
-        assert far < near
-        # |k - k0| = 8 at beta = 0.5 discounts by 8^{1/4}
-        assert near / far == pytest.approx(8 ** 0.25, rel=1e-12)
+        """Each axis is discounted by its own design: t by (beta, x0) =
+        (0.5, 0.5), so k0 = 8 at level 4, and x by (0.2, 0.25), so k0 = 4."""
+        cfg = _config(d1=md.DesignDensity(beta=0.5, x0=0.5),
+                      d2=md.DesignDensity(beta=0.2, x0=0.25))
+        near = es.threshold(es.Index(4, 8, 4, 4), cfg, 256, 256)
+        far_t = es.threshold(es.Index(4, 0, 4, 4), cfg, 256, 256)
+        far_x = es.threshold(es.Index(4, 8, 4, 12), cfg, 256, 256)
+        assert far_t < near and far_x < near
+        # |k - k0| = 8 discounts by 8^{beta/2}: 8^{1/4} on t, 8^{1/10} on x
+        assert near / far_t == pytest.approx(8 ** 0.25, rel=1e-12)
+        assert near / far_x == pytest.approx(8 ** 0.1, rel=1e-12)
 
     def test_subgaussian_form(self):
-        g = es.EstimatorConfig(noise_kind="gaussian-fgn", sigma=1.0, alpha=1.0)
-        s = es.EstimatorConfig(noise_kind="subgaussian-rademacher",
-                               sigma=1.0, alpha=1.0)
+        g = _config(kind="gaussian-fgn")
+        s = _config(kind="subgaussian-rademacher")
         lam_g = es.threshold(es.Index(3, 1, 3, 1), g, 256, 256)
         lam_s = es.threshold(es.Index(3, 1, 3, 1), s, 256, 256)
         n = 256 * 256
@@ -83,7 +95,7 @@ class TestThreshold:
             (1 + 16 * math.log(n)) / (16 * math.log(n)), rel=1e-12)
 
     def test_level_scaling(self):
-        cfg = es.EstimatorConfig(sigma=1.0, alpha=1.0, nu=1.0)
+        cfg = _config()
         lam3 = es.threshold(es.Index(3, 1, 2, 1), cfg, 256, 256)
         lam4 = es.threshold(es.Index(4, 1, 2, 1), cfg, 256, 256)
         assert lam4 / lam3 == pytest.approx(2 ** ((2 * 1.0) / 2), rel=1e-12)
@@ -100,9 +112,8 @@ class TestCoefficientRecovery:
         f = md.single_atom(3, 2, 3, 5, WSPEC)
         obs = md.simulate_observations(f, kernel, UNIFORM, UNIFORM, SILENT,
                                        N=256, M=256, seed=1)
-        cfg = es.EstimatorConfig.from_specs(kernel, UNIFORM, UNIFORM, SILENT,
-                                            J1=5, J2=5)
-        field = es.estimate_field(obs, UNIFORM, UNIFORM, kernel, WSPEC, cfg)
+        cfg = es.EstimatorConfig(kernel, UNIFORM, UNIFORM, SILENT, J1=5, J2=5)
+        field = es.estimate_field(obs, WSPEC, cfg)
         for (j1, j2), blk in field.blocks.items():
             expected = np.zeros_like(blk.beta_hat)
             if (j1, j2) == (3, 3):
@@ -110,23 +121,27 @@ class TestCoefficientRecovery:
             assert np.allclose(blk.beta_hat, expected, atol=1e-12)
 
     def test_field_matches_single_coefficient_path(self):
-        """Vectorized field estimation equals the per-index formula, for an
-        x-independent and an x-dependent kernel, on uniform and singular
-        designs."""
+        """Vectorized field estimation equals the per-index quadrature
+        (NM)^{-1} sum U Y / (h1 h2), for an x-independent and an
+        x-dependent kernel, on uniform and singular designs, and on
+        different t- and x-designs."""
         f = md.tensor_sinusoid(1.5, 1.5, max_freq=64)
         noise = md.NoiseSpec(alpha=0.8, sigma=0.5)
+        singular = md.DesignDensity(beta=0.3, x0=0.5)
+        designs = [(UNIFORM, UNIFORM), (singular, singular),
+                   (md.DesignDensity(beta=0.3, x0=0.4),
+                    md.DesignDensity(beta=0.6, x0=0.7))]
         for ker in (md.power_kernel(1.0), X_VARYING):
-            for design in (UNIFORM, md.DesignDensity(beta=0.3, x0=0.5)):
-                obs = md.simulate_observations(f, ker, design, design, noise,
+            for d1, d2 in designs:
+                obs = md.simulate_observations(f, ker, d1, d2, noise,
                                                N=64, M=64, seed=5)
-                cfg = es.EstimatorConfig.from_specs(ker, design, design,
-                                                    noise, J1=4, J2=4)
-                field = es.estimate_field(obs, design, design, ker, WSPEC,
-                                          cfg)
+                cfg = es.EstimatorConfig(ker, d1, d2, noise, J1=4, J2=4)
+                field = es.estimate_field(obs, WSPEC, cfg)
+                weights = 1.0 / np.outer(d1.pdf(obs.t), d2.pdf(obs.x))
                 for idx in [es.Index(2, 0, 2, 3), es.Index(3, 7, 2, 1),
                             es.Index(2, 4, 3, 6)]:
-                    single = es.estimate_coefficient(idx, obs, design, design,
-                                                     ker, WSPEC)
+                    U = es.compute_U(idx, ker, WSPEC, obs.t, obs.x)
+                    single = np.sum(U * obs.Y * weights) / (obs.N * obs.M)
                     blk = field.blocks[(idx.j1, idx.j2)]
                     assert blk.beta_hat[idx.k1, idx.k2] == pytest.approx(
                         single, abs=1e-12)
@@ -148,9 +163,8 @@ class TestCoefficientRecovery:
                 2j * np.pi * np.outer(obs_clean.t, m)) @ fhat)
         obs = md.ObservationGrid(N=128, M=128, t=obs_clean.t, x=obs_clean.x,
                                  Y=Y, seed=0)
-        cfg = es.EstimatorConfig.from_specs(ker, UNIFORM, UNIFORM, SILENT,
-                                            J1=5, J2=5)
-        field = es.estimate_field(obs, UNIFORM, UNIFORM, ker, WSPEC, cfg)
+        cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, SILENT, J1=5, J2=5)
+        field = es.estimate_field(obs, WSPEC, cfg)
         blk = field.blocks[(3, 3)]
         assert blk.beta_hat[1, 2] == pytest.approx(1.0, abs=1e-10)
         off = blk.beta_hat.copy()
@@ -164,12 +178,10 @@ class TestCoefficientRecovery:
         x = md.quantile_design(64, UNIFORM)
         Y1 = rng.standard_normal((64, 64))
         Y2 = rng.standard_normal((64, 64))
-        idx = es.Index(3, 4, 3, 1)
+        plan = es.FieldPlan(t, x, UNIFORM, UNIFORM, ker, WSPEC, 4, 4)
 
         def est(Y):
-            obs = md.ObservationGrid(N=64, M=64, t=t, x=x, Y=Y, seed=0)
-            return es.estimate_coefficient(idx, obs, UNIFORM, UNIFORM,
-                                           ker, WSPEC)
+            return plan.estimate(Y)[(3, 3)][4, 1]
 
         assert est(Y1 + Y2) == pytest.approx(est(Y1) + est(Y2), abs=1e-10)
         assert est(np.zeros((64, 64))) == 0.0
@@ -204,17 +216,18 @@ class TestCoefficientRecovery:
 
 class TestThresholdingRules:
 
-    def _field(self):
+    def _observations(self):
         f = md.tensor_sinusoid(1.0, 1.0, max_freq=128)
         ker = md.power_kernel(1.0)
         noise = md.NoiseSpec(alpha=1.0, sigma=0.5)
         obs = md.simulate_observations(f, ker, UNIFORM, UNIFORM, noise,
                                        N=128, M=128, seed=3)
-        cfg = es.EstimatorConfig.from_specs(ker, UNIFORM, UNIFORM, noise)
-        return es.estimate_field(obs, UNIFORM, UNIFORM, ker, WSPEC, cfg), cfg
+        cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, noise)
+        return obs, cfg
 
     def test_strict_inequality_and_scaling_block(self):
-        field, cfg = self._field()
+        obs, cfg = self._observations()
+        field = es.estimate_field(obs, WSPEC, cfg)
         s1, s2 = field.scaling_pair
         for (j1, j2), blk in field.blocks.items():
             if (j1, j2) == (s1, s2):
@@ -224,14 +237,11 @@ class TestThresholdingRules:
                                       np.abs(blk.beta_hat) > blk.lam)
 
     def test_larger_gamma_keeps_fewer(self):
-        field, cfg = self._field()
-        kept_before = field.kept_count()
-        import dataclasses
-        bigger = dataclasses.replace(cfg, gamma=8.0)
-        for blk in field.blocks.values():
-            blk.lam = blk.lam * 2.0
-        es.hard_threshold(field, bigger)
-        assert field.kept_count() <= kept_before
+        obs, cfg = self._observations()
+        kept = [es.estimate_field(obs, WSPEC,
+                                  dataclasses.replace(cfg, gamma=gamma))
+                .kept_count() for gamma in (4.0, 8.0)]
+        assert kept[1] <= kept[0]
 
 
 class TestReconstruction:
@@ -243,14 +253,15 @@ class TestReconstruction:
         noise = md.NoiseSpec(alpha=1.0, sigma=0.3)
         obs = md.simulate_observations(f, ker, UNIFORM, UNIFORM, noise,
                                        N=128, M=128, seed=9)
-        cfg = es.EstimatorConfig.from_specs(ker, UNIFORM, UNIFORM, noise,
-                                            J1=5, J2=5)
-        field = es.estimate_field(obs, UNIFORM, UNIFORM, ker, WSPEC, cfg)
+        cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, noise, J1=5, J2=5)
+        field = es.estimate_field(obs, WSPEC, cfg)
         recon = es.reconstruct(field, WSPEC, grid=512, which="kept")
         back = es.reanalyze(recon, WSPEC)
         for key, blk in field.blocks.items():
             kept_coeffs = np.where(blk.kept, blk.beta_hat, 0.0)
             assert np.allclose(back[key], kept_coeffs, atol=1e-10)
+        with pytest.raises(md.ParameterError, match="'kep'"):
+            es.reconstruct(field, WSPEC, grid=512, which="kep")
 
     def test_parseval_identity(self):
         """Grid energy of the reconstruction equals the coefficient energy."""
@@ -258,9 +269,8 @@ class TestReconstruction:
         ker = md.identity_kernel()
         obs = md.simulate_observations(f, ker, UNIFORM, UNIFORM, SILENT,
                                        N=128, M=128, seed=2)
-        cfg = es.EstimatorConfig.from_specs(ker, UNIFORM, UNIFORM, SILENT,
-                                            J1=5, J2=5)
-        field = es.estimate_field(obs, UNIFORM, UNIFORM, ker, WSPEC, cfg)
+        cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, SILENT, J1=5, J2=5)
+        field = es.estimate_field(obs, WSPEC, cfg)
         recon = es.reconstruct(field, WSPEC, grid=512, which="all")
         coeff_energy = sum(np.sum(blk.beta_hat ** 2)
                            for blk in field.blocks.values())
@@ -285,11 +295,8 @@ class TestErrorsAndIO:
         d = md.DesignDensity(beta=0.5, x0=0.5)
         t = np.array([0.25, 0.5, 0.75])  # 0.5 sits on the singularity
         x = np.array([0.2, 0.4, 0.6])
-        Y = np.zeros((3, 3))
-        obs = md.ObservationGrid(N=3, M=3, t=t, x=x, Y=Y, seed=0)
         with pytest.raises(es.SingularDesignError):
-            es.estimate_coefficient(es.Index(2, 0, 2, 0), obs, d, UNIFORM,
-                                    md.identity_kernel(), WSPEC)
+            es.FieldPlan(t, x, d, UNIFORM, md.identity_kernel(), WSPEC, 2, 2)
 
     def test_field_csv_roundtrip(self, tmp_path):
         f = md.tensor_sinusoid(1.0, 1.0, max_freq=64)
@@ -297,11 +304,9 @@ class TestErrorsAndIO:
         noise = md.NoiseSpec(alpha=1.0, sigma=0.5)
         obs = md.simulate_observations(f, ker, UNIFORM, UNIFORM, noise,
                                        N=64, M=64, seed=4)
-        cfg = es.EstimatorConfig.from_specs(ker, UNIFORM, UNIFORM, noise,
-                                            J1=4, J2=4)
+        cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, noise, J1=4, J2=4)
         truth = es.true_coefficients(f, WSPEC, 4, 4)
-        field = es.estimate_field(obs, UNIFORM, UNIFORM, ker, WSPEC, cfg,
-                                  beta_true=truth)
+        field = es.estimate_field(obs, WSPEC, cfg, beta_true=truth)
         path = tmp_path / "field.csv"
         es.save_field_csv(field, path)
         back = es.load_field_csv(path, WSPEC, 4, 4)
@@ -322,9 +327,9 @@ class TestErrorsAndIO:
         d = md.DesignDensity(beta=0.3, x0=0.4)
         noise = md.NoiseSpec(alpha=0.8, sigma=0.5)
         obs = md.simulate_observations(f, ker, d, d, noise, N=64, M=64, seed=9)
-        cfg = es.EstimatorConfig.from_specs(ker, d, d, noise, J1=4, J2=5)
+        cfg = es.EstimatorConfig(ker, d, d, noise, J1=4, J2=5)
         truth = es.true_coefficients(f, WSPEC, 4, 5) if with_truth else None
-        field = es.estimate_field(obs, d, d, ker, WSPEC, cfg, beta_true=truth)
+        field = es.estimate_field(obs, WSPEC, cfg, beta_true=truth)
         path = tmp_path / "field.csv"
         es.save_field_csv(field, path)
         rows = ["j1,k1,j2,k2,beta_hat,lambda,kept"
