@@ -20,8 +20,8 @@ from .model import (DesignDensity, KernelSpec, NoiseSpec, ObservationGrid,
 from .estimator import (CoefficientField, EstimatorConfig, FieldPlan, Index,
                         KernelNotInvertibleError, Reconstruction,
                         SingularDesignError, choose_levels, estimate_field,
-                        hard_threshold, load_field_csv, reanalyze,
-                        reconstruct, save_field_csv, save_reconstruction_csv,
+                        hard_threshold, reanalyze, reconstruct,
+                        save_field_csv, save_reconstruction_csv,
                         save_reconstruction_pgm, threshold,
                         true_coefficients)
 from .analysis import (BesovParams, RateReport, RegimeResult,

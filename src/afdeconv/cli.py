@@ -43,6 +43,8 @@ _DEFAULTS = {
                   "J1": None, "J2": None},
     "seed": 0,
 }
+# the config's other top-level sections, each read by one subcommand
+_SECTIONS = ("simulate", "estimate", "verify", "bench", "besov", "report")
 
 
 def _merge(defaults: dict, given, where: str = "") -> dict:
@@ -121,6 +123,11 @@ def validate_config(cfg: dict, command: str) -> None:
         need(_is_number(grid, integer=True) and grid >= 2, f"{where}.grid",
              f"must be an integer >= 2, got {grid!r}")
 
+    only("config", cfg, (*_DEFAULTS, *_SECTIONS))
+    need(_is_number(cfg.get("seed"), integer=True) and cfg["seed"] >= 0,
+         "seed", f"must be a nonnegative integer, got {cfg.get('seed')!r}")
+    for where in ("kernel", "design", "noise", "estimator"):
+        only(where, cfg[where], _DEFAULTS[where])
     k = cfg["kernel"]
     need(known(k.get("name"), md._KERNELS),
          "kernel.name", f"unknown kernel {k.get('name')!r}")
@@ -128,6 +135,7 @@ def validate_config(cfg: dict, command: str) -> None:
          "kernel.nu", "must be a nonnegative number")
     for axis in ("t", "x"):
         d = cfg["design"][axis]
+        only(f"design.{axis}", d, _DEFAULTS["design"][axis])
         need(_is_number(d.get("beta")) and 0 <= d["beta"] < 1,
              f"design.{axis}.beta", "must lie in [0, 1)")
         need(_is_number(d.get("x0")) and 0 < d["x0"] < 1,
@@ -491,9 +499,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else dict(_DEFAULTS)
-        validate_config(cfg, args.command)
         if args.seed is not None:
             cfg["seed"] = args.seed
+        validate_config(cfg, args.command)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         if args.command == "simulate":

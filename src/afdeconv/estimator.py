@@ -17,7 +17,7 @@ import numpy as np
 from . import model as md
 from . import wavelets as wv
 from .model import (DesignDensity, KernelSpec, NoiseSpec, ObservationGrid,
-                    ParameterError, TestFunction, _read_csv)
+                    ParameterError, TestFunction)
 
 __all__ = [
     "Index",
@@ -36,7 +36,6 @@ __all__ = [
     "reanalyze",
     "FieldPlan",
     "save_field_csv",
-    "load_field_csv",
     "save_reconstruction_csv",
     "save_reconstruction_pgm",
 ]
@@ -442,41 +441,6 @@ def save_field_csv(fieldobj: CoefficientField, path) -> None:
                 rows = "".join(template.replace("\0", str(k1))
                                for k1 in range(a, min(a + step, count1)))
                 fh.write(rows % tuple(table[a:a + step].ravel().tolist()))
-
-
-def load_field_csv(path, wspec: wv.WaveletSpec, J1: int, J2: int) -> CoefficientField:
-    """Read a ``save_field_csv`` file into the field of levels (J1, J2);
-    its rows must list every index of that field exactly once."""
-    data = _read_csv(path, _FIELD_COLUMNS, optional=("beta_true",))
-    j1, k1, j2, k2 = (data[name].astype(int) for name in _FIELD_COLUMNS[:4])
-    fieldobj = CoefficientField.empty(wspec, J1, J2)
-    placed = 0
-    for (lev1, lev2), blk in fieldobj.blocks.items():
-        shape = (fieldobj.counts1[lev1], fieldobj.counts2[lev2])
-        rows = np.flatnonzero((j1 == lev1) & (j2 == lev2))
-        placed += rows.size
-        try:
-            flat = np.ravel_multi_index((k1[rows], k2[rows]), shape)
-        except ValueError as exc:
-            raise ParameterError(f"{path}: a shift outside level block "
-                                 f"({lev1}, {lev2})") from exc
-        if flat.size != math.prod(shape) or np.unique(flat).size != flat.size:
-            raise ParameterError(f"{path}: level block ({lev1}, {lev2}) must "
-                                 f"list each of its {math.prod(shape)} shifts "
-                                 "once")
-        blk.beta_hat = np.zeros(shape)
-        blk.lam = np.zeros(shape)
-        blk.kept = np.zeros(shape, dtype=bool)
-        blk.beta_hat.flat[flat] = data["beta_hat"][rows]
-        blk.lam.flat[flat] = data["lambda"][rows]
-        blk.kept.flat[flat] = data["kept"][rows] != 0
-        if "beta_true" in data:
-            blk.beta_true = np.zeros(shape)
-            blk.beta_true.flat[flat] = data["beta_true"][rows]
-    if placed != j1.size:
-        raise ParameterError(f"{path}: rows outside the levels of "
-                             f"J1={J1}, J2={J2}")
-    return fieldobj
 
 
 def save_reconstruction_csv(recon: Reconstruction, path) -> None:

@@ -270,8 +270,14 @@ def _draw_innovations(rng: np.random.Generator, shape, kind: str) -> np.ndarray:
     """Unit-variance innovations of the noise law `kind`, of shape `shape`."""
     if kind == "gaussian-fgn":
         return rng.standard_normal(shape)
-    # Rademacher +-1: unit variance, psi_2 norm bounded by 1.
-    return rng.integers(0, 2, size=shape) * 2.0 - 1.0
+    # Rademacher +-1: unit variance, psi_2 norm bounded by 1.  -1.0 and
+    # +1.0 differ only in the sign bit, so the int64 draw z in {0, 1}
+    # becomes the float64 result 2z - 1 in its own buffer, with no copy.
+    bits = rng.integers(0, 2, size=shape).view(np.uint64)
+    bits ^= 1
+    bits <<= 63
+    bits |= np.float64(1.0).view(np.uint64)
+    return bits.view(np.float64)
 
 
 def _davies_harte_embedding(N: int, alpha: float) -> np.ndarray:
@@ -556,14 +562,20 @@ def _bad_row(path, width: int, exc: ValueError) -> str:
     return f"unreadable data: {exc}"
 
 
-def _read_csv(path, names, optional=()) -> dict[str, np.ndarray]:
-    """The named columns of a numeric CSV table with one header line.
+def _csv_blocks(path, names) -> Iterator[tuple[int, dict[str, np.ndarray]]]:
+    """The named columns of a numeric CSV table with one header line, in
+    blocks of up to ``_BLOCK_ROWS`` data rows, each with the number of data
+    rows before it.
 
-    numpy's C parser reads the data rows.  A missing header column, a
-    field that is not a number, a row whose field count differs from the
-    header's, no data rows, or a last line without its newline (the file
-    was cut) raise ``ParameterError``.  ``optional`` columns appear in the
-    result only when the header has them.
+    numpy's C parser reads every block from one open file.  A missing
+    header column or a last line without its newline (the file was cut)
+    raise ``ParameterError`` before the first block; a field that is not a
+    number or a row whose field count differs from the header's raise it
+    at the block that holds them, naming the first such row of the file;
+    no data rows, or rows that all have another field count than the
+    header, raise it after the last block.  A caller that raises its own
+    errors only after the last block keeps these first, as one parse of
+    the whole file would.
     """
     with open(path, "rb") as fh:
         header = [name.strip() for name in
@@ -577,21 +589,42 @@ def _read_csv(path, names, optional=()) -> dict[str, np.ndarray]:
     if cut:
         raise ParameterError(f"{path}: the last line has no newline; "
                              "the file is cut short")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # no data: checked below
-        try:
-            table = np.loadtxt(path, delimiter=",", skiprows=1, comments=None,
-                               ndmin=2)
-        except ValueError as exc:
-            raise ParameterError(f"{path}: {_bad_row(path, len(header), exc)}"
-                                 ) from exc
-    if table.shape[0] == 0:
+    start, width, rows = 0, None, _BLOCK_ROWS
+    with open(path) as fh:  # text mode and encoding as np.loadtxt opens a path
+        fh.readline()
+        while rows == _BLOCK_ROWS:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # no data
+                    block = np.loadtxt(fh, delimiter=",", comments=None,
+                                       ndmin=2, max_rows=_BLOCK_ROWS)
+                if len(block) and width not in (None, block.shape[1]):
+                    # one parse of the whole file rejects the change too
+                    raise ValueError(f"{block.shape[1]} fields per row after "
+                                     f"{start} rows of {width}")
+            except ValueError as exc:
+                raise ParameterError(f"{path}: {_bad_row(path, len(header), exc)}"
+                                     ) from exc
+            rows = len(block)
+            if rows:
+                width = block.shape[1]
+                if width == len(header):
+                    yield start, {name: block[:, header.index(name)]
+                                  for name in names}
+            start += rows
+    if start == 0:
         raise ParameterError(f"{path}: no data rows below the header")
-    if table.shape[1] != len(header):
-        raise ParameterError(f"{path}: {table.shape[1]} fields per data row "
+    if width != len(header):
+        raise ParameterError(f"{path}: {width} fields per data row "
                              f"for the {len(header)} header columns")
-    return {name: table[:, header.index(name)]
-            for name in (*names, *optional) if name in header}
+
+
+def _read_csv(path, names) -> dict[str, np.ndarray]:
+    """The named columns of a whole numeric CSV table, read and checked by
+    ``_csv_blocks``."""
+    blocks = [columns for _, columns in _csv_blocks(path, names)]
+    return {name: np.concatenate([block[name] for block in blocks])
+            for name in names}
 
 
 def save_csv(obs: ObservationGrid, path) -> None:
@@ -611,51 +644,116 @@ def save_csv(obs: ObservationGrid, path) -> None:
             fh.write(rows % tuple(obs.Y[a:a + step].ravel().tolist()))
 
 
+def _by_index(values, index, new) -> tuple[np.ndarray, bool]:
+    """Write one block of per-row values into the per-index array
+    `values`, grown to cover `index` (NaN where no row gave a value yet);
+    the last row of an index wins, as in one whole-file assignment.
+    Returns the array and whether a row of the block disagrees with an
+    earlier row of its index."""
+    need = int(index.max()) + 1 if index.size else 0
+    if need > values.size:
+        grown = np.full(max(need, 2 * values.size), np.nan)
+        grown[:values.size] = values
+        values = grown
+    old = values[index]
+    values[index] = new
+    clash = np.any((old != new) & ~np.isnan(old)) or np.any(values[index] != new)
+    return values, bool(clash)
+
+
 def load_csv(path) -> ObservationGrid:
     """Read a ``save_csv`` file; every (i, l) of the N x M grid must appear
     exactly once, with N and M the largest indices, every t, x and Y must
-    be finite, and all rows of one i (one l) must give the same t (x)."""
-    data = _read_csv(path, ("i", "l", "t", "x", "Y"))
-    finite = (np.isfinite(data["t"]) & np.isfinite(data["x"])
-              & np.isfinite(data["Y"]))
-    if not np.all(finite):
-        row = int(np.argmin(finite))
+    be finite, and all rows of one i (one l) must give the same t (x).
+
+    The rows are read in blocks of ``_BLOCK_ROWS``.  Besides one block, the
+    loader holds i and l as int32 and Y as float64 per row, the grid Y, and
+    t and x per index: about three times the bytes of the grid.  Each check
+    records its first failing row, and the checks raise in the order above
+    after the last block.  Only a file with two t (x) values for one i (l)
+    is read twice, to name the first row that disagrees with the last row
+    of its index.
+    """
+    # A data row takes at least 10 bytes ("1,1,1,1,1" and its newline), so
+    # an index above `most` exceeds the row count whatever the rest holds.
+    most = os.path.getsize(path) // 10
+    index_type = np.int32 if most < 2 ** 31 else np.int64
+    stored = []  # (start, i - 1, l - 1, Y) of the rows before the first bad one
+    per_index = {"t": np.empty(0), "x": np.empty(0)}
+    clash = {"t": False, "x": False}
+    bad_value = bad_index = None
+    total = 0
+    for start, cols in _csv_blocks(path, ("i", "l", "t", "x", "Y")):
+        total = start + cols["i"].size
+        if bad_value is None:
+            finite = (np.isfinite(cols["t"]) & np.isfinite(cols["x"])
+                      & np.isfinite(cols["Y"]))
+            if not np.all(finite):
+                row = int(np.argmin(finite))
+                bad_value = (start + row, cols["t"][row], cols["x"][row],
+                             cols["Y"][row])
+        if bad_value is not None or bad_index is not None:
+            continue
+        i, l = cols["i"], cols["l"]
+        # an index above the row count is found once every row is counted
+        valid = ((i >= 1) & (l >= 1) & (i <= most) & (l <= most)
+                 & (i == np.round(i)) & (l == np.round(l)))
+        keep = i.size
+        if not np.all(valid):
+            keep = int(np.argmin(valid))
+            bad_index = (start + keep, i[keep], l[keep])
+        i, l = (axis[:keep].astype(index_type) - 1 for axis in (i, l))
+        for name, index in (("t", i), ("x", l)):
+            per_index[name], clashed = _by_index(per_index[name], index,
+                                                 cols[name][:keep])
+            clash[name] |= clashed
+        stored.append((start, i, l, cols["Y"][:keep].copy()))
+    if bad_value is not None:
+        row, t, x, y = bad_value
         raise ParameterError(f"{path}: data row {row + 1} has a non-finite "
-                             f"value (t, x, Y) = ({data['t'][row]}, "
-                             f"{data['x'][row]}, {data['Y'][row]})")
-    i, l = data["i"], data["l"]
-    valid = ((i >= 1) & (l >= 1) & (i <= i.size) & (l <= l.size)
-             & (i == np.round(i)) & (l == np.round(l)))
-    if not np.all(valid):
-        row = int(np.argmin(valid))
+                             f"value (t, x, Y) = ({t}, {x}, {y})")
+    for start, i, l, _ in stored:
+        above = (i >= total) | (l >= total)
+        if np.any(above):
+            row = int(np.argmax(above))
+            bad_index = (start + row, np.float64(i[row] + 1),
+                         np.float64(l[row] + 1))
+            break
+    if bad_index is not None:
+        row, i, l = bad_index
         raise ParameterError(f"{path}: data row {row + 1} has an invalid "
-                             f"index (i, l) = ({i[row]}, {l[row]})")
-    i, l = i.astype(int) - 1, l.astype(int) - 1
-    N, M = int(i.max()) + 1, int(l.max()) + 1
-    if N * M != i.size:
-        raise ParameterError(f"{path}: {i.size} data rows for the {N} x {M} "
+                             f"index (i, l) = ({i}, {l})")
+    N = max(int(i.max()) for _, i, _, _ in stored) + 1
+    M = max(int(l.max()) for _, _, l, _ in stored) + 1
+    if N * M != total:
+        raise ParameterError(f"{path}: {total} data rows for the {N} x {M} "
                              "grid of its largest indices: rows are missing, "
                              "duplicated or out of range")
-    counts = np.bincount(i * M + l, minlength=N * M)
-    if counts.max() > 1:
+    Y = np.full((N, M), np.nan)
+    for _, i, l, y in stored:
+        Y[i, l] = y
+    if np.any(np.isnan(Y)):  # every Y is finite: a cell no row filled
+        counts = np.bincount(np.concatenate([i.astype(np.int64) * M + l
+                                             for _, i, l, _ in stored]),
+                             minlength=N * M)
         bad = int(np.argmax(counts))
         raise ParameterError(f"{path}: duplicate row for (i, l) = "
                              f"({bad // M + 1}, {bad % M + 1})")
-    t = np.empty(N)
-    x = np.empty(M)
-    Y = np.empty((N, M))
-    t[i] = data["t"]
-    x[l] = data["x"]
-    Y[i, l] = data["Y"]
-    for name, axis, index, values in (("t", "i", i, t), ("x", "l", l, x)):
-        conflict = values[index] != data[name]
-        if np.any(conflict):
-            row = int(np.argmax(conflict))
-            raise ParameterError(
-                f"{path}: data row {row + 1} gives {name} = "
-                f"{data[name][row]:.17g} for {axis} = {index[row] + 1}, "
-                f"another row of {axis} = {index[row] + 1} gives "
-                f"{values[index[row]]:.17g}")
+    del stored
+    t, x = per_index["t"][:N].copy(), per_index["x"][:M].copy()
+    for name, axis, values in (("t", "i", t), ("x", "l", x)):
+        if not clash[name]:
+            continue
+        for start, cols in _csv_blocks(path, (axis, name)):
+            index = cols[axis].astype(int) - 1
+            conflict = values[index] != cols[name]
+            if np.any(conflict):
+                row = int(np.argmax(conflict))
+                raise ParameterError(
+                    f"{path}: data row {start + row + 1} gives {name} = "
+                    f"{cols[name][row]:.17g} for {axis} = {index[row] + 1}, "
+                    f"another row of {axis} = {index[row] + 1} gives "
+                    f"{values[index[row]]:.17g}")
     return ObservationGrid(N=N, M=M, t=t, x=x, Y=Y)
 
 

@@ -231,21 +231,38 @@ class TestColoredDeviations:
         np.testing.assert_allclose(dev, dev_ref, rtol=0,
                                    atol=1e-13 * np.abs(w).sum())
 
-    @pytest.mark.parametrize("kind", md.NOISE_KINDS)
-    def test_peak_memory_is_bounded(self, kind):
-        """400 replicates of an N*M = 65,536 linear form: the whole
-        innovation matrix would be 200 MiB; the row blocks keep the traced
-        peak under 48 MiB."""
+    @staticmethod
+    def _traced_peak(kind: str) -> int:
+        """Traced peak bytes of 400 replicates of an N*M = 65,536 linear
+        form, drawn in row blocks of 16 MiB."""
         import tracemalloc
         V = np.random.default_rng(3).standard_normal((256, 256))
         noise = md.NoiseSpec(alpha=0.6, kind=kind, sigma=1.0)
         tracemalloc.start()
         try:
             an._colored_deviations(V, noise, 400, seed=5)
-            _, peak = tracemalloc.get_traced_memory()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 48 * 2 ** 20
+
+    @pytest.mark.parametrize("kind", md.NOISE_KINDS)
+    def test_peak_memory_is_bounded(self, kind):
+        """The whole innovation matrix would be 200 MiB; the row blocks
+        keep the traced peak under 48 MiB."""
+        assert self._traced_peak(kind) <= 48 * 2 ** 20
+
+    def test_rademacher_block_peaks_as_gaussian(self):
+        """A Rademacher block turns its int64 draw into the +-1 values in
+        place, so it peaks no higher than a Gaussian block (64 KiB of
+        slack for the interpreter; a float64 copy would add 16 MiB), and
+        its values are those of the draw's 2z - 1."""
+        rad = "subgaussian-rademacher"
+        assert (self._traced_peak(rad)
+                <= self._traced_peak("gaussian-fgn") + 2 ** 16)
+        z = np.random.default_rng(4).integers(0, 2, size=(3, 50))
+        got = md._draw_innovations(np.random.default_rng(4), (3, 50), rad)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, z * 2.0 - 1.0)
 
     @pytest.mark.parametrize("kind", md.NOISE_KINDS)
     def test_lemma2_variance_matches_exact(self, kind):

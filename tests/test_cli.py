@@ -107,16 +107,30 @@ class TestValidation:
         ("estimator", {"J1": "x"}, "estimator.J1: must be null or an integer"),
         ("estimator", {"J1": 2.5}, "estimator.J1"),
         ("estimator", {"J2": True}, "estimator.J2"),
+        ("noise", {"alfa": 0.3}, "noise.alfa: not a noise key"),
+        ("noize", {"alpha": 0.3}, "config.noize: not a config key"),
+        ("estimator", {"gama": 8}, "estimator.gama: not an estimator key"),
+        ("design", {"t": {"xo": 0.2}}, "design.t.xo: not a design.t key"),
+        ("design", {"z": {"beta": 0.2}}, "design.z: not a design key"),
+        ("kernel", {"nuu": 2.0}, "kernel.nuu: not a kernel key"),
+        ("seed", 1.5, "seed: must be a nonnegative integer, got 1.5"),
+        ("seed", "abc", "seed: must be a nonnegative integer, got 'abc'"),
+        ("seed", -1, "seed: must be a nonnegative integer, got -1"),
+        ("seed", True, "seed: must be a nonnegative integer, got True"),
     ], ids=["m10-low", "m10-string", "m20-float", "m20-bool", "regularity",
             "grid_size", "family-haar", "family-null", "wavelet-scalar",
             "design-t-scalar", "besov-string", "besov-zero", "J1-string",
-            "J1-float", "J2-bool"])
+            "J1-float", "J2-bool", "noise-alfa", "noize", "estimator-gama",
+            "design-t-xo", "design-z", "kernel-nuu", "seed-float",
+            "seed-string", "seed-negative", "seed-bool"])
     def test_config_values_checked(self, tmp_path, capsys, section, values,
                                    message):
-        """A section must be a mapping. The wavelet section takes only
+        """A section must be a mapping, and every section and the root
+        reject a key they do not read. The wavelet section takes only
         family (meyer), m10 and m20 (integers >= 2); J1 and J2 are null or
-        integers and besov_radius is positive. Anything else exits 2 with a
-        message, not with a traceback or a silent load."""
+        integers, besov_radius is positive and the seed is a nonnegative
+        integer. Anything else exits 2 with a message, not with a
+        traceback or a silent load."""
         path = write_config(tmp_path, extra={section: values},
                             simulate={"N": 32, "M": 32, "format": "csv"})
         out = tmp_path / "o"
@@ -124,6 +138,16 @@ class TestValidation:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not (out / "observations.csv").exists()
+
+    def test_seed_override_checked(self, tmp_path, capsys):
+        """A --seed override is checked as the config's seed is."""
+        path = write_config(tmp_path,
+                            simulate={"N": 32, "M": 32, "format": "csv"})
+        rc = cli.main(["simulate", "--config", str(path), "--seed", "-3",
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "seed: must be a nonnegative integer, got -3" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("command, extra, key", [
         ("simulate", {"kernel": {"name": "regular-smooth", "nu": True}},

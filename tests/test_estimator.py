@@ -298,6 +298,29 @@ class TestErrorsAndIO:
         with pytest.raises(es.SingularDesignError):
             es.FieldPlan(t, x, d, UNIFORM, md.identity_kernel(), WSPEC, 2, 2)
 
+    @staticmethod
+    def _check_field_rows(path, field, with_truth):
+        """The file read by the package's CSV reader lists every index once,
+        level blocks in (j1, j2) order and k1, k2 row-major inside, with
+        every value bitwise; without the truth there is no beta_true."""
+        names = es._FIELD_COLUMNS + (("beta_true",) if with_truth else ())
+        data = md._read_csv(path, names)
+        expected = {name: [] for name in names}
+        for (j1, j2), blk in sorted(field.blocks.items()):
+            k1, k2 = np.indices(blk.beta_hat.shape)
+            for name, values in (("j1", np.full(k1.size, j1)), ("k1", k1),
+                                 ("j2", np.full(k1.size, j2)), ("k2", k2),
+                                 ("beta_hat", blk.beta_hat),
+                                 ("lambda", blk.lam), ("kept", blk.kept),
+                                 ("beta_true", blk.beta_true)):
+                if name in names:
+                    expected[name].append(np.ravel(values))
+        for name in names:
+            assert np.array_equal(data[name], np.concatenate(expected[name]))
+        if not with_truth:
+            with pytest.raises(md.ParameterError, match="beta_true missing"):
+                md._read_csv(path, (*names, "beta_true"))
+
     def test_field_csv_roundtrip(self, tmp_path):
         f = md.tensor_sinusoid(1.0, 1.0, max_freq=64)
         ker = md.power_kernel(1.0)
@@ -309,18 +332,14 @@ class TestErrorsAndIO:
         field = es.estimate_field(obs, WSPEC, cfg, beta_true=truth)
         path = tmp_path / "field.csv"
         es.save_field_csv(field, path)
-        back = es.load_field_csv(path, WSPEC, 4, 4)
-        for key, blk in field.blocks.items():
-            assert np.allclose(back.blocks[key].beta_hat, blk.beta_hat)
-            assert np.allclose(back.blocks[key].lam, blk.lam)
-            assert np.array_equal(back.blocks[key].kept, blk.kept)
-            assert np.allclose(back.blocks[key].beta_true, blk.beta_true)
+        self._check_field_rows(path, field, with_truth=True)
 
     @pytest.mark.parametrize("with_truth", [True, False])
     def test_field_csv_bytes_and_exact_roundtrip(self, tmp_path, monkeypatch,
                                                  with_truth):
         """On beta = 0.3 designs the block writer's bytes equal one f-string
-        per index, and the loader returns every array bitwise."""
+        per index, and the reader, also in blocks of 100 rows, returns
+        every value bitwise."""
         monkeypatch.setattr(md, "_BLOCK_ROWS", 100)
         f = md.tensor_sinusoid(1.0, 1.0, max_freq=64)
         ker = md.power_kernel(1.0)
@@ -343,36 +362,7 @@ class TestErrorsAndIO:
                         row += f",{blk.beta_true[k1, k2]:.17g}"
                     rows.append(row)
         assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
-        back = es.load_field_csv(path, WSPEC, 4, 5)
-        assert back.blocks.keys() == field.blocks.keys()
-        for key, blk in field.blocks.items():
-            got = back.blocks[key]
-            assert np.array_equal(got.beta_hat, blk.beta_hat)
-            assert np.array_equal(got.lam, blk.lam)
-            assert np.array_equal(got.kept, blk.kept)
-            if with_truth:
-                assert np.array_equal(got.beta_true, blk.beta_true)
-            else:
-                assert got.beta_true is None
-
-    def test_field_csv_load_rejects_bad_rows(self, tmp_path):
-        field = es.CoefficientField.empty(WSPEC, 4, 4)
-        for (j1, j2), blk in field.blocks.items():
-            shape = (field.counts1[j1], field.counts2[j2])
-            blk.beta_hat, blk.lam = np.ones(shape), np.ones(shape)
-            blk.kept = np.ones(shape, dtype=bool)
-        path = tmp_path / "field.csv"
-        es.save_field_csv(field, path)
-        lines = path.read_text().splitlines(keepends=True)
-        for k, line in ((1, "2,0,2,0,abc,0.1,1\n"),  # not a number
-                        (1, "2,9,2,0,0.5,0.1,1\n"),  # k1 outside level 2
-                        (1, "9,0,2,0,0.5,0.1,1\n"),  # level outside J1 = 4
-                        (2, lines[1])):                # one index twice
-            path.write_text("".join(lines[:k] + [line] + lines[k + 1:]))
-            with pytest.raises(md.ParameterError):
-                es.load_field_csv(path, WSPEC, 4, 4)
-        path.write_text("".join(lines))
-        es.load_field_csv(path, WSPEC, 4, 4)
+        self._check_field_rows(path, field, with_truth)
 
     def test_pgm_export(self, tmp_path):
         values = np.linspace(0, 1, 64 * 64).reshape(64, 64)

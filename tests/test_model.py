@@ -475,6 +475,103 @@ class TestSerialization:
         with pytest.raises(md.ParameterError, match=f"for {axis} = "):
             md.load_csv(path)
 
+    # Blocks of 7 rows over the 32 x 16 grid: data row k lies in block
+    # (k + 6) // 7, and the rows of i = 2 are data rows 17-32.
+    @staticmethod
+    def _edited_csv(obs, tmp_path, edits) -> Path:
+        """`obs` written as CSV, then each data row k in `edits` with field
+        `column` set to `text` (a column past the last appends a field)."""
+        path = tmp_path / "obs.csv"
+        md.save_csv(obs, path)
+        lines = path.read_text().splitlines(keepends=True)
+        for row, column, text in edits:
+            fields = lines[row].rstrip("\n").split(",")
+            fields[column:column + 1] = [text]
+            lines[row] = ",".join(fields) + "\n"
+        path.write_text("".join(lines))
+        return path
+
+    def test_blocks_parse_error_beats_earlier_non_finite(self, obs, tmp_path,
+                                                         monkeypatch):
+        """A non-numeric field in block 3 is reported, not the NaN that
+        block 1 holds, as one parse of the whole file reports it."""
+        monkeypatch.setattr(md, "_BLOCK_ROWS", 7)
+        path = self._edited_csv(obs, tmp_path, [(2, 4, "nan"), (17, 4, "abc")])
+        with pytest.raises(md.ParameterError,
+                           match="data row 17 has the field 'abc', not a number"):
+            md.load_csv(path)
+
+    def test_blocks_field_count_change(self, obs, tmp_path, monkeypatch):
+        """Rows one field wider from block 2 on are named at their first."""
+        monkeypatch.setattr(md, "_BLOCK_ROWS", 7)
+        path = self._edited_csv(obs, tmp_path,
+                                [(k, 5, "7") for k in range(8, 513)])
+        with pytest.raises(md.ParameterError,
+                           match="data row 8 has 6 fields for the 5 header "
+                                 "columns"):
+            md.load_csv(path)
+
+    def test_blocks_duplicate_across_blocks(self, obs, tmp_path, monkeypatch):
+        """Data row 3 (block 1) replaced by a copy of data row 20 (block 3),
+        (i, l) = (2, 4): the row count still fits the grid."""
+        monkeypatch.setattr(md, "_BLOCK_ROWS", 7)
+        path = tmp_path / "obs.csv"
+        md.save_csv(obs, path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3] = lines[20]
+        path.write_text("".join(lines))
+        with pytest.raises(md.ParameterError,
+                           match=r"duplicate row for \(i, l\) = \(2, 4\)"):
+            md.load_csv(path)
+
+    @pytest.mark.parametrize("column, edited, named, axis, index", [
+        (2, 30, 30, "i", 2),    # t of a middle row of i = 2, block 5
+        (2, 32, 17, "i", 2),    # t of the last row of i = 2: its first row,
+                                # block 3, disagrees with the loaded value
+        (3, 36, 36, "l", 4),    # x of a middle row of l = 4, block 6
+        (3, 500, 4, "l", 4),    # x of the last row of l = 4: block 1 named
+    ])
+    def test_blocks_conflict_across_blocks(self, obs, tmp_path, monkeypatch,
+                                           column, edited, named, axis, index):
+        """A t (x) conflict between rows in different blocks names the row
+        that one whole-file read names: the first that disagrees with the
+        last row of its index."""
+        monkeypatch.setattr(md, "_BLOCK_ROWS", 7)
+        name = "t" if axis == "i" else "x"
+        value = getattr(obs, name)[index - 1] + 1e-9
+        path = self._edited_csv(obs, tmp_path,
+                                [(edited, column, f"{value:.17g}")])
+        with pytest.raises(md.ParameterError,
+                           match=rf"data row {named} gives {name} = \S+ for "
+                                 rf"{axis} = {index}, another row of {axis} = "
+                                 rf"{index} gives "):
+            md.load_csv(path)
+
+    def test_load_csv_peak_memory(self, tmp_path, monkeypatch):
+        """The traced peak of load_csv stays within 3.5 times the bytes of
+        its output t, x and Y (the per-row i, l and Y it holds, and the
+        grid) plus four parsed tables of one block (the block and numpy's
+        parse buffers); one parse of the whole file peaks at about 10.5
+        times the output bytes here."""
+        import tracemalloc
+        monkeypatch.setattr(md, "_BLOCK_ROWS", 4096)
+        d = md.DesignDensity(beta=0.3, x0=0.4)
+        obs = md.simulate_observations(md.tensor_sinusoid(1.0, 1.0, max_freq=16),
+                                       md.power_kernel(1.0), d, d,
+                                       md.NoiseSpec(alpha=0.8, sigma=0.5),
+                                       N=512, M=256, seed=1)
+        path = tmp_path / "obs.csv"
+        md.save_csv(obs, path)
+        tracemalloc.start()
+        try:
+            back = md.load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = back.t.nbytes + back.x.nbytes + back.Y.nbytes
+        assert peak <= 3.5 * output + 4 * (4096 * 5 * 8)
+        assert np.array_equal(back.Y, obs.Y)
+
     @pytest.mark.parametrize("keep", [10, 16 + 8 * 20, 16 + 8 * 40, -8])
     def test_binary_rejects_truncated(self, obs, tmp_path, keep):
         """Cut inside the header, t (N = 32), x (M = 16) and Y."""
