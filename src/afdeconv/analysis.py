@@ -279,8 +279,8 @@ def verify_lemma1(kernel: md.KernelSpec, wspec: wv.WaveletSpec,
                 for b, k2 in enumerate(ks2):
                     q2 = q2_t[a] * q2_x[b]
                     q4 = q4_t[a] * q4_x[b]
-                    dist1 = max(1.0, abs(k1 - k10))
-                    dist2 = max(1.0, abs(k2 - k20))
+                    dist1 = es._shift_distance(j1, k1, d1.x0)
+                    dist2 = es._shift_distance(j2, k2, d2.x0)
                     f2 = (2.0 ** ((2 * nu + d1.beta) * j1 + d2.beta * j2)
                           / (dist1 ** d1.beta * dist2 ** d2.beta))
                     f4 = (2.0 ** (j1 * (4 * nu + 3 * d1.beta)
@@ -367,10 +367,8 @@ def verify_lemma2(index: es.Index, kernel: md.KernelSpec,
     variances, exact_variances, fourth_ratios = [], [], []
     kurt = math.nan
     nu = kernel.nu
-    k10 = round(d1.x0 * 2 ** index.j1)
-    k20 = round(d2.x0 * 2 ** index.j2)
-    dist1 = max(1.0, abs(index.k1 - k10))
-    dist2 = max(1.0, abs(index.k2 - k20))
+    dist1 = es._shift_distance(index.j1, index.k1, d1.x0)
+    dist2 = es._shift_distance(index.j2, index.k2, d2.x0)
     for i, N in enumerate(N_ladder):
         V = _deviation_weights(index, kernel, wspec, d1, d2, N, M)
         w, dev = _colored_deviations(V, noise, replicates, seed + i)

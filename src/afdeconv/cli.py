@@ -10,11 +10,13 @@ Exit codes: 0 success, 2 config/validation failure, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import inspect
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
@@ -33,39 +35,6 @@ class ConfigError(ValueError):
     """Invalid run configuration; message lists the offending fields."""
 
 
-_DEFAULTS = {
-    "kernel": {"name": "regular-smooth", "nu": 1.0},
-    "design": {"t": {"beta": 0.0, "x0": 0.5}, "x": {"beta": 0.0, "x0": 0.5}},
-    "noise": {"alpha": 1.0, "kind": "gaussian-fgn", "sigma": 1.0},
-    "wavelet": {"family": "meyer", "m10": 3, "m20": 3},
-    "function": {"name": "tensor-sinusoid"},
-    "estimator": {"gamma": 4.0, "mu": 4.0, "besov_radius": 1.0,
-                  "J1": None, "J2": None},
-    "seed": 0,
-}
-# the config's other top-level sections, each read by one subcommand
-_SECTIONS = ("simulate", "estimate", "verify", "bench", "besov", "report")
-
-
-def _merge(defaults: dict, given, where: str = "") -> dict:
-    """`given` over `defaults`, recursing into the nested sections; `where`
-    is the dotted name of the section."""
-    if not isinstance(given, dict):
-        raise ConfigError(f"{where or 'config root'}: must be a mapping, "
-                          f"got {given!r}")
-    merged = {**defaults, **given}
-    for key, val in defaults.items():
-        if isinstance(val, dict):
-            merged[key] = _merge(val, given.get(key) or {},
-                                 f"{where}.{key}".lstrip("."))
-    return merged
-
-
-def load_config(path) -> dict:
-    with open(path) as fh:
-        return _merge(_DEFAULTS, yaml.safe_load(fh))
-
-
 def _is_number(val, integer: bool = False) -> bool:
     """A finite int or float (an int if `integer`); bools are not numbers."""
     if isinstance(val, bool) or not isinstance(val, int if integer else (int, float)):
@@ -82,83 +51,161 @@ def _int_list(val, size: int | None = None, low: int | None = None) -> bool:
                     for v in val))
 
 
-_POSITIVE_INT = (lambda val: _is_number(val, integer=True) and val >= 1,
-                 "a positive integer")
-# every key cmd_verify reads besides `lemmas`: (check, what it wants)
-_VERIFY_CHECKS = {
-    "index": (lambda val: _int_list(val, 4), "a list of 4 integers"),
-    "indices": (lambda val: isinstance(val, list) and len(val) > 0
-                and all(_int_list(i, 4) for i in val),
-                "a non-empty list of lists of 4 integers"),
-    "levels1": (_int_list, "a non-empty list of integers"),
-    "N_ladder": (lambda val: _int_list(val, low=1),
-                 "a non-empty list of positive integers"),
-    "M": _POSITIVE_INT,
-    "N": _POSITIVE_INT,
-    "replicates": _POSITIVE_INT,
-    "ladder": (lambda val: isinstance(val, list)
-               and all(_int_list(p, 2, low=1) for p in val),
-               "a list of [N, M] pairs of positive integers"),
+def _pairs(val) -> bool:
+    return isinstance(val, list) and all(_int_list(p, 2, low=1) for p in val)
+
+
+_REQUIRED = object()  # no default: the key must be given
+_UNSET = object()     # no default: the key stays out of the config when not given
+
+
+class _Key(NamedTuple):
+    """One config key: its default, its check and what the check wants."""
+    default: object
+    ok: Callable[[object], bool]
+    wants: str
+
+
+def _real(default, ok=lambda val: True, wants="a real number") -> _Key:
+    return _Key(default, lambda val: _is_number(val) and ok(val), wants)
+
+
+def _integer(default, low: int) -> _Key:
+    wants = {0: "a nonnegative integer", 1: "a positive integer"}.get(
+        low, f"an integer >= {low}")
+    return _Key(default, lambda val: _is_number(val, integer=True) and val >= low,
+                wants)
+
+
+def _choice(default, choices, wants: str | None = None) -> _Key:
+    return _Key(default, lambda val: isinstance(val, str) and val in choices,
+                wants or f"one of {list(choices)}")
+
+
+def _positive(default) -> _Key:
+    return _real(default, lambda val: val > 0, "a positive number")
+
+
+_AXIS = {"beta": _real(0.0, lambda val: 0 <= val < 1, "a number in [0, 1)"),
+         "x0": _real(0.5, lambda val: 0 < val < 1, "a number in (0, 1)")}
+_LEVEL = _Key(None, lambda val: val is None or _is_number(val, integer=True),
+              "null or an integer")
+_GRID = _integer(512, 2)
+_LEMMAS = [1, 2, 3]
+# Every config key; a nested mapping is a section.  Every subcommand reads
+# the `_MODEL` sections and one more, its `_READS` section.
+_SCHEMA = {
+    "kernel": {"name": _choice("regular-smooth", md._KERNELS),
+               "nu": _real(1.0, lambda val: val >= 0, "a nonnegative number")},
+    "design": {"t": _AXIS, "x": _AXIS},
+    "noise": {"alpha": _real(1.0, lambda val: 0 < val <= 1, "a number in (0, 1]"),
+              "kind": _choice("gaussian-fgn", md.NOISE_KINDS),
+              "sigma": _real(1.0, lambda val: val >= 0, "a nonnegative number")},
+    "wavelet": {"family": _choice("meyer", ("meyer",), "meyer, the only basis "
+                                  "(other families were removed)"),
+                "m10": _integer(3, 2), "m20": _integer(3, 2)},
+    # the other keys of `function` are its factory's, see validate_config
+    "function": {"name": _choice("tensor-sinusoid", md._TEST_FUNCTIONS)},
+    "estimator": {"gamma": _positive(4.0), "mu": _positive(4.0),
+                  "besov_radius": _positive(1.0), "J1": _LEVEL, "J2": _LEVEL},
+    "seed": _integer(0, 0),
+    "simulate": {"N": _integer(_REQUIRED, 16), "M": _integer(_REQUIRED, 16),
+                 "format": _choice("csv", ("csv", "binary", "both"),
+                                   "csv, binary or both")},
+    "estimate": {"observations": _Key(_REQUIRED, lambda val: isinstance(val, str)
+                                      and val != "", "a path to an observation file"),
+                 "grid": _GRID,
+                 "pgm": _Key(False, lambda val: isinstance(val, bool), "true or false")},
+    # `M` and `replicates` default per lemma in cmd_verify
+    "verify": {"lemmas": _Key(_LEMMAS, lambda val: _int_list(val)
+                              and set(val) <= set(_LEMMAS),
+                              f"a non-empty subset of {_LEMMAS}"),
+               "index": _Key([3, 2, 2, 1], lambda val: _int_list(val, 4),
+                             "a list of 4 integers"),
+               "indices": _Key([[3, 2, 2, 1], [2, 0, 3, 4]],
+                               lambda val: isinstance(val, list) and len(val) > 0
+                               and all(_int_list(i, 4) for i in val),
+                               "a non-empty list of lists of 4 integers"),
+               "levels1": _Key([3, 4, 5, 6], _int_list, "a non-empty list of integers"),
+               "N_ladder": _Key([128, 256, 512, 1024], lambda val: _int_list(val, low=1),
+                                "a non-empty list of positive integers"),
+               "M": _integer(_UNSET, 1), "N": _integer(256, 1),
+               "replicates": _integer(_UNSET, 1),
+               "ladder": _Key([], _pairs, "a list of [N, M] pairs of positive integers")},
+    "bench": {"ladder": _Key(_REQUIRED, lambda val: _pairs(val) and len(val) > 0,
+                             "a non-empty list of [N, M] pairs of positive integers"),
+              "replicates": _integer(20, 1), "grid": _GRID},
+    # unset keys keep the defaults of analysis.BesovParams
+    "besov": {"s1": _real(_REQUIRED), "s2": _real(_REQUIRED),
+              "p": _real(_UNSET, lambda val: val >= 1, "a number >= 1"),
+              "q": _real(_UNSET, lambda val: val >= 1, "a number >= 1"),
+              "radius": _positive(_UNSET)},
+    "report": {"source": _Key(".", lambda val: isinstance(val, str),
+                              "a path to a bench-rate output directory or CSV")},
 }
+_MODEL = ("kernel", "design", "noise", "wavelet", "function", "estimator", "seed")
+# the section each subcommand reads besides the model; all but `report`
+# are required, and `bench-rate` also reads `besov` when it is given
+_READS = {"simulate": "simulate", "estimate": "estimate",
+          "verify-lemmas": "verify", "bench-rate": "bench", "report": "report"}
 
 
-def validate_config(cfg: dict, command: str) -> None:
+def _walk(table: dict, given, where: str, errors: list, reads=None):
+    """`given` merged over the defaults of `table`, the schema of section
+    `where` ("" for the root); every failed check appends its message to
+    `errors`.  Only the keys in `reads` (all when None) are merged and
+    checked: the others pass through as given."""
+    label = where or "config"
+    given = given or {}
+    if not isinstance(given, dict):
+        errors.append(f"{label}: must be a mapping, got {given!r}")
+        return given
+    if where != "function":  # its other keys are its factory's keywords
+        article = "an" if label[0] in "aeiou" else "a"
+        for key in sorted(set(given) - set(table), key=str):
+            errors.append(f"{label}.{key}: not {article} {label} key; "
+                          f"choose from {list(table)}")
+    merged = dict(given)
+    for key, spec in table.items():
+        if reads is not None and key not in reads:
+            continue
+        name = f"{where}.{key}".lstrip(".")
+        if isinstance(spec, dict):
+            merged[key] = _walk(spec, given.get(key), name, errors)
+        elif key in given:
+            if not spec.ok(given[key]):
+                errors.append(f"{name}: must be {spec.wants}, got {given[key]!r}")
+        elif spec.default is _REQUIRED:
+            errors.append(f"{name}: must be {spec.wants}, not given")
+        elif spec.default is not _UNSET:
+            merged[key] = copy.deepcopy(spec.default)
+    return merged
+
+
+def load_config(path) -> dict:
+    """The YAML mapping at `path`; `validate_config` merges it over the
+    schema."""
+    with open(path) as fh:
+        cfg = yaml.safe_load(fh)
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config root: must be a mapping, got {cfg!r}")
+    return cfg
+
+
+def validate_config(cfg: dict, command: str) -> dict:
+    """`cfg` merged over the schema's defaults for the sections `command`
+    reads; raises ConfigError listing every failed check."""
     errors = []
-
-    def need(cond, field, msg):
-        if not cond:
-            errors.append(f"{field}: {msg}")
-
-    def known(name, registry):
-        return isinstance(name, str) and name in registry
-
-    def only(where, section, keys):
-        article = "an" if where[0] in "aeiou" else "a"
-        for key in sorted(set(section) - set(keys), key=str):
-            errors.append(f"{where}.{key}: not {article} {where} key; "
-                          f"choose from {list(keys)}")
-
-    def check_grid(where, section):
-        grid = section.get("grid", 512)
-        need(_is_number(grid, integer=True) and grid >= 2, f"{where}.grid",
-             f"must be an integer >= 2, got {grid!r}")
-
-    only("config", cfg, (*_DEFAULTS, *_SECTIONS))
-    need(_is_number(cfg.get("seed"), integer=True) and cfg["seed"] >= 0,
-         "seed", f"must be a nonnegative integer, got {cfg.get('seed')!r}")
-    for where in ("kernel", "design", "noise", "estimator"):
-        only(where, cfg[where], _DEFAULTS[where])
-    k = cfg["kernel"]
-    need(known(k.get("name"), md._KERNELS),
-         "kernel.name", f"unknown kernel {k.get('name')!r}")
-    need(_is_number(k.get("nu")) and k["nu"] >= 0,
-         "kernel.nu", "must be a nonnegative number")
-    for axis in ("t", "x"):
-        d = cfg["design"][axis]
-        only(f"design.{axis}", d, _DEFAULTS["design"][axis])
-        need(_is_number(d.get("beta")) and 0 <= d["beta"] < 1,
-             f"design.{axis}.beta", "must lie in [0, 1)")
-        need(_is_number(d.get("x0")) and 0 < d["x0"] < 1,
-             f"design.{axis}.x0", "must lie in (0, 1)")
-    nz = cfg["noise"]
-    need(_is_number(nz.get("alpha")) and 0 < nz["alpha"] <= 1,
-         "noise.alpha", "must lie in (0, 1]")
-    need(known(nz.get("kind"), md.NOISE_KINDS),
-         "noise.kind", f"unknown kind {nz.get('kind')!r}")
-    need(_is_number(nz.get("sigma")) and nz["sigma"] >= 0,
-         "noise.sigma", "must be >= 0")
-    w = cfg["wavelet"]
-    only("wavelet", w, ("family", "m10", "m20"))
-    need(w.get("family") == "meyer", "wavelet.family",
-         f"must be meyer, the only basis (other families were removed), "
-         f"got {w.get('family')!r}")
-    for key in ("m10", "m20"):
-        need(_is_number(w.get(key), integer=True) and w[key] >= 2,
-             f"wavelet.{key}", f"must be an integer >= 2, got {w.get(key)!r}")
-    fn = cfg["function"]
-    need(known(fn.get("name"), md._TEST_FUNCTIONS),
-         "function.name", f"unknown test function {fn.get('name')!r}")
-    if known(fn.get("name"), md._TEST_FUNCTIONS):
+    section = _READS[command]
+    reads = {*_MODEL, section}
+    if command != "report" and not isinstance(cfg.get(section), dict):
+        errors.append(f"{section}: section required")
+        reads.remove(section)
+    if command == "bench-rate" and cfg.get("besov"):
+        reads.add("besov")  # optional: bench-rate reports its indices when given
+    merged = _walk(_SCHEMA, cfg, "", errors, reads)
+    fn = merged["function"]
+    if isinstance(fn, dict) and _SCHEMA["function"]["name"].ok(fn["name"]):
         params = inspect.signature(md._TEST_FUNCTIONS[fn["name"]]).parameters
         unknown = sorted(set(fn) - {"name"} - set(params), key=str)
         for key in unknown:
@@ -175,72 +222,14 @@ def validate_config(cfg: dict, command: str) -> None:
                 md.make_test_function(fn["name"], **kwargs)
             except md.ParameterError as exc:
                 errors.append(f"function.{exc}")
-    e = cfg["estimator"]
-    need(_is_number(e.get("gamma")) and e["gamma"] > 0,
-         "estimator.gamma", "must be > 0")
-    need(_is_number(e.get("mu")) and e["mu"] > 0,
-         "estimator.mu", "must be > 0")
-    need(_is_number(e.get("besov_radius")) and e["besov_radius"] > 0,
-         "estimator.besov_radius",
-         f"must be a positive number, got {e.get('besov_radius')!r}")
-    for key in ("J1", "J2"):
-        need(e.get(key) is None or _is_number(e[key], integer=True),
-             f"estimator.{key}", f"must be null or an integer, got {e.get(key)!r}")
-    if command == "simulate":
-        sim = cfg.get("simulate")
-        need(isinstance(sim, dict), "simulate", "section required")
-        if isinstance(sim, dict):
-            for dim in ("N", "M"):
-                need(_is_number(sim.get(dim), integer=True) and sim[dim] >= 16,
-                     f"simulate.{dim}", "must be an integer >= 16")
-            need(sim.get("format", "csv") in ("csv", "binary", "both"),
-                 "simulate.format", "must be csv, binary or both")
-    if command == "estimate":
-        sec = cfg.get("estimate")
-        need(isinstance(sec, dict), "estimate", "section required")
-        if isinstance(sec, dict):
-            only("estimate", sec, ("observations", "grid", "pgm"))
-            need(isinstance(sec.get("observations"), str)
-                 and sec["observations"], "estimate.observations",
-                 "path to an observation file is required, got "
-                 f"{sec.get('observations')!r}")
-            check_grid("estimate", sec)
-            need(isinstance(sec.get("pgm", False), bool), "estimate.pgm",
-                 f"must be true or false, got {sec.get('pgm')!r}")
-    if command == "bench-rate":
-        b = cfg.get("bench")
-        need(isinstance(b, dict), "bench", "section required")
-        if isinstance(b, dict):
-            only("bench", b, ("ladder", "replicates", "grid"))
-            ladder = b.get("ladder")
-            need(isinstance(ladder, list) and len(ladder) > 0,
-                 "bench.ladder", "must be a non-empty list of [N, M] pairs")
-            if isinstance(ladder, list):
-                for pair in ladder:
-                    need(_int_list(pair, 2, low=1), "bench.ladder",
-                         f"bad ladder entry {pair!r}, not 2 positive integers")
-            need(_is_number(b.get("replicates", 20), integer=True)
-                 and b.get("replicates", 20) >= 1, "bench.replicates",
-                 f"must be a positive integer, got {b.get('replicates')!r}")
-            check_grid("bench", b)
-    if command == "verify-lemmas":
-        v = cfg.get("verify")
-        need(isinstance(v, dict), "verify", "section required")
-        if isinstance(v, dict):
-            only("verify", v, ("lemmas", *_VERIFY_CHECKS))
-            for key, (ok, what) in _VERIFY_CHECKS.items():
-                need(key not in v or ok(v[key]), f"verify.{key}",
-                     f"must be {what}, got {v.get(key)!r}")
-            lemmas = v.get("lemmas", [1, 2, 3])
-            lemmas_ok = _int_list(lemmas) and set(lemmas) <= {1, 2, 3}
-            need(lemmas_ok, "verify.lemmas",
-                 "must be a non-empty subset of [1, 2, 3]")
-            if lemmas_ok and 2 in lemmas:
-                ladder = v.get("N_ladder", [128, 256, 512, 1024])
-                need(not isinstance(ladder, list) or len(ladder) >= 3,
-                     "verify.N_ladder", "needs at least 3 entries")
+    v = merged.get("verify")
+    if ("verify" in reads and _SCHEMA["verify"]["lemmas"].ok(v["lemmas"])
+            and 2 in v["lemmas"] and isinstance(v["N_ladder"], list)
+            and len(v["N_ladder"]) < 3):
+        errors.append("verify.N_ladder: needs at least 3 entries")
     if errors:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
+    return merged
 
 
 # ----------------------------------------------------------------------
@@ -265,7 +254,7 @@ def _specs(cfg: dict):
     e = cfg["estimator"]
     est_cfg = es.EstimatorConfig(
         kernel, d1, d2, noise, gamma=e["gamma"], mu=e["mu"],
-        besov_radius=e["besov_radius"], J1=e.get("J1"), J2=e.get("J2"))
+        besov_radius=e["besov_radius"], J1=e["J1"], J2=e["J2"])
     return f, wspec, est_cfg
 
 
@@ -291,7 +280,7 @@ def cmd_simulate(cfg: dict, outdir: Path) -> list[Path]:
                                    est_cfg.noise, N=sim["N"], M=sim["M"],
                                    seed=cfg["seed"])
     artifacts = []
-    fmt = sim.get("format", "csv")
+    fmt = sim["format"]
     if fmt in ("csv", "both"):
         path = outdir / "observations.csv"
         md.save_csv(obs, path)
@@ -323,7 +312,7 @@ def cmd_estimate(cfg: dict, outdir: Path) -> list[Path]:
     J1, J2 = est_cfg.resolve_levels(obs.M, obs.N, wspec)
     beta_true = es.true_coefficients(f, wspec, J1, J2)
     field = es.estimate_field(obs, wspec, est_cfg, beta_true=beta_true)
-    grid = sec.get("grid", 512)
+    grid = sec["grid"]
     recon = es.reconstruct(field, wspec, grid=grid, which="kept")
     err = an.mise(recon, f.grid(grid))
     artifacts = []
@@ -333,7 +322,7 @@ def cmd_estimate(cfg: dict, outdir: Path) -> list[Path]:
     grid_path = outdir / "reconstruction.csv"
     es.save_reconstruction_csv(recon, grid_path)
     artifacts.append(grid_path)
-    if sec.get("pgm", False):
+    if sec["pgm"]:
         pgm_path = outdir / "reconstruction.pgm"
         es.save_reconstruction_pgm(recon, pgm_path)
         artifacts.append(pgm_path)
@@ -353,14 +342,14 @@ def cmd_estimate(cfg: dict, outdir: Path) -> list[Path]:
 def cmd_verify(cfg: dict, outdir: Path) -> list[Path]:
     f, wspec, est_cfg = _specs(cfg)
     kernel, d1, d2, noise = est_cfg.kernel, est_cfg.d1, est_cfg.d2, est_cfg.noise
-    v = cfg.get("verify") or {}
-    lemmas = v.get("lemmas", [1, 2, 3])
+    v = cfg["verify"]
+    lemmas = v["lemmas"]
     seed = cfg["seed"]
     artifacts = []
     lines = []
     if 1 in lemmas:
         rep = an.verify_lemma1(kernel, wspec, d1, d2,
-                               levels1=v.get("levels1", [3, 4, 5, 6]))
+                               levels1=v["levels1"])
         path = outdir / "lemma1.csv"
         with open(path, "w", newline="\n") as fh:
             fh.write("j1,k1,j2,k2,ratio2,ratio4\n")
@@ -370,10 +359,10 @@ def cmd_verify(cfg: dict, outdir: Path) -> list[Path]:
         artifacts.append(path)
         lines.append(f"lemma1: spread2={rep.spread2:.4g} spread4={rep.spread4:.4g}")
     if 2 in lemmas:
-        idx = es.Index(*v.get("index", [3, 2, 2, 1]))
+        idx = es.Index(*v["index"])
         rep = an.verify_lemma2(idx, kernel, wspec, d1, d2, noise,
                                M=v.get("M", 128),
-                               N_ladder=v.get("N_ladder", [128, 256, 512, 1024]),
+                               N_ladder=v["N_ladder"],
                                replicates=v.get("replicates", 500), seed=seed)
         path = outdir / "lemma2.csv"
         with open(path, "w", newline="\n") as fh:
@@ -386,12 +375,11 @@ def cmd_verify(cfg: dict, outdir: Path) -> list[Path]:
                      f" exact slope={rep.exact_slope:.4f}"
                      f" kurtosis={rep.kurtosis:.3f}")
     if 3 in lemmas:
-        indices = [es.Index(*i) for i in
-                   v.get("indices", [[3, 2, 2, 1], [2, 0, 3, 4]])]
+        indices = [es.Index(*i) for i in v["indices"]]
         rep = an.verify_lemma3(f, wspec, est_cfg, indices,
-                               M=v.get("M", 256), N=v.get("N", 256),
+                               M=v.get("M", 256), N=v["N"],
                                replicates=v.get("replicates", 1000), seed=seed,
-                               ladder=[tuple(p) for p in v.get("ladder", [])] or None)
+                               ladder=[tuple(p) for p in v["ladder"]] or None)
         path = outdir / "lemma3.csv"
         with open(path, "w", newline="\n") as fh:
             fh.write("j1,k1,j2,k2,exceed_frequency\n")
@@ -424,13 +412,10 @@ def cmd_bench_rate(cfg: dict, outdir: Path, threads: int = 1) -> list[Path]:
     b = cfg["bench"]
     ladder = [tuple(p) for p in b["ladder"]]
     besov = cfg.get("besov")
-    bp = (an.BesovParams(s1=besov["s1"], s2=besov["s2"],
-                         p=besov.get("p", 2.0), q=besov.get("q", 2.0),
-                         radius=besov.get("radius", 1.0))
-          if besov else None)
+    bp = an.BesovParams(**besov) if besov else None
     report = an.rate_experiment(f, wspec, est_cfg, ladder,
-                                replicates=b.get("replicates", 20),
-                                seed=cfg["seed"], grid=b.get("grid", 512),
+                                replicates=b["replicates"],
+                                seed=cfg["seed"], grid=b["grid"],
                                 threads=threads, bp=bp)
     csv_path = outdir / "rate_report.csv"
     an.rate_report_csv(report, csv_path)
@@ -445,7 +430,7 @@ def cmd_bench_rate(cfg: dict, outdir: Path, threads: int = 1) -> list[Path]:
 
 def cmd_report(cfg: dict, outdir: Path, source: Path | None = None) -> list[Path]:
     """Re-summarize a previous bench-rate output directory."""
-    src = source or Path(cfg.get("report", {}).get("source", "."))
+    src = source or Path(cfg["report"]["source"])
     csv_path = src / "rate_report.csv" if src.is_dir() else src
     if not csv_path.exists():
         raise FileNotFoundError(f"rate report not found: {csv_path}")
@@ -498,10 +483,13 @@ _NUMERICAL_ERRORS = (es.KernelNotInvertibleError, wv.ResolutionOverflowError,
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config) if args.config else dict(_DEFAULTS)
+        if getattr(args, "threads", 1) < 1:
+            raise ConfigError(
+                f"--threads: must be a positive integer, got {args.threads}")
+        cfg = load_config(args.config) if args.config else {}
         if args.seed is not None:
             cfg["seed"] = args.seed
-        validate_config(cfg, args.command)
+        cfg = validate_config(cfg, args.command)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         if args.command == "simulate":

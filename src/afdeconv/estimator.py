@@ -116,14 +116,10 @@ def choose_levels(M: int, N: int, alpha: float, sigma: float,
     return min(J1, cap1), min(J2, cap2)
 
 
-def _shift_distance_factor(level: int, count: int, beta: float,
-                           singularity: float) -> np.ndarray:
-    """max(1, |k - k0|)^beta for all shifts, k0 = round(x0 2^j)."""
-    if beta == 0.0:
-        return np.ones(count)
-    k0 = round(singularity * 2 ** level)
-    k = np.arange(count)
-    return np.maximum(1.0, np.abs(k - k0)) ** beta
+def _shift_distance(level: int, k, singularity: float):
+    """max(1, |k - k0|), k0 = round(x0 2^j): how far shift(s) `k` of level
+    j sit from the shift at the design singularity x0."""
+    return np.maximum(1.0, np.abs(k - round(singularity * 2 ** level)))
 
 
 def _threshold_block(cfg: EstimatorConfig, M: int, N: int, j1: int, j2: int,
@@ -136,8 +132,8 @@ def _threshold_block(cfg: EstimatorConfig, M: int, N: int, j1: int, j2: int,
     else:
         log_factor = 1.0 + cfg.mu ** 2 * math.log(n_eff)
     base = noise.sigma ** 2 * level_factor * log_factor / n_eff
-    dist1 = _shift_distance_factor(j1, count1, d1.beta, d1.x0)
-    dist2 = _shift_distance_factor(j2, count2, d2.beta, d2.x0)
+    dist1 = _shift_distance(j1, np.arange(count1), d1.x0) ** d1.beta
+    dist2 = _shift_distance(j2, np.arange(count2), d2.x0) ** d2.beta
     return np.sqrt(base / (dist1[:, None] * dist2[None, :]))
 
 

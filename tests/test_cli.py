@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +166,17 @@ class TestValidation:
         ("bench-rate", {"bench": {"ladder": [[64, True]]}}, "bench.ladder"),
         ("bench-rate", {"bench": {"ladder": [[64, 64]], "replicates": True}},
          "bench.replicates"),
+        ("bench-rate", {"bench": {"ladder": [[64, 64]]},
+                        "besov": {"s1": True, "s2": 1.0}}, "besov.s1"),
+        ("bench-rate", {"bench": {"ladder": [[64, 64]]}, "besov": 5}, "besov"),
+        ("bench-rate", {"bench": {"ladder": [[64, 64]]}, "besov": {"s1": 1.0}},
+         "besov.s2"),
+        ("bench-rate", {"bench": {"ladder": [[64, 64]]},
+                        "besov": {"s1": "x", "s2": 1.0}}, "besov.s1"),
+        ("bench-rate", {"bench": {"ladder": [[64, 64]]},
+                        "besov": {"s1": 1, "s2": 1, "foo": 3}}, "besov.foo"),
+        ("report", {"report": 5}, "report"),
+        ("report", {"report": {"source": 5}}, "report.source"),
     ], ids=lambda v: v if isinstance(v, str) and "." in v else None)
     def test_boolean_is_not_a_number(self, tmp_path, capsys, command, extra,
                                      key):
@@ -248,6 +260,32 @@ class TestValidation:
         for command in ("simulate", "estimate", "verify-lemmas",
                         "bench-rate", "report"):
             cli.validate_config(cfg, command)
+
+    def test_readme_tables_list_schema_keys(self):
+        """The README's CLI key tables name exactly the keys of the
+        config schema, so the documentation cannot drift from it."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        cli_section = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+        documented = re.findall(r"^\| `([\w.]+)` \|", cli_section, re.M)
+
+        def keys(table, where=""):
+            for key, spec in table.items():
+                name = f"{where}.{key}".lstrip(".")
+                yield from keys(spec, name) if isinstance(spec, dict) else [name]
+
+        assert sorted(documented) == sorted(keys(cli._SCHEMA))
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
+        """`--threads` below 1 exits 2 with a message, as a bad `--seed`
+        does, instead of running serially."""
+        path = write_config(tmp_path, extra={"bench": {"ladder": [[64, 64]]}})
+        out = tmp_path / "o"
+        assert cli.main(["bench-rate", "--config", str(path), "--threads",
+                         threads, "--out", str(out)]) == 2
+        assert f"--threads: must be a positive integer, got {threads}" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     def test_threads_only_on_bench_rate(self, tmp_path):
         path = write_config(tmp_path)
@@ -453,3 +491,30 @@ class TestVerifyAndBench:
         assert cli.main(["report", "--source", str(src),
                          "--out", str(tmp_path / "rep")]) == 2
         assert str(src) in capsys.readouterr().err
+
+
+class TestResolvedConfig:
+
+    def test_resolved_config_is_a_fixed_point(self, tmp_path):
+        """Each subcommand rerun on its own `resolved_config.yaml` passes
+        validation and writes a byte-identical manifest: the merged config
+        is a fixed point of the schema."""
+        path = write_config(tmp_path, extra={
+            "estimate": {"observations": str(tmp_path / "simulate" /
+                                              "observations.csv")},
+            "verify": {"lemmas": [1], "levels1": [3, 4]},
+            "bench": {"ladder": [[64, 64], [128, 128], [256, 256]],
+                      "replicates": 1, "grid": 64},
+            "besov": {"s1": 2.0, "s2": 2.0}})
+        for command in ("simulate", "estimate", "verify-lemmas", "bench-rate",
+                        "report"):
+            out, again = tmp_path / command, tmp_path / f"{command}-again"
+            extra = (["--source", str(tmp_path / "bench-rate")]
+                     if command == "report" else [])
+            assert cli.main([command, "--config", str(path), "--out", str(out),
+                             *extra]) == 0
+            assert cli.main([command, "--config",
+                             str(out / "resolved_config.yaml"),
+                             "--out", str(again), *extra]) == 0
+            assert (again / "manifest.txt").read_bytes() == \
+                (out / "manifest.txt").read_bytes(), command
