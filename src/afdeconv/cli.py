@@ -428,9 +428,9 @@ def cmd_bench_rate(cfg: dict, outdir: Path, threads: int = 1) -> list[Path]:
     return artifacts
 
 
-def cmd_report(cfg: dict, outdir: Path, source: Path | None = None) -> list[Path]:
+def cmd_report(cfg: dict, outdir: Path) -> list[Path]:
     """Re-summarize a previous bench-rate output directory."""
-    src = source or Path(cfg["report"]["source"])
+    src = Path(cfg["report"]["source"])
     csv_path = src / "rate_report.csv" if src.is_dir() else src
     if not csv_path.exists():
         raise FileNotFoundError(f"rate report not found: {csv_path}")
@@ -489,6 +489,11 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if args.config else {}
         if args.seed is not None:
             cfg["seed"] = args.seed
+        report = cfg.get("report") or {}
+        if getattr(args, "source", None) and isinstance(report, dict):
+            # --source overrides report.source, so the resolved config
+            # names the source it read; a non-mapping fails validation
+            cfg["report"] = {**report, "source": args.source}
         cfg = validate_config(cfg, args.command)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -501,8 +506,7 @@ def main(argv=None) -> int:
         elif args.command == "bench-rate":
             cmd_bench_rate(cfg, outdir, threads=args.threads)
         elif args.command == "report":
-            cmd_report(cfg, outdir,
-                       source=Path(args.source) if args.source else None)
+            cmd_report(cfg, outdir)
         return 0
     except (ConfigError, md.ParameterError, FileNotFoundError,
             yaml.YAMLError) as exc:

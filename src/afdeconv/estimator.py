@@ -229,20 +229,38 @@ class CoefficientField:
                        if blk.kept is not None))
 
 
+# Columns of Y per block of FieldPlan.estimate: the t-transform of one
+# block is 2 (b + 1) x 128 float64, 0.3 MiB at the t-band b = 170 of J1 = 8.
+_BLOCK_COLUMNS = 128
+
+
+def _reciprocal_density(points: np.ndarray, d: DesignDensity) -> np.ndarray:
+    h = d.pdf(points)
+    if np.any(h == 0.0):
+        raise SingularDesignError("singular design point: density vanishes "
+                                  "at a design location")
+    return 1.0 / h
+
+
 class FieldPlan:
     """Design-dependent matrices that estimate every coefficient at once.
 
-    With W = Y / (h1 h2), the estimate of index (j1, k1; j2, k2) is
-    ``(NM)^{-1} sum_{i,l} U(t_i, x_l) W_il``.  Writing U through its Fourier
-    coefficients ``psihat_{j1,k1}(m) / conj(g(m, x_l))`` splits the sum into
-    products: the t-transform ``What[m, l] = sum_i e^{i 2 pi m t_i} W_il``
-    over the union t-band, then per t-level
+    The estimate of index (j1, k1; j2, k2) is
+    ``(NM)^{-1} sum_{i,l} U(t_i, x_l) Y_il / (h1(t_i) h2(x_l))``.  Writing U
+    through its Fourier coefficients ``psihat_{j1,k1}(m) / conj(g(m, x_l))``
+    splits the sum into products: the t-transform
+    ``What[m, l] = sum_i e^{i 2 pi m t_i} Y_il / (h1(t_i) h2(x_l))`` over
+    the union t-band, then per t-level
     ``Z = Re(psi^T (What[band] / conj(G)))`` with psi the level matrix of
     ``wavelets.build_basis``, then ``Z @ eta / (NM)`` per x-level.  The
-    kernel enters as ``G = g(m, x)``, a band x 1 column for an x-independent
-    kernel and a band x M block otherwise, so both kinds take this one path.
-    Reused across replicates that share the design, kernel and basis; equal
-    for every index, up to rounding, to the per-index quadrature with
+    weight is never formed as an N x M matrix: 1/h1 is folded into the
+    cos and sin rows of the transform and 1/h2 scales its columns.  Y is
+    real, so ``What[-m] = conj(What[m])`` and only m = 0..b is transformed,
+    for ``_BLOCK_COLUMNS`` columns of Y at a time.  The kernel enters as
+    ``G = g(m, x)``, a band x 1 column for an x-independent kernel and a
+    band x M block otherwise, so both kinds take this one path.  Reused
+    across replicates that share the design, kernel and basis; equal for
+    every index, up to rounding, to the per-index quadrature with
     ``compute_U``.
     """
 
@@ -253,35 +271,48 @@ class FieldPlan:
         self.x = np.asarray(x, dtype=float)
         self.N, self.M = self.t.size, self.x.size
         self.J1, self.J2 = J1, J2
-        self.weights = _reciprocal_weights(self.t, self.x, d1, d2)
+        inv_h1 = _reciprocal_density(self.t, d1)
+        self.inv_h2 = _reciprocal_density(self.x, d2)
         self.levels1 = wv.level_range(wspec, J1, axis=0)
         self.levels2 = wv.level_range(wspec, J2, axis=1)
         # eta_{j2,k2}(x_l), one (M, count) matrix per x-level
         self.eta = {j2: wv.eval_on_points(self.x, *wv.build_basis(wspec, j2, axis=1))
                     for j2 in self.levels2}
-        # per t-level: rows of the union band, psi matrix, conj(g) on the band
+        # per t-level: rows |m| of the half band, which of them to
+        # conjugate (m < 0), psi matrix, conj(g) on the band
         basis1 = _bases(wspec, self.levels1, axis=0)
         band = _band(basis1)
-        self.t_basis = {j1: (m + band, psi, _conj_kernel(kernel, m, self.x, j1))
+        self.t_basis = {j1: (np.abs(m), (m < 0)[:, None], psi,
+                             _conj_kernel(kernel, m, self.x, j1))
                         for j1, (m, psi) in basis1.items()}
-        # cos and sin rows of e^{i 2 pi m t_i} stacked, so the t-transform
-        # of the real W is one real product
-        arg = 2.0 * np.pi * np.outer(np.arange(-band, band + 1), self.t)
-        self.phase = np.vstack([np.cos(arg), np.sin(arg)])
+        # cos and sin rows of e^{i 2 pi m t_i} / h1(t_i), m = 0..b, stacked,
+        # so the t-transform of the real Y is one real product
+        arg = np.outer(np.arange(band + 1), self.t)
+        arg *= 2.0 * np.pi
+        self.phase = np.empty((2 * (band + 1), self.N))
+        np.cos(arg, out=self.phase[:band + 1])
+        np.sin(arg, out=self.phase[band + 1:])
+        self.phase *= inv_h1
 
     def estimate(self, Y: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
         if Y.shape != (self.N, self.M):
             raise ParameterError("observation shape mismatch")
-        CS = self.phase @ (Y * self.weights)
-        half = CS.shape[0] // 2
-        What = CS[:half] + 1j * CS[half:]
+        half = self.phase.shape[0] // 2
+        Z = {j1: np.empty((psi.shape[1], self.M))
+             for j1, (_, _, psi, _) in self.t_basis.items()}
+        for a in range(0, self.M, _BLOCK_COLUMNS):
+            cols = slice(a, a + _BLOCK_COLUMNS)
+            CS = self.phase @ Y[:, cols]
+            CS *= self.inv_h2[cols]
+            What = CS[:half] + 1j * CS[half:]
+            for j1, (rows, negative, psi, conj_g) in self.t_basis.items():
+                A = What[rows]
+                np.conjugate(A, out=A, where=negative)
+                A /= conj_g if conj_g.shape[1] == 1 else conj_g[:, cols]
+                Z[j1][:, cols] = np.real(psi.T @ A)
         scale = 1.0 / (self.N * self.M)
-        blocks = {}
-        for j1, (rows, psi, conj_g) in self.t_basis.items():
-            Z = np.real(psi.T @ (What[rows] / conj_g))
-            for j2 in self.levels2:
-                blocks[(j1, j2)] = scale * (Z @ self.eta[j2])
-        return blocks
+        return {(j1, j2): scale * (Z[j1] @ self.eta[j2])
+                for j1 in self.t_basis for j2 in self.levels2}
 
 
 def estimate_field(obs: ObservationGrid, wspec: wv.WaveletSpec,

@@ -661,24 +661,44 @@ def _by_index(values, index, new) -> tuple[np.ndarray, bool]:
     return values, bool(clash)
 
 
+def _grown(Y: np.ndarray, rows: int, cols: int, most: int) -> np.ndarray:
+    """The grid Y with `cols` columns and at least `rows` rows, NaN in the
+    new cells.  New columns take a new array; new rows are appended in
+    place by one realloc (no view of Y exists), at least doubling the row
+    count while the grid keeps at most `most` cells."""
+    R, C = Y.shape
+    if cols != C:
+        grown = np.full((max(rows, R), cols), np.nan)
+        grown[:R, :C] = Y
+        return grown
+    if rows > R:
+        Y.resize((max(rows, min(2 * R, most // cols)), cols), refcheck=False)
+        Y[R:] = np.nan
+    return Y
+
+
 def load_csv(path) -> ObservationGrid:
     """Read a ``save_csv`` file; every (i, l) of the N x M grid must appear
     exactly once, with N and M the largest indices, every t, x and Y must
     be finite, and all rows of one i (one l) must give the same t (x).
 
-    The rows are read in blocks of ``_BLOCK_ROWS``.  Besides one block, the
-    loader holds i and l as int32 and Y as float64 per row, the grid Y, and
-    t and x per index: about three times the bytes of the grid.  Each check
-    records its first failing row, and the checks raise in the order above
-    after the last block.  Only a file with two t (x) values for one i (l)
-    is read twice, to name the first row that disagrees with the last row
-    of its index.
+    The rows are read in blocks of ``_BLOCK_ROWS``, and each block's Y is
+    written straight into a NaN-filled grid that grows to the largest
+    indices seen so far, but never past the cells the file has rows for.
+    Besides one block, the loader holds only that grid (at most twice the
+    rows it needs while it grows, cut to N at the end) and t and x per
+    index.  Each check records its first failing row, and the checks raise
+    in the order above after the last block.  Only a file that fails a
+    check needing every row (an index above the row count, a duplicate
+    cell, two t (x) values for one i (l)) is read a second time, to name
+    the row or cell.
     """
     # A data row takes at least 10 bytes ("1,1,1,1,1" and its newline), so
-    # an index above `most` exceeds the row count whatever the rest holds.
+    # an index above `most`, or a grid of more than `most` cells, exceeds
+    # the row count whatever the rest holds.
     most = os.path.getsize(path) // 10
-    index_type = np.int32 if most < 2 ** 31 else np.int64
-    stored = []  # (start, i - 1, l - 1, Y) of the rows before the first bad one
+    Y = np.full((0, 0), np.nan)  # None once it would outgrow the file
+    N = M = 0  # largest i and l of the rows before the first bad one
     per_index = {"t": np.empty(0), "x": np.empty(0)}
     clash = {"t": False, "x": False}
     bad_value = bad_index = None
@@ -702,44 +722,50 @@ def load_csv(path) -> ObservationGrid:
         if not np.all(valid):
             keep = int(np.argmin(valid))
             bad_index = (start + keep, i[keep], l[keep])
-        i, l = (axis[:keep].astype(index_type) - 1 for axis in (i, l))
+            if keep == 0:
+                continue
+        i, l = (axis[:keep].astype(np.intp) - 1 for axis in (i, l))
+        N, M = max(N, int(i.max()) + 1), max(M, int(l.max()) + 1)
         for name, index in (("t", i), ("x", l)):
             per_index[name], clashed = _by_index(per_index[name], index,
                                                  cols[name][:keep])
             clash[name] |= clashed
-        stored.append((start, i, l, cols["Y"][:keep].copy()))
+        if Y is not None and N * M <= most:
+            Y = _grown(Y, N, M, most)
+            Y[i, l] = cols["Y"][:keep]
+        else:
+            Y = None
     if bad_value is not None:
         row, t, x, y = bad_value
         raise ParameterError(f"{path}: data row {row + 1} has a non-finite "
                              f"value (t, x, Y) = ({t}, {x}, {y})")
-    for start, i, l, _ in stored:
-        above = (i >= total) | (l >= total)
-        if np.any(above):
-            row = int(np.argmax(above))
-            bad_index = (start + row, np.float64(i[row] + 1),
-                         np.float64(l[row] + 1))
-            break
+    if max(N, M) > total:
+        # N and M come from rows before any other bad index, so the first
+        # row with an index above the row count comes before it too
+        for start, cols in _csv_blocks(path, ("i", "l")):
+            above = (cols["i"] > total) | (cols["l"] > total)
+            if np.any(above):
+                row = int(np.argmax(above))
+                bad_index = (start + row, cols["i"][row], cols["l"][row])
+                break
     if bad_index is not None:
         row, i, l = bad_index
         raise ParameterError(f"{path}: data row {row + 1} has an invalid "
                              f"index (i, l) = ({i}, {l})")
-    N = max(int(i.max()) for _, i, _, _ in stored) + 1
-    M = max(int(l.max()) for _, _, l, _ in stored) + 1
-    if N * M != total:
+    if N * M != total:  # always so when Y is None: N * M > most >= total
         raise ParameterError(f"{path}: {total} data rows for the {N} x {M} "
                              "grid of its largest indices: rows are missing, "
                              "duplicated or out of range")
-    Y = np.full((N, M), np.nan)
-    for _, i, l, y in stored:
-        Y[i, l] = y
+    Y.resize((N, M), refcheck=False)  # drops the rows grown past N
     if np.any(np.isnan(Y)):  # every Y is finite: a cell no row filled
-        counts = np.bincount(np.concatenate([i.astype(np.int64) * M + l
-                                             for _, i, l, _ in stored]),
-                             minlength=N * M)
+        counts = np.zeros(N * M, dtype=np.int64)
+        for _, cols in _csv_blocks(path, ("i", "l")):
+            counts += np.bincount((cols["i"].astype(np.intp) - 1) * M
+                                  + cols["l"].astype(np.intp) - 1,
+                                  minlength=N * M)
         bad = int(np.argmax(counts))
         raise ParameterError(f"{path}: duplicate row for (i, l) = "
                              f"({bad // M + 1}, {bad % M + 1})")
-    del stored
     t, x = per_index["t"][:N].copy(), per_index["x"][:M].copy()
     for name, axis, values in (("t", "i", t), ("x", "l", x)):
         if not clash[name]:

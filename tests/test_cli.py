@@ -404,6 +404,19 @@ class TestEstimate:
                              "--out", str(tmp_path / "est")]) == 2
             assert message in capsys.readouterr().err
 
+    def test_grid_past_the_file_exits_2(self, tmp_path, capsys):
+        """Largest indices (999, 999) in a file of 1000 rows: exit 2 with
+        the row count message."""
+        obs = tmp_path / "obs.csv"
+        obs.write_text("i,l,t,x,Y\n"
+                       + "".join(f"{i},1,{i / 1000!r},0.001,0.5\n"
+                                 for i in range(1, 1000))
+                       + "1,999,0.001,0.999,0.5\n")
+        cfg = write_config(tmp_path, extra={"estimate": {"observations": str(obs)}})
+        assert cli.main(["estimate", "--config", str(cfg),
+                         "--out", str(tmp_path / "est")]) == 2
+        assert "1000 data rows for the 999 x 999 grid" in capsys.readouterr().err
+
     def test_level_above_cap_exits_3(self, tmp_path, capsys):
         """J1 = 14 asks for level 13, above the largest level 12: exit 3
         with the overflow message, raised before any level is built."""
@@ -518,3 +531,24 @@ class TestResolvedConfig:
                              "--out", str(again), *extra]) == 0
             assert (again / "manifest.txt").read_bytes() == \
                 (out / "manifest.txt").read_bytes(), command
+
+    def test_report_source_is_resolved(self, tmp_path, monkeypatch):
+        """`report --source DIR` writes DIR into its resolved config, so a
+        rerun from that config alone, in a directory without a rate
+        report, summarises DIR again."""
+        src = tmp_path / "bench"
+        src.mkdir()
+        (src / "rate_report.csv").write_text(
+            "N,M,n,mise_mean\n64,64,512,0.1\n128,128,1448,0.05\n"
+            "256,256,4096,0.02\n")
+        out, again = tmp_path / "rep", tmp_path / "rep-again"
+        assert cli.main(["report", "--source", str(src), "--out", str(out)]) == 0
+        resolved = out / "resolved_config.yaml"
+        assert yaml.safe_load(resolved.read_text())["report"] == {"source": str(src)}
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert cli.main(["report", "--config", str(resolved),
+                         "--out", str(again)]) == 0
+        assert (again / "report_summary.txt").read_bytes() == \
+            (out / "report_summary.txt").read_bytes()

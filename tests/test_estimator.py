@@ -171,6 +171,52 @@ class TestCoefficientRecovery:
         off[1, 2] = 0.0
         assert np.max(np.abs(off)) < 1e-10
 
+    @pytest.mark.parametrize("ker", [md.power_kernel(1.0), X_VARYING],
+                             ids=["power", "x-varying"])
+    @pytest.mark.parametrize("d1, d2", [
+        (md.DesignDensity(beta=0.3, x0=0.5), md.DesignDensity(beta=0.3, x0=0.5)),
+        (md.DesignDensity(beta=0.3, x0=0.4), md.DesignDensity(beta=0.6, x0=0.7))],
+        ids=["singular", "mixed"])
+    def test_column_blocks_match_single_coefficient_path(self, monkeypatch,
+                                                         ker, d1, d2):
+        """M = 40 over column blocks of 16 (three blocks, the last one
+        short): the plan still equals the per-index quadrature, and an
+        all-zero Y estimates exactly zero."""
+        monkeypatch.setattr(es, "_BLOCK_COLUMNS", 16)
+        f = md.tensor_sinusoid(1.5, 1.5, max_freq=64)
+        noise = md.NoiseSpec(alpha=0.8, sigma=0.5)
+        obs = md.simulate_observations(f, ker, d1, d2, noise, N=48, M=40, seed=5)
+        plan = es.FieldPlan(obs.t, obs.x, d1, d2, ker, WSPEC, 4, 4)
+        blocks = plan.estimate(obs.Y)
+        weights = 1.0 / np.outer(d1.pdf(obs.t), d2.pdf(obs.x))
+        for idx in [es.Index(2, 0, 2, 0), es.Index(3, 7, 3, 7),
+                    es.Index(2, 4, 3, 6), es.Index(3, 3, 2, 1),
+                    es.Index(3, 0, 3, 5)]:
+            U = es.compute_U(idx, ker, WSPEC, obs.t, obs.x)
+            single = np.sum(U * obs.Y * weights) / (obs.N * obs.M)
+            assert blocks[(idx.j1, idx.j2)][idx.k1, idx.k2] == pytest.approx(
+                single, abs=1e-12)
+        for blk in plan.estimate(np.zeros_like(obs.Y)).values():
+            assert np.all(blk == 0.0)
+
+    def test_estimate_holds_no_grid_sized_array(self):
+        """At N = M = 512, with the levels of the rule for alpha = 0.5 and
+        sigma = 0.05, the traced peak of FieldPlan.estimate stays below
+        the bytes of one N x M float64 array."""
+        import tracemalloc
+        d = md.DesignDensity(beta=0.3, x0=0.5)
+        J1, J2 = es.choose_levels(512, 512, 0.5, 0.05)
+        plan = es.FieldPlan(md.quantile_design(512, d), md.quantile_design(512, d),
+                            d, d, md.power_kernel(1.0), WSPEC, J1, J2)
+        Y = np.random.default_rng(4).standard_normal((512, 512))
+        tracemalloc.start()
+        try:
+            plan.estimate(Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < Y.nbytes
+
     def test_linearity(self):
         ker = md.power_kernel(1.0)
         rng = np.random.default_rng(8)

@@ -572,6 +572,54 @@ class TestSerialization:
         assert peak <= 3.5 * output + 4 * (4096 * 5 * 8)
         assert np.array_equal(back.Y, obs.Y)
 
+    def test_load_csv_peak_is_the_grid(self, tmp_path, monkeypatch):
+        """Each block's Y goes straight into the grid, so the traced peak
+        of load_csv stays within 1.6 times the bytes of the grid plus one
+        parsed block; blocks of 1000 rows end inside a row of 256 and
+        grow the grid many times."""
+        import tracemalloc
+        monkeypatch.setattr(md, "_BLOCK_ROWS", 1000)
+        d = md.DesignDensity(beta=0.3, x0=0.4)
+        obs = md.simulate_observations(md.tensor_sinusoid(1.0, 1.0, max_freq=16),
+                                       md.power_kernel(1.0), d, d,
+                                       md.NoiseSpec(alpha=0.8, sigma=0.5),
+                                       N=256, M=256, seed=1)
+        path = tmp_path / "obs.csv"
+        md.save_csv(obs, path)
+        tracemalloc.start()
+        try:
+            back = md.load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * back.Y.nbytes + 1000 * 5 * 8
+        for name in ("t", "x", "Y"):
+            assert np.array_equal(getattr(back, name), getattr(obs, name))
+        assert back.Y.flags.c_contiguous and back.Y.flags.owndata
+
+    def test_load_csv_grid_never_outgrows_the_file(self, tmp_path, monkeypatch):
+        """999 rows of l = 1 and one row (1, 999): the largest indices ask
+        for a 999 x 999 grid (7.6 MiB) that 1000 rows cannot fill, so the
+        row count check raises and that grid is never allocated.  Blocks
+        of 4096 rows, since numpy's parser reserves a whole block (2.5 MiB
+        at 2^16 rows) whatever the file holds."""
+        import tracemalloc
+        monkeypatch.setattr(md, "_BLOCK_ROWS", 4096)
+        path = tmp_path / "obs.csv"
+        path.write_text("i,l,t,x,Y\n"
+                        + "".join(f"{i},1,{i / 1000!r},0.001,0.5\n"
+                                  for i in range(1, 1000))
+                        + "1,999,0.001,0.999,0.5\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(md.ParameterError,
+                               match="1000 data rows for the 999 x 999 grid"):
+                md.load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
     @pytest.mark.parametrize("keep", [10, 16 + 8 * 20, 16 + 8 * 40, -8])
     def test_binary_rejects_truncated(self, obs, tmp_path, keep):
         """Cut inside the header, t (N = 32), x (M = 16) and Y."""
