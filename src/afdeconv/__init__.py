@@ -20,10 +20,9 @@ from .model import (DesignDensity, KernelSpec, NoiseSpec, ObservationGrid,
 from .estimator import (CoefficientField, EstimatorConfig, FieldPlan, Index,
                         KernelNotInvertibleError, Reconstruction,
                         SingularDesignError, choose_levels, estimate_field,
-                        hard_threshold, reanalyze, reconstruct,
-                        save_field_csv, save_reconstruction_csv,
-                        save_reconstruction_pgm, threshold,
-                        true_coefficients)
+                        reanalyze, reconstruct, save_field_csv,
+                        save_reconstruction_csv, save_reconstruction_pgm,
+                        threshold, true_coefficients)
 from .analysis import (BesovParams, RateReport, RegimeResult,
                        UnclassifiedRegimeError, fit_rate, mise,
                        rate_experiment, rate_report_csv, rate_report_text,

@@ -304,7 +304,8 @@ def _deviation_weights(index: es.Index, kernel: md.KernelSpec,
     t = md.quantile_design(N, d1)
     x = md.quantile_design(M, d2)
     U = es.compute_U(index, kernel, wspec, t, x)
-    return U * es._reciprocal_weights(t, x, d1, d2) / (N * M)
+    h = np.outer(es._design_pdf(t, d1), es._design_pdf(x, d2))
+    return U * (1.0 / h) / (N * M)
 
 
 # 16 MiB of float64 innovations per block, the budget of
@@ -545,11 +546,10 @@ def rate_experiment(f: md.TestFunction, wspec: wv.WaveletSpec,
 
 
 def rate_report_csv(report: RateReport, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("N,M,n,mise_mean,mise_se,chi\n")
-        for p in report.points:
-            fh.write(f"{p['N']},{p['M']},{p['n']:.17g},{p['mise_mean']:.17g},"
-                     f"{p['mise_se']:.17g},{p['chi']:.17g}\n")
+    columns = ("N", "M", "n", "mise_mean", "mise_se", "chi")
+    np.savetxt(path, [[p[c] for c in columns] for p in report.points],
+               fmt="%d,%d,%.17g,%.17g,%.17g,%.17g", header=",".join(columns),
+               comments="")
 
 
 def rate_report_text(report: RateReport) -> str:

@@ -10,7 +10,7 @@ kept coefficients on an evaluation grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "compute_U",
     "estimate_field",
     "true_coefficients",
-    "hard_threshold",
     "reconstruct",
     "reanalyze",
     "FieldPlan",
@@ -174,14 +173,14 @@ def compute_U(index: Index, kernel: KernelSpec, wspec: wv.WaveletSpec,
     return u_tx * wv.eval_on_points(x, m2, eta[:, index.k2])[None, :]
 
 
-def _reciprocal_weights(t: np.ndarray, x: np.ndarray,
-                        d1: DesignDensity, d2: DesignDensity) -> np.ndarray:
-    h1 = d1.pdf(t)
-    h2 = d2.pdf(x)
-    if np.any(h1 == 0.0) or np.any(h2 == 0.0):
+def _design_pdf(points: np.ndarray, d: DesignDensity) -> np.ndarray:
+    """The design density at the design points; SingularDesignError if it
+    vanishes at one of them."""
+    h = d.pdf(points)
+    if np.any(h == 0.0):
         raise SingularDesignError("singular design point: density vanishes "
                                   "at a design location")
-    return 1.0 / np.outer(h1, h2)
+    return h
 
 
 # ----------------------------------------------------------------------
@@ -190,56 +189,31 @@ def _reciprocal_weights(t: np.ndarray, x: np.ndarray,
 
 @dataclass
 class LevelBlock:
-    j1: int
-    j2: int
-    beta_hat: np.ndarray | None = None
-    lam: np.ndarray | None = None
-    kept: np.ndarray | None = None
+    """The coefficients of one level pair (j1, j2), each array indexed
+    [k1, k2]: the estimates, their thresholds lambda, whether each is kept
+    and, when known, the true coefficients."""
+
+    beta_hat: np.ndarray
+    lam: np.ndarray
+    kept: np.ndarray
     beta_true: np.ndarray | None = None
 
 
 @dataclass
 class CoefficientField:
-    """Per-level-pair blocks of coefficient data over Omega(J1, J2)."""
+    """The level blocks of Omega(J1, J2), keyed by (j1, j2); the levels and
+    shift counts are the keys and the block shapes, and the smallest key
+    is the scaling pair."""
 
-    levels1: list[int]
-    levels2: list[int]
-    counts1: dict[int, int]
-    counts2: dict[int, int]
-    blocks: dict[tuple[int, int], LevelBlock] = dc_field(default_factory=dict)
-
-    @classmethod
-    def empty(cls, wspec: wv.WaveletSpec, J1: int, J2: int) -> "CoefficientField":
-        levels1 = wv.level_range(wspec, J1, axis=0)
-        levels2 = wv.level_range(wspec, J2, axis=1)
-        counts1 = {j: wv.shift_count(wspec, j, 0) for j in levels1}
-        counts2 = {j: wv.shift_count(wspec, j, 1) for j in levels2}
-        fieldobj = cls(levels1, levels2, counts1, counts2)
-        for j1 in levels1:
-            for j2 in levels2:
-                fieldobj.blocks[(j1, j2)] = LevelBlock(j1=j1, j2=j2)
-        return fieldobj
-
-    @property
-    def scaling_pair(self) -> tuple[int, int]:
-        return self.levels1[0], self.levels2[0]
+    blocks: dict[tuple[int, int], LevelBlock]
 
     def kept_count(self) -> int:
-        return int(sum(blk.kept.sum() for blk in self.blocks.values()
-                       if blk.kept is not None))
+        return int(sum(blk.kept.sum() for blk in self.blocks.values()))
 
 
 # Columns of Y per block of FieldPlan.estimate: the t-transform of one
 # block is 2 (b + 1) x 128 float64, 0.3 MiB at the t-band b = 170 of J1 = 8.
 _BLOCK_COLUMNS = 128
-
-
-def _reciprocal_density(points: np.ndarray, d: DesignDensity) -> np.ndarray:
-    h = d.pdf(points)
-    if np.any(h == 0.0):
-        raise SingularDesignError("singular design point: density vanishes "
-                                  "at a design location")
-    return 1.0 / h
 
 
 class FieldPlan:
@@ -267,27 +241,24 @@ class FieldPlan:
     def __init__(self, t, x, d1: DesignDensity, d2: DesignDensity,
                  kernel: KernelSpec, wspec: wv.WaveletSpec,
                  J1: int, J2: int):
-        self.t = np.asarray(t, dtype=float)
-        self.x = np.asarray(x, dtype=float)
-        self.N, self.M = self.t.size, self.x.size
-        self.J1, self.J2 = J1, J2
-        inv_h1 = _reciprocal_density(self.t, d1)
-        self.inv_h2 = _reciprocal_density(self.x, d2)
-        self.levels1 = wv.level_range(wspec, J1, axis=0)
-        self.levels2 = wv.level_range(wspec, J2, axis=1)
+        t = np.asarray(t, dtype=float)
+        x = np.asarray(x, dtype=float)
+        self.N, self.M = t.size, x.size
+        inv_h1 = 1.0 / _design_pdf(t, d1)
+        self.inv_h2 = 1.0 / _design_pdf(x, d2)
         # eta_{j2,k2}(x_l), one (M, count) matrix per x-level
-        self.eta = {j2: wv.eval_on_points(self.x, *wv.build_basis(wspec, j2, axis=1))
-                    for j2 in self.levels2}
+        self.eta = {j2: wv.eval_on_points(x, *wv.build_basis(wspec, j2, axis=1))
+                    for j2 in wv.level_range(wspec, J2, axis=1)}
         # per t-level: rows |m| of the half band, which of them to
         # conjugate (m < 0), psi matrix, conj(g) on the band
-        basis1 = _bases(wspec, self.levels1, axis=0)
+        basis1 = _bases(wspec, wv.level_range(wspec, J1, axis=0), axis=0)
         band = _band(basis1)
         self.t_basis = {j1: (np.abs(m), (m < 0)[:, None], psi,
-                             _conj_kernel(kernel, m, self.x, j1))
+                             _conj_kernel(kernel, m, x, j1))
                         for j1, (m, psi) in basis1.items()}
         # cos and sin rows of e^{i 2 pi m t_i} / h1(t_i), m = 0..b, stacked,
         # so the t-transform of the real Y is one real product
-        arg = np.outer(np.arange(band + 1), self.t)
+        arg = np.outer(np.arange(band + 1), t)
         arg *= 2.0 * np.pi
         self.phase = np.empty((2 * (band + 1), self.N))
         np.cos(arg, out=self.phase[:band + 1])
@@ -312,39 +283,34 @@ class FieldPlan:
                 Z[j1][:, cols] = np.real(psi.T @ A)
         scale = 1.0 / (self.N * self.M)
         return {(j1, j2): scale * (Z[j1] @ self.eta[j2])
-                for j1 in self.t_basis for j2 in self.levels2}
+                for j1 in self.t_basis for j2 in self.eta}
 
 
 def estimate_field(obs: ObservationGrid, wspec: wv.WaveletSpec,
                    cfg: EstimatorConfig,
                    beta_true: dict[tuple[int, int], np.ndarray] | None = None,
                    plan: FieldPlan | None = None) -> CoefficientField:
-    """Estimate, threshold-annotate and flag the full coefficient field of
-    the model ``cfg`` describes."""
-    J1, J2 = cfg.resolve_levels(obs.M, obs.N, wspec)
+    """The hard-thresholded coefficient field of the model ``cfg``
+    describes, on the levels of ``plan`` (built from ``cfg`` and the
+    observations when not given).
+
+    Each level block is built whole: the estimates, their thresholds
+    lambda, and kept iff |beta_hat| strictly exceeds lambda.  The scaling
+    block, the smallest key, keeps every coefficient: its risk is
+    controlled by variance, not bias.
+    """
     if plan is None:
+        J1, J2 = cfg.resolve_levels(obs.M, obs.N, wspec)
         plan = FieldPlan(obs.t, obs.x, cfg.d1, cfg.d2, cfg.kernel, wspec,
                          J1, J2)
-    blocks = plan.estimate(obs.Y)
-    fieldobj = CoefficientField.empty(wspec, J1, J2)
-    for (j1, j2), blk in fieldobj.blocks.items():
-        blk.beta_hat = blocks[(j1, j2)]
-        blk.lam = _threshold_block(cfg, obs.M, obs.N, j1, j2,
-                                   fieldobj.counts1[j1], fieldobj.counts2[j2])
-        if beta_true is not None:
-            blk.beta_true = beta_true.get((j1, j2))
-    hard_threshold(fieldobj)
-    return fieldobj
-
-
-def hard_threshold(fieldobj: CoefficientField) -> CoefficientField:
-    """kept iff |beta_hat| strictly exceeds lambda; the pure scaling block
-    bypasses thresholding (its risk is controlled by variance, not bias)."""
-    for (j1, j2), blk in fieldobj.blocks.items():
-        blk.kept = np.abs(blk.beta_hat) > blk.lam
-    s1, s2 = fieldobj.scaling_pair
-    fieldobj.blocks[(s1, s2)].kept[:] = True
-    return fieldobj
+    blocks = {}
+    for (j1, j2), beta_hat in plan.estimate(obs.Y).items():
+        lam = _threshold_block(cfg, obs.M, obs.N, j1, j2, *beta_hat.shape)
+        blocks[(j1, j2)] = LevelBlock(
+            beta_hat, lam, np.abs(beta_hat) > lam,
+            None if beta_true is None else beta_true.get((j1, j2)))
+    blocks[min(blocks)].kept[:] = True
+    return CoefficientField(blocks)
 
 
 # ----------------------------------------------------------------------
@@ -392,7 +358,6 @@ class Reconstruction:
     fourier: np.ndarray           # (2 b1 + 1, 2 b2 + 1), index m + b
     band1: int
     band2: int
-    grid: int
     field: CoefficientField | None = None
 
 
@@ -404,8 +369,8 @@ def reconstruct(fieldobj: CoefficientField, wspec: wv.WaveletSpec,
     """
     if which not in ("kept", "all"):
         raise ParameterError(f"which must be 'kept' or 'all', got {which!r}")
-    basis1 = _bases(wspec, fieldobj.levels1, 0)
-    basis2 = _bases(wspec, fieldobj.levels2, 1)
+    basis1 = _bases(wspec, {j1 for j1, _ in fieldobj.blocks}, 0)
+    basis2 = _bases(wspec, {j2 for _, j2 in fieldobj.blocks}, 1)
     b1, b2 = _band(basis1), _band(basis2)
     F = np.zeros((2 * b1 + 1, 2 * b2 + 1), dtype=complex)
     for (j1, j2), blk in fieldobj.blocks.items():
@@ -421,14 +386,14 @@ def reconstruct(fieldobj: CoefficientField, wspec: wv.WaveletSpec,
                np.mod(np.arange(-b2, b2 + 1), grid)[None, :]), F)
     values = np.real(np.fft.ifft2(folded) * grid * grid)
     return Reconstruction(values=values, fourier=F, band1=b1, band2=b2,
-                          grid=grid, field=fieldobj)
+                          field=fieldobj)
 
 
 def reanalyze(recon: Reconstruction, wspec: wv.WaveletSpec) -> dict[tuple[int, int], np.ndarray]:
     """Exact coefficient blocks of a reconstruction (biorthogonality check)."""
     fieldobj = recon.field
-    basis1 = _bases(wspec, fieldobj.levels1, 0)
-    basis2 = _bases(wspec, fieldobj.levels2, 1)
+    basis1 = _bases(wspec, {j1 for j1, _ in fieldobj.blocks}, 0)
+    basis2 = _bases(wspec, {j2 for _, j2 in fieldobj.blocks}, 1)
     out = {}
     for (j1, j2) in fieldobj.blocks:
         off1, psi = basis1[j1]

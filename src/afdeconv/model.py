@@ -567,15 +567,18 @@ def _csv_blocks(path, names) -> Iterator[tuple[int, dict[str, np.ndarray]]]:
     blocks of up to ``_BLOCK_ROWS`` data rows, each with the number of data
     rows before it.
 
-    numpy's C parser reads every block from one open file.  A missing
-    header column or a last line without its newline (the file was cut)
-    raise ``ParameterError`` before the first block; a field that is not a
-    number or a row whose field count differs from the header's raise it
-    at the block that holds them, naming the first such row of the file;
-    no data rows, or rows that all have another field count than the
-    header, raise it after the last block.  A caller that raises its own
-    errors only after the last block keeps these first, as one parse of
-    the whole file would.
+    numpy's C parser reads every block from one open file.  It reserves
+    room for a whole block of parsed values however few rows are left, so
+    a block is also capped at the rows the file can hold: a row of k
+    fields takes at least 2k bytes, a digit and a comma or newline per
+    field.  A missing header column or a last line without its newline
+    (the file was cut) raise ``ParameterError`` before the first block; a
+    field that is not a number or a row whose field count differs from the
+    header's raise it at the block that holds them, naming the first such
+    row of the file; no data rows, or rows that all have another field
+    count than the header, raise it after the last block.  A caller that
+    raises its own errors only after the last block keeps these first, as
+    one parse of the whole file would.
     """
     with open(path, "rb") as fh:
         header = [name.strip() for name in
@@ -589,15 +592,16 @@ def _csv_blocks(path, names) -> Iterator[tuple[int, dict[str, np.ndarray]]]:
     if cut:
         raise ParameterError(f"{path}: the last line has no newline; "
                              "the file is cut short")
-    start, width, rows = 0, None, _BLOCK_ROWS
+    step = max(1, min(_BLOCK_ROWS, os.path.getsize(path) // (2 * len(header))))
+    start, width, rows = 0, None, step
     with open(path) as fh:  # text mode and encoding as np.loadtxt opens a path
         fh.readline()
-        while rows == _BLOCK_ROWS:
+        while rows == step:
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", UserWarning)  # no data
                     block = np.loadtxt(fh, delimiter=",", comments=None,
-                                       ndmin=2, max_rows=_BLOCK_ROWS)
+                                       ndmin=2, max_rows=step)
                 if len(block) and width not in (None, block.shape[1]):
                     # one parse of the whole file rejects the change too
                     raise ValueError(f"{block.shape[1]} fields per row after "

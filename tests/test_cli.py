@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
+from afdeconv import analysis as an
 from afdeconv import cli
 
 
@@ -460,6 +461,34 @@ class TestVerifyAndBench:
                          "--out", str(out)]) == 0
         assert (out / "lemma1.csv").exists()
         assert "lemma1" in (out / "verify_summary.txt").read_text()
+
+    def test_verify_lemma3_tail_exponent(self, tmp_path, monkeypatch):
+        """With a 3-pair `verify.ladder`, lemma 3 reports the closed-form
+        exceedance probability p of each pair, and its tail exponent is
+        the log-log slope of p against M N^alpha over those rows."""
+        reports = []
+        verify_lemma3 = an.verify_lemma3
+
+        def recorded(*args, **kwargs):
+            reports.append(verify_lemma3(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(an, "verify_lemma3", recorded)
+        path = write_config(tmp_path, noise={"alpha": 0.5, "sigma": 0.25},
+                            extra={"verify": {
+                                "lemmas": [3], "indices": [[3, 2, 2, 1]],
+                                "M": 64, "N": 64, "replicates": 50,
+                                "ladder": [[64, 64], [128, 64], [256, 128]]}})
+        out = tmp_path / "v"
+        assert cli.main(["verify-lemmas", "--config", str(path),
+                         "--out", str(out)]) == 0
+        (rep,) = reports
+        rows = [(M * N ** 0.5, p) for M, N, p in rep.ladder]
+        assert len(rows) == 3
+        assert all(0.0 <= p <= 1.0 for _, p in rows)
+        assert rep.tail_exponent == an.fit_rate(rows)[0]
+        summary = (out / "verify_summary.txt").read_text()
+        assert f" tail exponent={rep.tail_exponent:.3f}\n" in summary
 
     def test_bench_and_report_roundtrip(self, tmp_path, capsys):
         path = write_config(

@@ -274,7 +274,7 @@ class TestThresholdingRules:
     def test_strict_inequality_and_scaling_block(self):
         obs, cfg = self._observations()
         field = es.estimate_field(obs, WSPEC, cfg)
-        s1, s2 = field.scaling_pair
+        s1, s2 = min(field.blocks)
         for (j1, j2), blk in field.blocks.items():
             if (j1, j2) == (s1, s2):
                 assert np.all(blk.kept)
@@ -400,8 +400,9 @@ class TestErrorsAndIO:
         rows = ["j1,k1,j2,k2,beta_hat,lambda,kept"
                 + (",beta_true" if with_truth else "")]
         for (j1, j2), blk in sorted(field.blocks.items()):
-            for k1 in range(field.counts1[j1]):
-                for k2 in range(field.counts2[j2]):
+            count1, count2 = blk.beta_hat.shape
+            for k1 in range(count1):
+                for k2 in range(count2):
                     row = (f"{j1},{k1},{j2},{k2},{blk.beta_hat[k1, k2]:.17g},"
                            f"{blk.lam[k1, k2]:.17g},{int(blk.kept[k1, k2])}")
                     if with_truth:
@@ -413,7 +414,7 @@ class TestErrorsAndIO:
     def test_pgm_export(self, tmp_path):
         values = np.linspace(0, 1, 64 * 64).reshape(64, 64)
         recon = es.Reconstruction(values=values, fourier=np.zeros((1, 1)),
-                                  band1=0, band2=0, grid=64)
+                                  band1=0, band2=0)
         path = tmp_path / "img.pgm"
         es.save_reconstruction_pgm(recon, path)
         raw = path.read_bytes()

@@ -620,6 +620,25 @@ class TestSerialization:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
+    def test_load_csv_block_fits_the_file(self, tmp_path):
+        """At the default block of 2^16 rows, a file of 1000 rows loads
+        with a traced peak under 0.5 MiB: numpy's parser reserves a whole
+        block of parsed values (2.5 MiB at 2^16 rows of 5 fields), so the
+        block is capped at the rows the file can hold."""
+        import tracemalloc
+        path = tmp_path / "obs.csv"
+        path.write_text("i,l,t,x,Y\n"
+                        + "".join(f"{i},{l},{i / 41!r},{l / 26!r},{i * l / 7!r}\n"
+                                  for i in range(1, 41) for l in range(1, 26)))
+        tracemalloc.start()
+        try:
+            obs = md.load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert obs.Y.shape == (40, 25) and obs.Y[39, 24] == 40 * 25 / 7
+        assert peak < 2 ** 19
+
     @pytest.mark.parametrize("keep", [10, 16 + 8 * 20, 16 + 8 * 40, -8])
     def test_binary_rejects_truncated(self, obs, tmp_path, keep):
         """Cut inside the header, t (N = 32), x (M = 16) and Y."""
