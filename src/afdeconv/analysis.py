@@ -414,7 +414,7 @@ def verify_lemma3(f: md.TestFunction, wspec: wv.WaveletSpec,
     The deviation splits exactly into a deterministic quadrature bias (the
     noiseless estimate minus the true coefficient) plus the linear noise
     form, so each replicate needs only one weighted innovation draw.  When a
-    ladder of (M, N) pairs is given, the Gaussian exceedance probability is
+    ladder of (N, M) pairs is given, the Gaussian exceedance probability is
     evaluated in closed form per point and its log-log slope against the
     effective sample size is reported as the measured tail exponent.
     """
@@ -431,7 +431,7 @@ def verify_lemma3(f: md.TestFunction, wspec: wv.WaveletSpec,
         probs = []
         ns = []
         index = indices[0]
-        for pos, (Mi, Ni) in enumerate(ladder):
+        for pos, (Ni, Mi) in enumerate(ladder):
             bias, lam, w_norm, _ = _tail_ingredients(
                 f, wspec, cfg, index, Mi, Ni, J1, J2, 0, seed)
             # closed-form Gaussian tail of bias + Normal(0, w_norm^2)

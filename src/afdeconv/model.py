@@ -648,64 +648,25 @@ def save_csv(obs: ObservationGrid, path) -> None:
             fh.write(rows % tuple(obs.Y[a:a + step].ravel().tolist()))
 
 
-def _by_index(values, index, new) -> tuple[np.ndarray, bool]:
-    """Write one block of per-row values into the per-index array
-    `values`, grown to cover `index` (NaN where no row gave a value yet);
-    the last row of an index wins, as in one whole-file assignment.
-    Returns the array and whether a row of the block disagrees with an
-    earlier row of its index."""
-    need = int(index.max()) + 1 if index.size else 0
-    if need > values.size:
-        grown = np.full(max(need, 2 * values.size), np.nan)
-        grown[:values.size] = values
-        values = grown
-    old = values[index]
-    values[index] = new
-    clash = np.any((old != new) & ~np.isnan(old)) or np.any(values[index] != new)
-    return values, bool(clash)
-
-
-def _grown(Y: np.ndarray, rows: int, cols: int, most: int) -> np.ndarray:
-    """The grid Y with `cols` columns and at least `rows` rows, NaN in the
-    new cells.  New columns take a new array; new rows are appended in
-    place by one realloc (no view of Y exists), at least doubling the row
-    count while the grid keeps at most `most` cells."""
-    R, C = Y.shape
-    if cols != C:
-        grown = np.full((max(rows, R), cols), np.nan)
-        grown[:R, :C] = Y
-        return grown
-    if rows > R:
-        Y.resize((max(rows, min(2 * R, most // cols)), cols), refcheck=False)
-        Y[R:] = np.nan
-    return Y
-
-
 def load_csv(path) -> ObservationGrid:
-    """Read a ``save_csv`` file; every (i, l) of the N x M grid must appear
-    exactly once, with N and M the largest indices, every t, x and Y must
-    be finite, and all rows of one i (one l) must give the same t (x).
+    """Read a ``save_csv`` file: data row r (counted from 0) holds (i, l) =
+    (r // M + 1, r % M + 1), the N x M grid row by row, where M is the
+    position of the first (2, 1) row, or the row count when there is none.
+    Every t, x and Y must be finite, no row may be out of place, the last
+    row of i must be whole, and each row must give the t of its i's l = 1
+    row and the x of its l's i = 1 row.
 
-    The rows are read in blocks of ``_BLOCK_ROWS``, and each block's Y is
-    written straight into a NaN-filled grid that grows to the largest
-    indices seen so far, but never past the cells the file has rows for.
-    Besides one block, the loader holds only that grid (at most twice the
-    rows it needs while it grows, cut to N at the end) and t and x per
-    index.  Each check records its first failing row, and the checks raise
-    in the order above after the last block.  Only a file that fails a
-    check needing every row (an index above the row count, a duplicate
-    cell, two t (x) values for one i (l)) is read a second time, to name
-    the row or cell.
+    The file is read once, in blocks of ``_BLOCK_ROWS`` rows.  Each block's
+    Y is copied into a flat array that grows in place to the next power of
+    two of the rows read and is cut to the N x M grid at the end; besides
+    one block, the loader holds only that array and t and x.  Each check
+    records its first failing row, and the checks raise in the order above
+    after the last block.
     """
-    # A data row takes at least 10 bytes ("1,1,1,1,1" and its newline), so
-    # an index above `most`, or a grid of more than `most` cells, exceeds
-    # the row count whatever the rest holds.
-    most = os.path.getsize(path) // 10
-    Y = np.full((0, 0), np.nan)  # None once it would outgrow the file
-    N = M = 0  # largest i and l of the rows before the first bad one
-    per_index = {"t": np.empty(0), "x": np.empty(0)}
-    clash = {"t": False, "x": False}
-    bad_value = bad_index = None
+    M = 0  # the row length, known at the first (2, 1) row
+    Y, ts, xs = np.empty(0), [], []
+    x, t_last = None, np.nan  # x once M is known; the t of the last i read
+    bad_value = bad_place = conflict = None
     total = 0
     for start, cols in _csv_blocks(path, ("i", "l", "t", "x", "Y")):
         total = start + cols["i"].size
@@ -713,78 +674,58 @@ def load_csv(path) -> ObservationGrid:
             finite = (np.isfinite(cols["t"]) & np.isfinite(cols["x"])
                       & np.isfinite(cols["Y"]))
             if not np.all(finite):
-                row = int(np.argmin(finite))
-                bad_value = (start + row, cols["t"][row], cols["x"][row],
-                             cols["Y"][row])
-        if bad_value is not None or bad_index is not None:
+                k = int(np.argmin(finite))
+                bad_value = (f"data row {start + k + 1} has a non-finite value "
+                             f"(t, x, Y) = ({cols['t'][k]}, {cols['x'][k]}, "
+                             f"{cols['Y'][k]})")
+        if bad_value or bad_place:
             continue
-        i, l = cols["i"], cols["l"]
-        # an index above the row count is found once every row is counted
-        valid = ((i >= 1) & (l >= 1) & (i <= most) & (l <= most)
-                 & (i == np.round(i)) & (l == np.round(l)))
-        keep = i.size
-        if not np.all(valid):
-            keep = int(np.argmin(valid))
-            bad_index = (start + keep, i[keep], l[keep])
-            if keep == 0:
-                continue
-        i, l = (axis[:keep].astype(np.intp) - 1 for axis in (i, l))
-        N, M = max(N, int(i.max()) + 1), max(M, int(l.max()) + 1)
-        for name, index in (("t", i), ("x", l)):
-            per_index[name], clashed = _by_index(per_index[name], index,
-                                                 cols[name][:keep])
-            clash[name] |= clashed
-        if Y is not None and N * M <= most:
-            Y = _grown(Y, N, M, most)
-            Y[i, l] = cols["Y"][:keep]
-        else:
-            Y = None
-    if bad_value is not None:
-        row, t, x, y = bad_value
-        raise ParameterError(f"{path}: data row {row + 1} has a non-finite "
-                             f"value (t, x, Y) = ({t}, {x}, {y})")
-    if max(N, M) > total:
-        # N and M come from rows before any other bad index, so the first
-        # row with an index above the row count comes before it too
-        for start, cols in _csv_blocks(path, ("i", "l")):
-            above = (cols["i"] > total) | (cols["l"] > total)
-            if np.any(above):
-                row = int(np.argmax(above))
-                bad_index = (start + row, cols["i"][row], cols["l"][row])
-                break
-    if bad_index is not None:
-        row, i, l = bad_index
-        raise ParameterError(f"{path}: data row {row + 1} has an invalid "
-                             f"index (i, l) = ({i}, {l})")
-    if N * M != total:  # always so when Y is None: N * M > most >= total
-        raise ParameterError(f"{path}: {total} data rows for the {N} x {M} "
-                             "grid of its largest indices: rows are missing, "
-                             "duplicated or out of range")
-    Y.resize((N, M), refcheck=False)  # drops the rows grown past N
-    if np.any(np.isnan(Y)):  # every Y is finite: a cell no row filled
-        counts = np.zeros(N * M, dtype=np.int64)
-        for _, cols in _csv_blocks(path, ("i", "l")):
-            counts += np.bincount((cols["i"].astype(np.intp) - 1) * M
-                                  + cols["l"].astype(np.intp) - 1,
-                                  minlength=N * M)
-        bad = int(np.argmax(counts))
-        raise ParameterError(f"{path}: duplicate row for (i, l) = "
-                             f"({bad // M + 1}, {bad % M + 1})")
-    t, x = per_index["t"][:N].copy(), per_index["x"][:M].copy()
-    for name, axis, values in (("t", "i", t), ("x", "l", x)):
-        if not clash[name]:
+        pos = np.arange(start, total)
+        if not M:  # the first row other than (1, r + 1) may start i = 2
+            k = int(np.argmax((cols["i"] != 1) | (cols["l"] != pos + 1)))
+            if pos[k] > 0 and cols["i"][k] == 2 and cols["l"][k] == 1:
+                M = start + k
+        i, l = np.divmod(pos, M) if M else (np.zeros_like(pos), pos)
+        off = (cols["i"] != i + 1) | (cols["l"] != l + 1)
+        if np.any(off):
+            k = int(np.argmax(off))
+            bad_place = (f"data row {start + k + 1} has (i, l) = "
+                         f"({cols['i'][k]:.17g}, {cols['l'][k]:.17g}) where "
+                         f"({i[k] + 1}, {l[k] + 1}) belongs: an invalid index, "
+                         "or rows missing, duplicated or out of order")
             continue
-        for start, cols in _csv_blocks(path, (axis, name)):
-            index = cols[axis].astype(int) - 1
-            conflict = values[index] != cols[name]
-            if np.any(conflict):
-                row = int(np.argmax(conflict))
-                raise ParameterError(
-                    f"{path}: data row {start + row + 1} gives {name} = "
-                    f"{cols[name][row]:.17g} for {axis} = {index[row] + 1}, "
-                    f"another row of {axis} = {index[row] + 1} gives "
-                    f"{values[index[row]]:.17g}")
-    return ObservationGrid(N=N, M=M, t=t, x=x, Y=Y)
+        if total > Y.size:
+            Y.resize(1 << (total - 1).bit_length(), refcheck=False)
+        Y[start:total] = cols["Y"]
+        ts.append(cols["t"][l == 0])
+        xs.append(cols["x"][i == 0])
+        if M and x is None:
+            x = np.concatenate(xs)
+        # each row's t is that of the last l = 1 row up to it
+        t_ref = np.concatenate(([t_last], ts[-1]))[np.cumsum(l == 0)]
+        t_last = t_ref[-1]
+        x_ref = cols["x"] if x is None else x[l]
+        wrong = (cols["t"] != t_ref) | (cols["x"] != x_ref)
+        if conflict is None and np.any(wrong):
+            k = int(np.argmax(wrong))
+            name, axis, index, ref = (("t", "i", i[k] + 1, t_ref[k])
+                                      if cols["t"][k] != t_ref[k]
+                                      else ("x", "l", l[k] + 1, x_ref[k]))
+            conflict = (f"data row {start + k + 1} gives {name} = "
+                        f"{cols[name][k]:.17g} for {axis} = {index}, another "
+                        f"row of {axis} = {index} gives {ref:.17g}")
+        # the block's index arrays, freed before the next block is parsed
+        del pos, i, l, t_ref, x_ref
+    M = M or total
+    N, rest = divmod(total, M)
+    incomplete = rest and (f"the {total} data rows end the row of i = {N + 1} "
+                           f"at l = {rest} of M = {M}: rows are missing")
+    for error in (bad_value, bad_place, incomplete, conflict):
+        if error:
+            raise ParameterError(f"{path}: {error}")
+    Y.resize((N, M), refcheck=False)  # drops the rows grown past N * M
+    return ObservationGrid(N=N, M=M, t=np.concatenate(ts),
+                           x=np.concatenate(xs), Y=Y)
 
 
 def save_binary(obs: ObservationGrid, path) -> None:

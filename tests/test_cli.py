@@ -406,8 +406,8 @@ class TestEstimate:
             assert message in capsys.readouterr().err
 
     def test_grid_past_the_file_exits_2(self, tmp_path, capsys):
-        """Largest indices (999, 999) in a file of 1000 rows: exit 2 with
-        the row count message."""
+        """Largest indices (999, 999) in a file of 1000 rows: exit 2 naming
+        the out-of-place last row."""
         obs = tmp_path / "obs.csv"
         obs.write_text("i,l,t,x,Y\n"
                        + "".join(f"{i},1,{i / 1000!r},0.001,0.5\n"
@@ -416,7 +416,33 @@ class TestEstimate:
         cfg = write_config(tmp_path, extra={"estimate": {"observations": str(obs)}})
         assert cli.main(["estimate", "--config", str(cfg),
                          "--out", str(tmp_path / "est")]) == 2
-        assert "1000 data rows for the 999 x 999 grid" in capsys.readouterr().err
+        assert "data row 1000 has (i, l) = (1, 999)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("order, named", [
+        ("l-major", "data row 33 has (i, l) = (1, 2) where (33, 1) belongs"),
+        ("swapped", "data row 100 has (i, l) = (4, 5) where (4, 4) belongs"),
+    ], ids=["l-major", "swapped"])
+    def test_reordered_observation_file_exits_2(self, tmp_path, capsys,
+                                                order, named):
+        """Rows out of `save_csv`'s order, l-major or with two adjacent
+        rows swapped, exit 2 naming the first row out of place."""
+        obs_dir = tmp_path / "obs"
+        sim = write_config(tmp_path, simulate={"N": 32, "M": 32,
+                                               "format": "csv"})
+        assert cli.main(["simulate", "--config", str(sim),
+                         "--out", str(obs_dir)]) == 0
+        csv_path = obs_dir / "observations.csv"
+        header, *rows = csv_path.read_text().splitlines(keepends=True)
+        if order == "l-major":
+            rows = [rows[32 * i + l] for l in range(32) for i in range(32)]
+        else:
+            rows[99], rows[100] = rows[100], rows[99]
+        csv_path.write_text(header + "".join(rows))
+        cfg = write_config(tmp_path, extra={"estimate": {
+            "observations": str(csv_path)}})
+        assert cli.main(["estimate", "--config", str(cfg),
+                         "--out", str(tmp_path / "est")]) == 2
+        assert named in capsys.readouterr().err
 
     def test_level_above_cap_exits_3(self, tmp_path, capsys):
         """J1 = 14 asks for level 13, above the largest level 12: exit 3
@@ -489,6 +515,25 @@ class TestVerifyAndBench:
         assert rep.tail_exponent == an.fit_rate(rows)[0]
         summary = (out / "verify_summary.txt").read_text()
         assert f" tail exponent={rep.tail_exponent:.3f}\n" in summary
+
+    def test_verify_ladder_pairs_are_n_then_m(self, tmp_path, monkeypatch):
+        """`verify.ladder` pairs are [N, M], as documented: [256, 128]
+        gives the report row (M, N) = (128, 256)."""
+        reports = []
+        verify_lemma3 = an.verify_lemma3
+
+        def recorded(*args, **kwargs):
+            reports.append(verify_lemma3(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(an, "verify_lemma3", recorded)
+        path = write_config(tmp_path, extra={"verify": {
+            "lemmas": [3], "indices": [[3, 2, 2, 1]], "M": 64, "N": 64,
+            "replicates": 10, "ladder": [[256, 128], [64, 64]]}})
+        assert cli.main(["verify-lemmas", "--config", str(path),
+                         "--out", str(tmp_path / "v")]) == 0
+        (rep,) = reports
+        assert [row[:2] for row in rep.ladder] == [(128, 256), (64, 64)]
 
     def test_bench_and_report_roundtrip(self, tmp_path, capsys):
         path = write_config(

@@ -521,21 +521,20 @@ class TestSerialization:
         lines[3] = lines[20]
         path.write_text("".join(lines))
         with pytest.raises(md.ParameterError,
-                           match=r"duplicate row for \(i, l\) = \(2, 4\)"):
+                           match=r"data row 3 has \(i, l\) = \(2, 4\)"):
             md.load_csv(path)
 
     @pytest.mark.parametrize("column, edited, named, axis, index", [
         (2, 30, 30, "i", 2),    # t of a middle row of i = 2, block 5
-        (2, 32, 17, "i", 2),    # t of the last row of i = 2: its first row,
-                                # block 3, disagrees with the loaded value
+        (2, 32, 32, "i", 2),    # t of the last row of i = 2, block 5
         (3, 36, 36, "l", 4),    # x of a middle row of l = 4, block 6
-        (3, 500, 4, "l", 4),    # x of the last row of l = 4: block 1 named
+        (3, 500, 500, "l", 4),  # x of the last row of l = 4, block 72
     ])
     def test_blocks_conflict_across_blocks(self, obs, tmp_path, monkeypatch,
                                            column, edited, named, axis, index):
-        """A t (x) conflict between rows in different blocks names the row
-        that one whole-file read names: the first that disagrees with the
-        last row of its index."""
+        """A t (x) conflict between rows in different blocks names the
+        edited row: the first that disagrees with the l = 1 row of its i
+        (the i = 1 row of its l)."""
         monkeypatch.setattr(md, "_BLOCK_ROWS", 7)
         name = "t" if axis == "i" else "x"
         value = getattr(obs, name)[index - 1] + 1e-9
@@ -547,12 +546,38 @@ class TestSerialization:
                                  rf"{index} gives "):
             md.load_csv(path)
 
+    @pytest.mark.parametrize("edits", [
+        [],                 # loads
+        [(100, 1, "5")],    # (7, 4) becomes a second (7, 5)
+        [(50, 2, "0.5")],   # a t that differs from the t of its i
+        [(7, 0, "999")],    # an index above the 512 rows
+    ])
+    def test_load_csv_reads_the_file_once(self, obs, tmp_path, monkeypatch,
+                                          edits):
+        """One pass over the blocks whether the file loads or fails."""
+        calls = []
+        blocks = md._csv_blocks
+
+        def spy(*args):
+            calls.append(args)
+            return blocks(*args)
+
+        monkeypatch.setattr(md, "_csv_blocks", spy)
+        path = self._edited_csv(obs, tmp_path, edits)
+        if edits:
+            with pytest.raises(md.ParameterError):
+                md.load_csv(path)
+        else:
+            assert np.array_equal(md.load_csv(path).Y, obs.Y)
+        assert len(calls) == 1
+
     def test_load_csv_peak_memory(self, tmp_path, monkeypatch):
         """The traced peak of load_csv stays within 3.5 times the bytes of
-        its output t, x and Y (the per-row i, l and Y it holds, and the
-        grid) plus four parsed tables of one block (the block and numpy's
-        parse buffers); one parse of the whole file peaks at about 10.5
-        times the output bytes here."""
+        its output t, x and Y (the flat Y array, which grows to at most
+        twice the grid, and t and x) plus four parsed tables of one block
+        (the block, numpy's parse buffers and the block's index arrays);
+        it is 1.4 times the output bytes here, and one parse of the whole
+        file peaks at about 5.7 times."""
         import tracemalloc
         monkeypatch.setattr(md, "_BLOCK_ROWS", 4096)
         d = md.DesignDensity(beta=0.3, x0=0.4)
@@ -598,11 +623,10 @@ class TestSerialization:
         assert back.Y.flags.c_contiguous and back.Y.flags.owndata
 
     def test_load_csv_grid_never_outgrows_the_file(self, tmp_path, monkeypatch):
-        """999 rows of l = 1 and one row (1, 999): the largest indices ask
-        for a 999 x 999 grid (7.6 MiB) that 1000 rows cannot fill, so the
-        row count check raises and that grid is never allocated.  Blocks
-        of 4096 rows, since numpy's parser reserves a whole block (2.5 MiB
-        at 2^16 rows) whatever the file holds."""
+        """999 rows of l = 1 and one row (1, 999): the last row is out of
+        place, and no 999 x 999 grid (7.6 MiB) of its indices is ever
+        allocated.  Blocks of 4096 rows, since numpy's parser reserves a
+        whole block (2.5 MiB at 2^16 rows) whatever the file holds."""
         import tracemalloc
         monkeypatch.setattr(md, "_BLOCK_ROWS", 4096)
         path = tmp_path / "obs.csv"
@@ -613,7 +637,7 @@ class TestSerialization:
         tracemalloc.start()
         try:
             with pytest.raises(md.ParameterError,
-                               match="1000 data rows for the 999 x 999 grid"):
+                               match=r"data row 1000 has \(i, l\) = \(1, 999\)"):
                 md.load_csv(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
