@@ -17,7 +17,7 @@ from .model import (DesignDensity, KernelSpec, NoiseSpec, ObservationGrid,
                     power_kernel, quantile_design, sample_errors, save_binary,
                     save_csv, simulate_observations, simulate_replicates,
                     single_atom, tensor_sinusoid)
-from .estimator import (CoefficientField, EstimatorConfig, FieldPlan, Index,
+from .estimator import (EstimatorConfig, FieldPlan, Index,
                         KernelNotInvertibleError, Reconstruction,
                         SingularDesignError, choose_levels, estimate_field,
                         reanalyze, reconstruct, save_field_csv,

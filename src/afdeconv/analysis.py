@@ -241,17 +241,17 @@ class Lemma1Report:
     spread4: float
 
 
-def verify_lemma1(kernel: md.KernelSpec, wspec: wv.WaveletSpec,
-                  d1: md.DesignDensity, d2: md.DesignDensity,
-                  levels1, levels2=(2,), shifts_per_level: int = 4,
-                  grid: int = 8192) -> Lemma1Report:
+def verify_lemma1(cfg: es.EstimatorConfig, wspec: wv.WaveletSpec, levels1,
+                  shifts_per_level: int = 4, grid: int = 8192) -> Lemma1Report:
     """Check the scaling laws of the deconvolving-function integrals.
 
     Computes fine-grid quadratures of int U^2/(h1 h2) and int U^4/(h1^3 h2^3)
-    over a (level, shift) sweep and divides by their predicted scaling
+    over a (level, shift) sweep of t-levels ``levels1``, at the x-level
+    m20 - 1, and divides by their predicted scaling
     2^{(2 nu + b1) j1 + b2 j2} / prod |k_i - k_i0|^{b_i} (and the fourth-power
     analogue); the report carries the max/min ratio spreads.
     """
+    kernel, d1, d2 = cfg.kernel, cfg.d1, cfg.d2
     tg = _quad_grid(grid)
     h1 = d1.pdf(tg)
     h2 = d2.pdf(tg)
@@ -267,27 +267,27 @@ def verify_lemma1(kernel: md.KernelSpec, wspec: wv.WaveletSpec,
         u = wv.eval_on_points(tg, m1, psi[:, ks1] / es._conj_kernel(kernel, m1, None, j1))
         q2_t = np.mean(u ** 2 / h1[:, None], axis=0)
         q4_t = np.mean(u ** 4 / h1[:, None] ** 3, axis=0)
-        for j2 in levels2:
-            m2, eta = wv.build_basis(wspec, j2, axis=1)
-            count2 = eta.shape[1]
-            k20 = round(d2.x0 * 2 ** j2)
-            ks2 = [(k20 + max(2, count2 // 4)) % count2]
-            v = wv.eval_on_points(tg, m2, eta[:, ks2])
-            q2_x = np.mean(v ** 2 / h2[:, None], axis=0)
-            q4_x = np.mean(v ** 4 / h2[:, None] ** 3, axis=0)
-            for a, k1 in enumerate(ks1):
-                for b, k2 in enumerate(ks2):
-                    q2 = q2_t[a] * q2_x[b]
-                    q4 = q4_t[a] * q4_x[b]
-                    dist1 = es._shift_distance(j1, k1, d1.x0)
-                    dist2 = es._shift_distance(j2, k2, d2.x0)
-                    f2 = (2.0 ** ((2 * nu + d1.beta) * j1 + d2.beta * j2)
-                          / (dist1 ** d1.beta * dist2 ** d2.beta))
-                    f4 = (2.0 ** (j1 * (4 * nu + 3 * d1.beta)
-                                  + j2 * (3 * d2.beta + 1))
-                          / (dist1 ** (3 * d1.beta) * dist2 ** (3 * d2.beta)))
-                    entries.append({"j1": j1, "k1": k1, "j2": j2, "k2": k2,
-                                    "ratio2": q2 / f2, "ratio4": q4 / f4})
+        j2 = wspec.m20 - 1  # the x scaling pseudo-level
+        m2, eta = wv.build_basis(wspec, j2, axis=1)
+        count2 = eta.shape[1]
+        k20 = round(d2.x0 * 2 ** j2)
+        ks2 = [(k20 + max(2, count2 // 4)) % count2]
+        v = wv.eval_on_points(tg, m2, eta[:, ks2])
+        q2_x = np.mean(v ** 2 / h2[:, None], axis=0)
+        q4_x = np.mean(v ** 4 / h2[:, None] ** 3, axis=0)
+        for a, k1 in enumerate(ks1):
+            for b, k2 in enumerate(ks2):
+                q2 = q2_t[a] * q2_x[b]
+                q4 = q4_t[a] * q4_x[b]
+                dist1 = es._shift_distance(j1, k1, d1.x0)
+                dist2 = es._shift_distance(j2, k2, d2.x0)
+                f2 = (2.0 ** ((2 * nu + d1.beta) * j1 + d2.beta * j2)
+                      / (dist1 ** d1.beta * dist2 ** d2.beta))
+                f4 = (2.0 ** (j1 * (4 * nu + 3 * d1.beta)
+                              + j2 * (3 * d2.beta + 1))
+                      / (dist1 ** (3 * d1.beta) * dist2 ** (3 * d2.beta)))
+                entries.append({"j1": j1, "k1": k1, "j2": j2, "k2": k2,
+                                "ratio2": q2 / f2, "ratio4": q4 / f4})
     r2 = np.array([e["ratio2"] for e in entries])
     r4 = np.array([e["ratio4"] for e in entries])
     return Lemma1Report(entries=entries,
@@ -295,16 +295,15 @@ def verify_lemma1(kernel: md.KernelSpec, wspec: wv.WaveletSpec,
                         spread4=float(r4.max() / r4.min()))
 
 
-def _deviation_weights(index: es.Index, kernel: md.KernelSpec,
-                       wspec: wv.WaveletSpec, d1: md.DesignDensity,
-                       d2: md.DesignDensity, N: int, M: int) -> np.ndarray:
+def _deviation_weights(index: es.Index, cfg: es.EstimatorConfig,
+                       wspec: wv.WaveletSpec, N: int, M: int) -> np.ndarray:
     """V such that beta-tilde = sum V_il Y_il on the quantile designs of
-    d1 and d2: the clean estimate is sum V q and the noise part
+    cfg.d1 and cfg.d2: the clean estimate is sum V q and the noise part
     sigma sum V eps."""
-    t = md.quantile_design(N, d1)
-    x = md.quantile_design(M, d2)
-    U = es.compute_U(index, kernel, wspec, t, x)
-    h = np.outer(es._design_pdf(t, d1), es._design_pdf(x, d2))
+    t = md.quantile_design(N, cfg.d1)
+    x = md.quantile_design(M, cfg.d2)
+    U = es.compute_U(index, cfg.kernel, wspec, t, x)
+    h = np.outer(es._design_pdf(t, cfg.d1), es._design_pdf(x, cfg.d2))
     return U * (1.0 / h) / (N * M)
 
 
@@ -353,10 +352,9 @@ class Lemma2Report:
     fourth_ratios: list[float]
 
 
-def verify_lemma2(index: es.Index, kernel: md.KernelSpec,
-                  wspec: wv.WaveletSpec, d1: md.DesignDensity,
-                  d2: md.DesignDensity, noise: md.NoiseSpec, M: int,
-                  N_ladder, replicates: int = 500, seed: int = 0) -> Lemma2Report:
+def verify_lemma2(index: es.Index, cfg: es.EstimatorConfig,
+                  wspec: wv.WaveletSpec, M: int, N_ladder,
+                  replicates: int = 500, seed: int = 0) -> Lemma2Report:
     """Monte Carlo check of the variance law Var ~ sigma^2 2^{...}/(M N^alpha).
 
     Fits the slope of log Var against log N (predicted -alpha at fixed M),
@@ -367,11 +365,12 @@ def verify_lemma2(index: es.Index, kernel: md.KernelSpec,
     """
     variances, exact_variances, fourth_ratios = [], [], []
     kurt = math.nan
-    nu = kernel.nu
+    noise, d1, d2 = cfg.noise, cfg.d1, cfg.d2
+    nu = cfg.kernel.nu
     dist1 = es._shift_distance(index.j1, index.k1, d1.x0)
     dist2 = es._shift_distance(index.j2, index.k2, d2.x0)
     for i, N in enumerate(N_ladder):
-        V = _deviation_weights(index, kernel, wspec, d1, d2, N, M)
+        V = _deviation_weights(index, cfg, wspec, N, M)
         w, dev = _colored_deviations(V, noise, replicates, seed + i)
         variances.append(float(np.var(dev, ddof=1)))
         exact_variances.append(float(w @ w))
@@ -452,10 +451,9 @@ def verify_lemma3(f: md.TestFunction, wspec: wv.WaveletSpec,
 
 
 def _tail_ingredients(f, wspec, cfg, index, M, N, J1, J2, replicates, seed):
-    kernel, d1, d2 = cfg.kernel, cfg.d1, cfg.d2
-    V = _deviation_weights(index, kernel, wspec, d1, d2, N, M)
-    q = md.convolved_signal(f, kernel, md.quantile_design(N, d1),
-                            md.quantile_design(M, d2))
+    V = _deviation_weights(index, cfg, wspec, N, M)
+    q = md.convolved_signal(f, cfg.kernel, md.quantile_design(N, cfg.d1),
+                            md.quantile_design(M, cfg.d2))
     true_blocks = es.true_coefficients(f, wspec, J1, J2)
     beta = true_blocks[(index.j1, index.j2)][index.k1, index.k2]
     bias = float(np.sum(V * q)) - beta
@@ -485,15 +483,13 @@ class RateReport:
 
 
 def _ladder_point(f, wspec, cfg, N, M, replicates, seed, grid, f_ref):
-    kernel, d1, d2 = cfg.kernel, cfg.d1, cfg.d2
-    J1, J2 = cfg.resolve_levels(M, N, wspec)
-    plan = es.FieldPlan(md.quantile_design(N, d1), md.quantile_design(M, d2),
-                        d1, d2, kernel, wspec, J1, J2)
+    plan = es.FieldPlan(cfg, wspec, md.quantile_design(N, cfg.d1),
+                        md.quantile_design(M, cfg.d2))
     values = np.empty(replicates)
-    grids = md.simulate_replicates(f, kernel, d1, d2, cfg.noise, N, M,
-                                   range(seed, seed + replicates))
+    grids = md.simulate_replicates(f, cfg.kernel, cfg.d1, cfg.d2, cfg.noise,
+                                   N, M, range(seed, seed + replicates))
     for r, obs in enumerate(grids):
-        fld = es.estimate_field(obs, wspec, cfg, plan=plan)
+        fld = es.estimate_field(plan, obs.Y)
         rec = es.reconstruct(fld, wspec, grid=grid, which="kept")
         values[r] = mise(rec, f_ref)
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(replicates)) if replicates > 1 else 0.0

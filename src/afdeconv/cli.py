@@ -182,6 +182,25 @@ def _walk(table: dict, given, where: str, errors: list, reads=None):
     return merged
 
 
+def _address_errors(v: dict, wspec: wv.WaveletSpec) -> list[str]:
+    """A message per address a selected lemma reads outside Omega: a level
+    below the scaling pseudo-level m0 - 1 of its axis or a shift outside
+    0 <= k < shift_count (a level above MAX_LEVEL exits 3 when built)."""
+    errors = []
+    for lemma, key in ((1, "levels1"), (2, "index"), (3, "indices")):
+        if lemma in v["lemmas"] and _SCHEMA["verify"][key].ok(v[key]):
+            for a in {1: [[j] for j in v[key]], 2: [v[key]], 3: v[key]}[lemma]:
+                levels, shifts = a[0::2], a[1::2]  # no shift for a lone t-level
+                if not all(j >= wspec.lowest_level(axis) - 1 and (
+                        not shifts or j > wv.MAX_LEVEL
+                        or 0 <= shifts[axis] < wv.shift_count(wspec, j, axis))
+                           for axis, j in enumerate(levels)):
+                    errors.append(f"verify.{key}: {a} has a level below (m10 - 1, "
+                                  f"m20 - 1) = ({wspec.m10 - 1}, {wspec.m20 - 1}) or "
+                                  f"a shift outside 0 <= k < 2^max(j, m0)")
+    return errors
+
+
 def load_config(path) -> dict:
     """The YAML mapping at `path`; `validate_config` merges it over the
     schema."""
@@ -222,11 +241,12 @@ def validate_config(cfg: dict, command: str) -> dict:
                 md.make_test_function(fn["name"], **kwargs)
             except md.ParameterError as exc:
                 errors.append(f"function.{exc}")
-    v = merged.get("verify")
-    if ("verify" in reads and _SCHEMA["verify"]["lemmas"].ok(v["lemmas"])
-            and 2 in v["lemmas"] and isinstance(v["N_ladder"], list)
-            and len(v["N_ladder"]) < 3):
-        errors.append("verify.N_ladder: needs at least 3 entries")
+    v, w = merged.get("verify"), merged["wavelet"]
+    if "verify" in reads and _SCHEMA["verify"]["lemmas"].ok(v["lemmas"]):
+        if 2 in v["lemmas"] and isinstance(v["N_ladder"], list) and len(v["N_ladder"]) < 3:
+            errors.append("verify.N_ladder: needs at least 3 entries")
+        if isinstance(w, dict) and all(_SCHEMA["wavelet"][m].ok(w[m]) for m in ("m10", "m20")):
+            errors += _address_errors(v, wv.WaveletSpec(w["m10"], w["m20"]))
     if errors:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
     return merged
@@ -241,21 +261,14 @@ def _specs(cfg: dict):
     config carries the kernel, the designs and the noise law."""
     k = cfg["kernel"]
     kernel = md.make_kernel(k["name"], nu=k["nu"])
-    d1 = md.DesignDensity(beta=cfg["design"]["t"]["beta"],
-                          x0=cfg["design"]["t"]["x0"])
-    d2 = md.DesignDensity(beta=cfg["design"]["x"]["beta"],
-                          x0=cfg["design"]["x"]["x0"])
-    nz = cfg["noise"]
-    noise = md.NoiseSpec(alpha=nz["alpha"], kind=nz["kind"], sigma=nz["sigma"])
+    # the keys of design.t, design.x, noise and estimator are field names
+    d1, d2 = (md.DesignDensity(**cfg["design"][axis]) for axis in ("t", "x"))
+    noise = md.NoiseSpec(**cfg["noise"])
     w = cfg["wavelet"]
     wspec = wv.WaveletSpec(m10=w["m10"], m20=w["m20"])
     fn = dict(cfg["function"])
     f = md.make_test_function(fn.pop("name"), **fn)
-    e = cfg["estimator"]
-    est_cfg = es.EstimatorConfig(
-        kernel, d1, d2, noise, gamma=e["gamma"], mu=e["mu"],
-        besov_radius=e["besov_radius"], J1=e["J1"], J2=e["J2"])
-    return f, wspec, est_cfg
+    return f, wspec, es.EstimatorConfig(kernel, d1, d2, noise, **cfg["estimator"])
 
 
 def _write_run_metadata(outdir: Path, cfg: dict, artifacts: list[Path]) -> None:
@@ -305,19 +318,35 @@ def _load_observations(path: Path) -> md.ObservationGrid:
     return md.load_csv(path)
 
 
+def _check_design(obs: md.ObservationGrid, est_cfg: es.EstimatorConfig) -> None:
+    """ConfigError naming the first point where the file's design is not the
+    config's quantile design, to rounding: both writers round-trip float64."""
+    for axis, points, d in (("t", obs.t, est_cfg.d1), ("x", obs.x, est_cfg.d2)):
+        expected = md.quantile_design(points.size, d)
+        i = np.flatnonzero(~(np.abs(points - expected) <= 1e-12))[:1]
+        if i.size:
+            raise ConfigError(f"design.{axis}: point {i[0] + 1} of {points.size} of the "
+                              f"file's {axis}-design is {points[i[0]]:.17g}, the "
+                              f"config's quantile design has {expected[i[0]]:.17g}")
+
+
 def cmd_estimate(cfg: dict, outdir: Path) -> list[Path]:
     f, wspec, est_cfg = _specs(cfg)
     sec = cfg["estimate"]
     obs = _load_observations(Path(sec["observations"]))
-    J1, J2 = est_cfg.resolve_levels(obs.M, obs.N, wspec)
-    beta_true = es.true_coefficients(f, wspec, J1, J2)
-    field = es.estimate_field(obs, wspec, est_cfg, beta_true=beta_true)
+    _check_design(obs, est_cfg)
+    plan = es.FieldPlan(est_cfg, wspec, obs.t, obs.x)
+    J1, J2 = plan.J1, plan.J2
+    field = es.estimate_field(plan, obs.Y)
+    del plan  # its design matrices would otherwise add to every later peak
+    truth = es.true_coefficients(f, wspec, J1, J2)
+    kept = int(sum(blk.kept.sum() for blk in field.values()))
     grid = sec["grid"]
     recon = es.reconstruct(field, wspec, grid=grid, which="kept")
     err = an.mise(recon, f.grid(grid))
     artifacts = []
     coeff_path = outdir / "coefficients.csv"
-    es.save_field_csv(field, coeff_path)
+    es.save_field_csv(field, coeff_path, truth)
     artifacts.append(coeff_path)
     grid_path = outdir / "reconstruction.csv"
     es.save_reconstruction_csv(recon, grid_path)
@@ -329,27 +358,25 @@ def cmd_estimate(cfg: dict, outdir: Path) -> list[Path]:
     summary = outdir / "estimate_summary.txt"
     with open(summary, "w", newline="\n") as fh:
         fh.write(f"levels: J1={J1} J2={J2}\n")
-        fh.write(f"kept coefficients: {field.kept_count()}\n")
+        fh.write(f"kept coefficients: {kept}\n")
         fh.write(f"total coefficients: "
-                 f"{sum(b.beta_hat.size for b in field.blocks.values())}\n")
+                 f"{sum(b.beta_hat.size for b in field.values())}\n")
         fh.write(f"mise: {err:.17g}\n")
     artifacts.append(summary)
     _write_run_metadata(outdir, cfg, artifacts)
-    print(f"kept {field.kept_count()} coefficients; mise {err:.6g}")
+    print(f"kept {kept} coefficients; mise {err:.6g}")
     return artifacts
 
 
 def cmd_verify(cfg: dict, outdir: Path) -> list[Path]:
     f, wspec, est_cfg = _specs(cfg)
-    kernel, d1, d2, noise = est_cfg.kernel, est_cfg.d1, est_cfg.d2, est_cfg.noise
     v = cfg["verify"]
     lemmas = v["lemmas"]
     seed = cfg["seed"]
     artifacts = []
     lines = []
     if 1 in lemmas:
-        rep = an.verify_lemma1(kernel, wspec, d1, d2,
-                               levels1=v["levels1"])
+        rep = an.verify_lemma1(est_cfg, wspec, levels1=v["levels1"])
         path = outdir / "lemma1.csv"
         columns = ("j1", "k1", "j2", "k2", "ratio2", "ratio4")
         np.savetxt(path, [[e[c] for c in columns] for e in rep.entries],
@@ -359,9 +386,7 @@ def cmd_verify(cfg: dict, outdir: Path) -> list[Path]:
         lines.append(f"lemma1: spread2={rep.spread2:.4g} spread4={rep.spread4:.4g}")
     if 2 in lemmas:
         idx = es.Index(*v["index"])
-        rep = an.verify_lemma2(idx, kernel, wspec, d1, d2, noise,
-                               M=v.get("M", 128),
-                               N_ladder=v["N_ladder"],
+        rep = an.verify_lemma2(idx, est_cfg, wspec, M=v.get("M", 128), N_ladder=v["N_ladder"],
                                replicates=v.get("replicates", 500), seed=seed)
         path = outdir / "lemma2.csv"
         np.savetxt(path, np.column_stack([rep.N_ladder, rep.variances,
@@ -369,7 +394,7 @@ def cmd_verify(cfg: dict, outdir: Path) -> list[Path]:
                    fmt="%d,%.17g,%.17g,%.17g",
                    header="N,variance,fourth_ratio,variance_exact", comments="")
         artifacts.append(path)
-        lines.append(f"lemma2: slope={rep.slope:.4f} (predicted {-noise.alpha})"
+        lines.append(f"lemma2: slope={rep.slope:.4f} (predicted {-rep.alpha})"
                      f" exact slope={rep.exact_slope:.4f}"
                      f" kurtosis={rep.kurtosis:.3f}")
     if 3 in lemmas:

@@ -16,13 +16,12 @@ import numpy as np
 
 from . import model as md
 from . import wavelets as wv
-from .model import (DesignDensity, KernelSpec, NoiseSpec, ObservationGrid,
-                    ParameterError, TestFunction)
+from .model import (DesignDensity, KernelSpec, NoiseSpec, ParameterError,
+                    TestFunction)
 
 __all__ = [
     "Index",
     "EstimatorConfig",
-    "CoefficientField",
     "Reconstruction",
     "KernelNotInvertibleError",
     "SingularDesignError",
@@ -92,11 +91,8 @@ class EstimatorConfig:
         if J1 is None or J2 is None:
             a1, a2 = choose_levels(M, N, self.noise.alpha, self.noise.sigma,
                                    self.besov_radius, self.kernel.nu)
-            J1 = a1 if J1 is None else J1
-            J2 = a2 if J2 is None else J2
-        J1 = max(J1, wspec.m10)
-        J2 = max(J2, wspec.m20)
-        return J1, J2
+            J1, J2 = a1 if J1 is None else J1, a2 if J2 is None else J2
+        return max(J1, wspec.m10), max(J2, wspec.m20)
 
 
 def choose_levels(M: int, N: int, alpha: float, sigma: float,
@@ -189,26 +185,12 @@ def _design_pdf(points: np.ndarray, d: DesignDensity) -> np.ndarray:
 
 @dataclass
 class LevelBlock:
-    """The coefficients of one level pair (j1, j2), each array indexed
-    [k1, k2]: the estimates, their thresholds lambda, whether each is kept
-    and, when known, the true coefficients."""
+    """The estimates, thresholds lambda and kept flags of one level pair,
+    each indexed [k1, k2]; a field is a dict of them keyed by (j1, j2)."""
 
     beta_hat: np.ndarray
     lam: np.ndarray
     kept: np.ndarray
-    beta_true: np.ndarray | None = None
-
-
-@dataclass
-class CoefficientField:
-    """The level blocks of Omega(J1, J2), keyed by (j1, j2); the levels and
-    shift counts are the keys and the block shapes, and the smallest key
-    is the scaling pair."""
-
-    blocks: dict[tuple[int, int], LevelBlock]
-
-    def kept_count(self) -> int:
-        return int(sum(blk.kept.sum() for blk in self.blocks.values()))
 
 
 # Columns of Y per block of FieldPlan.estimate: the t-transform of one
@@ -235,26 +217,26 @@ class FieldPlan:
     band x M block otherwise, so both kinds take this one path.  Reused
     across replicates that share the design, kernel and basis; equal for
     every index, up to rounding, to the per-index quadrature with
-    ``compute_U``.
+    ``compute_U``.  Kernel, designs and levels are those of ``cfg``.
     """
 
-    def __init__(self, t, x, d1: DesignDensity, d2: DesignDensity,
-                 kernel: KernelSpec, wspec: wv.WaveletSpec,
-                 J1: int, J2: int):
+    def __init__(self, cfg: EstimatorConfig, wspec: wv.WaveletSpec, t, x):
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
+        self.cfg = cfg
         self.N, self.M = t.size, x.size
-        inv_h1 = 1.0 / _design_pdf(t, d1)
-        self.inv_h2 = 1.0 / _design_pdf(x, d2)
+        self.J1, self.J2 = cfg.resolve_levels(self.M, self.N, wspec)
+        inv_h1 = 1.0 / _design_pdf(t, cfg.d1)
+        self.inv_h2 = 1.0 / _design_pdf(x, cfg.d2)
         # eta_{j2,k2}(x_l), one (M, count) matrix per x-level
         self.eta = {j2: wv.eval_on_points(x, *wv.build_basis(wspec, j2, axis=1))
-                    for j2 in wv.level_range(wspec, J2, axis=1)}
+                    for j2 in wv.level_range(wspec, self.J2, axis=1)}
         # per t-level: rows |m| of the half band, which of them to
         # conjugate (m < 0), psi matrix, conj(g) on the band
-        basis1 = _bases(wspec, wv.level_range(wspec, J1, axis=0), axis=0)
+        basis1 = _bases(wspec, wv.level_range(wspec, self.J1, axis=0), axis=0)
         band = _band(basis1)
         self.t_basis = {j1: (np.abs(m), (m < 0)[:, None], psi,
-                             _conj_kernel(kernel, m, x, j1))
+                             _conj_kernel(cfg.kernel, m, x, j1))
                         for j1, (m, psi) in basis1.items()}
         # cos and sin rows of e^{i 2 pi m t_i} / h1(t_i), m = 0..b, stacked,
         # so the t-transform of the real Y is one real product
@@ -286,31 +268,21 @@ class FieldPlan:
                 for j1 in self.t_basis for j2 in self.eta}
 
 
-def estimate_field(obs: ObservationGrid, wspec: wv.WaveletSpec,
-                   cfg: EstimatorConfig,
-                   beta_true: dict[tuple[int, int], np.ndarray] | None = None,
-                   plan: FieldPlan | None = None) -> CoefficientField:
-    """The hard-thresholded coefficient field of the model ``cfg``
-    describes, on the levels of ``plan`` (built from ``cfg`` and the
-    observations when not given).
+def estimate_field(plan: FieldPlan, Y: np.ndarray) -> dict[tuple[int, int], LevelBlock]:
+    """The hard-thresholded level blocks of the observations Y on the
+    design, model and levels of ``plan``.
 
     Each level block is built whole: the estimates, their thresholds
     lambda, and kept iff |beta_hat| strictly exceeds lambda.  The scaling
     block, the smallest key, keeps every coefficient: its risk is
     controlled by variance, not bias.
     """
-    if plan is None:
-        J1, J2 = cfg.resolve_levels(obs.M, obs.N, wspec)
-        plan = FieldPlan(obs.t, obs.x, cfg.d1, cfg.d2, cfg.kernel, wspec,
-                         J1, J2)
     blocks = {}
-    for (j1, j2), beta_hat in plan.estimate(obs.Y).items():
-        lam = _threshold_block(cfg, obs.M, obs.N, j1, j2, *beta_hat.shape)
-        blocks[(j1, j2)] = LevelBlock(
-            beta_hat, lam, np.abs(beta_hat) > lam,
-            None if beta_true is None else beta_true.get((j1, j2)))
+    for (j1, j2), beta_hat in plan.estimate(Y).items():
+        lam = _threshold_block(plan.cfg, plan.M, plan.N, j1, j2, *beta_hat.shape)
+        blocks[(j1, j2)] = LevelBlock(beta_hat, lam, np.abs(beta_hat) > lam)
     blocks[min(blocks)].kept[:] = True
-    return CoefficientField(blocks)
+    return blocks
 
 
 # ----------------------------------------------------------------------
@@ -328,23 +300,25 @@ def _band(bases: dict[int, tuple[np.ndarray, np.ndarray]]) -> int:
 
 
 def true_coefficients(f: TestFunction, wspec: wv.WaveletSpec,
-                      J1: int, J2: int,
-                      grid: int = 4096) -> dict[tuple[int, int], np.ndarray]:
+                      J1: int, J2: int) -> dict[tuple[int, int], np.ndarray]:
     """Tensor quadrature of f = u(t) v(x) against the basis, per level-pair
     block.
 
     Each block is the outer product of the exact t-coefficients
     ``<u, psi_{j1,k1}>`` and ``<v, eta_{j2,k2}>`` from an FFT of v on a fine
-    x-grid, so the only discretization is the x-grid (trapezoid at `grid`
-    points).
+    x-grid, so the only discretization is the x-grid: per x-level, the
+    smallest power of two that holds the band, 2 b + 1 frequencies, and
+    has at least 4096 points (a finer grid on every level moved the lower
+    blocks by up to 8.4e-6, the aliasing of v).
     """
     basis1 = _bases(wspec, wv.level_range(wspec, J1, axis=0), 0)
     basis2 = _bases(wspec, wv.level_range(wspec, J2, axis=1), 1)
-    if 2 * _band(basis2) >= grid:
-        raise wv.ResolutionOverflowError("x-grid too small for requested levels")
-    vhat = np.fft.fft(f.v(np.arange(grid) / grid)) / grid   # indexed by m2 mod grid
     along_t = {j1: np.conj(psi).T @ f.u_hat_at(off1) for j1, (off1, psi) in basis1.items()}
-    along_x = {j2: vhat[np.mod(off2, grid)] @ np.conj(etam)
+    grid = {j2: max(4096, 1 << (2 * int(off2.max())).bit_length())
+            for j2, (off2, _) in basis2.items()}
+    vhat = {g: np.fft.fft(f.v(np.arange(g) / g)) / g   # indexed by m2 mod g
+            for g in set(grid.values())}
+    along_x = {j2: vhat[grid[j2]][np.mod(off2, grid[j2])] @ np.conj(etam)
                for j2, (off2, etam) in basis2.items()}
     return {(j1, j2): np.real(np.outer(a, b))
             for j1, a in along_t.items() for j2, b in along_x.items()}
@@ -358,10 +332,10 @@ class Reconstruction:
     fourier: np.ndarray           # (2 b1 + 1, 2 b2 + 1), index m + b
     band1: int
     band2: int
-    field: CoefficientField | None = None
+    field: dict[tuple[int, int], LevelBlock] | None = None
 
 
-def reconstruct(fieldobj: CoefficientField, wspec: wv.WaveletSpec,
+def reconstruct(field: dict[tuple[int, int], LevelBlock], wspec: wv.WaveletSpec,
                 grid: int = 512, which: str = "kept") -> Reconstruction:
     """Tensor synthesis of the estimated coefficients on a uniform grid.
 
@@ -369,11 +343,11 @@ def reconstruct(fieldobj: CoefficientField, wspec: wv.WaveletSpec,
     """
     if which not in ("kept", "all"):
         raise ParameterError(f"which must be 'kept' or 'all', got {which!r}")
-    basis1 = _bases(wspec, {j1 for j1, _ in fieldobj.blocks}, 0)
-    basis2 = _bases(wspec, {j2 for _, j2 in fieldobj.blocks}, 1)
+    basis1 = _bases(wspec, {j1 for j1, _ in field}, 0)
+    basis2 = _bases(wspec, {j2 for _, j2 in field}, 1)
     b1, b2 = _band(basis1), _band(basis2)
     F = np.zeros((2 * b1 + 1, 2 * b2 + 1), dtype=complex)
-    for (j1, j2), blk in fieldobj.blocks.items():
+    for (j1, j2), blk in field.items():
         C = blk.beta_hat
         if which == "kept":
             C = np.where(blk.kept, C, 0.0)
@@ -386,16 +360,15 @@ def reconstruct(fieldobj: CoefficientField, wspec: wv.WaveletSpec,
                np.mod(np.arange(-b2, b2 + 1), grid)[None, :]), F)
     values = np.real(np.fft.ifft2(folded) * grid * grid)
     return Reconstruction(values=values, fourier=F, band1=b1, band2=b2,
-                          field=fieldobj)
+                          field=field)
 
 
 def reanalyze(recon: Reconstruction, wspec: wv.WaveletSpec) -> dict[tuple[int, int], np.ndarray]:
     """Exact coefficient blocks of a reconstruction (biorthogonality check)."""
-    fieldobj = recon.field
-    basis1 = _bases(wspec, {j1 for j1, _ in fieldobj.blocks}, 0)
-    basis2 = _bases(wspec, {j2 for _, j2 in fieldobj.blocks}, 1)
+    basis1 = _bases(wspec, {j1 for j1, _ in recon.field}, 0)
+    basis2 = _bases(wspec, {j2 for _, j2 in recon.field}, 1)
     out = {}
-    for (j1, j2) in fieldobj.blocks:
+    for (j1, j2) in recon.field:
         off1, psi = basis1[j1]
         off2, etam = basis2[j2]
         sub = recon.fourier[np.ix_(off1 + recon.band1, off2 + recon.band2)]
@@ -410,21 +383,21 @@ def reanalyze(recon: Reconstruction, wspec: wv.WaveletSpec) -> dict[tuple[int, i
 _FIELD_COLUMNS = ("j1", "k1", "j2", "k2", "beta_hat", "lambda", "kept")
 
 
-def save_field_csv(fieldobj: CoefficientField, path) -> None:
+def save_field_csv(field: dict[tuple[int, int], LevelBlock], path,
+                   truth: dict[tuple[int, int], np.ndarray] | None = None) -> None:
     """Columns j1,k1,j2,k2,beta_hat,lambda,kept[,beta_true]; one row per
     index, level blocks in (j1, j2) order and k1, k2 row-major inside.
-    Per block, j1, j2 and k2 are formatted once, into a one-k1-row template
+    beta_true comes from ``truth``, blocks of ``true_coefficients``.  Per
+    block, j1, j2 and k2 are formatted once, into a one-k1-row template
     holding chr(0) for k1, as in ``model.save_csv``."""
-    has_true = any(blk.beta_true is not None for blk in fieldobj.blocks.values())
-    header = ",".join(_FIELD_COLUMNS + (("beta_true",) if has_true else ()))
-    values = "%.17g,%.17g,%d" + (",%.17g" if has_true else "") + "\n"
+    header = ",".join(_FIELD_COLUMNS + (() if truth is None else ("beta_true",)))
+    values = "%.17g,%.17g,%d" + ("" if truth is None else ",%.17g") + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for (j1, j2), blk in sorted(fieldobj.blocks.items()):
+        for (j1, j2), blk in sorted(field.items()):
             columns = [blk.beta_hat, blk.lam, blk.kept]
-            if has_true:
-                columns.append(np.zeros_like(blk.beta_hat) if blk.beta_true is None
-                               else blk.beta_true)
+            if truth is not None:
+                columns.append(truth[(j1, j2)])
             table = np.stack(columns, axis=-1)  # (count1, count2, values)
             count1, count2 = table.shape[:2]
             template = "".join(f"{j1},\0,{j2},{k2},{values}" for k2 in range(count2))

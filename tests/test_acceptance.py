@@ -23,6 +23,12 @@ UNIFORM = md.DesignDensity(beta=0.0, x0=0.5)
 THREADS = 4
 
 
+def _lemma_config(kernel, d1, d2, noise=md.NoiseSpec(alpha=1.0, sigma=1.0)):
+    """The config the lemma suites read: kernel and designs, and the noise
+    law where it enters (lemma 2)."""
+    return es.EstimatorConfig(kernel, d1, d2, noise)
+
+
 def _report(name: str, detail: str, ok: bool) -> None:
     print(f"{name}: {detail} -> {'PASS' if ok else 'FAIL'}")
 
@@ -69,8 +75,9 @@ class TestAcceptance:
     def test_A2_variance_law(self, alpha):
         """Slope of log Var(beta-tilde) vs log N equals -alpha +/- 0.15."""
         noise = md.NoiseSpec(alpha=alpha, sigma=1.0)
-        rep = an.verify_lemma2(es.Index(3, 2, 2, 1), md.power_kernel(1.0),
-                               WSPEC, UNIFORM, UNIFORM, noise, M=128,
+        rep = an.verify_lemma2(es.Index(3, 2, 2, 1),
+                               _lemma_config(md.power_kernel(1.0), UNIFORM,
+                                             UNIFORM, noise), WSPEC, M=128,
                                N_ladder=[128, 256, 512, 1024],
                                replicates=500, seed=3)
         ok = abs(rep.slope - (-alpha)) <= 0.15
@@ -121,8 +128,8 @@ class TestAcceptance:
     def test_A4_quadrature_scaling(self):
         """U^2 ratio spread <= 8 and U^4 ratio spread <= 16 over j1 in 3..6."""
         d = md.DesignDensity(beta=0.3, x0=0.5)
-        rep = an.verify_lemma1(md.power_kernel(1.0), WSPEC, d, d,
-                               levels1=[3, 4, 5, 6])
+        rep = an.verify_lemma1(_lemma_config(md.power_kernel(1.0), d, d),
+                               WSPEC, levels1=[3, 4, 5, 6])
         ok = rep.spread2 <= 8.0 and rep.spread4 <= 16.0
         _report("A4", f"spread2={rep.spread2:.3f} (<=8), "
                 f"spread4={rep.spread4:.3f} (<=16)", ok)
@@ -162,7 +169,8 @@ class TestAcceptance:
         for J1 in range(3, cap + 1):
             cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, silent,
                                      J1=J1, J2=cap)
-            field = es.estimate_field(obs, WSPEC, cfg)
+            field = es.estimate_field(es.FieldPlan(cfg, WSPEC, obs.t, obs.x),
+                                      obs.Y)
             rec = es.reconstruct(field, WSPEC, grid=512, which="kept")
             errs.append(an.mise(rec, truth))
         decreasing = all(a > b for a, b in zip(errs, errs[1:]))
@@ -212,7 +220,7 @@ class TestAcceptance:
         J1 = J2 = 5
         truth = es.true_coefficients(f, WSPEC, J1, J2)
         cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, noise, J1=J1, J2=J2)
-        clean = es.estimate_field(obs, WSPEC, cfg)
+        clean = es.estimate_field(es.FieldPlan(cfg, WSPEC, obs.t, obs.x), obs.Y)
         rng = np.random.default_rng(99)
         worst = 0.0
         for draw in range(10):
@@ -222,9 +230,8 @@ class TestAcceptance:
             k2 = int(rng.integers(0, wv.shift_count(WSPEC, j2, 1)))
             idx = es.Index(j1, k1, j2, k2)
             beta = truth[(j1, j2)][k1, k2]
-            clean_val = clean.blocks[(j1, j2)].beta_hat[k1, k2]
-            V = an._deviation_weights(idx, ker, WSPEC, UNIFORM, UNIFORM,
-                                      256, 256)
+            clean_val = clean[(j1, j2)].beta_hat[k1, k2]
+            V = an._deviation_weights(idx, cfg, WSPEC, 256, 256)
             _, dev = an._colored_deviations(V, noise, replicates, 1000 + draw)
             mc_mean = clean_val + float(dev.mean())
             se = float(dev.std(ddof=1)) / math.sqrt(replicates)

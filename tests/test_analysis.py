@@ -14,6 +14,17 @@ UNIFORM = md.DesignDensity(beta=0.0, x0=0.5)
 SINGULAR = md.DesignDensity(beta=0.3, x0=0.5)
 
 
+def _estimate(obs, cfg):
+    """The level blocks of `obs` under the model and levels of `cfg`."""
+    return es.estimate_field(es.FieldPlan(cfg, WSPEC, obs.t, obs.x), obs.Y)
+
+
+def _lemma_config(kernel, d1, d2, noise=md.NoiseSpec(alpha=1.0, sigma=1.0)):
+    """The config the lemma suites read: kernel and designs, and the noise
+    law where it enters (lemma 2)."""
+    return es.EstimatorConfig(kernel, d1, d2, noise)
+
+
 def count_calls(monkeypatch, module, names):
     """Replace each named function of `module` by a wrapper that counts its
     calls; returns the live {name: count} dict."""
@@ -66,11 +77,11 @@ class TestMise:
         obs = md.simulate_observations(f, ker, UNIFORM, UNIFORM, silent,
                                        N=128, M=128, seed=1)
         cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, silent, J1=5, J2=5)
-        field = es.estimate_field(obs, WSPEC, cfg)
+        field = _estimate(obs, cfg)
         base = es.reconstruct(field, WSPEC, grid=512, which="all")
         rng = np.random.default_rng(7)
         total = 0.0
-        for blk in field.blocks.values():
+        for blk in field.values():
             delta = 0.01 * rng.standard_normal(blk.beta_hat.shape)
             blk.beta_hat = blk.beta_hat + delta
             total += np.sum(delta ** 2)
@@ -147,20 +158,21 @@ class TestLemmaSuites:
 
     def test_lemma1_constant_ratio_identity_kernel(self):
         """g = 1 and uniform design: the U^2 ratio is constant in k."""
-        rep = an.verify_lemma1(md.identity_kernel(), WSPEC, UNIFORM, UNIFORM,
-                               levels1=[4], grid=4096)
+        rep = an.verify_lemma1(_lemma_config(md.identity_kernel(), UNIFORM, UNIFORM),
+                               WSPEC, levels1=[4], grid=4096)
         r2 = [e["ratio2"] for e in rep.entries]
         assert max(r2) / min(r2) == pytest.approx(1.0, abs=1e-8)
 
     def test_lemma1_uniform_spread(self):
-        rep = an.verify_lemma1(md.power_kernel(1.0), WSPEC, UNIFORM, UNIFORM,
-                               levels1=[3, 4, 5, 6])
+        rep = an.verify_lemma1(_lemma_config(md.power_kernel(1.0), UNIFORM, UNIFORM),
+                               WSPEC, levels1=[3, 4, 5, 6])
         assert rep.spread2 <= 4.0
 
     def test_lemma2_gaussian_kurtosis(self):
         noise = md.NoiseSpec(alpha=0.8, sigma=1.0)
-        rep = an.verify_lemma2(es.Index(3, 2, 2, 1), md.power_kernel(1.0),
-                               WSPEC, UNIFORM, UNIFORM, noise, M=64,
+        rep = an.verify_lemma2(es.Index(3, 2, 2, 1),
+                               _lemma_config(md.power_kernel(1.0), UNIFORM,
+                                             UNIFORM, noise), WSPEC, M=64,
                                N_ladder=[64, 128, 256], replicates=2000,
                                seed=1)
         assert rep.kurtosis == pytest.approx(3.0, abs=0.3)
@@ -273,13 +285,13 @@ class TestColoredDeviations:
         idx, ker = es.Index(3, 2, 2, 1), md.power_kernel(1.0)
         noise = md.NoiseSpec(alpha=0.6, kind=kind, sigma=0.7)
         M, ladder, replicates = 64, [64, 128, 256], 400
-        rep = an.verify_lemma2(idx, ker, WSPEC, SINGULAR, SINGULAR, noise,
+        cfg = _lemma_config(ker, SINGULAR, SINGULAR, noise)
+        rep = an.verify_lemma2(idx, cfg, WSPEC,
                                M=M, N_ladder=ladder, replicates=replicates,
                                seed=4)
         se = math.sqrt(2 / (replicates - 1))
         for N, var, exact in zip(ladder, rep.variances, rep.exact_variances):
-            V = an._deviation_weights(idx, ker, WSPEC, SINGULAR, SINGULAR,
-                                      N, M)
+            V = an._deviation_weights(idx, cfg, WSPEC, N, M)
             cov = md.lrd_covariance(N, noise.alpha)
             truth = noise.sigma ** 2 * float(np.sum(V * (cov @ V)))
             assert exact == pytest.approx(truth, rel=1e-9)
@@ -335,7 +347,7 @@ class TestRateExperiment:
                 obs = md.simulate_observations(f, ker, SINGULAR, SINGULAR,
                                                noise, N=N, M=M,
                                                seed=seed + 100003 * i + r)
-                fld = es.estimate_field(obs, WSPEC, cfg)
+                fld = _estimate(obs, cfg)
                 values.append(an.mise(es.reconstruct(fld, WSPEC, grid=grid),
                                       f_ref))
             values = np.array(values)

@@ -459,6 +459,26 @@ class TestEstimate:
                          "--out", str(tmp_path / "est")]) == 3
         assert "resolution overflow: level 13" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("axis", ["t", "x"])
+    def test_design_other_than_the_files_exits_2(self, tmp_path, capsys, axis):
+        """A file simulated with beta = 0.3 on one axis, estimated under a
+        config whose design is uniform on both: exit 2 naming the axis
+        and its first point, not an estimate with the wrong weights."""
+        obs_dir = tmp_path / "obs"
+        design = {"t": {"beta": 0.0}, "x": {"beta": 0.0}}
+        sim = write_config(tmp_path, simulate={"N": 64, "M": 64, "format": "csv"},
+                           design={**design, axis: {"beta": 0.3}}, seed=3)
+        assert cli.main(["simulate", "--config", str(sim),
+                         "--out", str(obs_dir)]) == 0
+        cfg = write_config(tmp_path, design=design, seed=3, extra={"estimate": {
+            "observations": str(obs_dir / "observations.csv")}})
+        out = tmp_path / "est"
+        assert cli.main(["estimate", "--config", str(cfg),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"design.{axis}: point 1 of 64 of the file's {axis}-design" in err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_non_numeric_observation_exits_2(self, tmp_path, capsys):
         """A non-numeric Y field fails the load; it is not read as NaN."""
         obs_dir = tmp_path / "obs"
@@ -487,6 +507,43 @@ class TestVerifyAndBench:
                          "--out", str(out)]) == 0
         assert (out / "lemma1.csv").exists()
         assert "lemma1" in (out / "verify_summary.txt").read_text()
+
+    @pytest.mark.parametrize("extra, named", [
+        ({"verify": {"lemmas": [2], "index": [3, 99, 2, 1]}},
+         "verify.index: [3, 99, 2, 1] has a level below (m10 - 1, m20 - 1) = "
+         "(2, 2) or a shift outside 0 <= k < 2^max(j, m0)"),
+        ({"verify": {"lemmas": [2], "index": [0, 0, 2, 1]}},
+         "verify.index: [0, 0, 2, 1] has a level below"),
+        ({"verify": {"lemmas": [2], "index": [3, -1, 2, 1]}},
+         "verify.index: [3, -1, 2, 1] has a level below"),
+        ({"verify": {"lemmas": [3], "indices": [[3, -2, 2, 1]]}},
+         "verify.indices: [3, -2, 2, 1] has a level below"),
+        ({"verify": {"lemmas": [1], "levels1": [0]}},
+         "verify.levels1: [0] has a level below"),
+        ({"verify": {"lemmas": [2]}, "wavelet": {"m10": 4, "m20": 4}},
+         "verify.index: [3, 2, 2, 1] has a level below (m10 - 1, m20 - 1) = "
+         "(3, 3)"),
+        ({"verify": {"lemmas": [1], "levels1": [3, 4]}, "wavelet": {"m20": 4}},
+         None),
+    ], ids=["k1-past-level", "j1-below-scaling", "k1-negative",
+            "indices-k1-negative", "levels1-below-scaling",
+            "default-index-below-m20", "lemma1-at-m20-4"])
+    def test_lemma_addresses_checked(self, tmp_path, capsys, extra, named):
+        """Every level a selected lemma reads is at least the scaling
+        pseudo-level m0 - 1 of its axis and every shift k lies in
+        0 <= k < shift_count: otherwise exit 2 naming the key.  Lemma 1
+        reads the x-level m20 - 1, so a valid m20 = 4 runs."""
+        path = write_config(tmp_path, extra=extra)
+        out = tmp_path / "v"
+        rc = cli.main(["verify-lemmas", "--config", str(path), "--out", str(out)])
+        if named is None:
+            assert rc == 0
+            rows = (out / "lemma1.csv").read_text().splitlines()[1:]
+            assert {row.split(",")[2] for row in rows} == {"3"}
+        else:
+            assert rc == 2
+            assert named in capsys.readouterr().err
+            assert not (out / "verify_summary.txt").exists()
 
     def test_verify_lemma3_tail_exponent(self, tmp_path, monkeypatch):
         """With a 3-pair `verify.ladder`, lemma 3 reports the closed-form

@@ -28,6 +28,17 @@ def _config(nu=1.0, d1=UNIFORM, d2=UNIFORM, alpha=1.0, sigma=1.0,
                                            sigma=sigma), **kw)
 
 
+def _estimate(obs, cfg):
+    """The level blocks of `obs` under the model and levels of `cfg`."""
+    return es.estimate_field(es.FieldPlan(cfg, WSPEC, obs.t, obs.x), obs.Y)
+
+
+def _plan(t, x, d1, d2, kernel, J1, J2):
+    """A FieldPlan on the levels J1, J2; the noise law does not enter it."""
+    cfg = es.EstimatorConfig(kernel, d1, d2, SILENT, J1=J1, J2=J2)
+    return es.FieldPlan(cfg, WSPEC, t, x)
+
+
 class TestLevelSelection:
 
     def test_worked_example(self):
@@ -113,8 +124,8 @@ class TestCoefficientRecovery:
         obs = md.simulate_observations(f, kernel, UNIFORM, UNIFORM, SILENT,
                                        N=256, M=256, seed=1)
         cfg = es.EstimatorConfig(kernel, UNIFORM, UNIFORM, SILENT, J1=5, J2=5)
-        field = es.estimate_field(obs, WSPEC, cfg)
-        for (j1, j2), blk in field.blocks.items():
+        field = _estimate(obs, cfg)
+        for (j1, j2), blk in field.items():
             expected = np.zeros_like(blk.beta_hat)
             if (j1, j2) == (3, 3):
                 expected[2, 5] = 1.0
@@ -136,13 +147,13 @@ class TestCoefficientRecovery:
                 obs = md.simulate_observations(f, ker, d1, d2, noise,
                                                N=64, M=64, seed=5)
                 cfg = es.EstimatorConfig(ker, d1, d2, noise, J1=4, J2=4)
-                field = es.estimate_field(obs, WSPEC, cfg)
+                field = _estimate(obs, cfg)
                 weights = 1.0 / np.outer(d1.pdf(obs.t), d2.pdf(obs.x))
                 for idx in [es.Index(2, 0, 2, 3), es.Index(3, 7, 2, 1),
                             es.Index(2, 4, 3, 6)]:
                     U = es.compute_U(idx, ker, WSPEC, obs.t, obs.x)
                     single = np.sum(U * obs.Y * weights) / (obs.N * obs.M)
-                    blk = field.blocks[(idx.j1, idx.j2)]
+                    blk = field[(idx.j1, idx.j2)]
                     assert blk.beta_hat[idx.k1, idx.k2] == pytest.approx(
                         single, abs=1e-12)
 
@@ -164,8 +175,8 @@ class TestCoefficientRecovery:
         obs = md.ObservationGrid(N=128, M=128, t=obs_clean.t, x=obs_clean.x,
                                  Y=Y, seed=0)
         cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, SILENT, J1=5, J2=5)
-        field = es.estimate_field(obs, WSPEC, cfg)
-        blk = field.blocks[(3, 3)]
+        field = _estimate(obs, cfg)
+        blk = field[(3, 3)]
         assert blk.beta_hat[1, 2] == pytest.approx(1.0, abs=1e-10)
         off = blk.beta_hat.copy()
         off[1, 2] = 0.0
@@ -186,7 +197,7 @@ class TestCoefficientRecovery:
         f = md.tensor_sinusoid(1.5, 1.5, max_freq=64)
         noise = md.NoiseSpec(alpha=0.8, sigma=0.5)
         obs = md.simulate_observations(f, ker, d1, d2, noise, N=48, M=40, seed=5)
-        plan = es.FieldPlan(obs.t, obs.x, d1, d2, ker, WSPEC, 4, 4)
+        plan = _plan(obs.t, obs.x, d1, d2, ker, 4, 4)
         blocks = plan.estimate(obs.Y)
         weights = 1.0 / np.outer(d1.pdf(obs.t), d2.pdf(obs.x))
         for idx in [es.Index(2, 0, 2, 0), es.Index(3, 7, 3, 7),
@@ -206,8 +217,8 @@ class TestCoefficientRecovery:
         import tracemalloc
         d = md.DesignDensity(beta=0.3, x0=0.5)
         J1, J2 = es.choose_levels(512, 512, 0.5, 0.05)
-        plan = es.FieldPlan(md.quantile_design(512, d), md.quantile_design(512, d),
-                            d, d, md.power_kernel(1.0), WSPEC, J1, J2)
+        plan = _plan(md.quantile_design(512, d), md.quantile_design(512, d),
+                     d, d, md.power_kernel(1.0), J1, J2)
         Y = np.random.default_rng(4).standard_normal((512, 512))
         tracemalloc.start()
         try:
@@ -224,7 +235,7 @@ class TestCoefficientRecovery:
         x = md.quantile_design(64, UNIFORM)
         Y1 = rng.standard_normal((64, 64))
         Y2 = rng.standard_normal((64, 64))
-        plan = es.FieldPlan(t, x, UNIFORM, UNIFORM, ker, WSPEC, 4, 4)
+        plan = _plan(t, x, UNIFORM, UNIFORM, ker, 4, 4)
 
         def est(Y):
             return plan.estimate(Y)[(3, 3)][4, 1]
@@ -249,7 +260,7 @@ class TestCoefficientRecovery:
 
     def test_true_coefficients_against_grid_quadrature(self):
         f = md.tensor_sinusoid(2.0, 2.0, max_freq=128)
-        blocks = es.true_coefficients(f, WSPEC, 4, 4, grid=2048)
+        blocks = es.true_coefficients(f, WSPEC, 4, 4)
         g = np.arange(1024) / 1024
         F = f.eval(g[:, None], g[None, :])
         m1, psi = wv.build_basis(WSPEC, 3, axis=0)
@@ -258,6 +269,18 @@ class TestCoefficientRecovery:
         eta = wv.eval_on_points(g, m2, eta[:, 5])
         quad = psi @ F @ eta / 1024 ** 2
         assert blocks[(3, 3)][2, 5] == pytest.approx(quad, abs=1e-9)
+
+    def test_true_coefficients_on_the_top_x_level(self):
+        """J2 = 12 reaches x-level 11, whose band of 2732 needs a grid of
+        8192 points: its blocks come back, and the blocks of x-levels up
+        to 10 equal bitwise those of the J2 = 11 call."""
+        f = md.tensor_sinusoid(1.0, 1.0)
+        top = es.true_coefficients(f, WSPEC, 3, 12)
+        lower = es.true_coefficients(f, WSPEC, 3, 11)
+        assert {j2 for _, j2 in top} == set(range(2, 12))
+        assert top[(2, 11)].shape == (8, 2 ** 11)
+        for key, blk in lower.items():
+            assert np.array_equal(top[key], blk)
 
 
 class TestThresholdingRules:
@@ -273,9 +296,9 @@ class TestThresholdingRules:
 
     def test_strict_inequality_and_scaling_block(self):
         obs, cfg = self._observations()
-        field = es.estimate_field(obs, WSPEC, cfg)
-        s1, s2 = min(field.blocks)
-        for (j1, j2), blk in field.blocks.items():
+        field = _estimate(obs, cfg)
+        s1, s2 = min(field)
+        for (j1, j2), blk in field.items():
             if (j1, j2) == (s1, s2):
                 assert np.all(blk.kept)
             else:
@@ -284,9 +307,9 @@ class TestThresholdingRules:
 
     def test_larger_gamma_keeps_fewer(self):
         obs, cfg = self._observations()
-        kept = [es.estimate_field(obs, WSPEC,
-                                  dataclasses.replace(cfg, gamma=gamma))
-                .kept_count() for gamma in (4.0, 8.0)]
+        kept = [sum(blk.kept.sum() for blk in
+                    _estimate(obs, dataclasses.replace(cfg, gamma=gamma)).values())
+                for gamma in (4.0, 8.0)]
         assert kept[1] <= kept[0]
 
 
@@ -300,10 +323,10 @@ class TestReconstruction:
         obs = md.simulate_observations(f, ker, UNIFORM, UNIFORM, noise,
                                        N=128, M=128, seed=9)
         cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, noise, J1=5, J2=5)
-        field = es.estimate_field(obs, WSPEC, cfg)
+        field = _estimate(obs, cfg)
         recon = es.reconstruct(field, WSPEC, grid=512, which="kept")
         back = es.reanalyze(recon, WSPEC)
-        for key, blk in field.blocks.items():
+        for key, blk in field.items():
             kept_coeffs = np.where(blk.kept, blk.beta_hat, 0.0)
             assert np.allclose(back[key], kept_coeffs, atol=1e-10)
         with pytest.raises(md.ParameterError, match="'kep'"):
@@ -316,10 +339,10 @@ class TestReconstruction:
         obs = md.simulate_observations(f, ker, UNIFORM, UNIFORM, SILENT,
                                        N=128, M=128, seed=2)
         cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, SILENT, J1=5, J2=5)
-        field = es.estimate_field(obs, WSPEC, cfg)
+        field = _estimate(obs, cfg)
         recon = es.reconstruct(field, WSPEC, grid=512, which="all")
         coeff_energy = sum(np.sum(blk.beta_hat ** 2)
-                           for blk in field.blocks.values())
+                           for blk in field.values())
         grid_energy = np.mean(recon.values ** 2)
         assert grid_energy == pytest.approx(coeff_energy, rel=1e-10)
 
@@ -342,23 +365,24 @@ class TestErrorsAndIO:
         t = np.array([0.25, 0.5, 0.75])  # 0.5 sits on the singularity
         x = np.array([0.2, 0.4, 0.6])
         with pytest.raises(es.SingularDesignError):
-            es.FieldPlan(t, x, d, UNIFORM, md.identity_kernel(), WSPEC, 2, 2)
+            _plan(t, x, d, UNIFORM, md.identity_kernel(), 2, 2)
 
     @staticmethod
-    def _check_field_rows(path, field, with_truth):
+    def _check_field_rows(path, field, truth):
         """The file read by the package's CSV reader lists every index once,
         level blocks in (j1, j2) order and k1, k2 row-major inside, with
         every value bitwise; without the truth there is no beta_true."""
+        with_truth = truth is not None
         names = es._FIELD_COLUMNS + (("beta_true",) if with_truth else ())
         data = md._read_csv(path, names)
         expected = {name: [] for name in names}
-        for (j1, j2), blk in sorted(field.blocks.items()):
+        for (j1, j2), blk in sorted(field.items()):
             k1, k2 = np.indices(blk.beta_hat.shape)
             for name, values in (("j1", np.full(k1.size, j1)), ("k1", k1),
                                  ("j2", np.full(k1.size, j2)), ("k2", k2),
                                  ("beta_hat", blk.beta_hat),
                                  ("lambda", blk.lam), ("kept", blk.kept),
-                                 ("beta_true", blk.beta_true)):
+                                 ("beta_true", with_truth and truth[(j1, j2)])):
                 if name in names:
                     expected[name].append(np.ravel(values))
         for name in names:
@@ -375,10 +399,10 @@ class TestErrorsAndIO:
                                        N=64, M=64, seed=4)
         cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, noise, J1=4, J2=4)
         truth = es.true_coefficients(f, WSPEC, 4, 4)
-        field = es.estimate_field(obs, WSPEC, cfg, beta_true=truth)
+        field = _estimate(obs, cfg)
         path = tmp_path / "field.csv"
-        es.save_field_csv(field, path)
-        self._check_field_rows(path, field, with_truth=True)
+        es.save_field_csv(field, path, truth)
+        self._check_field_rows(path, field, truth)
 
     @pytest.mark.parametrize("with_truth", [True, False])
     def test_field_csv_bytes_and_exact_roundtrip(self, tmp_path, monkeypatch,
@@ -394,22 +418,22 @@ class TestErrorsAndIO:
         obs = md.simulate_observations(f, ker, d, d, noise, N=64, M=64, seed=9)
         cfg = es.EstimatorConfig(ker, d, d, noise, J1=4, J2=5)
         truth = es.true_coefficients(f, WSPEC, 4, 5) if with_truth else None
-        field = es.estimate_field(obs, WSPEC, cfg, beta_true=truth)
+        field = _estimate(obs, cfg)
         path = tmp_path / "field.csv"
-        es.save_field_csv(field, path)
+        es.save_field_csv(field, path, truth)
         rows = ["j1,k1,j2,k2,beta_hat,lambda,kept"
                 + (",beta_true" if with_truth else "")]
-        for (j1, j2), blk in sorted(field.blocks.items()):
+        for (j1, j2), blk in sorted(field.items()):
             count1, count2 = blk.beta_hat.shape
             for k1 in range(count1):
                 for k2 in range(count2):
                     row = (f"{j1},{k1},{j2},{k2},{blk.beta_hat[k1, k2]:.17g},"
                            f"{blk.lam[k1, k2]:.17g},{int(blk.kept[k1, k2])}")
                     if with_truth:
-                        row += f",{blk.beta_true[k1, k2]:.17g}"
+                        row += f",{truth[(j1, j2)][k1, k2]:.17g}"
                     rows.append(row)
         assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
-        self._check_field_rows(path, field, with_truth)
+        self._check_field_rows(path, field, truth)
 
     def test_pgm_export(self, tmp_path):
         values = np.linspace(0, 1, 64 * 64).reshape(64, 64)
