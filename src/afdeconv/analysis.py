@@ -95,24 +95,15 @@ class BesovParams:
 # MISE
 # ----------------------------------------------------------------------
 
-def _surface(obj, grid: int | None = None) -> np.ndarray:
-    if isinstance(obj, es.Reconstruction):
-        return obj.values
-    if isinstance(obj, md.TestFunction):
-        if grid is None:
-            raise md.ParameterError("grid size needed to evaluate function")
-        return obj.grid(grid)
-    return np.asarray(obj, dtype=float)
-
-
 def mise(fhat, f) -> float:
-    """Integrated squared error on the common uniform periodic grid.
+    """Integrated squared error of fhat, a Reconstruction or a grid, against
+    the grid f on the common uniform periodic grid.
 
     The grid is uniform and the integrand periodic, so the trapezoid rule
     reduces to the mean of the squared differences.
     """
-    a = _surface(fhat)
-    b = _surface(f, grid=a.shape[0] if a.ndim == 2 else None)
+    a = fhat.values if isinstance(fhat, es.Reconstruction) else np.asarray(fhat, dtype=float)
+    b = np.asarray(f, dtype=float)
     if a.shape != b.shape or a.ndim != 2:
         raise md.ParameterError(
             f"grid dimension mismatch: {a.shape} vs {b.shape}")
@@ -246,48 +237,39 @@ def verify_lemma1(cfg: es.EstimatorConfig, wspec: wv.WaveletSpec, levels1,
     """Check the scaling laws of the deconvolving-function integrals.
 
     Computes fine-grid quadratures of int U^2/(h1 h2) and int U^4/(h1^3 h2^3)
-    over a (level, shift) sweep of t-levels ``levels1``, at the x-level
-    m20 - 1, and divides by their predicted scaling
-    2^{(2 nu + b1) j1 + b2 j2} / prod |k_i - k_i0|^{b_i} (and the fourth-power
-    analogue); the report carries the max/min ratio spreads.
+    over a (level, shift) sweep of t-levels ``levels1``, at one shift of the
+    x-level m20 - 1, and divides them by the estimator's variance law
+    ``estimator._variance_order`` at p = 2 and 4; the report carries the
+    max/min ratio spreads.
     """
     kernel, d1, d2 = cfg.kernel, cfg.d1, cfg.d2
     tg = _quad_grid(grid)
     h1 = d1.pdf(tg)
     h2 = d2.pdf(tg)
-    nu = kernel.nu
+    # the x factor: one shift of the scaling pseudo-level, off the singularity
+    j2 = wspec.m20 - 1
+    m2, eta = wv.build_basis(wspec, j2, axis=1)
+    count2 = eta.shape[1]
+    k2 = (es._singular_shift(count2, d2.x0) + max(2, count2 // 4)) % count2
+    v = wv.eval_on_points(tg, m2, eta[:, k2])
+    q2_x = np.mean(v ** 2 / h2)
+    q4_x = np.mean(v ** 4 / h2 ** 3)
     entries = []
     for j1 in levels1:
         m1, psi = wv.build_basis(wspec, j1, axis=0)
         count1 = psi.shape[1]
-        k10 = round(d1.x0 * 2 ** j1)
+        k10 = es._singular_shift(count1, d1.x0)
         # shifts away from the singularity, spaced across the circle
-        ks1 = [(k10 + max(2, count1 // 8) + i * max(1, count1 // (shifts_per_level + 1))) % count1
-               for i in range(shifts_per_level)]
+        ks1 = np.array([(k10 + max(2, count1 // 8) + i * max(1, count1 // (shifts_per_level + 1))) % count1
+                        for i in range(shifts_per_level)])
         u = wv.eval_on_points(tg, m1, psi[:, ks1] / es._conj_kernel(kernel, m1, None, j1))
-        q2_t = np.mean(u ** 2 / h1[:, None], axis=0)
-        q4_t = np.mean(u ** 4 / h1[:, None] ** 3, axis=0)
-        j2 = wspec.m20 - 1  # the x scaling pseudo-level
-        m2, eta = wv.build_basis(wspec, j2, axis=1)
-        count2 = eta.shape[1]
-        k20 = round(d2.x0 * 2 ** j2)
-        ks2 = [(k20 + max(2, count2 // 4)) % count2]
-        v = wv.eval_on_points(tg, m2, eta[:, ks2])
-        q2_x = np.mean(v ** 2 / h2[:, None], axis=0)
-        q4_x = np.mean(v ** 4 / h2[:, None] ** 3, axis=0)
-        for a, k1 in enumerate(ks1):
-            for b, k2 in enumerate(ks2):
-                q2 = q2_t[a] * q2_x[b]
-                q4 = q4_t[a] * q4_x[b]
-                dist1 = es._shift_distance(j1, k1, d1.x0)
-                dist2 = es._shift_distance(j2, k2, d2.x0)
-                f2 = (2.0 ** ((2 * nu + d1.beta) * j1 + d2.beta * j2)
-                      / (dist1 ** d1.beta * dist2 ** d2.beta))
-                f4 = (2.0 ** (j1 * (4 * nu + 3 * d1.beta)
-                              + j2 * (3 * d2.beta + 1))
-                      / (dist1 ** (3 * d1.beta) * dist2 ** (3 * d2.beta)))
-                entries.append({"j1": j1, "k1": k1, "j2": j2, "k2": k2,
-                                "ratio2": q2 / f2, "ratio4": q4 / f4})
+        ratio2 = (np.mean(u ** 2 / h1[:, None], axis=0) * q2_x
+                  / es._variance_order(cfg, wspec, 2, j1, ks1, j2, k2))
+        ratio4 = (np.mean(u ** 4 / h1[:, None] ** 3, axis=0) * q4_x
+                  / es._variance_order(cfg, wspec, 4, j1, ks1, j2, k2))
+        entries += [{"j1": j1, "k1": int(k1), "j2": j2, "k2": k2,
+                     "ratio2": float(r2), "ratio4": float(r4)}
+                    for k1, r2, r4 in zip(ks1, ratio2, ratio4)]
     r2 = np.array([e["ratio2"] for e in entries])
     r4 = np.array([e["ratio4"] for e in entries])
     return Lemma1Report(entries=entries,
@@ -303,8 +285,7 @@ def _deviation_weights(index: es.Index, cfg: es.EstimatorConfig,
     t = md.quantile_design(N, cfg.d1)
     x = md.quantile_design(M, cfg.d2)
     U = es.compute_U(index, cfg.kernel, wspec, t, x)
-    h = np.outer(es._design_pdf(t, cfg.d1), es._design_pdf(x, cfg.d2))
-    return U * (1.0 / h) / (N * M)
+    return U * np.outer(*es._design_weights(cfg, t, x)) / (N * M)
 
 
 # 16 MiB of float64 innovations per block, the budget of
@@ -365,24 +346,17 @@ def verify_lemma2(index: es.Index, cfg: es.EstimatorConfig,
     """
     variances, exact_variances, fourth_ratios = [], [], []
     kurt = math.nan
-    noise, d1, d2 = cfg.noise, cfg.d1, cfg.d2
-    nu = cfg.kernel.nu
-    dist1 = es._shift_distance(index.j1, index.k1, d1.x0)
-    dist2 = es._shift_distance(index.j2, index.k2, d2.x0)
+    noise = cfg.noise
+    order2 = es._variance_order(cfg, wspec, 2, *index.astuple())
+    order4 = es._variance_order(cfg, wspec, 4, *index.astuple())
     for i, N in enumerate(N_ladder):
         V = _deviation_weights(index, cfg, wspec, N, M)
         w, dev = _colored_deviations(V, noise, replicates, seed + i)
         variances.append(float(np.var(dev, ddof=1)))
         exact_variances.append(float(w @ w))
         m4 = float(np.mean((dev - dev.mean()) ** 4))
-        term1 = (noise.sigma ** 4 / (M ** 3 * N ** 2)
-                 * 2.0 ** (index.j1 * (4 * nu + 3 * d1.beta)
-                           + index.j2 * (3 * d2.beta + 1))
-                 / (dist1 ** (3 * d1.beta) * dist2 ** (3 * d2.beta)))
-        term2 = (noise.sigma ** 4 / (M ** 2 * N ** (2 * noise.alpha))
-                 * 2.0 ** (2 * (2 * nu + d1.beta) * index.j1
-                           + 2 * d2.beta * index.j2)
-                 / (dist1 ** (2 * d1.beta) * dist2 ** (2 * d2.beta)))
+        term1 = noise.sigma ** 4 / (M ** 3 * N ** 2) * order4
+        term2 = noise.sigma ** 4 / (M ** 2 * N ** (2 * noise.alpha)) * order2 ** 2
         fourth_ratios.append(m4 / (term1 + term2))
         if i == len(N_ladder) - 1:
             centered = dev - dev.mean()
@@ -457,7 +431,7 @@ def _tail_ingredients(f, wspec, cfg, index, M, N, J1, J2, replicates, seed):
     true_blocks = es.true_coefficients(f, wspec, J1, J2)
     beta = true_blocks[(index.j1, index.j2)][index.k1, index.k2]
     bias = float(np.sum(V * q)) - beta
-    lam = es.threshold(index, cfg, M, N)
+    lam = es.threshold(index, cfg, wspec, M, N)
     w, dev = _colored_deviations(V, cfg.noise, replicates, seed)
     return bias, lam, float(np.linalg.norm(w)), dev
 

@@ -111,32 +111,49 @@ def choose_levels(M: int, N: int, alpha: float, sigma: float,
     return min(J1, cap1), min(J2, cap2)
 
 
-def _shift_distance(level: int, k, singularity: float):
-    """max(1, |k - k0|), k0 = round(x0 2^j): how far shift(s) `k` of level
-    j sit from the shift at the design singularity x0."""
-    return np.maximum(1.0, np.abs(k - round(singularity * 2 ** level)))
+def _singular_shift(count: int, x0: float) -> int:
+    """k0 = round(x0 count): the shift of a level with `count` shifts
+    (2^{m0} at the scaling pseudo-level m0 - 1) centred nearest x0."""
+    return round(x0 * count)
 
 
-def _threshold_block(cfg: EstimatorConfig, M: int, N: int, j1: int, j2: int,
-                     count1: int, count2: int) -> np.ndarray:
-    noise, d1, d2 = cfg.noise, cfg.d1, cfg.d2
+def _shift_distance(count: int, k, x0: float):
+    """max(1, |k - k0|): how far shift(s) `k` of a level with `count`
+    shifts sit from the shift k0 at the design singularity x0."""
+    return np.maximum(1.0, np.abs(k - _singular_shift(count, x0)))
+
+
+def _variance_order(cfg: EstimatorConfig, wspec: wv.WaveletSpec, p: int,
+                    j1: int, k1, j2: int, k2):
+    """Lemma 1's order of int U^p / (h1 h2)^{p-1} at shifts k1, k2 (arrays
+    broadcast) of levels j1, j2: for r = p - 1,
+    2^{j1 (p nu + r beta1) + j2 (r beta2 + p/2 - 1)} / (dist1^{r beta1}
+    dist2^{r beta2}).  p = 2 is the variance order of every estimate."""
+    d1, d2, r = cfg.d1, cfg.d2, p - 1
+    level_factor = 2.0 ** (j1 * (p * cfg.kernel.nu + r * d1.beta)
+                           + j2 * (r * d2.beta + p / 2 - 1))
+    dist1 = _shift_distance(wv.shift_count(wspec, j1, 0), k1, d1.x0)
+    dist2 = _shift_distance(wv.shift_count(wspec, j2, 1), k2, d2.x0)
+    return level_factor / (dist1 ** (r * d1.beta) * dist2 ** (r * d2.beta))
+
+
+def _threshold(cfg: EstimatorConfig, wspec: wv.WaveletSpec, M: int, N: int,
+               j1: int, k1, j2: int, k2):
+    """lambda at shifts k1, k2 (arrays broadcast) of levels j1, j2."""
+    noise = cfg.noise
     n_eff = M * N ** noise.alpha
-    level_factor = 2.0 ** ((2.0 * cfg.kernel.nu + d1.beta) * j1 + d2.beta * j2)
     if noise.kind == "gaussian-fgn":
         log_factor = cfg.gamma ** 2 * math.log(n_eff)
     else:
         log_factor = 1.0 + cfg.mu ** 2 * math.log(n_eff)
-    base = noise.sigma ** 2 * level_factor * log_factor / n_eff
-    dist1 = _shift_distance(j1, np.arange(count1), d1.x0) ** d1.beta
-    dist2 = _shift_distance(j2, np.arange(count2), d2.x0) ** d2.beta
-    return np.sqrt(base / (dist1[:, None] * dist2[None, :]))
+    order = _variance_order(cfg, wspec, 2, j1, k1, j2, k2)
+    return np.sqrt(noise.sigma ** 2 * order * log_factor / n_eff)
 
 
-def threshold(index: Index, cfg: EstimatorConfig, M: int, N: int) -> float:
+def threshold(index: Index, cfg: EstimatorConfig, wspec: wv.WaveletSpec,
+              M: int, N: int) -> float:
     """Location-dependent hard-threshold cutoff lambda(omega)."""
-    block = _threshold_block(cfg, M, N, index.j1, index.j2,
-                             index.k1 + 1, index.k2 + 1)
-    return float(block[index.k1, index.k2])
+    return float(_threshold(cfg, wspec, M, N, *index.astuple()))
 
 
 # ----------------------------------------------------------------------
@@ -169,14 +186,14 @@ def compute_U(index: Index, kernel: KernelSpec, wspec: wv.WaveletSpec,
     return u_tx * wv.eval_on_points(x, m2, eta[:, index.k2])[None, :]
 
 
-def _design_pdf(points: np.ndarray, d: DesignDensity) -> np.ndarray:
-    """The design density at the design points; SingularDesignError if it
-    vanishes at one of them."""
-    h = d.pdf(points)
-    if np.any(h == 0.0):
+def _design_weights(cfg: EstimatorConfig, t, x) -> tuple[np.ndarray, np.ndarray]:
+    """(1/h1(t_i), 1/h2(x_l)): the weights of the design points in every
+    estimate; SingularDesignError if a density vanishes at one of them."""
+    h1, h2 = cfg.d1.pdf(t), cfg.d2.pdf(x)
+    if np.any(h1 == 0.0) or np.any(h2 == 0.0):
         raise SingularDesignError("singular design point: density vanishes "
                                   "at a design location")
-    return h
+    return 1.0 / h1, 1.0 / h2
 
 
 # ----------------------------------------------------------------------
@@ -223,11 +240,10 @@ class FieldPlan:
     def __init__(self, cfg: EstimatorConfig, wspec: wv.WaveletSpec, t, x):
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
-        self.cfg = cfg
+        self.cfg, self.wspec = cfg, wspec
         self.N, self.M = t.size, x.size
         self.J1, self.J2 = cfg.resolve_levels(self.M, self.N, wspec)
-        inv_h1 = 1.0 / _design_pdf(t, cfg.d1)
-        self.inv_h2 = 1.0 / _design_pdf(x, cfg.d2)
+        inv_h1, self.inv_h2 = _design_weights(cfg, t, x)
         # eta_{j2,k2}(x_l), one (M, count) matrix per x-level
         self.eta = {j2: wv.eval_on_points(x, *wv.build_basis(wspec, j2, axis=1))
                     for j2 in wv.level_range(wspec, self.J2, axis=1)}
@@ -279,7 +295,8 @@ def estimate_field(plan: FieldPlan, Y: np.ndarray) -> dict[tuple[int, int], Leve
     """
     blocks = {}
     for (j1, j2), beta_hat in plan.estimate(Y).items():
-        lam = _threshold_block(plan.cfg, plan.M, plan.N, j1, j2, *beta_hat.shape)
+        k1, k2 = np.indices(beta_hat.shape, sparse=True)
+        lam = _threshold(plan.cfg, plan.wspec, plan.M, plan.N, j1, k1, j2, k2)
         blocks[(j1, j2)] = LevelBlock(beta_hat, lam, np.abs(beta_hat) > lam)
     blocks[min(blocks)].kept[:] = True
     return blocks

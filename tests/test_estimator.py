@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from afdeconv import analysis as an
 from afdeconv import estimator as es
 from afdeconv import model as md
 from afdeconv import wavelets as wv
@@ -66,21 +67,21 @@ class TestThreshold:
         # gamma=4, sigma=1, nu=1, beta=0, alpha=1, M=N=1024, j1=3, j2=2:
         # lambda^2 = 16 * 2^6 * ln(2^20) / 2^20
         cfg = _config(gamma=4.0)
-        lam = es.threshold(es.Index(3, 1, 2, 1), cfg, M=1024, N=1024)
+        lam = es.threshold(es.Index(3, 1, 2, 1), cfg, WSPEC, M=1024, N=1024)
         expected = math.sqrt(16 * 64 * math.log(2 ** 20) / 2 ** 20)
         assert lam == pytest.approx(expected, rel=1e-12)
 
     def test_pinned_numeric_value(self):
         # lambda^2 = 16 * 64 * ln(65536) / 65536 at M = N = 256
         cfg = _config(gamma=4.0)
-        lam = es.threshold(es.Index(3, 1, 2, 1), cfg, M=256, N=256)
+        lam = es.threshold(es.Index(3, 1, 2, 1), cfg, WSPEC, M=256, N=256)
         assert lam == pytest.approx(0.4163, abs=5e-4)
 
     def test_stronger_long_memory_raises_threshold(self):
         lam_1 = es.threshold(es.Index(3, 1, 2, 1), _config(alpha=1.0),
-                             256, 256)
+                             WSPEC, 256, 256)
         lam_05 = es.threshold(es.Index(3, 1, 2, 1), _config(alpha=0.5),
-                              256, 256)
+                              WSPEC, 256, 256)
         assert lam_05 > lam_1
 
     def test_distance_discount(self):
@@ -88,27 +89,48 @@ class TestThreshold:
         (0.5, 0.5), so k0 = 8 at level 4, and x by (0.2, 0.25), so k0 = 4."""
         cfg = _config(d1=md.DesignDensity(beta=0.5, x0=0.5),
                       d2=md.DesignDensity(beta=0.2, x0=0.25))
-        near = es.threshold(es.Index(4, 8, 4, 4), cfg, 256, 256)
-        far_t = es.threshold(es.Index(4, 0, 4, 4), cfg, 256, 256)
-        far_x = es.threshold(es.Index(4, 8, 4, 12), cfg, 256, 256)
+        near = es.threshold(es.Index(4, 8, 4, 4), cfg, WSPEC, 256, 256)
+        far_t = es.threshold(es.Index(4, 0, 4, 4), cfg, WSPEC, 256, 256)
+        far_x = es.threshold(es.Index(4, 8, 4, 12), cfg, WSPEC, 256, 256)
         assert far_t < near and far_x < near
         # |k - k0| = 8 discounts by 8^{beta/2}: 8^{1/4} on t, 8^{1/10} on x
         assert near / far_t == pytest.approx(8 ** 0.25, rel=1e-12)
         assert near / far_x == pytest.approx(8 ** 0.1, rel=1e-12)
+        # A scaling axis (pseudo-level m0 - 1 = 2, 2^{m0} = 8 shifts) is
+        # discounted around the shift whose function peaks nearest x0 = 0.5:
+        # k = 4 of 8, not round(x0 2^2) = 2.
+        cfg = _config(d1=md.DesignDensity(beta=0.5, x0=0.5),
+                      d2=md.DesignDensity(beta=0.2, x0=0.5))
+        fine = np.arange(4096) / 4096
+        for axis in (0, 1):
+            scaling = WSPEC.lowest_level(axis) - 1
+            centres = fine[np.argmax(wv.eval_on_points(
+                fine, *wv.build_basis(WSPEC, scaling, axis)), axis=0)]
+            peak = int(np.argmin(np.abs(centres - 0.5)))
+            assert peak == 4
+            lam = [es.threshold(es.Index(*[(scaling, k, 4, 3), (4, 3, scaling, k)][axis]),
+                                cfg, WSPEC, 256, 256)
+                   for k in range(wv.shift_count(WSPEC, scaling, axis))]
+            assert lam[peak] == max(lam)
+            assert lam[peak - 2] < lam[peak] and lam[peak + 2] < lam[peak]
+        # lemma 1 probes the x scaling level off the singularity
+        rep = an.verify_lemma1(cfg, WSPEC, levels1=[3], shifts_per_level=1,
+                               grid=1024)
+        assert abs(rep.entries[0]["k2"] - peak) >= 2
 
     def test_subgaussian_form(self):
         g = _config(kind="gaussian-fgn")
         s = _config(kind="subgaussian-rademacher")
-        lam_g = es.threshold(es.Index(3, 1, 3, 1), g, 256, 256)
-        lam_s = es.threshold(es.Index(3, 1, 3, 1), s, 256, 256)
+        lam_g = es.threshold(es.Index(3, 1, 3, 1), g, WSPEC, 256, 256)
+        lam_s = es.threshold(es.Index(3, 1, 3, 1), s, WSPEC, 256, 256)
         n = 256 * 256
         assert (lam_s / lam_g) ** 2 == pytest.approx(
             (1 + 16 * math.log(n)) / (16 * math.log(n)), rel=1e-12)
 
     def test_level_scaling(self):
         cfg = _config()
-        lam3 = es.threshold(es.Index(3, 1, 2, 1), cfg, 256, 256)
-        lam4 = es.threshold(es.Index(4, 1, 2, 1), cfg, 256, 256)
+        lam3 = es.threshold(es.Index(3, 1, 2, 1), cfg, WSPEC, 256, 256)
+        lam4 = es.threshold(es.Index(4, 1, 2, 1), cfg, WSPEC, 256, 256)
         assert lam4 / lam3 == pytest.approx(2 ** ((2 * 1.0) / 2), rel=1e-12)
 
 
@@ -156,6 +178,10 @@ class TestCoefficientRecovery:
                     blk = field[(idx.j1, idx.j2)]
                     assert blk.beta_hat[idx.k1, idx.k2] == pytest.approx(
                         single, abs=1e-12)
+                    # the lemma suites' linear form is the plan's estimate
+                    V = an._deviation_weights(idx, cfg, WSPEC, obs.N, obs.M)
+                    assert np.sum(V * obs.Y) == pytest.approx(
+                        blk.beta_hat[idx.k1, idx.k2], abs=1e-12)
 
     def test_x_dependent_kernel_path(self):
         """A kernel with x-varying coefficients recovers a band-limited
