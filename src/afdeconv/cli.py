@@ -313,7 +313,7 @@ def _load_observations(path: Path) -> md.ObservationGrid:
             f"observation file not found or not a file: {path}")
     with open(path, "rb") as fh:
         magic = fh.read(4)
-    if magic == b"AFDC":
+    if magic == md.BINARY_MAGIC:
         return md.load_binary(path)
     return md.load_csv(path)
 

@@ -406,7 +406,7 @@ def save_field_csv(field: dict[tuple[int, int], LevelBlock], path,
     index, level blocks in (j1, j2) order and k1, k2 row-major inside.
     beta_true comes from ``truth``, blocks of ``true_coefficients``.  Per
     block, j1, j2 and k2 are formatted once, into a one-k1-row template
-    holding chr(0) for k1, as in ``model.save_csv``."""
+    holding chr(0) for k1."""
     header = ",".join(_FIELD_COLUMNS + (() if truth is None else ("beta_true",)))
     values = "%.17g,%.17g,%d" + ("" if truth is None else ",%.17g") + "\n"
     with open(path, "w", newline="\n") as fh:
@@ -418,7 +418,7 @@ def save_field_csv(field: dict[tuple[int, int], LevelBlock], path,
             table = np.stack(columns, axis=-1)  # (count1, count2, values)
             count1, count2 = table.shape[:2]
             template = "".join(f"{j1},\0,{j2},{k2},{values}" for k2 in range(count2))
-            step = max(1, md._BLOCK_ROWS // count2)
+            step = max(1, md._BLOCK_VALUES // count2)
             for a in range(0, count1, step):
                 rows = "".join(template.replace("\0", str(k1))
                                for k1 in range(a, min(a + step, count1)))

@@ -484,10 +484,10 @@ class ObservationGrid:
     def __post_init__(self):
         if self.Y.shape != (self.N, self.M):
             raise ParameterError("Y must have shape (N, M)")
-        for pts in (self.t, self.x):
+        for name, pts in (("t", self.t), ("x", self.x)):
             # positive form, so that NaN fails it too
             if not (np.all((pts > 0.0) & (pts < 1.0)) and np.all(np.diff(pts) > 0)):
-                raise ParameterError("design points must be strictly "
+                raise ParameterError(f"{name}: design points must be strictly "
                                      "increasing inside (0, 1)")
 
 
@@ -540,7 +540,8 @@ BINARY_MAGIC = b"AFDC"
 _BINARY_VERSION = 1
 
 
-_BLOCK_ROWS = 1 << 16
+# Values per block of the CSV readers and writers
+_BLOCK_VALUES = 1 << 16
 
 
 def _bad_row(path, width: int, exc: ValueError) -> str:
@@ -550,6 +551,8 @@ def _bad_row(path, width: int, exc: ValueError) -> str:
     with open(path, encoding="latin-1") as fh:
         fh.readline()
         for row, line in enumerate(fh, 1):
+            if line == "\n":
+                continue  # the parser skips empty lines
             fields = line.rstrip("\n").split(",")
             if len(fields) != width:
                 return (f"data row {row} has {len(fields)} fields for the "
@@ -562,38 +565,32 @@ def _bad_row(path, width: int, exc: ValueError) -> str:
     return f"unreadable data: {exc}"
 
 
-def _csv_blocks(path, names) -> Iterator[tuple[int, dict[str, np.ndarray]]]:
-    """The named columns of a numeric CSV table with one header line, in
-    blocks of up to ``_BLOCK_ROWS`` data rows, each with the number of data
-    rows before it.
+def _csv_header(path) -> str:
+    """The first line of a CSV file, without its newline."""
+    with open(path, "rb") as fh:
+        return fh.readline().decode("latin-1").rstrip("\n")
+
+
+def _csv_blocks(path, width: int) -> Iterator[np.ndarray]:
+    """The data rows below the header line of a numeric CSV table of
+    ``width`` fields per row, in blocks of up to ``_BLOCK_VALUES`` values.
 
     numpy's C parser reads every block from one open file.  It reserves
     room for a whole block of parsed values however few rows are left, so
-    a block is also capped at the rows the file can hold: a row of k
-    fields takes at least 2k bytes, a digit and a comma or newline per
-    field.  A missing header column or a last line without its newline
-    (the file was cut) raise ``ParameterError`` before the first block; a
-    field that is not a number or a row whose field count differs from the
-    header's raise it at the block that holds them, naming the first such
-    row of the file; no data rows, or rows that all have another field
-    count than the header, raise it after the last block.  A caller that
-    raises its own errors only after the last block keeps these first, as
-    one parse of the whole file would.
+    a block is also capped at the values the file can hold: a value takes
+    at least 2 bytes, a digit and a comma or newline.  A last line without
+    its newline (the file was cut) raises ``ParameterError`` before the
+    first block; a field that is not a number or a row of another field
+    count raise it at the block that holds them, naming the first such row
+    of the file; no data rows raise it after the last block.
     """
     with open(path, "rb") as fh:
-        header = [name.strip() for name in
-                  fh.readline().decode("latin-1").split(",")]
         fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))
-        cut = fh.read(1) != b"\n"
-    missing = [name for name in names if name not in header]
-    if missing:
-        raise ParameterError(f"{path}: expected a header with the columns "
-                             f"{','.join(names)}; {','.join(missing)} missing")
-    if cut:
-        raise ParameterError(f"{path}: the last line has no newline; "
-                             "the file is cut short")
-    step = max(1, min(_BLOCK_ROWS, os.path.getsize(path) // (2 * len(header))))
-    start, width, rows = 0, None, step
+        if fh.read(1) != b"\n":
+            raise ParameterError(f"{path}: the last line has no newline; "
+                                 "the file is cut short")
+    step = max(1, min(_BLOCK_VALUES, os.path.getsize(path) // 2) // width)
+    total, rows = 0, step
     with open(path) as fh:  # text mode and encoding as np.loadtxt opens a path
         fh.readline()
         while rows == step:
@@ -602,130 +599,94 @@ def _csv_blocks(path, names) -> Iterator[tuple[int, dict[str, np.ndarray]]]:
                     warnings.simplefilter("ignore", UserWarning)  # no data
                     block = np.loadtxt(fh, delimiter=",", comments=None,
                                        ndmin=2, max_rows=step)
-                if len(block) and width not in (None, block.shape[1]):
-                    # one parse of the whole file rejects the change too
-                    raise ValueError(f"{block.shape[1]} fields per row after "
-                                     f"{start} rows of {width}")
+                if len(block) and block.shape[1] != width:
+                    raise ValueError(f"{block.shape[1]} fields per row")
             except ValueError as exc:
-                raise ParameterError(f"{path}: {_bad_row(path, len(header), exc)}"
+                raise ParameterError(f"{path}: {_bad_row(path, width, exc)}"
                                      ) from exc
             rows = len(block)
+            total += rows
             if rows:
-                width = block.shape[1]
-                if width == len(header):
-                    yield start, {name: block[:, header.index(name)]
-                                  for name in names}
-            start += rows
-    if start == 0:
+                yield block
+    if total == 0:
         raise ParameterError(f"{path}: no data rows below the header")
-    if width != len(header):
-        raise ParameterError(f"{path}: {width} fields per data row "
-                             f"for the {len(header)} header columns")
 
 
 def _read_csv(path, names) -> dict[str, np.ndarray]:
-    """The named columns of a whole numeric CSV table, read and checked by
-    ``_csv_blocks``."""
-    blocks = [columns for _, columns in _csv_blocks(path, names)]
-    return {name: np.concatenate([block[name] for block in blocks])
-            for name in names}
+    """The named columns of a whole numeric CSV table with one header line,
+    read and checked by ``_csv_blocks``."""
+    header = [name.strip() for name in _csv_header(path).split(",")]
+    missing = [name for name in names if name not in header]
+    if missing:
+        raise ParameterError(f"{path}: expected a header with the columns "
+                             f"{','.join(names)}; {','.join(missing)} missing")
+    table = np.concatenate(list(_csv_blocks(path, len(header))))
+    return {name: table[:, header.index(name)] for name in names}
+
+
+def _loaded_grid(path, t, x, Y) -> ObservationGrid:
+    """The grid of a loaded file; ``ParameterError`` naming the file and the
+    first non-finite t[i], x[l] or Y[i, l] (counted from 1), or a design
+    that ``ObservationGrid`` rejects."""
+    for name, values in (("t", t), ("x", x), ("Y", Y)):
+        finite = np.isfinite(values)
+        if not np.all(finite):
+            at = np.unravel_index(np.argmin(finite), values.shape)
+            where = ", ".join(str(k + 1) for k in at)
+            raise ParameterError(f"{path}: {name}[{where}] has a non-finite "
+                                 f"value {values[at]}")
+    try:
+        return ObservationGrid(N=t.size, M=x.size, t=t, x=x, Y=Y)
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from None
 
 
 def save_csv(obs: ObservationGrid, path) -> None:
-    """Columns i,l,t,x,Y; one row per observation; LF newlines.  l and x are
-    formatted once, into a one-i-row template holding chr(0) for i and
-    chr(1) for t, characters no number's text contains; i and t are
-    formatted once per i, and each block of about ``_BLOCK_ROWS`` rows is
-    one %-format of its Y values."""
-    step = max(1, _BLOCK_ROWS // obs.M)
-    template = "".join(f"\0,{l},\1,{x:.17g},%.17g\n"
-                       for l, x in enumerate(obs.x.tolist(), 1))
+    """The N x M grid: a header line ``t/x`` followed by the M x values,
+    then one line per i, t_i followed by its M responses; every value
+    %.17g, LF newlines.  Each block of about ``_BLOCK_VALUES`` values is
+    one %-format."""
+    step = max(1, _BLOCK_VALUES // (obs.M + 1))
+    line = ",".join(["%.17g"] * (obs.M + 1)) + "\n"
     with open(path, "w", newline="\n") as fh:
-        fh.write("i,l,t,x,Y\n")
+        fh.write(("t/x" + ",%.17g" * obs.M + "\n") % tuple(obs.x.tolist()))
         for a in range(0, obs.N, step):
-            rows = "".join(template.replace("\0", str(i)).replace("\1", f"{t:.17g}")
-                           for i, t in enumerate(obs.t[a:a + step].tolist(), a + 1))
-            fh.write(rows % tuple(obs.Y[a:a + step].ravel().tolist()))
+            rows = np.column_stack((obs.t[a:a + step], obs.Y[a:a + step]))
+            fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def load_csv(path) -> ObservationGrid:
-    """Read a ``save_csv`` file: data row r (counted from 0) holds (i, l) =
-    (r // M + 1, r % M + 1), the N x M grid row by row, where M is the
-    position of the first (2, 1) row, or the row count when there is none.
-    Every t, x and Y must be finite, no row may be out of place, the last
-    row of i must be whole, and each row must give the t of its i's l = 1
-    row and the x of its l's i = 1 row.
+    """Read a ``save_csv`` file: the header ``t/x,x_1,...,x_M``, then the
+    lines ``t_i,Y_i1,...,Y_iM``.  Every t, x and Y must be finite, and the
+    designs strictly increasing inside (0, 1).
 
-    The file is read once, in blocks of ``_BLOCK_ROWS`` rows.  Each block's
-    Y is copied into a flat array that grows in place to the next power of
-    two of the rows read and is cut to the N x M grid at the end; besides
-    one block, the loader holds only that array and t and x.  Each check
-    records its first failing row, and the checks raise in the order above
-    after the last block.
+    The rows are read once, in blocks of ``_BLOCK_VALUES`` values.  Each
+    block's Y is copied into an array that grows in place to the next
+    power of two of the rows read and is cut to N rows at the end; besides
+    one block, the loader holds only that array and t and x.
     """
-    M = 0  # the row length, known at the first (2, 1) row
-    Y, ts, xs = np.empty(0), [], []
-    x, t_last = None, np.nan  # x once M is known; the t of the last i read
-    bad_value = bad_place = conflict = None
-    total = 0
-    for start, cols in _csv_blocks(path, ("i", "l", "t", "x", "Y")):
-        total = start + cols["i"].size
-        if bad_value is None:
-            finite = (np.isfinite(cols["t"]) & np.isfinite(cols["x"])
-                      & np.isfinite(cols["Y"]))
-            if not np.all(finite):
-                k = int(np.argmin(finite))
-                bad_value = (f"data row {start + k + 1} has a non-finite value "
-                             f"(t, x, Y) = ({cols['t'][k]}, {cols['x'][k]}, "
-                             f"{cols['Y'][k]})")
-        if bad_value or bad_place:
-            continue
-        pos = np.arange(start, total)
-        if not M:  # the first row other than (1, r + 1) may start i = 2
-            k = int(np.argmax((cols["i"] != 1) | (cols["l"] != pos + 1)))
-            if pos[k] > 0 and cols["i"][k] == 2 and cols["l"][k] == 1:
-                M = start + k
-        i, l = np.divmod(pos, M) if M else (np.zeros_like(pos), pos)
-        off = (cols["i"] != i + 1) | (cols["l"] != l + 1)
-        if np.any(off):
-            k = int(np.argmax(off))
-            bad_place = (f"data row {start + k + 1} has (i, l) = "
-                         f"({cols['i'][k]:.17g}, {cols['l'][k]:.17g}) where "
-                         f"({i[k] + 1}, {l[k] + 1}) belongs: an invalid index, "
-                         "or rows missing, duplicated or out of order")
-            continue
-        if total > Y.size:
-            Y.resize(1 << (total - 1).bit_length(), refcheck=False)
-        Y[start:total] = cols["Y"]
-        ts.append(cols["t"][l == 0])
-        xs.append(cols["x"][i == 0])
-        if M and x is None:
-            x = np.concatenate(xs)
-        # each row's t is that of the last l = 1 row up to it
-        t_ref = np.concatenate(([t_last], ts[-1]))[np.cumsum(l == 0)]
-        t_last = t_ref[-1]
-        x_ref = cols["x"] if x is None else x[l]
-        wrong = (cols["t"] != t_ref) | (cols["x"] != x_ref)
-        if conflict is None and np.any(wrong):
-            k = int(np.argmax(wrong))
-            name, axis, index, ref = (("t", "i", i[k] + 1, t_ref[k])
-                                      if cols["t"][k] != t_ref[k]
-                                      else ("x", "l", l[k] + 1, x_ref[k]))
-            conflict = (f"data row {start + k + 1} gives {name} = "
-                        f"{cols[name][k]:.17g} for {axis} = {index}, another "
-                        f"row of {axis} = {index} gives {ref:.17g}")
-        # the block's index arrays, freed before the next block is parsed
-        del pos, i, l, t_ref, x_ref
-    M = M or total
-    N, rest = divmod(total, M)
-    incomplete = rest and (f"the {total} data rows end the row of i = {N + 1} "
-                           f"at l = {rest} of M = {M}: rows are missing")
-    for error in (bad_value, bad_place, incomplete, conflict):
-        if error:
-            raise ParameterError(f"{path}: {error}")
-    Y.resize((N, M), refcheck=False)  # drops the rows grown past N * M
-    return ObservationGrid(N=N, M=M, t=np.concatenate(ts),
-                           x=np.concatenate(xs), Y=Y)
+    label, _, xs = _csv_header(path).partition(",")
+    try:
+        if label.strip() != "t/x":
+            raise ValueError(f"its first field is {label[:20]!r}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no data
+            x = np.loadtxt([xs], delimiter=",", comments=None, ndmin=1)
+        if not x.size:
+            raise ValueError("it has no x values")
+    except ValueError as exc:
+        raise ParameterError(f"{path}: expected a header t/x followed by the "
+                             f"M x values; {exc}") from None
+    Y, ts, N = np.empty((0, x.size)), [], 0
+    for block in _csv_blocks(path, x.size + 1):
+        rows = len(block)
+        if N + rows > len(Y):
+            Y.resize((1 << (N + rows - 1).bit_length(), x.size), refcheck=False)
+        Y[N:N + rows] = block[:, 1:]
+        ts.append(block[:, 0].copy())  # a view would keep the block alive
+        N += rows
+    Y.resize((N, x.size), refcheck=False)  # drops the rows grown past N
+    return _loaded_grid(path, np.concatenate(ts), x, Y)
 
 
 def save_binary(obs: ObservationGrid, path) -> None:
@@ -746,13 +707,13 @@ def load_binary(path) -> ObservationGrid:
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != BINARY_MAGIC:
-            raise ParameterError(f"not an AFDC container: magic {magic!r}")
+            raise ParameterError(f"{path}: not an AFDC container: magic {magic!r}")
         header = fh.read(12)
         if len(header) < 12:
             raise ParameterError(f"{path}: truncated AFDC header")
         version, N, M = struct.unpack("<III", header)
         if version != _BINARY_VERSION:
-            raise ParameterError(f"unsupported container version {version}")
+            raise ParameterError(f"{path}: unsupported container version {version}")
         if N == 0 or M == 0:
             raise ParameterError(f"{path}: empty AFDC grid N={N}, M={M}")
         size, needed = os.fstat(fh.fileno()).st_size, 16 + 8 * (N + M + N * M)
@@ -763,11 +724,4 @@ def load_binary(path) -> ObservationGrid:
         t = np.fromfile(fh, dtype="<f8", count=N)
         x = np.fromfile(fh, dtype="<f8", count=M)
         Y = np.fromfile(fh, dtype="<f8", count=N * M).reshape(N, M)
-    for name, values in (("t", t), ("x", x), ("Y", Y)):
-        finite = np.isfinite(values)
-        if not np.all(finite):
-            at = np.unravel_index(np.argmin(finite), values.shape)
-            where = ", ".join(str(k + 1) for k in at)
-            raise ParameterError(f"{path}: {name}[{where}] has a non-finite "
-                                 f"value {values[at]}")
-    return ObservationGrid(N=N, M=M, t=t, x=x, Y=Y)
+    return _loaded_grid(path, t, x, Y)

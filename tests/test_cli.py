@@ -7,6 +7,7 @@ import yaml
 
 from afdeconv import analysis as an
 from afdeconv import cli
+from afdeconv import model as md
 
 
 BASE_CONFIG = {
@@ -320,7 +321,7 @@ class TestSimulate:
         raw1 = (out1 / "observations.csv").read_bytes()
         raw2 = (out2 / "observations.csv").read_bytes()
         assert raw1 == raw2
-        assert raw1.count(b"\n") == 64 * 32 + 1
+        assert raw1.count(b"\n") == 64 + 1
 
     def test_seed_override_changes_noise(self, tmp_path):
         path = write_config(tmp_path)
@@ -346,7 +347,7 @@ class TestSimulate:
         out = tmp_path / "run"
         assert cli.main(["simulate", "--config", str(path),
                          "--out", str(out)]) == 0
-        assert (out / "observations.csv").read_bytes().count(b"\n") == 64 * 64 + 1
+        assert (out / "observations.csv").read_bytes().count(b"\n") == 64 + 1
 
     def test_manifest_and_resolved_config(self, tmp_path):
         path = write_config(tmp_path)
@@ -387,6 +388,8 @@ class TestEstimate:
         assert (out / "reconstruction.pgm").read_bytes()[:2] == b"P5"
 
     def test_corrupt_observation_file_exits_2(self, tmp_path, capsys):
+        """A deleted data line loads 63 rows, which the design check
+        rejects; a cut AFDC container fails its load."""
         obs_dir = tmp_path / "obs"
         sim = write_config(tmp_path, simulate={"N": 64, "M": 64,
                                                "format": "both"})
@@ -394,11 +397,12 @@ class TestEstimate:
                          "--out", str(obs_dir)]) == 0
         csv_path = obs_dir / "observations.csv"
         lines = csv_path.read_text().splitlines(keepends=True)
-        del lines[99]
+        del lines[40]
         csv_path.write_text("".join(lines))
         afdc_path = obs_dir / "observations.afdc"
         afdc_path.write_bytes(afdc_path.read_bytes()[:20000])
-        for path, message in ((csv_path, "missing"), (afdc_path, "truncated")):
+        for path, message in ((csv_path, "design.t: point 1 of 63"),
+                              (afdc_path, "truncated")):
             cfg = write_config(tmp_path, extra={"estimate": {
                 "observations": str(path)}})
             assert cli.main(["estimate", "--config", str(cfg),
@@ -406,43 +410,68 @@ class TestEstimate:
             assert message in capsys.readouterr().err
 
     def test_grid_past_the_file_exits_2(self, tmp_path, capsys):
-        """Largest indices (999, 999) in a file of 1000 rows: exit 2 naming
-        the out-of-place last row."""
+        """A header of 999 x values over lines of one Y each: exit 2
+        naming the first data row."""
         obs = tmp_path / "obs.csv"
-        obs.write_text("i,l,t,x,Y\n"
-                       + "".join(f"{i},1,{i / 1000!r},0.001,0.5\n"
-                                 for i in range(1, 1000))
-                       + "1,999,0.001,0.999,0.5\n")
+        obs.write_text("t/x" + "".join(f",{l / 1000!r}" for l in range(1, 1000))
+                       + "\n" + "".join(f"{i / 1000!r},0.5\n"
+                                        for i in range(1, 1000)))
         cfg = write_config(tmp_path, extra={"estimate": {"observations": str(obs)}})
         assert cli.main(["estimate", "--config", str(cfg),
                          "--out", str(tmp_path / "est")]) == 2
-        assert "data row 1000 has (i, l) = (1, 999)" in capsys.readouterr().err
+        assert ("data row 1 has 2 fields for the 1000 header columns"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("order, named", [
-        ("l-major", "data row 33 has (i, l) = (1, 2) where (33, 1) belongs"),
-        ("swapped", "data row 100 has (i, l) = (4, 5) where (4, 4) belongs"),
+        ("l-major", "design.t: point 1 of 32 of the file's t-design"),
+        ("swapped", "t: design points must be strictly increasing"),
     ], ids=["l-major", "swapped"])
     def test_reordered_observation_file_exits_2(self, tmp_path, capsys,
                                                 order, named):
-        """Rows out of `save_csv`'s order, l-major or with two adjacent
-        rows swapped, exit 2 naming the first row out of place."""
+        """The grid written l-major (transposed: the t design in the
+        header, one line per x_l) or with two adjacent lines swapped exits
+        2.  The transposed file is caught by the design check because the
+        two axes' designs differ; with one design on both axes a
+        transposed square grid is a valid file."""
         obs_dir = tmp_path / "obs"
+        design = {"t": {"beta": 0.3}, "x": {"beta": 0.0}}
         sim = write_config(tmp_path, simulate={"N": 32, "M": 32,
-                                               "format": "csv"})
+                                               "format": "csv"}, design=design)
         assert cli.main(["simulate", "--config", str(sim),
                          "--out", str(obs_dir)]) == 0
         csv_path = obs_dir / "observations.csv"
-        header, *rows = csv_path.read_text().splitlines(keepends=True)
+        rows = [line.split(",") for line in csv_path.read_text().splitlines()]
         if order == "l-major":
-            rows = [rows[32 * i + l] for l in range(32) for i in range(32)]
+            rows = list(zip(*rows))
         else:
-            rows[99], rows[100] = rows[100], rows[99]
-        csv_path.write_text(header + "".join(rows))
-        cfg = write_config(tmp_path, extra={"estimate": {
+            rows[9], rows[10] = rows[10], rows[9]
+        csv_path.write_text("".join(",".join(row) + "\n" for row in rows))
+        cfg = write_config(tmp_path, design=design, extra={"estimate": {
             "observations": str(csv_path)}})
         assert cli.main(["estimate", "--config", str(cfg),
                          "--out", str(tmp_path / "est")]) == 2
         assert named in capsys.readouterr().err
+
+    def test_old_layout_observation_file_exits_2(self, tmp_path, capsys):
+        """A file of i,l,t,x,Y rows exits 2 naming the expected t/x
+        header; it is not read in another layout."""
+        obs_dir = tmp_path / "obs"
+        sim = write_config(tmp_path, simulate={"N": 32, "M": 32,
+                                               "format": "binary"})
+        assert cli.main(["simulate", "--config", str(sim),
+                         "--out", str(obs_dir)]) == 0
+        obs = md.load_binary(obs_dir / "observations.afdc")
+        csv_path = obs_dir / "observations.csv"
+        csv_path.write_text("i,l,t,x,Y\n" + "".join(
+            f"{i + 1},{l + 1},{obs.t[i]:.17g},{obs.x[l]:.17g},"
+            f"{obs.Y[i, l]:.17g}\n"
+            for i in range(obs.N) for l in range(obs.M)))
+        cfg = write_config(tmp_path, extra={"estimate": {
+            "observations": str(csv_path)}})
+        assert cli.main(["estimate", "--config", str(cfg),
+                         "--out", str(tmp_path / "est")]) == 2
+        err = capsys.readouterr().err
+        assert str(csv_path) in err and "expected a header t/x" in err
 
     def test_level_above_cap_exits_3(self, tmp_path, capsys):
         """J1 = 14 asks for level 13, above the largest level 12: exit 3

@@ -434,9 +434,9 @@ class TestErrorsAndIO:
     def test_field_csv_bytes_and_exact_roundtrip(self, tmp_path, monkeypatch,
                                                  with_truth):
         """On beta = 0.3 designs the block writer's bytes equal one f-string
-        per index, and the reader, also in blocks of 100 rows, returns
+        per index, and the reader, also in blocks of 100 values, returns
         every value bitwise."""
-        monkeypatch.setattr(md, "_BLOCK_ROWS", 100)
+        monkeypatch.setattr(md, "_BLOCK_VALUES", 100)
         f = md.tensor_sinusoid(1.0, 1.0, max_freq=64)
         ker = md.power_kernel(1.0)
         d = md.DesignDensity(beta=0.3, x0=0.4)

@@ -1,4 +1,5 @@
 import functools
+import re
 import struct
 import tempfile
 import warnings
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from afdeconv import cli
+from afdeconv import estimator as es
 from afdeconv import model as md
 from afdeconv import wavelets as wv
 
@@ -298,18 +301,20 @@ class TestSerialization:
         md.save_csv(obs, path)
         back = md.load_csv(path)
         assert back.N == obs.N and back.M == obs.M
-        assert np.allclose(back.t, obs.t)
-        assert np.allclose(back.x, obs.x)
-        assert np.allclose(back.Y, obs.Y)
+        for name in ("t", "x", "Y"):
+            assert np.array_equal(getattr(back, name), getattr(obs, name))
 
     def test_csv_dialect(self, obs, tmp_path):
+        """The header line t/x and the M x values, then N lines of M + 1
+        fields, LF newlines."""
         path = tmp_path / "obs.csv"
         md.save_csv(obs, path)
         raw = path.read_bytes()
         assert b"\r" not in raw
-        header = raw.split(b"\n", 1)[0]
-        assert header == b"i,l,t,x,Y"
-        assert raw.count(b"\n") == obs.N * obs.M + 1
+        lines = raw.split(b"\n")
+        assert lines[0].split(b",", 1)[0] == b"t/x"
+        assert len(lines) == obs.N + 2 and lines[-1] == b""
+        assert {line.count(b",") for line in lines[:-1]} == {obs.M}
 
     def test_binary_roundtrip(self, obs, tmp_path):
         path = tmp_path / "obs.afdc"
@@ -323,9 +328,16 @@ class TestSerialization:
         assert len(raw) == 16 + 8 * (obs.N + obs.M + obs.N * obs.M)
 
     def test_binary_rejects_garbage(self, tmp_path):
+        """A wrong magic or an unknown version fails naming the file."""
         path = tmp_path / "bad.afdc"
         path.write_bytes(b"NOPE" + b"\0" * 12)
-        with pytest.raises(md.ParameterError):
+        named = re.escape(str(path))
+        with pytest.raises(md.ParameterError,
+                           match=rf"^{named}: not an AFDC container"):
+            md.load_binary(path)
+        path.write_bytes(md.BINARY_MAGIC + struct.pack("<III", 2, 1, 1))
+        with pytest.raises(md.ParameterError,
+                           match=rf"^{named}: unsupported container version 2"):
             md.load_binary(path)
 
     @pytest.mark.parametrize("array, index", [("t", 0), ("x", 3),
@@ -346,51 +358,71 @@ class TestSerialization:
                                t=np.where(np.arange(obs.N) == 0, np.nan, obs.t),
                                x=obs.x, Y=obs.Y)
 
+    @staticmethod
+    def _config(design) -> es.EstimatorConfig:
+        """An estimator config with ``design`` on both axes."""
+        return es.EstimatorConfig(md.power_kernel(1.0), design, design,
+                                  md.NoiseSpec(alpha=0.8, sigma=0.5))
+
     def test_csv_rejects_deleted_row(self, obs, tmp_path):
+        """Deleting the header line fails the load; deleting a data line
+        loads N - 1 rows, whose t-design is not the quantile design of
+        N - 1 points, so `estimate`'s design check rejects it."""
         path = tmp_path / "obs.csv"
         md.save_csv(obs, path)
         lines = path.read_text().splitlines(keepends=True)
-        del lines[100]
-        path.write_text("".join(lines))
-        with pytest.raises(md.ParameterError, match="missing"):
-            md.load_csv(path)
+        cfg = self._config(md.DesignDensity(beta=0.3, x0=0.4))
+        for k in range(len(lines)):
+            path.write_text("".join(lines[:k] + lines[k + 1:]))
+            if k == 0:
+                with pytest.raises(md.ParameterError, match="header t/x"):
+                    md.load_csv(path)
+                continue
+            back = md.load_csv(path)
+            assert np.array_equal(back.t, np.delete(obs.t, k - 1))
+            with pytest.raises(cli.ConfigError, match="design.t: point"):
+                cli._check_design(back, cfg)
 
     def test_csv_rejects_duplicated_row(self, obs, tmp_path):
         path = tmp_path / "obs.csv"
         md.save_csv(obs, path)
         lines = path.read_text().splitlines(keepends=True)
-        # replace one row by a copy of another: the row count stays N * M
-        lines[100] = lines[101]
+        # replace one line by a copy of the next: the line count stays N + 1
+        lines[10] = lines[11]
         path.write_text("".join(lines))
-        with pytest.raises(md.ParameterError, match="duplicate"):
+        with pytest.raises(md.ParameterError, match="t: design points must be "
+                                                    "strictly increasing"):
             md.load_csv(path)
-        # an extra copy of a row
-        path.write_text("".join(lines[:100] + lines[101:] + [lines[5]]))
-        with pytest.raises(md.ParameterError, match="duplicated"):
+        # an extra copy of a line
+        path.write_text("".join(lines[:10] + lines[11:] + [lines[5]]))
+        with pytest.raises(md.ParameterError, match="strictly increasing"):
             md.load_csv(path)
 
     def test_csv_rejects_out_of_range_index(self, obs, tmp_path):
+        """A line's t is its key: a t of 0, outside the design's (0, 1),
+        fails."""
         path = tmp_path / "obs.csv"
         md.save_csv(obs, path)
         lines = path.read_text().splitlines(keepends=True)
         lines[7] = "0," + lines[7].split(",", 1)[1]
         path.write_text("".join(lines))
-        with pytest.raises(md.ParameterError, match="invalid index"):
+        with pytest.raises(md.ParameterError, match="inside"):
             md.load_csv(path)
 
-    @pytest.mark.parametrize("block_rows", [7, 1 << 16])
+    @pytest.mark.parametrize("block_values", [7, 1 << 16])
     def test_csv_writer_matches_row_oracle(self, obs, tmp_path, monkeypatch,
-                                           block_rows):
-        """The block writer's bytes equal one f-string per row, also when a
-        block ends inside a run of rows of one i."""
-        monkeypatch.setattr(md, "_BLOCK_ROWS", block_rows)
+                                           block_values):
+        """The block writer's bytes equal one f-string per line, also when
+        a block holds one line (7 values) and the grid is split into N
+        blocks."""
+        monkeypatch.setattr(md, "_BLOCK_VALUES", block_values)
         self._check_row_oracle(obs, tmp_path)
 
     def test_csv_writer_matches_row_oracle_on_awkward_values(self, obs,
                                                              tmp_path):
         """Signed zero, a subnormal, a huge value, a value with no short
         binary form and the smallest positive t are written as one
-        f-string per row would write them, and read back bitwise."""
+        f-string per line would write them, and read back bitwise."""
         obs.Y = obs.Y.copy()
         obs.Y[0, :4] = [-0.0, 1e-310, 1e300, 0.1]
         obs.Y[-1, -1] = -0.0
@@ -403,9 +435,9 @@ class TestSerialization:
     def _check_row_oracle(obs, tmp_path):
         path = tmp_path / "obs.csv"
         md.save_csv(obs, path)
-        oracle = "i,l,t,x,Y\n" + "".join(
-            f"{i + 1},{l + 1},{obs.t[i]:.17g},{obs.x[l]:.17g},{obs.Y[i, l]:.17g}\n"
-            for i in range(obs.N) for l in range(obs.M))
+        oracle = "t/x" + "".join(f",{x:.17g}" for x in obs.x) + "\n" + "".join(
+            f"{obs.t[i]:.17g}" + "".join(f",{y:.17g}" for y in obs.Y[i]) + "\n"
+            for i in range(obs.N))
         assert path.read_bytes() == oracle.encode()
         back = md.load_csv(path)
         for name in ("t", "x", "Y"):
@@ -413,46 +445,60 @@ class TestSerialization:
 
     @pytest.mark.parametrize("field", ["abc", "", "0.5x", "1,2"])
     def test_csv_rejects_unreadable_field(self, obs, tmp_path, field):
-        """A blank, non-numeric or split Y field fails; it never loads as
-        NaN or shifts the row."""
+        """A blank, non-numeric or split Y field fails naming its line; it
+        never loads as NaN or shifts the row."""
         path = tmp_path / "obs.csv"
         md.save_csv(obs, path)
         lines = path.read_text().splitlines(keepends=True)
-        lines[40] = lines[40].rsplit(",", 1)[0] + f",{field}\n"
+        lines[10] = lines[10].rsplit(",", 1)[0] + f",{field}\n"
         path.write_text("".join(lines))
-        with pytest.raises(md.ParameterError, match="row"):
+        with pytest.raises(md.ParameterError, match="data row 10 has"):
             md.load_csv(path)
 
     @pytest.mark.parametrize("text", ["1,2,0.5,0.6,abc\n",
                                       "1,2,0.5,0.6,0.25,7\n"])
     def test_csv_error_names_the_data_row(self, tmp_path, text):
-        """A non-numeric field and an extra field in the second data row
-        are both reported as data row 2, counted as load_csv counts."""
+        """A non-numeric field and an extra field in the second data line
+        are both reported as data row 2, counted from the line below the
+        header."""
         path = tmp_path / "obs.csv"
-        path.write_text("i,l,t,x,Y\n1,1,0.5,0.5,0.125\n" + text)
+        path.write_text("t/x,0.2,0.4,0.6,0.8\n0.5,1,2,3,4\n" + text)
         with pytest.raises(md.ParameterError, match="data row 2 has"):
+            md.load_csv(path)
+
+    def test_csv_error_skips_empty_lines(self, tmp_path):
+        """numpy's parser skips an empty line, so the error names the line
+        that fails, not the empty one before it."""
+        path = tmp_path / "obs.csv"
+        path.write_text("t/x,0.2,0.4\n0.1,1,2\n\n0.3,1,2\n0.5,1,abc\n")
+        with pytest.raises(md.ParameterError,
+                           match="data row 4 has the field 'abc'"):
             md.load_csv(path)
 
     @pytest.mark.parametrize("column", [2, 3, 4])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_csv_rejects_non_finite(self, obs, tmp_path, column, value):
-        path = tmp_path / "obs.csv"
-        md.save_csv(obs, path)
-        lines = path.read_text().splitlines(keepends=True)
-        fields = lines[40].rstrip("\n").split(",")
-        fields[column] = value
-        lines[40] = ",".join(fields) + "\n"
-        path.write_text("".join(lines))
-        with pytest.raises(md.ParameterError, match="data row 40 has a non-finite"):
+        """A non-finite t (column 2), x (3) or Y (4) fails naming the entry
+        as load_binary names it, counted from 1."""
+        line, field, named = {2: (10, 0, r"t\[10\]"), 3: (0, 3, r"x\[3\]"),
+                              4: (10, 4, r"Y\[10, 4\]")}[column]
+        path = self._edited_csv(obs, tmp_path, [(line, field, value)])
+        with pytest.raises(md.ParameterError,
+                           match=rf"{named} has a non-finite value"):
             md.load_csv(path)
 
     @pytest.mark.parametrize("text", ["", "i,l,t,x,Y\n", "i,l,t,x,Y",
                                       "i,l,t,x\n1,1,0.5,0.5\n",
                                       "i,l,t,x,Y\n1,1,0.5,0.5,0.25,7\n",
-                                      "i,l,t,x,Y\n1,1,0.5,0.5,0.25"])
+                                      "i,l,t,x,Y\n1,1,0.5,0.5,0.25",
+                                      "t/x\n0.5\n", "t/x,0.5,\n0.5,1,2\n",
+                                      "t/x,0.5\n", "t/x,0.5\n\n", "t/x,0.5",
+                                      "t/x,0.5\n0.5,0.25,7\n",
+                                      "t/x,0.5\n0.5,0.25"])
     def test_csv_rejects_empty_header_only_and_cut(self, tmp_path, text):
-        """No data, no Y column, rows longer than the header or a last line
-        without its newline fail, and no warning escapes."""
+        """No data, a header in the old i,l,t,x,Y layout or without x
+        values, rows longer than the header or a last line without its
+        newline fail, and no warning escapes."""
         path = tmp_path / "obs.csv"
         path.write_text(text)
         with warnings.catch_warnings():
@@ -463,24 +509,26 @@ class TestSerialization:
     @pytest.mark.parametrize("column,axis", [(2, "i"), (3, "l")])
     def test_csv_rejects_conflicting_design_value(self, obs, tmp_path,
                                                   column, axis):
-        """Two rows with the same i (l) but different t (x) fail, naming
-        the first row whose value disagrees with the loaded one."""
-        path = tmp_path / "obs.csv"
-        md.save_csv(obs, path)
-        lines = path.read_text().splitlines(keepends=True)
-        fields = lines[50].rstrip("\n").split(",")
-        fields[column] = f"{float(fields[column]) + 1e-9:.17g}"
-        lines[50] = ",".join(fields) + "\n"
-        path.write_text("".join(lines))
-        with pytest.raises(md.ParameterError, match=f"for {axis} = "):
-            md.load_csv(path)
+        """A t of some i (column 2) or an x of some l (column 3) moved by
+        1e-9 still increases and loads, and `estimate`'s design check
+        rejects it, naming the point."""
+        line, field, name, index = {2: (10, 0, "t", 10), 3: (0, 4, "x", 4)}[column]
+        value = getattr(obs, name)[index - 1] + 1e-9
+        path = self._edited_csv(obs, tmp_path, [(line, field, f"{value:.17g}")])
+        back = md.load_csv(path)
+        assert getattr(back, name)[index - 1] == value
+        with pytest.raises(cli.ConfigError,
+                           match=rf"design.{name}: point {index} of"):
+            cli._check_design(back, self._config(md.DesignDensity(beta=0.3,
+                                                                  x0=0.4)))
 
-    # Blocks of 7 rows over the 32 x 16 grid: data row k lies in block
-    # (k + 6) // 7, and the rows of i = 2 are data rows 17-32.
+    # Blocks of 119 values over the 32 x 16 grid are 7 lines of 17 values:
+    # data row k lies in block (k + 6) // 7.
     @staticmethod
     def _edited_csv(obs, tmp_path, edits) -> Path:
-        """`obs` written as CSV, then each data row k in `edits` with field
-        `column` set to `text` (a column past the last appends a field)."""
+        """`obs` written as CSV, then each line k in `edits` (0 is the
+        header, k > 0 data row k) with field `column` set to `text` (a
+        column past the last appends a field)."""
         path = tmp_path / "obs.csv"
         md.save_csv(obs, path)
         lines = path.read_text().splitlines(keepends=True)
@@ -495,7 +543,7 @@ class TestSerialization:
                                                          monkeypatch):
         """A non-numeric field in block 3 is reported, not the NaN that
         block 1 holds, as one parse of the whole file reports it."""
-        monkeypatch.setattr(md, "_BLOCK_ROWS", 7)
+        monkeypatch.setattr(md, "_BLOCK_VALUES", 7 * 17)
         path = self._edited_csv(obs, tmp_path, [(2, 4, "nan"), (17, 4, "abc")])
         with pytest.raises(md.ParameterError,
                            match="data row 17 has the field 'abc', not a number"):
@@ -503,54 +551,33 @@ class TestSerialization:
 
     def test_blocks_field_count_change(self, obs, tmp_path, monkeypatch):
         """Rows one field wider from block 2 on are named at their first."""
-        monkeypatch.setattr(md, "_BLOCK_ROWS", 7)
+        monkeypatch.setattr(md, "_BLOCK_VALUES", 7 * 17)
         path = self._edited_csv(obs, tmp_path,
-                                [(k, 5, "7") for k in range(8, 513)])
+                                [(k, 17, "7") for k in range(8, 33)])
         with pytest.raises(md.ParameterError,
-                           match="data row 8 has 6 fields for the 5 header "
+                           match="data row 8 has 18 fields for the 17 header "
                                  "columns"):
             md.load_csv(path)
 
     def test_blocks_duplicate_across_blocks(self, obs, tmp_path, monkeypatch):
-        """Data row 3 (block 1) replaced by a copy of data row 20 (block 3),
-        (i, l) = (2, 4): the row count still fits the grid."""
-        monkeypatch.setattr(md, "_BLOCK_ROWS", 7)
+        """Data row 3 (block 1) replaced by a copy of data row 20 (block
+        3): the line count still fits the grid, and t no longer
+        increases."""
+        monkeypatch.setattr(md, "_BLOCK_VALUES", 7 * 17)
         path = tmp_path / "obs.csv"
         md.save_csv(obs, path)
         lines = path.read_text().splitlines(keepends=True)
         lines[3] = lines[20]
         path.write_text("".join(lines))
         with pytest.raises(md.ParameterError,
-                           match=r"data row 3 has \(i, l\) = \(2, 4\)"):
-            md.load_csv(path)
-
-    @pytest.mark.parametrize("column, edited, named, axis, index", [
-        (2, 30, 30, "i", 2),    # t of a middle row of i = 2, block 5
-        (2, 32, 32, "i", 2),    # t of the last row of i = 2, block 5
-        (3, 36, 36, "l", 4),    # x of a middle row of l = 4, block 6
-        (3, 500, 500, "l", 4),  # x of the last row of l = 4, block 72
-    ])
-    def test_blocks_conflict_across_blocks(self, obs, tmp_path, monkeypatch,
-                                           column, edited, named, axis, index):
-        """A t (x) conflict between rows in different blocks names the
-        edited row: the first that disagrees with the l = 1 row of its i
-        (the i = 1 row of its l)."""
-        monkeypatch.setattr(md, "_BLOCK_ROWS", 7)
-        name = "t" if axis == "i" else "x"
-        value = getattr(obs, name)[index - 1] + 1e-9
-        path = self._edited_csv(obs, tmp_path,
-                                [(edited, column, f"{value:.17g}")])
-        with pytest.raises(md.ParameterError,
-                           match=rf"data row {named} gives {name} = \S+ for "
-                                 rf"{axis} = {index}, another row of {axis} = "
-                                 rf"{index} gives "):
+                           match="t: design points must be strictly increasing"):
             md.load_csv(path)
 
     @pytest.mark.parametrize("edits", [
-        [],                 # loads
-        [(100, 1, "5")],    # (7, 4) becomes a second (7, 5)
-        [(50, 2, "0.5")],   # a t that differs from the t of its i
-        [(7, 0, "999")],    # an index above the 512 rows
+        [],                   # loads
+        [(10, 17, "7")],      # a row one field wider
+        [(5, 3, "abc")],      # a field that is not a number
+        [(7, 0, "0.999")],    # a t out of order, found after the last block
     ])
     def test_load_csv_reads_the_file_once(self, obs, tmp_path, monkeypatch,
                                           edits):
@@ -571,15 +598,22 @@ class TestSerialization:
             assert np.array_equal(md.load_csv(path).Y, obs.Y)
         assert len(calls) == 1
 
-    def test_load_csv_peak_memory(self, tmp_path, monkeypatch):
-        """The traced peak of load_csv stays within 3.5 times the bytes of
-        its output t, x and Y (the flat Y array, which grows to at most
-        twice the grid, and t and x) plus four parsed tables of one block
-        (the block, numpy's parse buffers and the block's index arrays);
-        it is 1.4 times the output bytes here, and one parse of the whole
-        file peaks at about 5.7 times."""
+    @staticmethod
+    def _traced_load(path):
         import tracemalloc
-        monkeypatch.setattr(md, "_BLOCK_ROWS", 4096)
+        tracemalloc.start()
+        try:
+            back = md.load_csv(path)
+            return back, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_load_csv_peak_memory(self, tmp_path, monkeypatch):
+        """The traced peak of load_csv stays within its output t, x and Y,
+        one eighth of Y more (the finiteness mask), and four parsed
+        blocks (the block and numpy's parse buffers); one parse of the
+        whole file peaks at several times the output."""
+        monkeypatch.setattr(md, "_BLOCK_VALUES", 1 << 14)
         d = md.DesignDensity(beta=0.3, x0=0.4)
         obs = md.simulate_observations(md.tensor_sinusoid(1.0, 1.0, max_freq=16),
                                        md.power_kernel(1.0), d, d,
@@ -587,23 +621,17 @@ class TestSerialization:
                                        N=512, M=256, seed=1)
         path = tmp_path / "obs.csv"
         md.save_csv(obs, path)
-        tracemalloc.start()
-        try:
-            back = md.load_csv(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        back, peak = self._traced_load(path)
         output = back.t.nbytes + back.x.nbytes + back.Y.nbytes
-        assert peak <= 3.5 * output + 4 * (4096 * 5 * 8)
+        assert peak <= output + back.Y.nbytes / 8 + 4 * (1 << 14) * 8
         assert np.array_equal(back.Y, obs.Y)
 
     def test_load_csv_peak_is_the_grid(self, tmp_path, monkeypatch):
         """Each block's Y goes straight into the grid, so the traced peak
-        of load_csv stays within 1.6 times the bytes of the grid plus one
-        parsed block; blocks of 1000 rows end inside a row of 256 and
-        grow the grid many times."""
-        import tracemalloc
-        monkeypatch.setattr(md, "_BLOCK_ROWS", 1000)
+        of load_csv stays within the grid plus one eighth of it (the
+        finiteness mask) plus one parsed block of a few lines; the grid
+        grows many times."""
+        monkeypatch.setattr(md, "_BLOCK_VALUES", 1000)
         d = md.DesignDensity(beta=0.3, x0=0.4)
         obs = md.simulate_observations(md.tensor_sinusoid(1.0, 1.0, max_freq=16),
                                        md.power_kernel(1.0), d, d,
@@ -611,33 +639,26 @@ class TestSerialization:
                                        N=256, M=256, seed=1)
         path = tmp_path / "obs.csv"
         md.save_csv(obs, path)
-        tracemalloc.start()
-        try:
-            back = md.load_csv(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.6 * back.Y.nbytes + 1000 * 5 * 8
+        back, peak = self._traced_load(path)
+        assert peak <= 1.125 * back.Y.nbytes + 4 * 1000 * 8 + 2 ** 14
         for name in ("t", "x", "Y"):
             assert np.array_equal(getattr(back, name), getattr(obs, name))
         assert back.Y.flags.c_contiguous and back.Y.flags.owndata
 
-    def test_load_csv_grid_never_outgrows_the_file(self, tmp_path, monkeypatch):
-        """999 rows of l = 1 and one row (1, 999): the last row is out of
-        place, and no 999 x 999 grid (7.6 MiB) of its indices is ever
-        allocated.  Blocks of 4096 rows, since numpy's parser reserves a
-        whole block (2.5 MiB at 2^16 rows) whatever the file holds."""
+    def test_load_csv_grid_never_outgrows_the_file(self, tmp_path):
+        """A header of 999 x values over 999 lines of one Y each: the first
+        data row is named, and no 999 x 999 grid (7.6 MiB) is ever
+        allocated."""
         import tracemalloc
-        monkeypatch.setattr(md, "_BLOCK_ROWS", 4096)
         path = tmp_path / "obs.csv"
-        path.write_text("i,l,t,x,Y\n"
-                        + "".join(f"{i},1,{i / 1000!r},0.001,0.5\n"
-                                  for i in range(1, 1000))
-                        + "1,999,0.001,0.999,0.5\n")
+        path.write_text("t/x" + "".join(f",{l / 1000!r}" for l in range(1, 1000))
+                        + "\n" + "".join(f"{i / 1000!r},0.5\n"
+                                         for i in range(1, 1000)))
         tracemalloc.start()
         try:
             with pytest.raises(md.ParameterError,
-                               match=r"data row 1000 has \(i, l\) = \(1, 999\)"):
+                               match="data row 1 has 2 fields for the 1000 "
+                                     "header columns"):
                 md.load_csv(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -645,21 +666,16 @@ class TestSerialization:
         assert peak < 2 ** 20
 
     def test_load_csv_block_fits_the_file(self, tmp_path):
-        """At the default block of 2^16 rows, a file of 1000 rows loads
-        with a traced peak under 0.5 MiB: numpy's parser reserves a whole
-        block of parsed values (2.5 MiB at 2^16 rows of 5 fields), so the
-        block is capped at the rows the file can hold."""
-        import tracemalloc
+        """At the default block of 2^16 values, a 40 x 25 file loads with
+        a traced peak under 0.5 MiB: numpy's parser reserves a whole block
+        of parsed values (0.5 MiB at 2^16 values), so the block is capped
+        at the values the file can hold."""
         path = tmp_path / "obs.csv"
-        path.write_text("i,l,t,x,Y\n"
-                        + "".join(f"{i},{l},{i / 41!r},{l / 26!r},{i * l / 7!r}\n"
-                                  for i in range(1, 41) for l in range(1, 26)))
-        tracemalloc.start()
-        try:
-            obs = md.load_csv(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        path.write_text("t/x" + "".join(f",{l / 26!r}" for l in range(1, 26))
+                        + "\n" + "".join(f"{i / 41!r}" + "".join(
+                            f",{i * l / 7!r}" for l in range(1, 26)) + "\n"
+                            for i in range(1, 41)))
+        obs, peak = self._traced_load(path)
         assert obs.Y.shape == (40, 25) and obs.Y[39, 24] == 40 * 25 / 7
         assert peak < 2 ** 19
 
@@ -703,7 +719,7 @@ def _corrupted_csv(draw) -> str:
     """The 16 x 8 observation file with one corruption applied."""
     lines = _small_csv_lines()
     kind = draw(st.sampled_from(["delete", "duplicate", "garble", "cut",
-                                 "change t"]))
+                                 "change t", "change x"]))
     if kind == "delete":
         del lines[draw(st.integers(0, len(lines) - 1))]
     elif kind == "duplicate":
@@ -725,22 +741,28 @@ def _corrupted_csv(draw) -> str:
         end = draw(st.integers(1, len(text) - 1)
                    .filter(lambda p: text[p - 1] != "\n"))
         return text[:end]
-    else:
-        k = draw(st.integers(1, len(lines) - 1))
-        fields = lines[k].split(",")
-        t = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
-                 .filter(lambda v: v != float(fields[2])))
-        fields[2] = f"{t:.17g}"
-        lines[k] = ",".join(fields)
+    else:  # a t in the first field of a data line, or an x in the header
+        k = draw(st.integers(1, len(lines) - 1)) if kind == "change t" else 0
+        f = 0 if kind == "change t" else draw(st.integers(1, 8))
+        fields = lines[k].rstrip("\n").split(",")
+        value = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+                     .filter(lambda v: v != float(fields[f])))
+        fields[f] = f"{value:.17g}"
+        lines[k] = ",".join(fields) + "\n"
     return "".join(lines)
 
 
 @given(text=_corrupted_csv())
 @settings(max_examples=300, deadline=None)
 def test_load_csv_rejects_or_recovers_corrupted_file(text):
-    """A corrupted file raises ParameterError or loads the original grid;
-    it never raises anything else or loads a different grid."""
+    """A corrupted file raises ParameterError in load_csv, or loads a grid
+    that `estimate`'s design check rejects, or loads the original grid:
+    Y bitwise, and t and x to within the check's 1e-12.  It never raises
+    anything else."""
     obs = _small_grid()
+    d = md.DesignDensity(beta=0.3, x0=0.4)
+    cfg = es.EstimatorConfig(md.power_kernel(1.0), d, d,
+                             md.NoiseSpec(alpha=0.8, sigma=0.5))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "obs.csv"
         path.write_text(text)
@@ -748,9 +770,14 @@ def test_load_csv_rejects_or_recovers_corrupted_file(text):
             back = md.load_csv(path)
         except md.ParameterError:
             return
+    try:
+        cli._check_design(back, cfg)
+    except cli.ConfigError:
+        return
     assert (back.N, back.M) == (obs.N, obs.M)
-    for name in ("t", "x", "Y"):
-        assert np.array_equal(getattr(back, name), getattr(obs, name))
+    assert np.array_equal(back.Y, obs.Y)
+    for name in ("t", "x"):
+        assert np.all(np.abs(getattr(back, name) - getattr(obs, name)) <= 1e-12)
 
 
 @functools.lru_cache(maxsize=1)
