@@ -17,10 +17,9 @@ from .model import (DesignDensity, KernelSpec, NoiseSpec, ObservationGrid,
                     power_kernel, quantile_design, sample_errors, save_binary,
                     save_csv, simulate_observations, simulate_replicates,
                     single_atom, tensor_sinusoid)
-from .estimator import (EstimatorConfig, FieldPlan, Index,
-                        KernelNotInvertibleError, Reconstruction,
-                        SingularDesignError, choose_levels, estimate_field,
-                        reanalyze, reconstruct, save_field_csv,
+from .estimator import (EstimatorConfig, FieldPlan, KernelNotInvertibleError,
+                        Reconstruction, SingularDesignError, choose_levels,
+                        estimate_field, reanalyze, reconstruct, save_field_csv,
                         save_reconstruction_csv, save_reconstruction_pgm,
                         threshold, true_coefficients)
 from .analysis import (BesovParams, RateReport, RegimeResult,

@@ -232,8 +232,8 @@ class Lemma1Report:
     spread4: float
 
 
-def verify_lemma1(cfg: es.EstimatorConfig, wspec: wv.WaveletSpec, levels1,
-                  shifts_per_level: int = 4, grid: int = 8192) -> Lemma1Report:
+def verify_lemma1(cfg: es.EstimatorConfig, levels1, shifts_per_level: int = 4,
+                  grid: int = 8192) -> Lemma1Report:
     """Check the scaling laws of the deconvolving-function integrals.
 
     Computes fine-grid quadratures of int U^2/(h1 h2) and int U^4/(h1^3 h2^3)
@@ -242,13 +242,13 @@ def verify_lemma1(cfg: es.EstimatorConfig, wspec: wv.WaveletSpec, levels1,
     ``estimator._variance_order`` at p = 2 and 4; the report carries the
     max/min ratio spreads.
     """
-    kernel, d1, d2 = cfg.kernel, cfg.d1, cfg.d2
+    d1, d2 = cfg.d1, cfg.d2
     tg = _quad_grid(grid)
     h1 = d1.pdf(tg)
     h2 = d2.pdf(tg)
     # the x factor: one shift of the scaling pseudo-level, off the singularity
-    j2 = wspec.m20 - 1
-    m2, eta = wv.build_basis(wspec, j2, axis=1)
+    j2 = cfg.wavelet.m20 - 1
+    m2, eta = wv.build_basis(cfg.wavelet, j2, axis=1)
     count2 = eta.shape[1]
     k2 = (es._singular_shift(count2, d2.x0) + max(2, count2 // 4)) % count2
     v = wv.eval_on_points(tg, m2, eta[:, k2])
@@ -256,17 +256,16 @@ def verify_lemma1(cfg: es.EstimatorConfig, wspec: wv.WaveletSpec, levels1,
     q4_x = np.mean(v ** 4 / h2 ** 3)
     entries = []
     for j1 in levels1:
-        m1, psi = wv.build_basis(wspec, j1, axis=0)
-        count1 = psi.shape[1]
+        count1 = wv.shift_count(cfg.wavelet, j1, axis=0)
         k10 = es._singular_shift(count1, d1.x0)
         # shifts away from the singularity, spaced across the circle
         ks1 = np.array([(k10 + max(2, count1 // 8) + i * max(1, count1 // (shifts_per_level + 1))) % count1
                         for i in range(shifts_per_level)])
-        u = wv.eval_on_points(tg, m1, psi[:, ks1] / es._conj_kernel(kernel, m1, None, j1))
+        u = es._u_t_factor(cfg, j1, ks1, tg)
         ratio2 = (np.mean(u ** 2 / h1[:, None], axis=0) * q2_x
-                  / es._variance_order(cfg, wspec, 2, j1, ks1, j2, k2))
+                  / es._variance_order(cfg, 2, j1, ks1, j2, k2))
         ratio4 = (np.mean(u ** 4 / h1[:, None] ** 3, axis=0) * q4_x
-                  / es._variance_order(cfg, wspec, 4, j1, ks1, j2, k2))
+                  / es._variance_order(cfg, 4, j1, ks1, j2, k2))
         entries += [{"j1": j1, "k1": int(k1), "j2": j2, "k2": k2,
                      "ratio2": float(r2), "ratio4": float(r4)}
                     for k1, r2, r4 in zip(ks1, ratio2, ratio4)]
@@ -277,14 +276,13 @@ def verify_lemma1(cfg: es.EstimatorConfig, wspec: wv.WaveletSpec, levels1,
                         spread4=float(r4.max() / r4.min()))
 
 
-def _deviation_weights(index: es.Index, cfg: es.EstimatorConfig,
-                       wspec: wv.WaveletSpec, N: int, M: int) -> np.ndarray:
-    """V such that beta-tilde = sum V_il Y_il on the quantile designs of
-    cfg.d1 and cfg.d2: the clean estimate is sum V q and the noise part
-    sigma sum V eps."""
+def _deviation_weights(cfg: es.EstimatorConfig, index, N: int, M: int) -> np.ndarray:
+    """V such that beta-tilde of index (j1, k1, j2, k2) = sum V_il Y_il on
+    the quantile designs of cfg.d1 and cfg.d2: the clean estimate is
+    sum V q and the noise part sigma sum V eps."""
     t = md.quantile_design(N, cfg.d1)
     x = md.quantile_design(M, cfg.d2)
-    U = es.compute_U(index, cfg.kernel, wspec, t, x)
+    U = es.compute_U(cfg, index, t, x)
     return U * np.outer(*es._design_weights(cfg, t, x)) / (N * M)
 
 
@@ -333,8 +331,7 @@ class Lemma2Report:
     fourth_ratios: list[float]
 
 
-def verify_lemma2(index: es.Index, cfg: es.EstimatorConfig,
-                  wspec: wv.WaveletSpec, M: int, N_ladder,
+def verify_lemma2(cfg: es.EstimatorConfig, index, M: int, N_ladder,
                   replicates: int = 500, seed: int = 0) -> Lemma2Report:
     """Monte Carlo check of the variance law Var ~ sigma^2 2^{...}/(M N^alpha).
 
@@ -347,10 +344,10 @@ def verify_lemma2(index: es.Index, cfg: es.EstimatorConfig,
     variances, exact_variances, fourth_ratios = [], [], []
     kurt = math.nan
     noise = cfg.noise
-    order2 = es._variance_order(cfg, wspec, 2, *index.astuple())
-    order4 = es._variance_order(cfg, wspec, 4, *index.astuple())
+    order2 = es._variance_order(cfg, 2, *index)
+    order4 = es._variance_order(cfg, 4, *index)
     for i, N in enumerate(N_ladder):
-        V = _deviation_weights(index, cfg, wspec, N, M)
+        V = _deviation_weights(cfg, index, N, M)
         w, dev = _colored_deviations(V, noise, replicates, seed + i)
         variances.append(float(np.var(dev, ddof=1)))
         exact_variances.append(float(w @ w))
@@ -378,10 +375,9 @@ class Lemma3Report:
     ladder: list[tuple[int, int, float]]
 
 
-def verify_lemma3(f: md.TestFunction, wspec: wv.WaveletSpec,
-                  cfg: es.EstimatorConfig, indices, M: int = 256,
-                  N: int = 256, replicates: int = 1000, seed: int = 0,
-                  ladder=None) -> Lemma3Report:
+def verify_lemma3(f: md.TestFunction, cfg: es.EstimatorConfig, indices,
+                  M: int = 256, N: int = 256, replicates: int = 1000,
+                  seed: int = 0, ladder=None) -> Lemma3Report:
     """Empirical exceedance check Pr(|beta-tilde - beta| > lambda/2).
 
     The deviation splits exactly into a deterministic quadrature bias (the
@@ -391,13 +387,13 @@ def verify_lemma3(f: md.TestFunction, wspec: wv.WaveletSpec,
     evaluated in closed form per point and its log-log slope against the
     effective sample size is reported as the measured tail exponent.
     """
-    J1 = max(i.j1 for i in indices) + 1
-    J2 = max(i.j2 for i in indices) + 1
+    J1 = max(j1 for j1, _, _, _ in indices) + 1
+    J2 = max(j2 for _, _, j2, _ in indices) + 1
     freqs = {}
     for pos, index in enumerate(indices):
         bias, lam, w_norm, dev = _tail_ingredients(
-            f, wspec, cfg, index, M, N, J1, J2, replicates, seed + 7919 * pos)
-        freqs[index.astuple()] = float(np.mean(np.abs(bias + dev) > lam / 2))
+            f, cfg, index, M, N, J1, J2, replicates, seed + 7919 * pos)
+        freqs[index] = float(np.mean(np.abs(bias + dev) > lam / 2))
     tail_exponent = None
     ladder_rows = []
     if ladder:
@@ -406,7 +402,7 @@ def verify_lemma3(f: md.TestFunction, wspec: wv.WaveletSpec,
         index = indices[0]
         for pos, (Ni, Mi) in enumerate(ladder):
             bias, lam, w_norm, _ = _tail_ingredients(
-                f, wspec, cfg, index, Mi, Ni, J1, J2, 0, seed)
+                f, cfg, index, Mi, Ni, J1, J2, 0, seed)
             # closed-form Gaussian tail of bias + Normal(0, w_norm^2)
             if w_norm == 0:
                 p = float(abs(bias) > lam / 2)
@@ -424,14 +420,15 @@ def verify_lemma3(f: md.TestFunction, wspec: wv.WaveletSpec,
                         tail_exponent=tail_exponent, ladder=ladder_rows)
 
 
-def _tail_ingredients(f, wspec, cfg, index, M, N, J1, J2, replicates, seed):
-    V = _deviation_weights(index, cfg, wspec, N, M)
+def _tail_ingredients(f, cfg, index, M, N, J1, J2, replicates, seed):
+    j1, k1, j2, k2 = index
+    V = _deviation_weights(cfg, index, N, M)
     q = md.convolved_signal(f, cfg.kernel, md.quantile_design(N, cfg.d1),
                             md.quantile_design(M, cfg.d2))
-    true_blocks = es.true_coefficients(f, wspec, J1, J2)
-    beta = true_blocks[(index.j1, index.j2)][index.k1, index.k2]
+    true_blocks = es.true_coefficients(f, cfg, J1, J2)
+    beta = true_blocks[(j1, j2)][k1, k2]
     bias = float(np.sum(V * q)) - beta
-    lam = es.threshold(index, cfg, wspec, M, N)
+    lam = es.threshold(cfg, M, N, *index)
     w, dev = _colored_deviations(V, cfg.noise, replicates, seed)
     return bias, lam, float(np.linalg.norm(w)), dev
 
@@ -456,21 +453,20 @@ class RateReport:
         return [(p["n"], p["mise_mean"]) for p in self.points]
 
 
-def _ladder_point(f, wspec, cfg, N, M, replicates, seed, grid, f_ref):
-    plan = es.FieldPlan(cfg, wspec, md.quantile_design(N, cfg.d1),
+def _ladder_point(f, cfg, N, M, replicates, seed, grid, f_ref):
+    plan = es.FieldPlan(cfg, md.quantile_design(N, cfg.d1),
                         md.quantile_design(M, cfg.d2))
     values = np.empty(replicates)
     grids = md.simulate_replicates(f, cfg.kernel, cfg.d1, cfg.d2, cfg.noise,
                                    N, M, range(seed, seed + replicates))
     for r, obs in enumerate(grids):
         fld = es.estimate_field(plan, obs.Y)
-        rec = es.reconstruct(fld, wspec, grid=grid, which="kept")
+        rec = es.reconstruct(fld, cfg, grid=grid, which="kept")
         values[r] = mise(rec, f_ref)
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(replicates)) if replicates > 1 else 0.0
 
 
-def rate_experiment(f: md.TestFunction, wspec: wv.WaveletSpec,
-                    cfg: es.EstimatorConfig, ladder,
+def rate_experiment(f: md.TestFunction, cfg: es.EstimatorConfig, ladder,
                     replicates: int = 20, seed: int = 0, grid: int = 512,
                     threads: int = 1,
                     bp: BesovParams | None = None) -> RateReport:
@@ -490,7 +486,7 @@ def rate_experiment(f: md.TestFunction, wspec: wv.WaveletSpec,
 
     def work(args):
         i, (N, M) = args
-        return _ladder_point(f, wspec, cfg, N, M, replicates,
+        return _ladder_point(f, cfg, N, M, replicates,
                              seed + 100003 * i, grid, f_ref)
 
     jobs = list(enumerate(ladder))

@@ -257,18 +257,18 @@ def validate_config(cfg: dict, command: str) -> dict:
 # ----------------------------------------------------------------------
 
 def _specs(cfg: dict):
-    """(test function, wavelet spec, estimator config); the estimator
-    config carries the kernel, the designs and the noise law."""
+    """(test function, estimator config); the estimator config carries the
+    kernel, the designs, the noise law and the wavelet basis."""
     k = cfg["kernel"]
     kernel = md.make_kernel(k["name"], nu=k["nu"])
     # the keys of design.t, design.x, noise and estimator are field names
     d1, d2 = (md.DesignDensity(**cfg["design"][axis]) for axis in ("t", "x"))
     noise = md.NoiseSpec(**cfg["noise"])
     w = cfg["wavelet"]
-    wspec = wv.WaveletSpec(m10=w["m10"], m20=w["m20"])
+    wavelet = wv.WaveletSpec(m10=w["m10"], m20=w["m20"])
     fn = dict(cfg["function"])
     f = md.make_test_function(fn.pop("name"), **fn)
-    return f, wspec, es.EstimatorConfig(kernel, d1, d2, noise, **cfg["estimator"])
+    return f, es.EstimatorConfig(kernel, d1, d2, noise, wavelet, **cfg["estimator"])
 
 
 def _write_run_metadata(outdir: Path, cfg: dict, artifacts: list[Path]) -> None:
@@ -287,7 +287,7 @@ def _write_run_metadata(outdir: Path, cfg: dict, artifacts: list[Path]) -> None:
 # ----------------------------------------------------------------------
 
 def cmd_simulate(cfg: dict, outdir: Path) -> list[Path]:
-    f, _, est_cfg = _specs(cfg)
+    f, est_cfg = _specs(cfg)
     sim = cfg["simulate"]
     obs = md.simulate_observations(f, est_cfg.kernel, est_cfg.d1, est_cfg.d2,
                                    est_cfg.noise, N=sim["N"], M=sim["M"],
@@ -331,18 +331,18 @@ def _check_design(obs: md.ObservationGrid, est_cfg: es.EstimatorConfig) -> None:
 
 
 def cmd_estimate(cfg: dict, outdir: Path) -> list[Path]:
-    f, wspec, est_cfg = _specs(cfg)
+    f, est_cfg = _specs(cfg)
     sec = cfg["estimate"]
     obs = _load_observations(Path(sec["observations"]))
     _check_design(obs, est_cfg)
-    plan = es.FieldPlan(est_cfg, wspec, obs.t, obs.x)
+    plan = es.FieldPlan(est_cfg, obs.t, obs.x)
     J1, J2 = plan.J1, plan.J2
     field = es.estimate_field(plan, obs.Y)
     del plan  # its design matrices would otherwise add to every later peak
-    truth = es.true_coefficients(f, wspec, J1, J2)
+    truth = es.true_coefficients(f, est_cfg, J1, J2)
     kept = int(sum(blk.kept.sum() for blk in field.values()))
     grid = sec["grid"]
-    recon = es.reconstruct(field, wspec, grid=grid, which="kept")
+    recon = es.reconstruct(field, est_cfg, grid=grid, which="kept")
     err = an.mise(recon, f.grid(grid))
     artifacts = []
     coeff_path = outdir / "coefficients.csv"
@@ -369,14 +369,14 @@ def cmd_estimate(cfg: dict, outdir: Path) -> list[Path]:
 
 
 def cmd_verify(cfg: dict, outdir: Path) -> list[Path]:
-    f, wspec, est_cfg = _specs(cfg)
+    f, est_cfg = _specs(cfg)
     v = cfg["verify"]
     lemmas = v["lemmas"]
     seed = cfg["seed"]
     artifacts = []
     lines = []
     if 1 in lemmas:
-        rep = an.verify_lemma1(est_cfg, wspec, levels1=v["levels1"])
+        rep = an.verify_lemma1(est_cfg, levels1=v["levels1"])
         path = outdir / "lemma1.csv"
         columns = ("j1", "k1", "j2", "k2", "ratio2", "ratio4")
         np.savetxt(path, [[e[c] for c in columns] for e in rep.entries],
@@ -385,8 +385,8 @@ def cmd_verify(cfg: dict, outdir: Path) -> list[Path]:
         artifacts.append(path)
         lines.append(f"lemma1: spread2={rep.spread2:.4g} spread4={rep.spread4:.4g}")
     if 2 in lemmas:
-        idx = es.Index(*v["index"])
-        rep = an.verify_lemma2(idx, est_cfg, wspec, M=v.get("M", 128), N_ladder=v["N_ladder"],
+        rep = an.verify_lemma2(est_cfg, tuple(v["index"]), M=v.get("M", 128),
+                               N_ladder=v["N_ladder"],
                                replicates=v.get("replicates", 500), seed=seed)
         path = outdir / "lemma2.csv"
         np.savetxt(path, np.column_stack([rep.N_ladder, rep.variances,
@@ -398,8 +398,8 @@ def cmd_verify(cfg: dict, outdir: Path) -> list[Path]:
                      f" exact slope={rep.exact_slope:.4f}"
                      f" kurtosis={rep.kurtosis:.3f}")
     if 3 in lemmas:
-        indices = [es.Index(*i) for i in v["indices"]]
-        rep = an.verify_lemma3(f, wspec, est_cfg, indices,
+        indices = [tuple(i) for i in v["indices"]]
+        rep = an.verify_lemma3(f, est_cfg, indices,
                                M=v.get("M", 256), N=v["N"],
                                replicates=v.get("replicates", 1000), seed=seed,
                                ladder=[tuple(p) for p in v["ladder"]] or None)
@@ -427,12 +427,12 @@ def _write_rate_plot(outdir: Path, pairs) -> Path:
 
 
 def cmd_bench_rate(cfg: dict, outdir: Path, threads: int = 1) -> list[Path]:
-    f, wspec, est_cfg = _specs(cfg)
+    f, est_cfg = _specs(cfg)
     b = cfg["bench"]
     ladder = [tuple(p) for p in b["ladder"]]
     besov = cfg.get("besov")
     bp = an.BesovParams(**besov) if besov else None
-    report = an.rate_experiment(f, wspec, est_cfg, ladder,
+    report = an.rate_experiment(f, est_cfg, ladder,
                                 replicates=b["replicates"],
                                 seed=cfg["seed"], grid=b["grid"],
                                 threads=threads, bp=bp)

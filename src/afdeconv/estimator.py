@@ -20,7 +20,6 @@ from .model import (DesignDensity, KernelSpec, NoiseSpec, ParameterError,
                     TestFunction)
 
 __all__ = [
-    "Index",
     "EstimatorConfig",
     "Reconstruction",
     "KernelNotInvertibleError",
@@ -47,35 +46,25 @@ class SingularDesignError(RuntimeError):
     """A design point sits exactly on a density singularity."""
 
 
-@dataclass(frozen=True)
-class Index:
-    """Coefficient address (j1, k1; j2, k2) on the anisotropic grid."""
-
-    j1: int
-    k1: int
-    j2: int
-    k2: int
-
-    def astuple(self):
-        return (self.j1, self.k1, self.j2, self.k2)
-
-
 @dataclass
 class EstimatorConfig:
-    """The model the estimator assumes, plus its own constants.
+    """The model the estimator assumes, plus its own basis and constants.
 
     kernel, d1 (the t-design), d2 (the x-design) and noise are the model
     objects the level rule and the thresholds read: the ill-posedness nu,
     the singularities (beta_i, x0_i) and the noise law (alpha, sigma,
-    kind).  gamma and mu are the Gaussian and sub-Gaussian threshold
-    constants; besov_radius is the radius A entering the level selection
-    rule; J1 and J2, when given, override the chosen levels.
+    kind).  wavelet is the estimator's basis, whose coefficients are
+    addressed by (j1, k1, j2, k2) tuples.  gamma and mu are the Gaussian
+    and sub-Gaussian threshold constants; besov_radius is the radius A
+    entering the level selection rule; J1 and J2, when given, override the
+    chosen levels.
     """
 
     kernel: KernelSpec
     d1: DesignDensity
     d2: DesignDensity
     noise: NoiseSpec
+    wavelet: wv.WaveletSpec = wv.WaveletSpec()
     gamma: float = 4.0
     mu: float = 4.0
     besov_radius: float = 1.0
@@ -86,13 +75,13 @@ class EstimatorConfig:
         if self.gamma <= 0 or self.mu <= 0:
             raise ParameterError("threshold constants must be positive")
 
-    def resolve_levels(self, M: int, N: int, wspec: wv.WaveletSpec) -> tuple[int, int]:
+    def resolve_levels(self, M: int, N: int) -> tuple[int, int]:
         J1, J2 = self.J1, self.J2
         if J1 is None or J2 is None:
             a1, a2 = choose_levels(M, N, self.noise.alpha, self.noise.sigma,
                                    self.besov_radius, self.kernel.nu)
             J1, J2 = a1 if J1 is None else J1, a2 if J2 is None else J2
-        return max(J1, wspec.m10), max(J2, wspec.m20)
+        return max(J1, self.wavelet.m10), max(J2, self.wavelet.m20)
 
 
 def choose_levels(M: int, N: int, alpha: float, sigma: float,
@@ -123,8 +112,7 @@ def _shift_distance(count: int, k, x0: float):
     return np.maximum(1.0, np.abs(k - _singular_shift(count, x0)))
 
 
-def _variance_order(cfg: EstimatorConfig, wspec: wv.WaveletSpec, p: int,
-                    j1: int, k1, j2: int, k2):
+def _variance_order(cfg: EstimatorConfig, p: int, j1: int, k1, j2: int, k2):
     """Lemma 1's order of int U^p / (h1 h2)^{p-1} at shifts k1, k2 (arrays
     broadcast) of levels j1, j2: for r = p - 1,
     2^{j1 (p nu + r beta1) + j2 (r beta2 + p/2 - 1)} / (dist1^{r beta1}
@@ -132,28 +120,23 @@ def _variance_order(cfg: EstimatorConfig, wspec: wv.WaveletSpec, p: int,
     d1, d2, r = cfg.d1, cfg.d2, p - 1
     level_factor = 2.0 ** (j1 * (p * cfg.kernel.nu + r * d1.beta)
                            + j2 * (r * d2.beta + p / 2 - 1))
-    dist1 = _shift_distance(wv.shift_count(wspec, j1, 0), k1, d1.x0)
-    dist2 = _shift_distance(wv.shift_count(wspec, j2, 1), k2, d2.x0)
+    dist1 = _shift_distance(wv.shift_count(cfg.wavelet, j1, 0), k1, d1.x0)
+    dist2 = _shift_distance(wv.shift_count(cfg.wavelet, j2, 1), k2, d2.x0)
     return level_factor / (dist1 ** (r * d1.beta) * dist2 ** (r * d2.beta))
 
 
-def _threshold(cfg: EstimatorConfig, wspec: wv.WaveletSpec, M: int, N: int,
-               j1: int, k1, j2: int, k2):
-    """lambda at shifts k1, k2 (arrays broadcast) of levels j1, j2."""
+def threshold(cfg: EstimatorConfig, M: int, N: int, j1: int, k1, j2: int, k2):
+    """Location-dependent hard-threshold cutoff lambda at shifts k1, k2
+    (arrays broadcast, so one call covers a whole level block) of levels
+    j1, j2."""
     noise = cfg.noise
     n_eff = M * N ** noise.alpha
     if noise.kind == "gaussian-fgn":
         log_factor = cfg.gamma ** 2 * math.log(n_eff)
     else:
         log_factor = 1.0 + cfg.mu ** 2 * math.log(n_eff)
-    order = _variance_order(cfg, wspec, 2, j1, k1, j2, k2)
+    order = _variance_order(cfg, 2, j1, k1, j2, k2)
     return np.sqrt(noise.sigma ** 2 * order * log_factor / n_eff)
-
-
-def threshold(index: Index, cfg: EstimatorConfig, wspec: wv.WaveletSpec,
-              M: int, N: int) -> float:
-    """Location-dependent hard-threshold cutoff lambda(omega)."""
-    return float(_threshold(cfg, wspec, M, N, *index.astuple()))
 
 
 # ----------------------------------------------------------------------
@@ -175,15 +158,23 @@ def _conj_kernel(kernel: KernelSpec, m: np.ndarray, x, level: int) -> np.ndarray
     return np.conj(g)
 
 
-def compute_U(index: Index, kernel: KernelSpec, wspec: wv.WaveletSpec,
-              t_points, x_points) -> np.ndarray:
-    """U_omega evaluated on the grid (t_points x x_points); shape (N, M)."""
+def _u_t_factor(cfg: EstimatorConfig, j1: int, k1, t, x=None) -> np.ndarray:
+    """U's t-factor sum_m psihat_{j1,k}(m) / conj(g(m, x)) e^{2 pi i m t}
+    at the points t, one column per shift k in the list k1: shape
+    (len(t), len(k1)), or (len(t), len(x)) for one shift of an
+    x-dependent kernel, which needs x."""
+    m1, psi = wv.build_basis(cfg.wavelet, j1, axis=0)
+    return wv.eval_on_points(t, m1, psi[:, k1] / _conj_kernel(cfg.kernel, m1, x, j1))
+
+
+def compute_U(cfg: EstimatorConfig, index, t_points, x_points) -> np.ndarray:
+    """U of index (j1, k1, j2, k2) on the grid (t_points x x_points);
+    shape (N, M)."""
+    j1, k1, j2, k2 = index
     x = np.asarray(x_points, dtype=float)
-    m1, psi = wv.build_basis(wspec, index.j1, axis=0)
-    m2, eta = wv.build_basis(wspec, index.j2, axis=1)
-    a = psi[:, index.k1, None] / _conj_kernel(kernel, m1, x, index.j1)
-    u_tx = wv.eval_on_points(t_points, m1, a)
-    return u_tx * wv.eval_on_points(x, m2, eta[:, index.k2])[None, :]
+    u_tx = _u_t_factor(cfg, j1, [k1], t_points, x)
+    m2, eta = wv.build_basis(cfg.wavelet, j2, axis=1)
+    return u_tx * wv.eval_on_points(x, m2, eta[:, k2])[None, :]
 
 
 def _design_weights(cfg: EstimatorConfig, t, x) -> tuple[np.ndarray, np.ndarray]:
@@ -234,22 +225,22 @@ class FieldPlan:
     band x M block otherwise, so both kinds take this one path.  Reused
     across replicates that share the design, kernel and basis; equal for
     every index, up to rounding, to the per-index quadrature with
-    ``compute_U``.  Kernel, designs and levels are those of ``cfg``.
+    ``compute_U``.  Kernel, designs, basis and levels are those of ``cfg``.
     """
 
-    def __init__(self, cfg: EstimatorConfig, wspec: wv.WaveletSpec, t, x):
+    def __init__(self, cfg: EstimatorConfig, t, x):
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
-        self.cfg, self.wspec = cfg, wspec
+        self.cfg = cfg
         self.N, self.M = t.size, x.size
-        self.J1, self.J2 = cfg.resolve_levels(self.M, self.N, wspec)
+        self.J1, self.J2 = cfg.resolve_levels(self.M, self.N)
         inv_h1, self.inv_h2 = _design_weights(cfg, t, x)
         # eta_{j2,k2}(x_l), one (M, count) matrix per x-level
-        self.eta = {j2: wv.eval_on_points(x, *wv.build_basis(wspec, j2, axis=1))
-                    for j2 in wv.level_range(wspec, self.J2, axis=1)}
+        self.eta = {j2: wv.eval_on_points(x, *wv.build_basis(cfg.wavelet, j2, axis=1))
+                    for j2 in wv.level_range(cfg.wavelet, self.J2, axis=1)}
         # per t-level: rows |m| of the half band, which of them to
         # conjugate (m < 0), psi matrix, conj(g) on the band
-        basis1 = _bases(wspec, wv.level_range(wspec, self.J1, axis=0), axis=0)
+        basis1 = _bases(cfg, wv.level_range(cfg.wavelet, self.J1, axis=0), axis=0)
         band = _band(basis1)
         self.t_basis = {j1: (np.abs(m), (m < 0)[:, None], psi,
                              _conj_kernel(cfg.kernel, m, x, j1))
@@ -296,7 +287,7 @@ def estimate_field(plan: FieldPlan, Y: np.ndarray) -> dict[tuple[int, int], Leve
     blocks = {}
     for (j1, j2), beta_hat in plan.estimate(Y).items():
         k1, k2 = np.indices(beta_hat.shape, sparse=True)
-        lam = _threshold(plan.cfg, plan.wspec, plan.M, plan.N, j1, k1, j2, k2)
+        lam = threshold(plan.cfg, plan.M, plan.N, j1, k1, j2, k2)
         blocks[(j1, j2)] = LevelBlock(beta_hat, lam, np.abs(beta_hat) > lam)
     blocks[min(blocks)].kept[:] = True
     return blocks
@@ -306,9 +297,10 @@ def estimate_field(plan: FieldPlan, Y: np.ndarray) -> dict[tuple[int, int], Leve
 # True coefficients and reconstruction
 # ----------------------------------------------------------------------
 
-def _bases(wspec: wv.WaveletSpec, levels, axis: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """``wavelets.build_basis`` of each level, keyed by level."""
-    return {j: wv.build_basis(wspec, j, axis) for j in levels}
+def _bases(cfg: EstimatorConfig, levels, axis: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """``wavelets.build_basis`` of each level of ``cfg``'s basis, keyed by
+    level."""
+    return {j: wv.build_basis(cfg.wavelet, j, axis) for j in levels}
 
 
 def _band(bases: dict[int, tuple[np.ndarray, np.ndarray]]) -> int:
@@ -316,7 +308,7 @@ def _band(bases: dict[int, tuple[np.ndarray, np.ndarray]]) -> int:
     return max(m.max() for m, _ in bases.values())
 
 
-def true_coefficients(f: TestFunction, wspec: wv.WaveletSpec,
+def true_coefficients(f: TestFunction, cfg: EstimatorConfig,
                       J1: int, J2: int) -> dict[tuple[int, int], np.ndarray]:
     """Tensor quadrature of f = u(t) v(x) against the basis, per level-pair
     block.
@@ -328,8 +320,8 @@ def true_coefficients(f: TestFunction, wspec: wv.WaveletSpec,
     has at least 4096 points (a finer grid on every level moved the lower
     blocks by up to 8.4e-6, the aliasing of v).
     """
-    basis1 = _bases(wspec, wv.level_range(wspec, J1, axis=0), 0)
-    basis2 = _bases(wspec, wv.level_range(wspec, J2, axis=1), 1)
+    basis1 = _bases(cfg, wv.level_range(cfg.wavelet, J1, axis=0), 0)
+    basis2 = _bases(cfg, wv.level_range(cfg.wavelet, J2, axis=1), 1)
     along_t = {j1: np.conj(psi).T @ f.u_hat_at(off1) for j1, (off1, psi) in basis1.items()}
     grid = {j2: max(4096, 1 << (2 * int(off2.max())).bit_length())
             for j2, (off2, _) in basis2.items()}
@@ -352,7 +344,7 @@ class Reconstruction:
     field: dict[tuple[int, int], LevelBlock] | None = None
 
 
-def reconstruct(field: dict[tuple[int, int], LevelBlock], wspec: wv.WaveletSpec,
+def reconstruct(field: dict[tuple[int, int], LevelBlock], cfg: EstimatorConfig,
                 grid: int = 512, which: str = "kept") -> Reconstruction:
     """Tensor synthesis of the estimated coefficients on a uniform grid.
 
@@ -360,8 +352,8 @@ def reconstruct(field: dict[tuple[int, int], LevelBlock], wspec: wv.WaveletSpec,
     """
     if which not in ("kept", "all"):
         raise ParameterError(f"which must be 'kept' or 'all', got {which!r}")
-    basis1 = _bases(wspec, {j1 for j1, _ in field}, 0)
-    basis2 = _bases(wspec, {j2 for _, j2 in field}, 1)
+    basis1 = _bases(cfg, {j1 for j1, _ in field}, 0)
+    basis2 = _bases(cfg, {j2 for _, j2 in field}, 1)
     b1, b2 = _band(basis1), _band(basis2)
     F = np.zeros((2 * b1 + 1, 2 * b2 + 1), dtype=complex)
     for (j1, j2), blk in field.items():
@@ -380,10 +372,10 @@ def reconstruct(field: dict[tuple[int, int], LevelBlock], wspec: wv.WaveletSpec,
                           field=field)
 
 
-def reanalyze(recon: Reconstruction, wspec: wv.WaveletSpec) -> dict[tuple[int, int], np.ndarray]:
+def reanalyze(recon: Reconstruction, cfg: EstimatorConfig) -> dict[tuple[int, int], np.ndarray]:
     """Exact coefficient blocks of a reconstruction (biorthogonality check)."""
-    basis1 = _bases(wspec, {j1 for j1, _ in recon.field}, 0)
-    basis2 = _bases(wspec, {j2 for _, j2 in recon.field}, 1)
+    basis1 = _bases(cfg, {j1 for j1, _ in recon.field}, 0)
+    basis2 = _bases(cfg, {j2 for _, j2 in recon.field}, 1)
     out = {}
     for (j1, j2) in recon.field:
         off1, psi = basis1[j1]

@@ -18,7 +18,6 @@ from afdeconv import estimator as es
 from afdeconv import model as md
 from afdeconv import wavelets as wv
 
-WSPEC = wv.WaveletSpec()
 UNIFORM = md.DesignDensity(beta=0.0, x0=0.5)
 THREADS = 4
 
@@ -43,7 +42,7 @@ def rate_runs():
     for alpha in (1.0, 0.5):
         noise = md.NoiseSpec(alpha=alpha, sigma=0.05)
         cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, noise)
-        out[alpha] = an.rate_experiment(f, WSPEC, cfg, ladder, replicates=20,
+        out[alpha] = an.rate_experiment(f, cfg, ladder, replicates=20,
                                         seed=11, threads=THREADS)
     return out
 
@@ -75,9 +74,8 @@ class TestAcceptance:
     def test_A2_variance_law(self, alpha):
         """Slope of log Var(beta-tilde) vs log N equals -alpha +/- 0.15."""
         noise = md.NoiseSpec(alpha=alpha, sigma=1.0)
-        rep = an.verify_lemma2(es.Index(3, 2, 2, 1),
-                               _lemma_config(md.power_kernel(1.0), UNIFORM,
-                                             UNIFORM, noise), WSPEC, M=128,
+        rep = an.verify_lemma2(_lemma_config(md.power_kernel(1.0), UNIFORM,
+                                             UNIFORM, noise), (3, 2, 2, 1), M=128,
                                N_ladder=[128, 256, 512, 1024],
                                replicates=500, seed=3)
         ok = abs(rep.slope - (-alpha)) <= 0.15
@@ -129,7 +127,7 @@ class TestAcceptance:
         """U^2 ratio spread <= 8 and U^4 ratio spread <= 16 over j1 in 3..6."""
         d = md.DesignDensity(beta=0.3, x0=0.5)
         rep = an.verify_lemma1(_lemma_config(md.power_kernel(1.0), d, d),
-                               WSPEC, levels1=[3, 4, 5, 6])
+                               levels1=[3, 4, 5, 6])
         ok = rep.spread2 <= 8.0 and rep.spread4 <= 16.0
         _report("A4", f"spread2={rep.spread2:.3f} (<=8), "
                 f"spread4={rep.spread4:.3f} (<=16)", ok)
@@ -145,10 +143,9 @@ class TestAcceptance:
         noise = md.NoiseSpec(alpha=0.8, kind=kind, sigma=1.0)
         cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, noise,
                                  gamma=const, mu=const)
-        indices = [es.Index(2, 1, 2, 2), es.Index(3, 2, 2, 1),
-                   es.Index(3, 5, 3, 4), es.Index(4, 9, 2, 3),
-                   es.Index(2, 0, 4, 11)]
-        rep = an.verify_lemma3(f, WSPEC, cfg, indices, M=256, N=256,
+        indices = [(2, 1, 2, 2), (3, 2, 2, 1), (3, 5, 3, 4), (4, 9, 2, 3),
+                   (2, 0, 4, 11)]
+        rep = an.verify_lemma3(f, cfg, indices, M=256, N=256,
                                replicates=1000, seed=17)
         ok = rep.max_frequency <= 0.01
         _report("A5", f"{kind}: max exceedance frequency="
@@ -169,9 +166,8 @@ class TestAcceptance:
         for J1 in range(3, cap + 1):
             cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, silent,
                                      J1=J1, J2=cap)
-            field = es.estimate_field(es.FieldPlan(cfg, WSPEC, obs.t, obs.x),
-                                      obs.Y)
-            rec = es.reconstruct(field, WSPEC, grid=512, which="kept")
+            field = es.estimate_field(es.FieldPlan(cfg, obs.t, obs.x), obs.Y)
+            rec = es.reconstruct(field, cfg, grid=512, which="kept")
             errs.append(an.mise(rec, truth))
         decreasing = all(a > b for a, b in zip(errs, errs[1:]))
         ok = errs[-1] <= 1e-3 and decreasing
@@ -218,20 +214,19 @@ class TestAcceptance:
         obs = md.simulate_observations(f, ker, UNIFORM, UNIFORM, silent,
                                        N=256, M=256, seed=5)
         J1 = J2 = 5
-        truth = es.true_coefficients(f, WSPEC, J1, J2)
         cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, noise, J1=J1, J2=J2)
-        clean = es.estimate_field(es.FieldPlan(cfg, WSPEC, obs.t, obs.x), obs.Y)
+        truth = es.true_coefficients(f, cfg, J1, J2)
+        clean = es.estimate_field(es.FieldPlan(cfg, obs.t, obs.x), obs.Y)
         rng = np.random.default_rng(99)
         worst = 0.0
         for draw in range(10):
             j1 = int(rng.integers(2, J1))
             j2 = int(rng.integers(2, J2))
-            k1 = int(rng.integers(0, wv.shift_count(WSPEC, j1, 0)))
-            k2 = int(rng.integers(0, wv.shift_count(WSPEC, j2, 1)))
-            idx = es.Index(j1, k1, j2, k2)
+            k1 = int(rng.integers(0, wv.shift_count(cfg.wavelet, j1, 0)))
+            k2 = int(rng.integers(0, wv.shift_count(cfg.wavelet, j2, 1)))
             beta = truth[(j1, j2)][k1, k2]
             clean_val = clean[(j1, j2)].beta_hat[k1, k2]
-            V = an._deviation_weights(idx, cfg, WSPEC, 256, 256)
+            V = an._deviation_weights(cfg, (j1, k1, j2, k2), 256, 256)
             _, dev = an._colored_deviations(V, noise, replicates, 1000 + draw)
             mc_mean = clean_val + float(dev.mean())
             se = float(dev.std(ddof=1)) / math.sqrt(replicates)

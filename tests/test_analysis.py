@@ -9,14 +9,13 @@ from afdeconv import estimator as es
 from afdeconv import model as md
 from afdeconv import wavelets as wv
 
-WSPEC = wv.WaveletSpec()
 UNIFORM = md.DesignDensity(beta=0.0, x0=0.5)
 SINGULAR = md.DesignDensity(beta=0.3, x0=0.5)
 
 
 def _estimate(obs, cfg):
     """The level blocks of `obs` under the model and levels of `cfg`."""
-    return es.estimate_field(es.FieldPlan(cfg, WSPEC, obs.t, obs.x), obs.Y)
+    return es.estimate_field(es.FieldPlan(cfg, obs.t, obs.x), obs.Y)
 
 
 def _lemma_config(kernel, d1, d2, noise=md.NoiseSpec(alpha=1.0, sigma=1.0)):
@@ -78,14 +77,14 @@ class TestMise:
                                        N=128, M=128, seed=1)
         cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, silent, J1=5, J2=5)
         field = _estimate(obs, cfg)
-        base = es.reconstruct(field, WSPEC, grid=512, which="all")
+        base = es.reconstruct(field, cfg, grid=512, which="all")
         rng = np.random.default_rng(7)
         total = 0.0
         for blk in field.values():
             delta = 0.01 * rng.standard_normal(blk.beta_hat.shape)
             blk.beta_hat = blk.beta_hat + delta
             total += np.sum(delta ** 2)
-        pert = es.reconstruct(field, WSPEC, grid=512, which="all")
+        pert = es.reconstruct(field, cfg, grid=512, which="all")
         assert an.mise(pert, base.values) == pytest.approx(total, abs=1e-6)
 
     def test_dimension_error(self):
@@ -159,20 +158,19 @@ class TestLemmaSuites:
     def test_lemma1_constant_ratio_identity_kernel(self):
         """g = 1 and uniform design: the U^2 ratio is constant in k."""
         rep = an.verify_lemma1(_lemma_config(md.identity_kernel(), UNIFORM, UNIFORM),
-                               WSPEC, levels1=[4], grid=4096)
+                               levels1=[4], grid=4096)
         r2 = [e["ratio2"] for e in rep.entries]
         assert max(r2) / min(r2) == pytest.approx(1.0, abs=1e-8)
 
     def test_lemma1_uniform_spread(self):
         rep = an.verify_lemma1(_lemma_config(md.power_kernel(1.0), UNIFORM, UNIFORM),
-                               WSPEC, levels1=[3, 4, 5, 6])
+                               levels1=[3, 4, 5, 6])
         assert rep.spread2 <= 4.0
 
     def test_lemma2_gaussian_kurtosis(self):
         noise = md.NoiseSpec(alpha=0.8, sigma=1.0)
-        rep = an.verify_lemma2(es.Index(3, 2, 2, 1),
-                               _lemma_config(md.power_kernel(1.0), UNIFORM,
-                                             UNIFORM, noise), WSPEC, M=64,
+        rep = an.verify_lemma2(_lemma_config(md.power_kernel(1.0), UNIFORM,
+                                             UNIFORM, noise), (3, 2, 2, 1), M=64,
                                N_ladder=[64, 128, 256], replicates=2000,
                                seed=1)
         assert rep.kurtosis == pytest.approx(3.0, abs=0.3)
@@ -181,12 +179,12 @@ class TestLemmaSuites:
         f = md.tensor_sinusoid(2.0, 2.0, max_freq=128)
         ker = md.power_kernel(1.0)
         noise = md.NoiseSpec(alpha=0.8, sigma=1.0)
-        idx = [es.Index(3, 2, 2, 1)]
+        idx = [(3, 2, 2, 1)]
         freqs = []
         for gamma in (0.5, 1.0):
             cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, noise,
                                      gamma=gamma)
-            rep = an.verify_lemma3(f, WSPEC, cfg, idx, M=64, N=64,
+            rep = an.verify_lemma3(f, cfg, idx, M=64, N=64,
                                    replicates=400, seed=3)
             freqs.append(rep.max_frequency)
         assert freqs[1] <= freqs[0]
@@ -199,8 +197,7 @@ class TestLemmaSuites:
         ker = md.power_kernel(1.0)
         noise = md.NoiseSpec(alpha=0.8, sigma=1.0)
         cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, noise)
-        an.verify_lemma3(f, WSPEC, cfg,
-                         [es.Index(3, 2, 2, 1), es.Index(2, 0, 3, 4)],
+        an.verify_lemma3(f, cfg, [(3, 2, 2, 1), (2, 0, 3, 4)],
                          M=64, N=64, replicates=50, seed=3)
         assert calls == {"noise_factor": 2}
 
@@ -282,16 +279,15 @@ class TestColoredDeviations:
         here from the covariance, not its Cholesky factor; the Monte Carlo
         variance lies within 5 standard errors, sqrt(2/(R-1)) relative, of
         it at every ladder point."""
-        idx, ker = es.Index(3, 2, 2, 1), md.power_kernel(1.0)
+        idx, ker = (3, 2, 2, 1), md.power_kernel(1.0)
         noise = md.NoiseSpec(alpha=0.6, kind=kind, sigma=0.7)
         M, ladder, replicates = 64, [64, 128, 256], 400
         cfg = _lemma_config(ker, SINGULAR, SINGULAR, noise)
-        rep = an.verify_lemma2(idx, cfg, WSPEC,
-                               M=M, N_ladder=ladder, replicates=replicates,
-                               seed=4)
+        rep = an.verify_lemma2(cfg, idx, M=M, N_ladder=ladder,
+                               replicates=replicates, seed=4)
         se = math.sqrt(2 / (replicates - 1))
         for N, var, exact in zip(ladder, rep.variances, rep.exact_variances):
-            V = an._deviation_weights(idx, cfg, WSPEC, N, M)
+            V = an._deviation_weights(cfg, idx, N, M)
             cov = md.lrd_covariance(N, noise.alpha)
             truth = noise.sigma ** 2 * float(np.sum(V * (cov @ V)))
             assert exact == pytest.approx(truth, rel=1e-9)
@@ -307,7 +303,7 @@ class TestRateExperiment:
         ker = md.identity_kernel()
         silent = md.NoiseSpec(alpha=1.0, sigma=0.0)
         cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, silent)
-        rep = an.rate_experiment(f, WSPEC, cfg,
+        rep = an.rate_experiment(f, cfg,
                                  [(64, 64), (128, 128), (256, 256)],
                                  replicates=2, seed=0, grid=256)
         for p in rep.points:
@@ -320,8 +316,8 @@ class TestRateExperiment:
         cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, noise)
         kw = dict(ladder=[(64, 64), (128, 128), (256, 256)], replicates=2,
                   seed=5, grid=256)
-        serial = an.rate_experiment(f, WSPEC, cfg, threads=1, **kw)
-        threaded = an.rate_experiment(f, WSPEC, cfg, threads=3, **kw)
+        serial = an.rate_experiment(f, cfg, threads=1, **kw)
+        threaded = an.rate_experiment(f, cfg, threads=3, **kw)
         assert [p["mise_mean"] for p in serial.points] == \
                [p["mise_mean"] for p in threaded.points]
 
@@ -338,7 +334,7 @@ class TestRateExperiment:
         noise = md.NoiseSpec(alpha=0.7, kind=kind, sigma=sigma)
         cfg = es.EstimatorConfig(ker, SINGULAR, SINGULAR, noise)
         ladder, replicates, seed, grid = [(64, 64), (128, 64)], 3, 8, 128
-        rep = an.rate_experiment(f, WSPEC, cfg, ladder,
+        rep = an.rate_experiment(f, cfg, ladder,
                                  replicates=replicates, seed=seed, grid=grid)
         f_ref = f.grid(grid)
         for i, ((N, M), point) in enumerate(zip(ladder, rep.points)):
@@ -348,7 +344,7 @@ class TestRateExperiment:
                                                noise, N=N, M=M,
                                                seed=seed + 100003 * i + r)
                 fld = _estimate(obs, cfg)
-                values.append(an.mise(es.reconstruct(fld, WSPEC, grid=grid),
+                values.append(an.mise(es.reconstruct(fld, cfg, grid=grid),
                                       f_ref))
             values = np.array(values)
             assert point["mise_mean"] == float(values.mean())
@@ -363,7 +359,7 @@ class TestRateExperiment:
         ker = md.power_kernel(1.0)
         noise = md.NoiseSpec(alpha=0.7, sigma=0.2)
         cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, noise)
-        an.rate_experiment(f, WSPEC, cfg,
+        an.rate_experiment(f, cfg,
                            [(64, 64), (128, 128), (256, 256)], replicates=4,
                            seed=5, grid=256)
         assert calls == {"convolved_signal": 3, "noise_factor": 3}
@@ -374,4 +370,4 @@ class TestRateExperiment:
         silent = md.NoiseSpec(alpha=1.0, sigma=0.0)
         cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, silent)
         with pytest.raises(md.ParameterError):
-            an.rate_experiment(f, WSPEC, cfg, ladder=[])
+            an.rate_experiment(f, cfg, ladder=[])

@@ -31,13 +31,13 @@ def _config(nu=1.0, d1=UNIFORM, d2=UNIFORM, alpha=1.0, sigma=1.0,
 
 def _estimate(obs, cfg):
     """The level blocks of `obs` under the model and levels of `cfg`."""
-    return es.estimate_field(es.FieldPlan(cfg, WSPEC, obs.t, obs.x), obs.Y)
+    return es.estimate_field(es.FieldPlan(cfg, obs.t, obs.x), obs.Y)
 
 
 def _plan(t, x, d1, d2, kernel, J1, J2):
     """A FieldPlan on the levels J1, J2; the noise law does not enter it."""
     cfg = es.EstimatorConfig(kernel, d1, d2, SILENT, J1=J1, J2=J2)
-    return es.FieldPlan(cfg, WSPEC, t, x)
+    return es.FieldPlan(cfg, t, x)
 
 
 class TestLevelSelection:
@@ -67,21 +67,19 @@ class TestThreshold:
         # gamma=4, sigma=1, nu=1, beta=0, alpha=1, M=N=1024, j1=3, j2=2:
         # lambda^2 = 16 * 2^6 * ln(2^20) / 2^20
         cfg = _config(gamma=4.0)
-        lam = es.threshold(es.Index(3, 1, 2, 1), cfg, WSPEC, M=1024, N=1024)
+        lam = es.threshold(cfg, 1024, 1024, 3, 1, 2, 1)
         expected = math.sqrt(16 * 64 * math.log(2 ** 20) / 2 ** 20)
         assert lam == pytest.approx(expected, rel=1e-12)
 
     def test_pinned_numeric_value(self):
         # lambda^2 = 16 * 64 * ln(65536) / 65536 at M = N = 256
         cfg = _config(gamma=4.0)
-        lam = es.threshold(es.Index(3, 1, 2, 1), cfg, WSPEC, M=256, N=256)
+        lam = es.threshold(cfg, 256, 256, 3, 1, 2, 1)
         assert lam == pytest.approx(0.4163, abs=5e-4)
 
     def test_stronger_long_memory_raises_threshold(self):
-        lam_1 = es.threshold(es.Index(3, 1, 2, 1), _config(alpha=1.0),
-                             WSPEC, 256, 256)
-        lam_05 = es.threshold(es.Index(3, 1, 2, 1), _config(alpha=0.5),
-                              WSPEC, 256, 256)
+        lam_1 = es.threshold(_config(alpha=1.0), 256, 256, 3, 1, 2, 1)
+        lam_05 = es.threshold(_config(alpha=0.5), 256, 256, 3, 1, 2, 1)
         assert lam_05 > lam_1
 
     def test_distance_discount(self):
@@ -89,9 +87,9 @@ class TestThreshold:
         (0.5, 0.5), so k0 = 8 at level 4, and x by (0.2, 0.25), so k0 = 4."""
         cfg = _config(d1=md.DesignDensity(beta=0.5, x0=0.5),
                       d2=md.DesignDensity(beta=0.2, x0=0.25))
-        near = es.threshold(es.Index(4, 8, 4, 4), cfg, WSPEC, 256, 256)
-        far_t = es.threshold(es.Index(4, 0, 4, 4), cfg, WSPEC, 256, 256)
-        far_x = es.threshold(es.Index(4, 8, 4, 12), cfg, WSPEC, 256, 256)
+        near = es.threshold(cfg, 256, 256, 4, 8, 4, 4)
+        far_t = es.threshold(cfg, 256, 256, 4, 0, 4, 4)
+        far_x = es.threshold(cfg, 256, 256, 4, 8, 4, 12)
         assert far_t < near and far_x < near
         # |k - k0| = 8 discounts by 8^{beta/2}: 8^{1/4} on t, 8^{1/10} on x
         assert near / far_t == pytest.approx(8 ** 0.25, rel=1e-12)
@@ -108,29 +106,51 @@ class TestThreshold:
                 fine, *wv.build_basis(WSPEC, scaling, axis)), axis=0)]
             peak = int(np.argmin(np.abs(centres - 0.5)))
             assert peak == 4
-            lam = [es.threshold(es.Index(*[(scaling, k, 4, 3), (4, 3, scaling, k)][axis]),
-                                cfg, WSPEC, 256, 256)
+            lam = [es.threshold(cfg, 256, 256,
+                                *[(scaling, k, 4, 3), (4, 3, scaling, k)][axis])
                    for k in range(wv.shift_count(WSPEC, scaling, axis))]
             assert lam[peak] == max(lam)
             assert lam[peak - 2] < lam[peak] and lam[peak + 2] < lam[peak]
         # lemma 1 probes the x scaling level off the singularity
-        rep = an.verify_lemma1(cfg, WSPEC, levels1=[3], shifts_per_level=1,
-                               grid=1024)
+        rep = an.verify_lemma1(cfg, levels1=[3], shifts_per_level=1, grid=1024)
         assert abs(rep.entries[0]["k2"] - peak) >= 2
+
+    def test_variance_law_x_factor(self):
+        """The x factor of the variance law, which lemma 1's one x shift
+        cancels: on an x-design singular at x0 = 0.5, the offset-grid
+        quadratures of int eta^p / h2^{p-1} over the x-levels m20 - 1 .. 6,
+        divided by `_variance_order` at a fixed t-index, stay within A4's
+        spreads: 8 for p = 2 over every shift, 16 for p = 4 over the shifts
+        at least max(2, count/8) from k0."""
+        d2 = md.DesignDensity(beta=0.3, x0=0.5)
+        cfg = _config(d2=d2)
+        x = an._quad_grid(8192)
+        h2 = d2.pdf(x)
+        ratios = {2: [], 4: []}
+        for j2 in range(cfg.wavelet.m20 - 1, 7):
+            eta = wv.eval_on_points(x, *wv.build_basis(cfg.wavelet, j2, axis=1))
+            k2 = np.arange(eta.shape[1])
+            far = np.abs(k2 - es._singular_shift(k2.size, d2.x0)) >= max(2, k2.size / 8)
+            for p, shifts in ((2, k2), (4, k2[far])):
+                quad = np.mean(eta[:, shifts] ** p / h2[:, None] ** (p - 1), axis=0)
+                ratios[p].append(quad / es._variance_order(cfg, p, 3, 1, j2, shifts))
+        for p, bound in ((2, 8.0), (4, 16.0)):
+            r = np.concatenate(ratios[p])
+            assert r.max() / r.min() <= bound
 
     def test_subgaussian_form(self):
         g = _config(kind="gaussian-fgn")
         s = _config(kind="subgaussian-rademacher")
-        lam_g = es.threshold(es.Index(3, 1, 3, 1), g, WSPEC, 256, 256)
-        lam_s = es.threshold(es.Index(3, 1, 3, 1), s, WSPEC, 256, 256)
+        lam_g = es.threshold(g, 256, 256, 3, 1, 3, 1)
+        lam_s = es.threshold(s, 256, 256, 3, 1, 3, 1)
         n = 256 * 256
         assert (lam_s / lam_g) ** 2 == pytest.approx(
             (1 + 16 * math.log(n)) / (16 * math.log(n)), rel=1e-12)
 
     def test_level_scaling(self):
         cfg = _config()
-        lam3 = es.threshold(es.Index(3, 1, 2, 1), cfg, WSPEC, 256, 256)
-        lam4 = es.threshold(es.Index(4, 1, 2, 1), cfg, WSPEC, 256, 256)
+        lam3 = es.threshold(cfg, 256, 256, 3, 1, 2, 1)
+        lam4 = es.threshold(cfg, 256, 256, 4, 1, 2, 1)
         assert lam4 / lam3 == pytest.approx(2 ** ((2 * 1.0) / 2), rel=1e-12)
 
 
@@ -171,17 +191,16 @@ class TestCoefficientRecovery:
                 cfg = es.EstimatorConfig(ker, d1, d2, noise, J1=4, J2=4)
                 field = _estimate(obs, cfg)
                 weights = 1.0 / np.outer(d1.pdf(obs.t), d2.pdf(obs.x))
-                for idx in [es.Index(2, 0, 2, 3), es.Index(3, 7, 2, 1),
-                            es.Index(2, 4, 3, 6)]:
-                    U = es.compute_U(idx, ker, WSPEC, obs.t, obs.x)
+                for j1, k1, j2, k2 in [(2, 0, 2, 3), (3, 7, 2, 1), (2, 4, 3, 6)]:
+                    U = es.compute_U(cfg, (j1, k1, j2, k2), obs.t, obs.x)
                     single = np.sum(U * obs.Y * weights) / (obs.N * obs.M)
-                    blk = field[(idx.j1, idx.j2)]
-                    assert blk.beta_hat[idx.k1, idx.k2] == pytest.approx(
+                    blk = field[(j1, j2)]
+                    assert blk.beta_hat[k1, k2] == pytest.approx(
                         single, abs=1e-12)
                     # the lemma suites' linear form is the plan's estimate
-                    V = an._deviation_weights(idx, cfg, WSPEC, obs.N, obs.M)
+                    V = an._deviation_weights(cfg, (j1, k1, j2, k2), obs.N, obs.M)
                     assert np.sum(V * obs.Y) == pytest.approx(
-                        blk.beta_hat[idx.k1, idx.k2], abs=1e-12)
+                        blk.beta_hat[k1, k2], abs=1e-12)
 
     def test_x_dependent_kernel_path(self):
         """A kernel with x-varying coefficients recovers a band-limited
@@ -226,13 +245,11 @@ class TestCoefficientRecovery:
         plan = _plan(obs.t, obs.x, d1, d2, ker, 4, 4)
         blocks = plan.estimate(obs.Y)
         weights = 1.0 / np.outer(d1.pdf(obs.t), d2.pdf(obs.x))
-        for idx in [es.Index(2, 0, 2, 0), es.Index(3, 7, 3, 7),
-                    es.Index(2, 4, 3, 6), es.Index(3, 3, 2, 1),
-                    es.Index(3, 0, 3, 5)]:
-            U = es.compute_U(idx, ker, WSPEC, obs.t, obs.x)
+        for j1, k1, j2, k2 in [(2, 0, 2, 0), (3, 7, 3, 7), (2, 4, 3, 6),
+                               (3, 3, 2, 1), (3, 0, 3, 5)]:
+            U = es.compute_U(plan.cfg, (j1, k1, j2, k2), obs.t, obs.x)
             single = np.sum(U * obs.Y * weights) / (obs.N * obs.M)
-            assert blocks[(idx.j1, idx.j2)][idx.k1, idx.k2] == pytest.approx(
-                single, abs=1e-12)
+            assert blocks[(j1, j2)][k1, k2] == pytest.approx(single, abs=1e-12)
         for blk in plan.estimate(np.zeros_like(obs.Y)).values():
             assert np.all(blk == 0.0)
 
@@ -274,7 +291,7 @@ class TestCoefficientRecovery:
             name="constant",
             u=lambda t: np.ones(np.shape(t)), v=lambda x: np.ones(np.shape(x)),
             u_hat=np.array([1.0 + 0.0j]), s1=2.0, s2=2.0)
-        blocks = es.true_coefficients(one, WSPEC, 5, 5)
+        blocks = es.true_coefficients(one, _config(), 5, 5)
         s1, s2 = WSPEC.m10 - 1, WSPEC.m20 - 1
         for (j1, j2), blk in blocks.items():
             if (j1, j2) == (s1, s2):
@@ -286,7 +303,7 @@ class TestCoefficientRecovery:
 
     def test_true_coefficients_against_grid_quadrature(self):
         f = md.tensor_sinusoid(2.0, 2.0, max_freq=128)
-        blocks = es.true_coefficients(f, WSPEC, 4, 4)
+        blocks = es.true_coefficients(f, _config(), 4, 4)
         g = np.arange(1024) / 1024
         F = f.eval(g[:, None], g[None, :])
         m1, psi = wv.build_basis(WSPEC, 3, axis=0)
@@ -301,8 +318,8 @@ class TestCoefficientRecovery:
         8192 points: its blocks come back, and the blocks of x-levels up
         to 10 equal bitwise those of the J2 = 11 call."""
         f = md.tensor_sinusoid(1.0, 1.0)
-        top = es.true_coefficients(f, WSPEC, 3, 12)
-        lower = es.true_coefficients(f, WSPEC, 3, 11)
+        top = es.true_coefficients(f, _config(), 3, 12)
+        lower = es.true_coefficients(f, _config(), 3, 11)
         assert {j2 for _, j2 in top} == set(range(2, 12))
         assert top[(2, 11)].shape == (8, 2 ** 11)
         for key, blk in lower.items():
@@ -350,13 +367,13 @@ class TestReconstruction:
                                        N=128, M=128, seed=9)
         cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, noise, J1=5, J2=5)
         field = _estimate(obs, cfg)
-        recon = es.reconstruct(field, WSPEC, grid=512, which="kept")
-        back = es.reanalyze(recon, WSPEC)
+        recon = es.reconstruct(field, cfg, grid=512, which="kept")
+        back = es.reanalyze(recon, cfg)
         for key, blk in field.items():
             kept_coeffs = np.where(blk.kept, blk.beta_hat, 0.0)
             assert np.allclose(back[key], kept_coeffs, atol=1e-10)
         with pytest.raises(md.ParameterError, match="'kep'"):
-            es.reconstruct(field, WSPEC, grid=512, which="kep")
+            es.reconstruct(field, cfg, grid=512, which="kep")
 
     def test_parseval_identity(self):
         """Grid energy of the reconstruction equals the coefficient energy."""
@@ -366,7 +383,7 @@ class TestReconstruction:
                                        N=128, M=128, seed=2)
         cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, SILENT, J1=5, J2=5)
         field = _estimate(obs, cfg)
-        recon = es.reconstruct(field, WSPEC, grid=512, which="all")
+        recon = es.reconstruct(field, cfg, grid=512, which="all")
         coeff_energy = sum(np.sum(blk.beta_hat ** 2)
                            for blk in field.values())
         grid_energy = np.mean(recon.values ** 2)
@@ -382,8 +399,8 @@ class TestErrorsAndIO:
                              x_dependent=False, name="vanishing",
                              K1=1e-6, K2=1.0)
         with pytest.raises(es.KernelNotInvertibleError):
-            es.compute_U(es.Index(3, 0, 3, 0), dead, WSPEC,
-                         np.linspace(0.01, 0.99, 16),
+            es.compute_U(es.EstimatorConfig(dead, UNIFORM, UNIFORM, SILENT),
+                         (3, 0, 3, 0), np.linspace(0.01, 0.99, 16),
                          np.linspace(0.01, 0.99, 16))
 
     def test_singular_design_point(self):
@@ -424,7 +441,7 @@ class TestErrorsAndIO:
         obs = md.simulate_observations(f, ker, UNIFORM, UNIFORM, noise,
                                        N=64, M=64, seed=4)
         cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, noise, J1=4, J2=4)
-        truth = es.true_coefficients(f, WSPEC, 4, 4)
+        truth = es.true_coefficients(f, cfg, 4, 4)
         field = _estimate(obs, cfg)
         path = tmp_path / "field.csv"
         es.save_field_csv(field, path, truth)
@@ -443,7 +460,7 @@ class TestErrorsAndIO:
         noise = md.NoiseSpec(alpha=0.8, sigma=0.5)
         obs = md.simulate_observations(f, ker, d, d, noise, N=64, M=64, seed=9)
         cfg = es.EstimatorConfig(ker, d, d, noise, J1=4, J2=5)
-        truth = es.true_coefficients(f, WSPEC, 4, 5) if with_truth else None
+        truth = es.true_coefficients(f, cfg, 4, 5) if with_truth else None
         field = _estimate(obs, cfg)
         path = tmp_path / "field.csv"
         es.save_field_csv(field, path, truth)

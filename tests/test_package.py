@@ -1,5 +1,6 @@
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import afdeconv
@@ -38,3 +39,14 @@ def test_every_exported_name_has_a_caller():
         module = importlib.import_module(f"afdeconv.{path.stem}")
         unused = [name for name in module.__all__ if name not in used]
         assert unused == [], f"afdeconv.{path.stem} exports {unused} with no caller"
+
+
+def test_readme_python_example_runs(tmp_path, monkeypatch):
+    """The README's Python example runs as written, in a temporary working
+    directory, so a signature change cannot leave it stale."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.DOTALL)
+    assert len(blocks) == 1
+    monkeypatch.chdir(tmp_path)
+    exec(compile(blocks[0], str(readme), "exec"), {})
+    assert (tmp_path / "coefficients.csv").is_file()
