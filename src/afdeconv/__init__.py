@@ -18,10 +18,9 @@ from .model import (DesignDensity, KernelSpec, NoiseSpec, ObservationGrid,
                     save_csv, simulate_observations, simulate_replicates,
                     single_atom, tensor_sinusoid)
 from .estimator import (EstimatorConfig, FieldPlan, KernelNotInvertibleError,
-                        Reconstruction, SingularDesignError, choose_levels,
-                        estimate_field, reanalyze, reconstruct, save_field_csv,
-                        save_reconstruction_csv, save_reconstruction_pgm,
-                        threshold, true_coefficients)
+                        SingularDesignError, choose_levels, estimate_field,
+                        reconstruct, save_field_csv, save_reconstruction_csv,
+                        save_reconstruction_pgm, threshold, true_coefficients)
 from .analysis import (BesovParams, RateReport, RegimeResult,
                        UnclassifiedRegimeError, fit_rate, mise,
                        rate_experiment, rate_report_csv, rate_report_text,

@@ -96,13 +96,13 @@ class BesovParams:
 # ----------------------------------------------------------------------
 
 def mise(fhat, f) -> float:
-    """Integrated squared error of fhat, a Reconstruction or a grid, against
-    the grid f on the common uniform periodic grid.
+    """Integrated squared error of the grid fhat against the grid f on the
+    common uniform periodic grid.
 
     The grid is uniform and the integrand periodic, so the trapezoid rule
     reduces to the mean of the squared differences.
     """
-    a = fhat.values if isinstance(fhat, es.Reconstruction) else np.asarray(fhat, dtype=float)
+    a = np.asarray(fhat, dtype=float)
     b = np.asarray(f, dtype=float)
     if a.shape != b.shape or a.ndim != 2:
         raise md.ParameterError(
@@ -202,10 +202,11 @@ def fit_rate(points) -> tuple[float, float]:
     v = np.array([p[1] for p in pts])
     if n.size < 3:
         raise md.ParameterError("need at least 3 ladder points")
-    if np.any(np.diff(n) <= 0):
+    # positive form, so that NaN fails it too
+    if not np.all(np.isfinite(n) & (n > 0) & np.isfinite(v) & (v > 0)):
+        raise md.ParameterError("only positive finite values can be log-fitted")
+    if not np.all(np.diff(n) > 0):
         raise md.ParameterError("ladder values must be strictly increasing")
-    if np.any(v <= 0):
-        raise md.ParameterError("nonpositive values cannot be log-fitted")
     X = np.log(n)
     Y = np.log(v)
     slope, intercept = np.polyfit(X, Y, 1)
@@ -461,8 +462,7 @@ def _ladder_point(f, cfg, N, M, replicates, seed, grid, f_ref):
                                    N, M, range(seed, seed + replicates))
     for r, obs in enumerate(grids):
         fld = es.estimate_field(plan, obs.Y)
-        rec = es.reconstruct(fld, cfg, grid=grid, which="kept")
-        values[r] = mise(rec, f_ref)
+        values[r] = mise(es.reconstruct(fld, cfg, grid=grid), f_ref)
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(replicates)) if replicates > 1 else 0.0
 
 

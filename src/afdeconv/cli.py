@@ -302,7 +302,6 @@ def cmd_simulate(cfg: dict, outdir: Path) -> list[Path]:
         path = outdir / "observations.afdc"
         md.save_binary(obs, path)
         artifacts.append(path)
-    _write_run_metadata(outdir, cfg, artifacts)
     print(f"simulated N={obs.N} M={obs.M} -> {', '.join(p.name for p in artifacts)}")
     return artifacts
 
@@ -342,7 +341,7 @@ def cmd_estimate(cfg: dict, outdir: Path) -> list[Path]:
     truth = es.true_coefficients(f, est_cfg, J1, J2)
     kept = int(sum(blk.kept.sum() for blk in field.values()))
     grid = sec["grid"]
-    recon = es.reconstruct(field, est_cfg, grid=grid, which="kept")
+    recon = es.reconstruct(field, est_cfg, grid=grid)
     err = an.mise(recon, f.grid(grid))
     artifacts = []
     coeff_path = outdir / "coefficients.csv"
@@ -363,7 +362,6 @@ def cmd_estimate(cfg: dict, outdir: Path) -> list[Path]:
                  f"{sum(b.beta_hat.size for b in field.values())}\n")
         fh.write(f"mise: {err:.17g}\n")
     artifacts.append(summary)
-    _write_run_metadata(outdir, cfg, artifacts)
     print(f"kept {kept} coefficients; mise {err:.6g}")
     return artifacts
 
@@ -414,7 +412,6 @@ def cmd_verify(cfg: dict, outdir: Path) -> list[Path]:
     summary = outdir / "verify_summary.txt"
     summary.write_text("\n".join(lines) + "\n")
     artifacts.append(summary)
-    _write_run_metadata(outdir, cfg, artifacts)
     print("\n".join(lines))
     return artifacts
 
@@ -441,28 +438,28 @@ def cmd_bench_rate(cfg: dict, outdir: Path, threads: int = 1) -> list[Path]:
     plot_path = _write_rate_plot(outdir, report.pairs())
     summary = outdir / "rate_summary.txt"
     summary.write_text(an.rate_report_text(report) + "\n")
-    artifacts = [csv_path, plot_path, summary]
-    _write_run_metadata(outdir, cfg, artifacts)
     print(an.rate_report_text(report))
-    return artifacts
+    return [csv_path, plot_path, summary]
 
 
 def cmd_report(cfg: dict, outdir: Path) -> list[Path]:
     """Re-summarize a previous bench-rate output directory."""
     src = Path(cfg["report"]["source"])
     csv_path = src / "rate_report.csv" if src.is_dir() else src
-    if not csv_path.exists():
-        raise FileNotFoundError(f"rate report not found: {csv_path}")
+    if not csv_path.is_file():
+        raise FileNotFoundError(f"rate report not found or not a file: {csv_path}")
     rows = md._read_csv(csv_path, ("n", "mise_mean"))
     pairs = list(zip(rows["n"].tolist(), rows["mise_mean"].tolist()))
     lines = [f"points: {len(pairs)}"]
     if len(pairs) >= 3:
-        slope, se = an.fit_rate(pairs)
+        try:
+            slope, se = an.fit_rate(pairs)
+        except md.ParameterError as exc:
+            raise md.ParameterError(f"{csv_path}: {exc}") from None
         lines.append(f"fitted slope: {slope:.4f} +/- {se:.4f}")
     plot_path = _write_rate_plot(outdir, pairs)
     summary = outdir / "report_summary.txt"
     summary.write_text("\n".join(lines) + "\n")
-    _write_run_metadata(outdir, cfg, [plot_path, summary])
     print("\n".join(lines))
     return [plot_path, summary]
 
@@ -516,16 +513,18 @@ def main(argv=None) -> int:
         cfg = validate_config(cfg, args.command)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
+        # module globals, so that a wrapper set on a `cmd_*` sees its call
         if args.command == "simulate":
-            cmd_simulate(cfg, outdir)
+            artifacts = cmd_simulate(cfg, outdir)
         elif args.command == "estimate":
-            cmd_estimate(cfg, outdir)
+            artifacts = cmd_estimate(cfg, outdir)
         elif args.command == "verify-lemmas":
-            cmd_verify(cfg, outdir)
+            artifacts = cmd_verify(cfg, outdir)
         elif args.command == "bench-rate":
-            cmd_bench_rate(cfg, outdir, threads=args.threads)
-        elif args.command == "report":
-            cmd_report(cfg, outdir)
+            artifacts = cmd_bench_rate(cfg, outdir, threads=args.threads)
+        else:
+            artifacts = cmd_report(cfg, outdir)
+        _write_run_metadata(outdir, cfg, artifacts)
         return 0
     except (ConfigError, md.ParameterError, FileNotFoundError,
             yaml.YAMLError) as exc:

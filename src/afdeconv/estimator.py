@@ -21,7 +21,6 @@ from .model import (DesignDensity, KernelSpec, NoiseSpec, ParameterError,
 
 __all__ = [
     "EstimatorConfig",
-    "Reconstruction",
     "KernelNotInvertibleError",
     "SingularDesignError",
     "choose_levels",
@@ -30,7 +29,6 @@ __all__ = [
     "estimate_field",
     "true_coefficients",
     "reconstruct",
-    "reanalyze",
     "FieldPlan",
     "save_field_csv",
     "save_reconstruction_csv",
@@ -333,33 +331,21 @@ def true_coefficients(f: TestFunction, cfg: EstimatorConfig,
             for j1, a in along_t.items() for j2, b in along_x.items()}
 
 
-@dataclass
-class Reconstruction:
-    """Synthesized surface plus its exact Fourier coefficients on the band."""
-
-    values: np.ndarray
-    fourier: np.ndarray           # (2 b1 + 1, 2 b2 + 1), index m + b
-    band1: int
-    band2: int
-    field: dict[tuple[int, int], LevelBlock] | None = None
-
-
 def reconstruct(field: dict[tuple[int, int], LevelBlock], cfg: EstimatorConfig,
-                grid: int = 512, which: str = "kept") -> Reconstruction:
-    """Tensor synthesis of the estimated coefficients on a uniform grid.
+                grid: int = 512) -> np.ndarray:
+    """Tensor synthesis of the kept coefficients on the uniform (grid, grid)
+    periodic grid: f_hat(t_a, x_b) at t_a = a / grid, x_b = b / grid.
 
-    which: "kept" (post-threshold) or "all" (ignore flags).
+    The Fourier block of every level pair is summed over the union band,
+    folded onto the grid's frequencies (a band wider than the grid aliases)
+    and transformed once.
     """
-    if which not in ("kept", "all"):
-        raise ParameterError(f"which must be 'kept' or 'all', got {which!r}")
     basis1 = _bases(cfg, {j1 for j1, _ in field}, 0)
     basis2 = _bases(cfg, {j2 for _, j2 in field}, 1)
     b1, b2 = _band(basis1), _band(basis2)
     F = np.zeros((2 * b1 + 1, 2 * b2 + 1), dtype=complex)
     for (j1, j2), blk in field.items():
-        C = blk.beta_hat
-        if which == "kept":
-            C = np.where(blk.kept, C, 0.0)
+        C = np.where(blk.kept, blk.beta_hat, 0.0)
         off1, psi = basis1[j1]
         off2, etam = basis2[j2]
         F[np.ix_(off1 + b1, off2 + b2)] += psi @ C @ etam.T
@@ -367,22 +353,7 @@ def reconstruct(field: dict[tuple[int, int], LevelBlock], cfg: EstimatorConfig,
     np.add.at(folded,
               (np.mod(np.arange(-b1, b1 + 1), grid)[:, None],
                np.mod(np.arange(-b2, b2 + 1), grid)[None, :]), F)
-    values = np.real(np.fft.ifft2(folded) * grid * grid)
-    return Reconstruction(values=values, fourier=F, band1=b1, band2=b2,
-                          field=field)
-
-
-def reanalyze(recon: Reconstruction, cfg: EstimatorConfig) -> dict[tuple[int, int], np.ndarray]:
-    """Exact coefficient blocks of a reconstruction (biorthogonality check)."""
-    basis1 = _bases(cfg, {j1 for j1, _ in recon.field}, 0)
-    basis2 = _bases(cfg, {j2 for _, j2 in recon.field}, 1)
-    out = {}
-    for (j1, j2) in recon.field:
-        off1, psi = basis1[j1]
-        off2, etam = basis2[j2]
-        sub = recon.fourier[np.ix_(off1 + recon.band1, off2 + recon.band2)]
-        out[(j1, j2)] = np.real(np.conj(psi).T @ sub @ np.conj(etam))
-    return out
+    return np.real(np.fft.ifft2(folded) * grid * grid)
 
 
 # ----------------------------------------------------------------------
@@ -417,16 +388,15 @@ def save_field_csv(field: dict[tuple[int, int], LevelBlock], path,
                 fh.write(rows % tuple(table[a:a + step].ravel().tolist()))
 
 
-def save_reconstruction_csv(recon: Reconstruction, path) -> None:
-    np.savetxt(path, recon.values, delimiter=",", fmt="%.17g", newline="\n")
+def save_reconstruction_csv(values: np.ndarray, path) -> None:
+    np.savetxt(path, values, delimiter=",", fmt="%.17g", newline="\n")
 
 
-def save_reconstruction_pgm(recon: Reconstruction, path) -> None:
-    """8-bit binary PGM, linearly rescaled to [0, 255]."""
-    v = recon.values
-    lo, hi = float(v.min()), float(v.max())
+def save_reconstruction_pgm(values: np.ndarray, path) -> None:
+    """8-bit binary PGM of a grid, linearly rescaled to [0, 255]."""
+    lo, hi = float(values.min()), float(values.max())
     scale = 255.0 / (hi - lo) if hi > lo else 0.0
-    img = np.round((v - lo) * scale).astype(np.uint8)
+    img = np.round((values - lo) * scale).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
         fh.write(img.tobytes())

@@ -479,7 +479,6 @@ class ObservationGrid:
     t: np.ndarray
     x: np.ndarray
     Y: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         if self.Y.shape != (self.N, self.M):
@@ -521,7 +520,7 @@ def simulate_replicates(f: TestFunction, kernel: KernelSpec,
     q = convolved_signal(f, kernel, t, x)
     for seed in seeds:
         Y = q if draw is None else q + noise.sigma * draw(seed)
-        yield ObservationGrid(N=N, M=M, t=t, x=x, Y=Y, seed=seed)
+        yield ObservationGrid(N=N, M=M, t=t, x=x, Y=Y)
 
 
 def simulate_observations(f: TestFunction, kernel: KernelSpec,

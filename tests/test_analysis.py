@@ -77,15 +77,17 @@ class TestMise:
                                        N=128, M=128, seed=1)
         cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, silent, J1=5, J2=5)
         field = _estimate(obs, cfg)
-        base = es.reconstruct(field, cfg, grid=512, which="all")
+        for blk in field.values():
+            blk.kept[:] = True
+        base = es.reconstruct(field, cfg, grid=512)
         rng = np.random.default_rng(7)
         total = 0.0
         for blk in field.values():
             delta = 0.01 * rng.standard_normal(blk.beta_hat.shape)
             blk.beta_hat = blk.beta_hat + delta
             total += np.sum(delta ** 2)
-        pert = es.reconstruct(field, cfg, grid=512, which="all")
-        assert an.mise(pert, base.values) == pytest.approx(total, abs=1e-6)
+        pert = es.reconstruct(field, cfg, grid=512)
+        assert an.mise(pert, base) == pytest.approx(total, abs=1e-6)
 
     def test_dimension_error(self):
         with pytest.raises(md.ParameterError):

@@ -655,15 +655,29 @@ class TestVerifyAndBench:
         "N,M,mise_mean\n64,64,0.1\n128,128,0.05\n256,256,0.02\n",
         "N,M,n\n64,64,100\n128,128,200\n256,256,400\n",
         "n,mise_mean\n100,0.1\nabc,0.05\n400,0.02\n",
+        "n,mise_mean\n100,0.1\nnan,0.05\n400,0.02\n",
+        "n,mise_mean\n100,0.1\n200,nan\n400,0.02\n",
+        "n,mise_mean\n100,0.1\n200,0.05\ninf,0.02\n",
+        "n,mise_mean\n100,0.1\n200,inf\n400,0.02\n",
     ])
     def test_report_bad_table_exits_2(self, tmp_path, capsys, text):
-        """A rate report without n or mise_mean, or with a non-numeric n,
-        exits 2 with a message, not a traceback or a LAPACK failure."""
+        """A rate report without n or mise_mean, or with a non-numeric or
+        non-finite n or mise_mean, exits 2 with a message naming the file,
+        not a traceback, a LAPACK failure or a NaN slope."""
         src = tmp_path / "rate_report.csv"
         src.write_text(text)
         assert cli.main(["report", "--source", str(src),
                          "--out", str(tmp_path / "rep")]) == 2
         assert str(src) in capsys.readouterr().err
+
+    def test_report_source_table_is_a_directory(self, tmp_path, capsys):
+        """A source directory whose rate_report.csv is a directory exits 2
+        naming it."""
+        table = tmp_path / "bench" / "rate_report.csv"
+        table.mkdir(parents=True)
+        assert cli.main(["report", "--source", str(tmp_path / "bench"),
+                         "--out", str(tmp_path / "rep")]) == 2
+        assert str(table) in capsys.readouterr().err
 
 
 class TestResolvedConfig:

@@ -217,8 +217,7 @@ class TestCoefficientRecovery:
             fhat = f.u_hat_at(m) * f.v(xl) * ker.coeff(m, xl)
             Y[:, l] = np.real(np.exp(
                 2j * np.pi * np.outer(obs_clean.t, m)) @ fhat)
-        obs = md.ObservationGrid(N=128, M=128, t=obs_clean.t, x=obs_clean.x,
-                                 Y=Y, seed=0)
+        obs = md.ObservationGrid(N=128, M=128, t=obs_clean.t, x=obs_clean.x, Y=Y)
         cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, SILENT, J1=5, J2=5)
         field = _estimate(obs, cfg)
         blk = field[(3, 3)]
@@ -358,8 +357,11 @@ class TestThresholdingRules:
 
 class TestReconstruction:
 
-    def test_reanalysis_roundtrip(self):
-        """Synthesis followed by analysis returns the kept coefficients."""
+    @pytest.mark.parametrize("grid, aliased", [(16, True), (512, False)])
+    def test_reconstruct_is_direct_synthesis(self, grid, aliased):
+        """The grid holds sum beta_hat psi_{j1,k1}(t) eta_{j2,k2}(x) over
+        the kept coefficients, evaluated point by point at t, x = a / grid;
+        on the 16-point grid the bands alias."""
         f = md.tensor_sinusoid(1.5, 1.5, max_freq=64)
         ker = md.power_kernel(1.0)
         noise = md.NoiseSpec(alpha=1.0, sigma=0.3)
@@ -367,13 +369,20 @@ class TestReconstruction:
                                        N=128, M=128, seed=9)
         cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, noise, J1=5, J2=5)
         field = _estimate(obs, cfg)
-        recon = es.reconstruct(field, cfg, grid=512, which="kept")
-        back = es.reanalyze(recon, cfg)
-        for key, blk in field.items():
-            kept_coeffs = np.where(blk.kept, blk.beta_hat, 0.0)
-            assert np.allclose(back[key], kept_coeffs, atol=1e-10)
-        with pytest.raises(md.ParameterError, match="'kep'"):
-            es.reconstruct(field, cfg, grid=512, which="kep")
+        assert any(not blk.kept.all() for blk in field.values())
+        points = np.arange(grid) / grid
+        expected = np.zeros((grid, grid))
+        band = 0
+        for (j1, j2), blk in field.items():
+            m1, psi = wv.build_basis(cfg.wavelet, j1, axis=0)
+            m2, eta = wv.build_basis(cfg.wavelet, j2, axis=1)
+            band = max(band, m1.max(), m2.max())
+            expected += (wv.eval_on_points(points, m1, psi)
+                         @ np.where(blk.kept, blk.beta_hat, 0.0)
+                         @ wv.eval_on_points(points, m2, eta).T)
+        assert (2 * band + 1 > grid) == aliased
+        assert np.allclose(es.reconstruct(field, cfg, grid=grid), expected,
+                           rtol=0.0, atol=1e-12)
 
     def test_parseval_identity(self):
         """Grid energy of the reconstruction equals the coefficient energy."""
@@ -383,10 +392,12 @@ class TestReconstruction:
                                        N=128, M=128, seed=2)
         cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, SILENT, J1=5, J2=5)
         field = _estimate(obs, cfg)
-        recon = es.reconstruct(field, cfg, grid=512, which="all")
+        for blk in field.values():
+            blk.kept[:] = True
+        recon = es.reconstruct(field, cfg, grid=512)
         coeff_energy = sum(np.sum(blk.beta_hat ** 2)
                            for blk in field.values())
-        grid_energy = np.mean(recon.values ** 2)
+        grid_energy = np.mean(recon ** 2)
         assert grid_energy == pytest.approx(coeff_energy, rel=1e-10)
 
 
@@ -480,10 +491,8 @@ class TestErrorsAndIO:
 
     def test_pgm_export(self, tmp_path):
         values = np.linspace(0, 1, 64 * 64).reshape(64, 64)
-        recon = es.Reconstruction(values=values, fourier=np.zeros((1, 1)),
-                                  band1=0, band2=0)
         path = tmp_path / "img.pgm"
-        es.save_reconstruction_pgm(recon, path)
+        es.save_reconstruction_pgm(values, path)
         raw = path.read_bytes()
         assert raw.startswith(b"P5\n64 64\n255\n")
         assert len(raw) == len(b"P5\n64 64\n255\n") + 64 * 64
