@@ -12,15 +12,15 @@ from .wavelets import (ResolutionOverflowError, WaveletSpec, band_limit,
 from .model import (DesignDensity, KernelSpec, NoiseSpec, ObservationGrid,
                     ParameterError, TestFunction, bump_ramp,
                     convolved_signal, fractional_kernel, identity_kernel,
-                    load_binary, load_csv, lrd_covariance, make_kernel,
-                    make_test_function, noise_factor, normalize_density,
-                    power_kernel, quantile_design, sample_errors, save_binary,
-                    save_csv, simulate_observations, simulate_replicates,
-                    single_atom, tensor_sinusoid)
+                    load_csv, lrd_covariance, make_kernel, make_test_function,
+                    noise_factor, normalize_density, power_kernel,
+                    quantile_design, sample_errors, save_csv,
+                    simulate_observations, simulate_replicates, single_atom,
+                    tensor_sinusoid)
 from .estimator import (EstimatorConfig, FieldPlan, KernelNotInvertibleError,
                         SingularDesignError, choose_levels, estimate_field,
                         reconstruct, save_field_csv, save_reconstruction_csv,
-                        save_reconstruction_pgm, threshold, true_coefficients)
+                        threshold, true_coefficients)
 from .analysis import (BesovParams, RateReport, RegimeResult,
                        UnclassifiedRegimeError, fit_rate, mise,
                        rate_experiment, rate_report_csv, rate_report_text,

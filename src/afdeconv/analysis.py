@@ -51,14 +51,10 @@ class BesovParams:
     s1: float
     s2: float
     p: float = 2.0
-    q: float = 2.0
-    radius: float = 1.0
 
     def __post_init__(self):
-        if not (1.0 <= self.p and 1.0 <= self.q):
-            raise md.ParameterError("integrability indices must be >= 1")
-        if self.radius <= 0:
-            raise md.ParameterError("ball radius must be positive")
+        if not 1.0 <= self.p:
+            raise md.ParameterError("integrability index p must be >= 1")
         if min(self.s1, self.s2) < max(1.0 / self.p, 0.5):
             raise md.ParameterError(
                 "smoothness must satisfy min{s1,s2} >= max{1/p, 1/2}")
@@ -88,7 +84,7 @@ class BesovParams:
 
     @classmethod
     def from_test_function(cls, f: md.TestFunction) -> "BesovParams":
-        return cls(s1=f.s1, s2=f.s2, p=f.p, q=f.q, radius=f.radius)
+        return cls(s1=f.s1, s2=f.s2, p=f.p)
 
 
 # ----------------------------------------------------------------------
@@ -449,9 +445,6 @@ class RateReport:
     xi2: int
     alpha: float
     notes: list[str] = dc_field(default_factory=list)
-
-    def pairs(self):
-        return [(p["n"], p["mise_mean"]) for p in self.points]
 
 
 def _ladder_point(f, cfg, N, M, replicates, seed, grid, f_ref):

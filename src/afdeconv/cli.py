@@ -109,13 +109,10 @@ _SCHEMA = {
     "estimator": {"gamma": _positive(4.0), "mu": _positive(4.0),
                   "besov_radius": _positive(1.0), "J1": _LEVEL, "J2": _LEVEL},
     "seed": _integer(0, 0),
-    "simulate": {"N": _integer(_REQUIRED, 16), "M": _integer(_REQUIRED, 16),
-                 "format": _choice("csv", ("csv", "binary", "both"),
-                                   "csv, binary or both")},
+    "simulate": {"N": _integer(_REQUIRED, 16), "M": _integer(_REQUIRED, 16)},
     "estimate": {"observations": _Key(_REQUIRED, lambda val: isinstance(val, str)
-                                      and val != "", "a path to an observation file"),
-                 "grid": _GRID,
-                 "pgm": _Key(False, lambda val: isinstance(val, bool), "true or false")},
+                                      and val != "", "a path to an observation CSV"),
+                 "grid": _GRID},
     # `M` and `replicates` default per lemma in cmd_verify
     "verify": {"lemmas": _Key(_LEMMAS, lambda val: _int_list(val)
                               and set(val) <= set(_LEMMAS),
@@ -137,9 +134,7 @@ _SCHEMA = {
               "replicates": _integer(20, 1), "grid": _GRID},
     # unset keys keep the defaults of analysis.BesovParams
     "besov": {"s1": _real(_REQUIRED), "s2": _real(_REQUIRED),
-              "p": _real(_UNSET, lambda val: val >= 1, "a number >= 1"),
-              "q": _real(_UNSET, lambda val: val >= 1, "a number >= 1"),
-              "radius": _positive(_UNSET)},
+              "p": _real(_UNSET, lambda val: val >= 1, "a number >= 1")},
     "report": {"source": _Key(".", lambda val: isinstance(val, str),
                               "a path to a bench-rate output directory or CSV")},
 }
@@ -292,34 +287,22 @@ def cmd_simulate(cfg: dict, outdir: Path) -> list[Path]:
     obs = md.simulate_observations(f, est_cfg.kernel, est_cfg.d1, est_cfg.d2,
                                    est_cfg.noise, N=sim["N"], M=sim["M"],
                                    seed=cfg["seed"])
-    artifacts = []
-    fmt = sim["format"]
-    if fmt in ("csv", "both"):
-        path = outdir / "observations.csv"
-        md.save_csv(obs, path)
-        artifacts.append(path)
-    if fmt in ("binary", "both"):
-        path = outdir / "observations.afdc"
-        md.save_binary(obs, path)
-        artifacts.append(path)
-    print(f"simulated N={obs.N} M={obs.M} -> {', '.join(p.name for p in artifacts)}")
-    return artifacts
+    path = outdir / "observations.csv"
+    md.save_csv(obs, path)
+    print(f"simulated N={obs.N} M={obs.M} -> {path.name}")
+    return [path]
 
 
 def _load_observations(path: Path) -> md.ObservationGrid:
     if not path.is_file():
         raise FileNotFoundError(
             f"observation file not found or not a file: {path}")
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic == md.BINARY_MAGIC:
-        return md.load_binary(path)
     return md.load_csv(path)
 
 
 def _check_design(obs: md.ObservationGrid, est_cfg: es.EstimatorConfig) -> None:
     """ConfigError naming the first point where the file's design is not the
-    config's quantile design, to rounding: both writers round-trip float64."""
+    config's quantile design, to rounding: the CSV round-trips float64."""
     for axis, points, d in (("t", obs.t, est_cfg.d1), ("x", obs.x, est_cfg.d2)):
         expected = md.quantile_design(points.size, d)
         i = np.flatnonzero(~(np.abs(points - expected) <= 1e-12))[:1]
@@ -343,17 +326,10 @@ def cmd_estimate(cfg: dict, outdir: Path) -> list[Path]:
     grid = sec["grid"]
     recon = es.reconstruct(field, est_cfg, grid=grid)
     err = an.mise(recon, f.grid(grid))
-    artifacts = []
     coeff_path = outdir / "coefficients.csv"
     es.save_field_csv(field, coeff_path, truth)
-    artifacts.append(coeff_path)
     grid_path = outdir / "reconstruction.csv"
     es.save_reconstruction_csv(recon, grid_path)
-    artifacts.append(grid_path)
-    if sec["pgm"]:
-        pgm_path = outdir / "reconstruction.pgm"
-        es.save_reconstruction_pgm(recon, pgm_path)
-        artifacts.append(pgm_path)
     summary = outdir / "estimate_summary.txt"
     with open(summary, "w", newline="\n") as fh:
         fh.write(f"levels: J1={J1} J2={J2}\n")
@@ -361,9 +337,8 @@ def cmd_estimate(cfg: dict, outdir: Path) -> list[Path]:
         fh.write(f"total coefficients: "
                  f"{sum(b.beta_hat.size for b in field.values())}\n")
         fh.write(f"mise: {err:.17g}\n")
-    artifacts.append(summary)
     print(f"kept {kept} coefficients; mise {err:.6g}")
-    return artifacts
+    return [coeff_path, grid_path, summary]
 
 
 def cmd_verify(cfg: dict, outdir: Path) -> list[Path]:
@@ -416,13 +391,6 @@ def cmd_verify(cfg: dict, outdir: Path) -> list[Path]:
     return artifacts
 
 
-def _write_rate_plot(outdir: Path, pairs) -> Path:
-    """Write the (n, MISE) pairs of a rate ladder to `rate_plot.csv`."""
-    path = outdir / "rate_plot.csv"
-    np.savetxt(path, pairs, fmt="%.17g,%.17g", header="n,mise", comments="")
-    return path
-
-
 def cmd_bench_rate(cfg: dict, outdir: Path, threads: int = 1) -> list[Path]:
     f, est_cfg = _specs(cfg)
     b = cfg["bench"]
@@ -435,11 +403,10 @@ def cmd_bench_rate(cfg: dict, outdir: Path, threads: int = 1) -> list[Path]:
                                 threads=threads, bp=bp)
     csv_path = outdir / "rate_report.csv"
     an.rate_report_csv(report, csv_path)
-    plot_path = _write_rate_plot(outdir, report.pairs())
     summary = outdir / "rate_summary.txt"
     summary.write_text(an.rate_report_text(report) + "\n")
     print(an.rate_report_text(report))
-    return [csv_path, plot_path, summary]
+    return [csv_path, summary]
 
 
 def cmd_report(cfg: dict, outdir: Path) -> list[Path]:
@@ -457,11 +424,10 @@ def cmd_report(cfg: dict, outdir: Path) -> list[Path]:
         except md.ParameterError as exc:
             raise md.ParameterError(f"{csv_path}: {exc}") from None
         lines.append(f"fitted slope: {slope:.4f} +/- {se:.4f}")
-    plot_path = _write_rate_plot(outdir, pairs)
     summary = outdir / "report_summary.txt"
     summary.write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
-    return [plot_path, summary]
+    return [summary]
 
 
 # ----------------------------------------------------------------------

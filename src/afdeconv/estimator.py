@@ -32,7 +32,6 @@ __all__ = [
     "FieldPlan",
     "save_field_csv",
     "save_reconstruction_csv",
-    "save_reconstruction_pgm",
 ]
 
 
@@ -390,13 +389,3 @@ def save_field_csv(field: dict[tuple[int, int], LevelBlock], path,
 
 def save_reconstruction_csv(values: np.ndarray, path) -> None:
     np.savetxt(path, values, delimiter=",", fmt="%.17g", newline="\n")
-
-
-def save_reconstruction_pgm(values: np.ndarray, path) -> None:
-    """8-bit binary PGM of a grid, linearly rescaled to [0, 255]."""
-    lo, hi = float(values.min()), float(values.max())
-    scale = 255.0 / (hi - lo) if hi > lo else 0.0
-    img = np.round((values - lo) * scale).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
-        fh.write(img.tobytes())

@@ -17,7 +17,6 @@ one-seed case.
 from __future__ import annotations
 
 import os
-import struct
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -53,9 +52,6 @@ __all__ = [
     "make_kernel",
     "save_csv",
     "load_csv",
-    "save_binary",
-    "load_binary",
-    "BINARY_MAGIC",
 ]
 
 
@@ -357,8 +353,6 @@ class TestFunction:
     s1: float = 1.0
     s2: float = 1.0
     p: float = 2.0
-    q: float = 2.0
-    radius: float = 1.0
 
     @property
     def band(self) -> int:
@@ -412,7 +406,7 @@ def tensor_sinusoid(s1: float = 1.0, s2: float = 1.0,
     u, u_hat = _harmonic_profile(s1, max_freq)
     v, _ = _harmonic_profile(s2, max_freq)
     return TestFunction(name="tensor-sinusoid", u=u, v=v, u_hat=u_hat,
-                        s1=s1, s2=s2, p=2.0, q=2.0, radius=1.0)
+                        s1=s1, s2=s2, p=2.0)
 
 
 def bump_ramp(center: float = 0.45, width: float = 0.15) -> TestFunction:
@@ -437,7 +431,7 @@ def bump_ramp(center: float = 0.45, width: float = 0.15) -> TestFunction:
     m = np.arange(-8192, 8193)
     u_hat = width * np.sinc(m * width) ** 2 * np.exp(-2j * np.pi * m * center)
     return TestFunction(name="bump-ramp", u=u, v=v, u_hat=u_hat,
-                        s1=1.5, s2=0.5, p=2.0, q=2.0, radius=1.0)
+                        s1=1.5, s2=0.5, p=2.0)
 
 
 def single_atom(j1: int, k1: int, j2: int, k2: int, wspec) -> TestFunction:
@@ -472,17 +466,25 @@ def make_test_function(name: str, **kwargs) -> TestFunction:
 
 @dataclass
 class ObservationGrid:
-    """Design points plus responses; Y[i, l] observed at (t[i], x[l])."""
+    """Design points plus responses; Y[i, l] observed at (t[i], x[l]), and
+    (N, M) is the shape of Y."""
 
-    N: int
-    M: int
     t: np.ndarray
     x: np.ndarray
     Y: np.ndarray
 
+    @property
+    def N(self) -> int:
+        return self.Y.shape[0]
+
+    @property
+    def M(self) -> int:
+        return self.Y.shape[1]
+
     def __post_init__(self):
-        if self.Y.shape != (self.N, self.M):
-            raise ParameterError("Y must have shape (N, M)")
+        if self.Y.shape != (self.t.size, self.x.size):
+            raise ParameterError(f"Y must have shape (t.size, x.size) = "
+                                 f"({self.t.size}, {self.x.size}), got {self.Y.shape}")
         for name, pts in (("t", self.t), ("x", self.x)):
             # positive form, so that NaN fails it too
             if not (np.all((pts > 0.0) & (pts < 1.0)) and np.all(np.diff(pts) > 0)):
@@ -520,7 +522,7 @@ def simulate_replicates(f: TestFunction, kernel: KernelSpec,
     q = convolved_signal(f, kernel, t, x)
     for seed in seeds:
         Y = q if draw is None else q + noise.sigma * draw(seed)
-        yield ObservationGrid(N=N, M=M, t=t, x=x, Y=Y)
+        yield ObservationGrid(t=t, x=x, Y=Y)
 
 
 def simulate_observations(f: TestFunction, kernel: KernelSpec,
@@ -532,12 +534,8 @@ def simulate_observations(f: TestFunction, kernel: KernelSpec,
 
 
 # ----------------------------------------------------------------------
-# Serialization (CSV and "AFDC" binary container)
+# Serialization (CSV)
 # ----------------------------------------------------------------------
-
-BINARY_MAGIC = b"AFDC"
-_BINARY_VERSION = 1
-
 
 # Values per block of the CSV readers and writers
 _BLOCK_VALUES = 1 << 16
@@ -635,7 +633,7 @@ def _loaded_grid(path, t, x, Y) -> ObservationGrid:
             raise ParameterError(f"{path}: {name}[{where}] has a non-finite "
                                  f"value {values[at]}")
     try:
-        return ObservationGrid(N=t.size, M=x.size, t=t, x=x, Y=Y)
+        return ObservationGrid(t=t, x=x, Y=Y)
     except ParameterError as exc:
         raise ParameterError(f"{path}: {exc}") from None
 
@@ -686,41 +684,3 @@ def load_csv(path) -> ObservationGrid:
         N += rows
     Y.resize((N, x.size), refcheck=False)  # drops the rows grown past N
     return _loaded_grid(path, np.concatenate(ts), x, Y)
-
-
-def save_binary(obs: ObservationGrid, path) -> None:
-    """16-byte header (magic, u32 version, u32 N, u32 M, little-endian)
-    followed by float64 t[N], x[M], Y[N*M] row-major."""
-    with open(path, "wb") as fh:
-        fh.write(BINARY_MAGIC)
-        fh.write(struct.pack("<III", _BINARY_VERSION, obs.N, obs.M))
-        obs.t.astype("<f8").tofile(fh)
-        obs.x.astype("<f8").tofile(fh)
-        np.ascontiguousarray(obs.Y, dtype="<f8").tofile(fh)
-
-
-def load_binary(path) -> ObservationGrid:
-    """Read a ``save_binary`` file.  A wrong magic or version, an empty
-    grid, a file shorter than its header's N and M need (trailing bytes
-    are ignored) or a non-finite t, x or Y raise ``ParameterError``."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != BINARY_MAGIC:
-            raise ParameterError(f"{path}: not an AFDC container: magic {magic!r}")
-        header = fh.read(12)
-        if len(header) < 12:
-            raise ParameterError(f"{path}: truncated AFDC header")
-        version, N, M = struct.unpack("<III", header)
-        if version != _BINARY_VERSION:
-            raise ParameterError(f"{path}: unsupported container version {version}")
-        if N == 0 or M == 0:
-            raise ParameterError(f"{path}: empty AFDC grid N={N}, M={M}")
-        size, needed = os.fstat(fh.fileno()).st_size, 16 + 8 * (N + M + N * M)
-        if size < needed:
-            raise ParameterError(
-                f"{path}: truncated AFDC container: {size} of the {needed} "
-                f"bytes that N={N}, M={M} need")
-        t = np.fromfile(fh, dtype="<f8", count=N)
-        x = np.fromfile(fh, dtype="<f8", count=M)
-        Y = np.fromfile(fh, dtype="<f8", count=N * M).reshape(N, M)
-    return _loaded_grid(path, t, x, Y)

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from afdeconv import analysis as an
 from afdeconv import estimator as es
 from afdeconv import model as md
-from afdeconv import wavelets as wv
 
 UNIFORM = md.DesignDensity(beta=0.0, x0=0.5)
 SINGULAR = md.DesignDensity(beta=0.3, x0=0.5)

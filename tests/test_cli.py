@@ -1,7 +1,6 @@
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 import yaml
 
@@ -15,7 +14,7 @@ BASE_CONFIG = {
     "noise": {"alpha": 1.0, "sigma": 0.25},
     "function": {"name": "tensor-sinusoid", "s1": 2.0, "s2": 2.0,
                  "max_freq": 128},
-    "simulate": {"N": 64, "M": 64, "format": "csv"},
+    "simulate": {"N": 64, "M": 64},
     "seed": 42,
 }
 
@@ -85,7 +84,7 @@ class TestValidation:
         string, a bool or a degenerate value exits 2 naming the key, not
         with a traceback or a simulated degenerate signal."""
         path = write_config(tmp_path, function=function,
-                            simulate={"N": 32, "M": 32, "format": "csv"})
+                            simulate={"N": 32, "M": 32})
         out = tmp_path / "o"
         rc = cli.main(["simulate", "--config", str(path), "--out", str(out)])
         assert rc == 2
@@ -135,7 +134,7 @@ class TestValidation:
         integer. Anything else exits 2 with a message, not with a
         traceback or a silent load."""
         path = write_config(tmp_path, extra={section: values},
-                            simulate={"N": 32, "M": 32, "format": "csv"})
+                            simulate={"N": 32, "M": 32})
         out = tmp_path / "o"
         rc = cli.main(["simulate", "--config", str(path), "--out", str(out)])
         assert rc == 2
@@ -145,7 +144,7 @@ class TestValidation:
     def test_seed_override_checked(self, tmp_path, capsys):
         """A --seed override is checked as the config's seed is."""
         path = write_config(tmp_path,
-                            simulate={"N": 32, "M": 32, "format": "csv"})
+                            simulate={"N": 32, "M": 32})
         rc = cli.main(["simulate", "--config", str(path), "--seed", "-3",
                        "--out", str(tmp_path / "o")])
         assert rc == 2
@@ -179,11 +178,20 @@ class TestValidation:
                         "besov": {"s1": 1, "s2": 1, "foo": 3}}, "besov.foo"),
         ("report", {"report": 5}, "report"),
         ("report", {"report": {"source": 5}}, "report.source"),
+        ("bench-rate", {"bench": {"ladder": [[64, 64]]},
+                        "besov": {"s1": 1, "s2": 1, "q": 2}}, "besov.q"),
+        ("bench-rate", {"bench": {"ladder": [[64, 64]]},
+                        "besov": {"s1": 1, "s2": 1, "radius": 5}}, "besov.radius"),
+        ("simulate", {"simulate": {"N": 32, "M": 32, "format": "csv"}},
+         "simulate.format"),
     ], ids=lambda v: v if isinstance(v, str) and "." in v else None)
     def test_boolean_is_not_a_number(self, tmp_path, capsys, command, extra,
                                      key):
         """YAML `true` and `false` are not the numbers 1 and 0: a numeric
-        key set to one exits 2 naming the key, before any work is done."""
+        key set to one exits 2 naming the key, before any work is done.
+        So does a key no section reads: `besov.q` and `besov.radius` (the
+        radius the estimator reads is `estimator.besov_radius`) and
+        `simulate.format`."""
         path = write_config(tmp_path, extra=extra)
         out = tmp_path / "o"
         assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
@@ -224,8 +232,8 @@ class TestValidation:
         ("estimate", {"grid": True}, "estimate.grid"),
         ("estimate", {"grid": 1}, "estimate.grid"),
         ("estimate", {"grid": 256.0}, "estimate.grid"),
-        ("estimate", {"pgm": "yes"}, "estimate.pgm: must be true or false"),
-        ("estimate", {"pgm": 1}, "estimate.pgm"),
+        ("estimate", {"pgm": True}, "estimate.pgm: not an estimate key"),
+        ("estimate", {"pgm": False}, "estimate.pgm: not an estimate key"),
         ("estimate", {"grids": 512}, "estimate.grids: not an estimate key"),
         ("estimate", {"observations": 5}, "estimate.observations"),
         ("bench-rate", {"grid": "abc"}, "bench.grid: must be an integer >= 2"),
@@ -235,9 +243,9 @@ class TestValidation:
     ])
     def test_estimate_and_bench_sections_checked(self, tmp_path, capsys,
                                                  command, section, key):
-        """`grid` is an integer >= 2, `pgm` a boolean, `observations` a
-        path string, and the estimate and bench sections take no other
-        keys: exit 2 naming the key, not a traceback."""
+        """`grid` is an integer >= 2, `observations` a path string, and the
+        estimate and bench sections take no other keys, `pgm` included:
+        exit 2 naming the key, not a traceback."""
         obs = tmp_path / "obs"
         assert cli.main(["simulate", "--config", str(write_config(tmp_path)),
                          "--out", str(obs)]) == 0
@@ -312,7 +320,7 @@ class TestSimulate:
 
     def test_row_count_and_reproducibility(self, tmp_path):
         path = write_config(tmp_path,
-                            simulate={"N": 64, "M": 32, "format": "csv"})
+                            simulate={"N": 64, "M": 32})
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert cli.main(["simulate", "--config", str(path),
                          "--out", str(out1)]) == 0
@@ -366,10 +374,10 @@ class TestEstimate:
         path = write_config(tmp_path,
                             kernel={"name": "identity", "nu": 0.0},
                             noise={"alpha": 1.0, "sigma": 0.0},
-                            simulate={"N": 128, "M": 128, "format": "csv"},
+                            simulate={"N": 128, "M": 128},
                             extra={"estimate": {
                                 "observations": str(obs_dir / "observations.csv"),
-                                "grid": 256, "pgm": True}})
+                                "grid": 256}})
         assert cli.main(["simulate", "--config", str(path),
                          "--out", str(obs_dir)]) == 0
         out = tmp_path / "est"
@@ -385,29 +393,23 @@ class TestEstimate:
         kept = int(kept_line.split(":")[1])
         rows = (out / "coefficients.csv").read_text().splitlines()[1:]
         assert kept == sum(1 for r in rows if r.split(",")[6] == "1")
-        assert (out / "reconstruction.pgm").read_bytes()[:2] == b"P5"
 
     def test_corrupt_observation_file_exits_2(self, tmp_path, capsys):
         """A deleted data line loads 63 rows, which the design check
-        rejects; a cut AFDC container fails its load."""
+        rejects."""
         obs_dir = tmp_path / "obs"
-        sim = write_config(tmp_path, simulate={"N": 64, "M": 64,
-                                               "format": "both"})
+        sim = write_config(tmp_path, simulate={"N": 64, "M": 64})
         assert cli.main(["simulate", "--config", str(sim),
                          "--out", str(obs_dir)]) == 0
         csv_path = obs_dir / "observations.csv"
         lines = csv_path.read_text().splitlines(keepends=True)
         del lines[40]
         csv_path.write_text("".join(lines))
-        afdc_path = obs_dir / "observations.afdc"
-        afdc_path.write_bytes(afdc_path.read_bytes()[:20000])
-        for path, message in ((csv_path, "design.t: point 1 of 63"),
-                              (afdc_path, "truncated")):
-            cfg = write_config(tmp_path, extra={"estimate": {
-                "observations": str(path)}})
-            assert cli.main(["estimate", "--config", str(cfg),
-                             "--out", str(tmp_path / "est")]) == 2
-            assert message in capsys.readouterr().err
+        cfg = write_config(tmp_path, extra={"estimate": {
+            "observations": str(csv_path)}})
+        assert cli.main(["estimate", "--config", str(cfg),
+                         "--out", str(tmp_path / "est")]) == 2
+        assert "design.t: point 1 of 63" in capsys.readouterr().err
 
     def test_grid_past_the_file_exits_2(self, tmp_path, capsys):
         """A header of 999 x values over lines of one Y each: exit 2
@@ -435,8 +437,7 @@ class TestEstimate:
         transposed square grid is a valid file."""
         obs_dir = tmp_path / "obs"
         design = {"t": {"beta": 0.3}, "x": {"beta": 0.0}}
-        sim = write_config(tmp_path, simulate={"N": 32, "M": 32,
-                                               "format": "csv"}, design=design)
+        sim = write_config(tmp_path, simulate={"N": 32, "M": 32}, design=design)
         assert cli.main(["simulate", "--config", str(sim),
                          "--out", str(obs_dir)]) == 0
         csv_path = obs_dir / "observations.csv"
@@ -456,12 +457,11 @@ class TestEstimate:
         """A file of i,l,t,x,Y rows exits 2 naming the expected t/x
         header; it is not read in another layout."""
         obs_dir = tmp_path / "obs"
-        sim = write_config(tmp_path, simulate={"N": 32, "M": 32,
-                                               "format": "binary"})
+        sim = write_config(tmp_path, simulate={"N": 32, "M": 32})
         assert cli.main(["simulate", "--config", str(sim),
                          "--out", str(obs_dir)]) == 0
-        obs = md.load_binary(obs_dir / "observations.afdc")
         csv_path = obs_dir / "observations.csv"
+        obs = md.load_csv(csv_path)
         csv_path.write_text("i,l,t,x,Y\n" + "".join(
             f"{i + 1},{l + 1},{obs.t[i]:.17g},{obs.x[l]:.17g},"
             f"{obs.Y[i, l]:.17g}\n"
@@ -477,8 +477,7 @@ class TestEstimate:
         """J1 = 14 asks for level 13, above the largest level 12: exit 3
         with the overflow message, raised before any level is built."""
         obs_dir = tmp_path / "obs"
-        sim = write_config(tmp_path, simulate={"N": 32, "M": 32,
-                                               "format": "csv"})
+        sim = write_config(tmp_path, simulate={"N": 32, "M": 32})
         assert cli.main(["simulate", "--config", str(sim),
                          "--out", str(obs_dir)]) == 0
         cfg = write_config(tmp_path, extra={
@@ -495,7 +494,7 @@ class TestEstimate:
         and its first point, not an estimate with the wrong weights."""
         obs_dir = tmp_path / "obs"
         design = {"t": {"beta": 0.0}, "x": {"beta": 0.0}}
-        sim = write_config(tmp_path, simulate={"N": 64, "M": 64, "format": "csv"},
+        sim = write_config(tmp_path, simulate={"N": 64, "M": 64},
                            design={**design, axis: {"beta": 0.3}}, seed=3)
         assert cli.main(["simulate", "--config", str(sim),
                          "--out", str(obs_dir)]) == 0
@@ -511,8 +510,7 @@ class TestEstimate:
     def test_non_numeric_observation_exits_2(self, tmp_path, capsys):
         """A non-numeric Y field fails the load; it is not read as NaN."""
         obs_dir = tmp_path / "obs"
-        sim = write_config(tmp_path, simulate={"N": 32, "M": 32,
-                                               "format": "csv"})
+        sim = write_config(tmp_path, simulate={"N": 32, "M": 32})
         assert cli.main(["simulate", "--config", str(sim),
                          "--out", str(obs_dir)]) == 0
         csv_path = obs_dir / "observations.csv"
@@ -634,9 +632,13 @@ class TestVerifyAndBench:
         rep_out = tmp_path / "rep"
         assert cli.main(["report", "--source", str(out),
                          "--out", str(rep_out)]) == 0
-        plot = np.genfromtxt(rep_out / "rate_plot.csv", delimiter=",",
-                             names=True)
-        assert len(np.atleast_1d(plot)) == 3
+        assert (rep_out / "report_summary.txt").read_text().startswith(
+            "points: 3\n")
+        metadata = {"manifest.txt", "resolved_config.yaml"}
+        assert {p.name for p in out.iterdir()} == metadata | {
+            "rate_report.csv", "rate_summary.txt"}
+        assert {p.name for p in rep_out.iterdir()} == metadata | {
+            "report_summary.txt"}
 
     def test_report_regime_matches_classifier(self, tmp_path, capsys):
         from afdeconv import analysis as an

@@ -217,7 +217,7 @@ class TestCoefficientRecovery:
             fhat = f.u_hat_at(m) * f.v(xl) * ker.coeff(m, xl)
             Y[:, l] = np.real(np.exp(
                 2j * np.pi * np.outer(obs_clean.t, m)) @ fhat)
-        obs = md.ObservationGrid(N=128, M=128, t=obs_clean.t, x=obs_clean.x, Y=Y)
+        obs = md.ObservationGrid(t=obs_clean.t, x=obs_clean.x, Y=Y)
         cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, SILENT, J1=5, J2=5)
         field = _estimate(obs, cfg)
         blk = field[(3, 3)]
@@ -488,11 +488,3 @@ class TestErrorsAndIO:
                     rows.append(row)
         assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
         self._check_field_rows(path, field, truth)
-
-    def test_pgm_export(self, tmp_path):
-        values = np.linspace(0, 1, 64 * 64).reshape(64, 64)
-        path = tmp_path / "img.pgm"
-        es.save_reconstruction_pgm(values, path)
-        raw = path.read_bytes()
-        assert raw.startswith(b"P5\n64 64\n255\n")
-        assert len(raw) == len(b"P5\n64 64\n255\n") + 64 * 64

@@ -1,6 +1,5 @@
 import functools
 import re
-import struct
 import tempfile
 import warnings
 from pathlib import Path
@@ -315,46 +314,22 @@ class TestSerialization:
         assert len(lines) == obs.N + 2 and lines[-1] == b""
         assert {line.count(b",") for line in lines[:-1]} == {obs.M}
 
-    def test_binary_roundtrip(self, obs, tmp_path):
-        path = tmp_path / "obs.afdc"
-        md.save_binary(obs, path)
-        back = md.load_binary(path)
-        assert np.array_equal(back.Y, obs.Y)
-        assert np.array_equal(back.t, obs.t)
-        raw = path.read_bytes()
-        assert raw[:4] == b"AFDC"
-        # 16-byte header + three float64 payloads
-        assert len(raw) == 16 + 8 * (obs.N + obs.M + obs.N * obs.M)
-
-    def test_binary_rejects_garbage(self, tmp_path):
-        """A wrong magic or an unknown version fails naming the file."""
-        path = tmp_path / "bad.afdc"
-        path.write_bytes(b"NOPE" + b"\0" * 12)
-        named = re.escape(str(path))
-        with pytest.raises(md.ParameterError,
-                           match=rf"^{named}: not an AFDC container"):
-            md.load_binary(path)
-        path.write_bytes(md.BINARY_MAGIC + struct.pack("<III", 2, 1, 1))
-        with pytest.raises(md.ParameterError,
-                           match=rf"^{named}: unsupported container version 2"):
-            md.load_binary(path)
-
-    @pytest.mark.parametrize("array, index", [("t", 0), ("x", 3),
-                                              ("Y", (0, 0)), ("Y", (5, 2))])
-    def test_binary_rejects_non_finite(self, obs, tmp_path, array, index):
-        """NaN or infinity in t, x or Y fails the load naming the entry;
-        NaN must not slip through the design check either."""
-        for value in (np.nan, -np.inf):
-            bad = md.ObservationGrid(N=obs.N, M=obs.M, t=obs.t.copy(),
-                                     x=obs.x.copy(), Y=obs.Y.copy())
-            getattr(bad, array)[index] = value
-            path = tmp_path / "obs.afdc"
-            md.save_binary(bad, path)
-            with pytest.raises(md.ParameterError, match="non-finite"):
-                md.load_binary(path)
+    def test_grid_is_t_x_and_y(self, obs):
+        """N and M are read off Y, which must be t.size x x.size, and a NaN
+        t fails the design check."""
+        grid = md.ObservationGrid(t=obs.t, x=obs.x, Y=obs.Y)
+        assert (grid.N, grid.M) == obs.Y.shape == (obs.t.size, obs.x.size)
+        with pytest.raises(AttributeError):
+            grid.N = obs.N + 1
+        shape = re.escape("Y must have shape (t.size, x.size)")
+        for t, x, Y in ((np.array([0.2, 0.5, 0.8]), np.array([0.3, 0.6]),
+                         np.zeros((2, 2))),
+                        (obs.t, obs.x, obs.Y[:, :-1]),
+                        (obs.t, obs.x, obs.Y.ravel())):
+            with pytest.raises(md.ParameterError, match=shape):
+                md.ObservationGrid(t=t, x=x, Y=Y)
         with pytest.raises(md.ParameterError, match="strictly increasing"):
-            md.ObservationGrid(N=obs.N, M=obs.M,
-                               t=np.where(np.arange(obs.N) == 0, np.nan, obs.t),
+            md.ObservationGrid(t=np.where(np.arange(obs.N) == 0, np.nan, obs.t),
                                x=obs.x, Y=obs.Y)
 
     @staticmethod
@@ -477,8 +452,8 @@ class TestSerialization:
     @pytest.mark.parametrize("column", [2, 3, 4])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_csv_rejects_non_finite(self, obs, tmp_path, column, value):
-        """A non-finite t (column 2), x (3) or Y (4) fails naming the entry
-        as load_binary names it, counted from 1."""
+        """A non-finite t (column 2), x (3) or Y (4) fails naming the entry,
+        counted from 1."""
         line, field, named = {2: (10, 0, r"t\[10\]"), 3: (0, 3, r"x\[3\]"),
                               4: (10, 4, r"Y\[10, 4\]")}[column]
         path = self._edited_csv(obs, tmp_path, [(line, field, value)])
@@ -678,15 +653,6 @@ class TestSerialization:
         assert obs.Y.shape == (40, 25) and obs.Y[39, 24] == 40 * 25 / 7
         assert peak < 2 ** 19
 
-    @pytest.mark.parametrize("keep", [10, 16 + 8 * 20, 16 + 8 * 40, -8])
-    def test_binary_rejects_truncated(self, obs, tmp_path, keep):
-        """Cut inside the header, t (N = 32), x (M = 16) and Y."""
-        path = tmp_path / "obs.afdc"
-        md.save_binary(obs, path)
-        path.write_bytes(path.read_bytes()[:keep])
-        with pytest.raises(md.ParameterError, match="truncated"):
-            md.load_binary(path)
-
 
 # ----------------------------------------------------------------------
 # The CSV loader against corrupted files
@@ -777,42 +743,3 @@ def test_load_csv_rejects_or_recovers_corrupted_file(text):
     assert np.array_equal(back.Y, obs.Y)
     for name in ("t", "x"):
         assert np.all(np.abs(getattr(back, name) - getattr(obs, name)) <= 1e-12)
-
-
-@functools.lru_cache(maxsize=1)
-def _small_afdc() -> bytes:
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "obs.afdc"
-        md.save_binary(_small_grid(), path)
-        return path.read_bytes()
-
-
-@st.composite
-def _corrupted_afdc(draw) -> bytes:
-    """The 16 x 8 AFDC file cut short, or with a run of bytes overwritten
-    (the header's N and M included)."""
-    raw = _small_afdc()
-    if draw(st.booleans()):
-        return raw[:draw(st.integers(0, len(raw) - 1))]
-    start = draw(st.integers(0, len(raw) - 1))
-    patch = draw(st.binary(min_size=1, max_size=16))
-    return raw[:start] + patch + raw[start + len(patch):]
-
-
-@given(raw=_corrupted_afdc())
-@settings(max_examples=300, deadline=None)
-def test_load_binary_rejects_or_loads_finite_grid(raw):
-    """A cut or overwritten AFDC file raises ParameterError or loads a grid
-    of its header's shape with every value finite; nothing else."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "obs.afdc"
-        path.write_bytes(raw)
-        try:
-            back = md.load_binary(path)
-        except md.ParameterError:
-            return
-    N, M = struct.unpack("<II", raw[8:16])
-    assert (back.N, back.M, back.t.shape, back.x.shape, back.Y.shape) == (
-        N, M, (N,), (M,), (N, M))
-    for values in (back.t, back.x, back.Y):
-        assert np.all(np.isfinite(values))

@@ -41,6 +41,27 @@ def test_every_exported_name_has_a_caller():
         assert unused == [], f"afdeconv.{path.stem} exports {unused} with no caller"
 
 
+def test_every_import_is_used():
+    """Every name that a module of `src/afdeconv` or `tests` imports at
+    its top level is loaded somewhere in that module, so a deleted caller
+    cannot leave its import behind.  The package's `__init__`, whose
+    imports are its re-exports, is skipped."""
+    package = Path(afdeconv.__file__).parent
+    for path in [*package.glob("*.py"), *Path(__file__).parent.glob("*.py")]:
+        if path == package / "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name.split(".")[0]
+                    for node in tree.body
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused = sorted(imported - loaded)
+        assert unused == [], f"{path.name} imports {unused} and never uses them"
+
+
 def test_readme_python_example_runs(tmp_path, monkeypatch):
     """The README's Python example runs as written, in a temporary working
     directory, so a signature change cannot leave it stale."""
