@@ -199,7 +199,7 @@ def _address_errors(v: dict, wspec: wv.WaveletSpec) -> list[str]:
 def load_config(path) -> dict:
     """The YAML mapping at `path`; `validate_config` merges it over the
     schema."""
-    with open(path) as fh:
+    with open(path, "rb") as fh:  # yaml decodes, so bad bytes are a YAMLError
         cfg = yaml.safe_load(fh)
     if not isinstance(cfg, dict):
         raise ConfigError(f"config root: must be a mapping, got {cfg!r}")
@@ -492,7 +492,7 @@ def main(argv=None) -> int:
             artifacts = cmd_report(cfg, outdir)
         _write_run_metadata(outdir, cfg, artifacts)
         return 0
-    except (ConfigError, md.ParameterError, FileNotFoundError,
+    except (ConfigError, md.ParameterError, es.SingularDesignError, OSError,
             yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model as md
 from . import wavelets as wv
 from .model import (DesignDensity, KernelSpec, NoiseSpec, ParameterError,
                     TestFunction)
@@ -361,6 +360,9 @@ def reconstruct(field: dict[tuple[int, int], LevelBlock], cfg: EstimatorConfig,
 
 _FIELD_COLUMNS = ("j1", "k1", "j2", "k2", "beta_hat", "lambda", "kept")
 
+# Values per block of save_field_csv: one %-format each
+_BLOCK_VALUES = 1 << 16
+
 
 def save_field_csv(field: dict[tuple[int, int], LevelBlock], path,
                    truth: dict[tuple[int, int], np.ndarray] | None = None) -> None:
@@ -380,7 +382,7 @@ def save_field_csv(field: dict[tuple[int, int], LevelBlock], path,
             table = np.stack(columns, axis=-1)  # (count1, count2, values)
             count1, count2 = table.shape[:2]
             template = "".join(f"{j1},\0,{j2},{k2},{values}" for k2 in range(count2))
-            step = max(1, md._BLOCK_VALUES // count2)
+            step = max(1, _BLOCK_VALUES // count2)
             for a in range(0, count1, step):
                 rows = "".join(template.replace("\0", str(k1))
                                for k1 in range(a, min(a + step, count1)))

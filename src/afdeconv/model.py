@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -69,25 +69,17 @@ class KernelSpec:
 
     ``fourier(m)`` (or ``fourier(m, x)`` when ``x_dependent``) returns the
     coefficient g(m, x) of ``exp(i 2 pi m t)``.  ``nu`` is the degree of
-    ill-posedness; the squared modulus must stay within
-    ``[K1, K2] * (|m|+1)^{-2 nu}`` over the active band.
+    ill-posedness, |g(m, x)| ~ (|m|+1)^{-nu}; the estimator rejects a
+    kernel that vanishes on an active band.
     """
 
     nu: float
     fourier: Callable[..., np.ndarray]
     x_dependent: bool = False
-    name: str = "custom"
-    K1: float = field(default=0.0)
-    K2: float = field(default=0.0)
 
     def __post_init__(self):
         if self.nu < 0:
             raise ParameterError("nu must be >= 0")
-        if self.K1 == 0.0 and self.K2 == 0.0:
-            self.K1, self.K2 = self.measure_bounds()
-        if self.K1 <= 0:
-            raise ParameterError("kernel vanishes on the probe band "
-                                 "(not invertible)")
 
     def coeff(self, m, x=None) -> np.ndarray:
         """g(m, x); an x-independent kernel ignores x, so ``coeff(m[:, None],
@@ -99,33 +91,20 @@ class KernelSpec:
             return np.asarray(self.fourier(m, x), dtype=complex)
         return np.asarray(self.fourier(m), dtype=complex)
 
-    def measure_bounds(self, max_m: int = 4096, xs=None) -> tuple[float, float]:
-        """Measured envelope constants of |g(m,x)|^2 (|m|+1)^{2 nu}."""
-        m = np.arange(-max_m, max_m + 1)
-        if self.x_dependent:
-            xs = np.linspace(0.05, 0.95, 19) if xs is None else np.asarray(xs)
-            g = self.coeff(m[:, None], xs[None, :])
-        else:
-            g = self.coeff(m)
-        ratio = np.abs(g) ** 2 * (np.abs(m) + 1.0).reshape(-1, *([1] * (g.ndim - 1))) ** (2 * self.nu)
-        return float(ratio.min()), float(ratio.max())
-
 
 def power_kernel(nu: float = 1.0) -> KernelSpec:
     """Real symmetric coefficients g(m) = (1 + |m|)^{-nu}."""
-    return KernelSpec(nu=nu, name="regular-smooth",
-                      fourier=lambda m: (1.0 + np.abs(m)) ** (-nu) + 0.0j)
+    return KernelSpec(nu=nu, fourier=lambda m: (1.0 + np.abs(m)) ** (-nu) + 0.0j)
 
 
 def fractional_kernel(nu: float = 1.0) -> KernelSpec:
     """Complex coefficients g(m) = (1 + i 2 pi m)^{-nu} (causal smoothing)."""
-    return KernelSpec(nu=nu, name="complex-smooth",
-                      fourier=lambda m: (1.0 + 2j * np.pi * m) ** (-nu))
+    return KernelSpec(nu=nu, fourier=lambda m: (1.0 + 2j * np.pi * m) ** (-nu))
 
 
 def identity_kernel() -> KernelSpec:
     """g(m) = 1: no blurring (nu = 0)."""
-    return KernelSpec(nu=0.0, name="identity",
+    return KernelSpec(nu=0.0,
                       fourier=lambda m: np.ones_like(np.asarray(m, dtype=float)) + 0.0j)
 
 
@@ -346,7 +325,6 @@ class TestFunction:
     which u is synthesized (u is zero or truncated beyond it).
     """
 
-    name: str
     u: Callable[[np.ndarray], np.ndarray]
     v: Callable[[np.ndarray], np.ndarray]
     u_hat: np.ndarray
@@ -405,8 +383,7 @@ def tensor_sinusoid(s1: float = 1.0, s2: float = 1.0,
         raise ParameterError(f"max_freq: must be >= 1, got {max_freq!r}")
     u, u_hat = _harmonic_profile(s1, max_freq)
     v, _ = _harmonic_profile(s2, max_freq)
-    return TestFunction(name="tensor-sinusoid", u=u, v=v, u_hat=u_hat,
-                        s1=s1, s2=s2, p=2.0)
+    return TestFunction(u=u, v=v, u_hat=u_hat, s1=s1, s2=s2, p=2.0)
 
 
 def bump_ramp(center: float = 0.45, width: float = 0.15) -> TestFunction:
@@ -430,8 +407,7 @@ def bump_ramp(center: float = 0.45, width: float = 0.15) -> TestFunction:
 
     m = np.arange(-8192, 8193)
     u_hat = width * np.sinc(m * width) ** 2 * np.exp(-2j * np.pi * m * center)
-    return TestFunction(name="bump-ramp", u=u, v=v, u_hat=u_hat,
-                        s1=1.5, s2=0.5, p=2.0)
+    return TestFunction(u=u, v=v, u_hat=u_hat, s1=1.5, s2=0.5, p=2.0)
 
 
 def single_atom(j1: int, k1: int, j2: int, k2: int, wspec) -> TestFunction:
@@ -442,8 +418,7 @@ def single_atom(j1: int, k1: int, j2: int, k2: int, wspec) -> TestFunction:
     band = np.abs(m1).max()
     u_hat = np.zeros(2 * band + 1, dtype=complex)
     u_hat[m1 + band] = psi
-    return TestFunction(name=f"atom-{j1}.{k1}.{j2}.{k2}",
-                        u=lambda t: wv.eval_on_points(t, m1, psi),
+    return TestFunction(u=lambda t: wv.eval_on_points(t, m1, psi),
                         v=lambda x: wv.eval_on_points(x, m2, eta), u_hat=u_hat)
 
 
@@ -537,10 +512,6 @@ def simulate_observations(f: TestFunction, kernel: KernelSpec,
 # Serialization (CSV)
 # ----------------------------------------------------------------------
 
-# Values per block of the CSV readers and writers
-_BLOCK_VALUES = 1 << 16
-
-
 def _bad_row(path, width: int, exc: ValueError) -> str:
     """Name the first data row, counted from 1, that numpy's parser cannot
     read: its field count differs from the header's ``width``, or a field
@@ -568,56 +539,42 @@ def _csv_header(path) -> str:
         return fh.readline().decode("latin-1").rstrip("\n")
 
 
-def _csv_blocks(path, width: int) -> Iterator[np.ndarray]:
+def _csv_table(path, width: int) -> np.ndarray:
     """The data rows below the header line of a numeric CSV table of
-    ``width`` fields per row, in blocks of up to ``_BLOCK_VALUES`` values.
+    ``width`` fields per row, parsed by one call of numpy's C reader.
 
-    numpy's C parser reads every block from one open file.  It reserves
-    room for a whole block of parsed values however few rows are left, so
-    a block is also capped at the values the file can hold: a value takes
-    at least 2 bytes, a digit and a comma or newline.  A last line without
-    its newline (the file was cut) raises ``ParameterError`` before the
-    first block; a field that is not a number or a row of another field
-    count raise it at the block that holds them, naming the first such row
-    of the file; no data rows raise it after the last block.
+    A last line without its newline (the file was cut), a field that is
+    not a number or a row of another field count (naming the first such
+    row of the file), or no data rows raise ``ParameterError``.
     """
     with open(path, "rb") as fh:
         fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))
         if fh.read(1) != b"\n":
             raise ParameterError(f"{path}: the last line has no newline; "
                                  "the file is cut short")
-    step = max(1, min(_BLOCK_VALUES, os.path.getsize(path) // 2) // width)
-    total, rows = 0, step
-    with open(path) as fh:  # text mode and encoding as np.loadtxt opens a path
-        fh.readline()
-        while rows == step:
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)  # no data
-                    block = np.loadtxt(fh, delimiter=",", comments=None,
-                                       ndmin=2, max_rows=step)
-                if len(block) and block.shape[1] != width:
-                    raise ValueError(f"{block.shape[1]} fields per row")
-            except ValueError as exc:
-                raise ParameterError(f"{path}: {_bad_row(path, width, exc)}"
-                                     ) from exc
-            rows = len(block)
-            total += rows
-            if rows:
-                yield block
-    if total == 0:
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no data
+            table = np.loadtxt(path, delimiter=",", comments=None,
+                               skiprows=1, ndmin=2)
+        if len(table) and table.shape[1] != width:
+            raise ValueError(f"{table.shape[1]} fields per row")
+    except ValueError as exc:
+        raise ParameterError(f"{path}: {_bad_row(path, width, exc)}") from exc
+    if not len(table):
         raise ParameterError(f"{path}: no data rows below the header")
+    return table
 
 
 def _read_csv(path, names) -> dict[str, np.ndarray]:
     """The named columns of a whole numeric CSV table with one header line,
-    read and checked by ``_csv_blocks``."""
+    read and checked by ``_csv_table``."""
     header = [name.strip() for name in _csv_header(path).split(",")]
     missing = [name for name in names if name not in header]
     if missing:
         raise ParameterError(f"{path}: expected a header with the columns "
                              f"{','.join(names)}; {','.join(missing)} missing")
-    table = np.concatenate(list(_csv_blocks(path, len(header))))
+    table = _csv_table(path, len(header))
     return {name: table[:, header.index(name)] for name in names}
 
 
@@ -641,26 +598,17 @@ def _loaded_grid(path, t, x, Y) -> ObservationGrid:
 def save_csv(obs: ObservationGrid, path) -> None:
     """The N x M grid: a header line ``t/x`` followed by the M x values,
     then one line per i, t_i followed by its M responses; every value
-    %.17g, LF newlines.  Each block of about ``_BLOCK_VALUES`` values is
-    one %-format."""
-    step = max(1, _BLOCK_VALUES // (obs.M + 1))
-    line = ",".join(["%.17g"] * (obs.M + 1)) + "\n"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(("t/x" + ",%.17g" * obs.M + "\n") % tuple(obs.x.tolist()))
-        for a in range(0, obs.N, step):
-            rows = np.column_stack((obs.t[a:a + step], obs.Y[a:a + step]))
-            fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
+    %.17g, LF newlines."""
+    np.savetxt(path, np.column_stack((obs.t, obs.Y)), fmt="%.17g",
+               delimiter=",", newline="\n", comments="",
+               header=("t/x" + ",%.17g" * obs.M) % tuple(obs.x.tolist()))
 
 
 def load_csv(path) -> ObservationGrid:
     """Read a ``save_csv`` file: the header ``t/x,x_1,...,x_M``, then the
     lines ``t_i,Y_i1,...,Y_iM``.  Every t, x and Y must be finite, and the
-    designs strictly increasing inside (0, 1).
-
-    The rows are read once, in blocks of ``_BLOCK_VALUES`` values.  Each
-    block's Y is copied into an array that grows in place to the next
-    power of two of the rows read and is cut to N rows at the end; besides
-    one block, the loader holds only that array and t and x.
+    designs strictly increasing inside (0, 1).  The lines are parsed once,
+    into one table whose columns are t and Y.
     """
     label, _, xs = _csv_header(path).partition(",")
     try:
@@ -674,13 +622,5 @@ def load_csv(path) -> ObservationGrid:
     except ValueError as exc:
         raise ParameterError(f"{path}: expected a header t/x followed by the "
                              f"M x values; {exc}") from None
-    Y, ts, N = np.empty((0, x.size)), [], 0
-    for block in _csv_blocks(path, x.size + 1):
-        rows = len(block)
-        if N + rows > len(Y):
-            Y.resize((1 << (N + rows - 1).bit_length(), x.size), refcheck=False)
-        Y[N:N + rows] = block[:, 1:]
-        ts.append(block[:, 0].copy())  # a view would keep the block alive
-        N += rows
-    Y.resize((N, x.size), refcheck=False)  # drops the rows grown past N
-    return _loaded_grid(path, np.concatenate(ts), x, Y)
+    table = _csv_table(path, x.size + 1)
+    return _loaded_grid(path, table[:, 0], x, table[:, 1:])

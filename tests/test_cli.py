@@ -315,6 +315,41 @@ class TestValidation:
             assert rc == 2
             assert name in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["t-point-on-x0", "config-directory",
+                                      "config-not-utf8", "out-is-a-file"])
+    def test_outside_input_exits_2(self, tmp_path, capsys, case):
+        """A file whose middle t is exactly the singularity x0 = 0.5 (within
+        the design check's rounding of the quantile point), a --config
+        naming a directory or a file that is not UTF-8, and an --out naming
+        an existing file exit 2 with a message, never a traceback."""
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        if case == "t-point-on-x0":
+            design = {"t": {"beta": 0.3, "x0": 0.5}}
+            sim = write_config(tmp_path, simulate={"N": 17, "M": 16},
+                               design=design)
+            assert cli.main(["simulate", "--config", str(sim),
+                             "--out", str(tmp_path / "obs")]) == 0
+            csv_path = tmp_path / "obs" / "observations.csv"
+            lines = csv_path.read_text().splitlines(keepends=True)
+            t9, rest = lines[9].split(",", 1)
+            assert t9 != "0.5" and abs(float(t9) - 0.5) <= 1e-12
+            lines[9] = "0.5," + rest
+            csv_path.write_text("".join(lines))
+            cfg = write_config(tmp_path, design=design, extra={"estimate": {
+                "observations": str(csv_path)}})
+            argv = ["estimate", "--config", str(cfg)]
+        elif case == "config-directory":
+            argv = ["simulate", "--config", str(tmp_path)]
+        elif case == "config-not-utf8":
+            cfg.write_bytes(b"seed: 1\nkernel: {name: \xff}\n")
+            argv = ["simulate", "--config", str(cfg)]
+        else:
+            out.write_text("")
+            argv = ["simulate", "--config", str(cfg)]
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestSimulate:
 

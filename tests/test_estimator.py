@@ -17,7 +17,7 @@ _POWER = md.power_kernel(1.0)
 X_VARYING = md.KernelSpec(nu=1.0,
                           fourier=lambda m, x: _POWER.fourier(m)
                           * (1.0 + 0.5 * np.asarray(x)),
-                          x_dependent=True, name="x-varying")
+                          x_dependent=True)
 
 
 def _config(nu=1.0, d1=UNIFORM, d2=UNIFORM, alpha=1.0, sigma=1.0,
@@ -287,7 +287,6 @@ class TestCoefficientRecovery:
 
     def test_constant_function_hits_only_scaling_level(self):
         one = md.TestFunction(
-            name="constant",
             u=lambda t: np.ones(np.shape(t)), v=lambda x: np.ones(np.shape(x)),
             u_hat=np.array([1.0 + 0.0j]), s1=2.0, s2=2.0)
         blocks = es.true_coefficients(one, _config(), 5, 5)
@@ -407,8 +406,7 @@ class TestErrorsAndIO:
         dead = md.KernelSpec(nu=1.0,
                              fourier=lambda m: np.where(
                                  np.abs(np.asarray(m)) == 7, 0.0, 1.0),
-                             x_dependent=False, name="vanishing",
-                             K1=1e-6, K2=1.0)
+                             x_dependent=False)
         with pytest.raises(es.KernelNotInvertibleError):
             es.compute_U(es.EstimatorConfig(dead, UNIFORM, UNIFORM, SILENT),
                          (3, 0, 3, 0), np.linspace(0.01, 0.99, 16),
@@ -462,9 +460,9 @@ class TestErrorsAndIO:
     def test_field_csv_bytes_and_exact_roundtrip(self, tmp_path, monkeypatch,
                                                  with_truth):
         """On beta = 0.3 designs the block writer's bytes equal one f-string
-        per index, and the reader, also in blocks of 100 values, returns
+        per index, also in blocks of 100 values, and the reader returns
         every value bitwise."""
-        monkeypatch.setattr(md, "_BLOCK_VALUES", 100)
+        monkeypatch.setattr(es, "_BLOCK_VALUES", 100)
         f = md.tensor_sinusoid(1.0, 1.0, max_freq=64)
         ker = md.power_kernel(1.0)
         d = md.DesignDensity(beta=0.3, x0=0.4)
