@@ -317,7 +317,10 @@ def cmd_estimate(cfg: dict, outdir: Path) -> list[Path]:
     sec = cfg["estimate"]
     obs = _load_observations(Path(sec["observations"]))
     _check_design(obs, est_cfg)
-    plan = es.FieldPlan(est_cfg, obs.t, obs.x)
+    try:
+        plan = es.FieldPlan(est_cfg, obs.t, obs.x)
+    except es.SingularDesignError as exc:
+        raise es.SingularDesignError(f"{sec['observations']}: {exc}") from None
     J1, J2 = plan.J1, plan.J2
     field = es.estimate_field(plan, obs.Y)
     del plan  # its design matrices would otherwise add to every later peak

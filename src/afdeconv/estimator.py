@@ -175,11 +175,16 @@ def compute_U(cfg: EstimatorConfig, index, t_points, x_points) -> np.ndarray:
 
 def _design_weights(cfg: EstimatorConfig, t, x) -> tuple[np.ndarray, np.ndarray]:
     """(1/h1(t_i), 1/h2(x_l)): the weights of the design points in every
-    estimate; SingularDesignError if a density vanishes at one of them."""
+    estimate; SingularDesignError naming the axis and the first point
+    (counted from 1) where a density vanishes."""
     h1, h2 = cfg.d1.pdf(t), cfg.d2.pdf(x)
-    if np.any(h1 == 0.0) or np.any(h2 == 0.0):
-        raise SingularDesignError("singular design point: density vanishes "
-                                  "at a design location")
+    for axis, points, h, d in (("t", t, h1, cfg.d1), ("x", x, h2, cfg.d2)):
+        i = np.flatnonzero(h == 0.0)[:1]
+        if i.size:
+            raise SingularDesignError(
+                f"singular design point: the {axis}-design density vanishes "
+                f"at point {i[0] + 1} of {points.size}, {axis} = "
+                f"{points[i[0]]:.17g}, its singularity x0 = {d.x0:.17g}")
     return 1.0 / h1, 1.0 / h2
 
 
@@ -329,29 +334,46 @@ def true_coefficients(f: TestFunction, cfg: EstimatorConfig,
             for j1, a in along_t.items() for j2, b in along_x.items()}
 
 
+def _fold(a: np.ndarray, first: int, grid: int, axis: int) -> np.ndarray:
+    """Sum the entries of ``a`` along ``axis`` whose frequencies, ``first``,
+    ``first + 1``, ..., agree mod ``grid``: the length-``grid`` axis that
+    results is indexed by the frequency mod ``grid``."""
+    a = np.moveaxis(a, axis, 0)
+    lead = first % grid
+    padded = np.zeros((math.ceil((lead + len(a)) / grid) * grid,) + a.shape[1:], a.dtype)
+    padded[lead:lead + len(a)] = a
+    return np.moveaxis(padded.reshape((-1, grid) + a.shape[1:]).sum(axis=0), 0, axis)
+
+
 def reconstruct(field: dict[tuple[int, int], LevelBlock], cfg: EstimatorConfig,
                 grid: int = 512) -> np.ndarray:
     """Tensor synthesis of the kept coefficients on the uniform (grid, grid)
     periodic grid: f_hat(t_a, x_b) at t_a = a / grid, x_b = b / grid.
 
-    The Fourier block of every level pair is summed over the union band,
-    folded onto the grid's frequencies (a band wider than the grid aliases)
-    and transformed once.
+    f_hat is real, so its Fourier block F[m1, m2] is Hermitian and only
+    the columns m2 >= 0 are formed, summed over every level pair.  They
+    are folded onto the grid's half spectrum, the frequencies k2 = 0 ..
+    grid / 2 of one real 2-D transform: column m2 adds F[m1, m2] at
+    (m1, m2) mod grid when m2 mod grid <= grid / 2, and for m2 > 0 its
+    twin conj(F[m1, m2]) = F[-m1, -m2] adds at (-m1, -m2) mod grid when
+    -m2 mod grid <= grid / 2.  A column on the residue 0 or grid / 2 (a
+    band wider than the grid aliases) takes both.
     """
     basis1 = _bases(cfg, {j1 for j1, _ in field}, 0)
     basis2 = _bases(cfg, {j2 for _, j2 in field}, 1)
     b1, b2 = _band(basis1), _band(basis2)
-    F = np.zeros((2 * b1 + 1, 2 * b2 + 1), dtype=complex)
+    F = np.zeros((2 * b1 + 1, b2 + 1), dtype=complex)  # rows m1 = -b1..b1
     for (j1, j2), blk in field.items():
         C = np.where(blk.kept, blk.beta_hat, 0.0)
         off1, psi = basis1[j1]
         off2, etam = basis2[j2]
-        F[np.ix_(off1 + b1, off2 + b2)] += psi @ C @ etam.T
-    folded = np.zeros((grid, grid), dtype=complex)
-    np.add.at(folded,
-              (np.mod(np.arange(-b1, b1 + 1), grid)[:, None],
-               np.mod(np.arange(-b2, b2 + 1), grid)[None, :]), F)
-    return np.real(np.fft.ifft2(folded) * grid * grid)
+        right = off2 >= 0
+        F[np.ix_(off1 + b1, off2[right])] += psi @ C @ etam[right].T
+    folded = _fold(F, 0, grid, axis=1)  # columns m2 mod grid
+    twins = _fold(F[::-1, 1:], 1, grid, axis=1)  # m2 > 0, rows -m1
+    half = folded[:, :grid // 2 + 1]
+    half += np.conj(twins[:, -np.arange(grid // 2 + 1) % grid])
+    return np.fft.irfft2(_fold(half, -b1, grid, axis=0), s=(grid, grid)) * grid * grid
 
 
 # ----------------------------------------------------------------------

@@ -292,10 +292,17 @@ def _error_sampler(spec: NoiseSpec, N: int, M: int) -> Callable[..., np.ndarray]
             return np.real(np.fft.fft(sq * z))[:N] / np.sqrt(two_n)
 
     def draw(seed) -> np.ndarray:
-        eps = np.empty((N, M))
+        # column l of the errors is row l of the buffer, a contiguous write
+        eps = np.empty((M, N))
         for l, ss in enumerate(np.random.SeedSequence(seed).spawn(M)):
-            eps[:, l] = column(np.random.default_rng(ss))
-        return eps if factor is None else factor @ eps
+            eps[l] = column(np.random.default_rng(ss))
+        if factor is None:
+            return eps.T
+        # the factor multiplies a C-ordered copy, because BLAS rounds a small
+        # product of the transposed view differently; rebinding frees the
+        # rows before the product, so the peak stays at two (N, M) arrays
+        eps = np.ascontiguousarray(eps.T)
+        return factor @ eps
 
     return draw
 
@@ -496,7 +503,12 @@ def simulate_replicates(f: TestFunction, kernel: KernelSpec,
     draw = _error_sampler(noise, N, M) if noise.sigma > 0 else None
     q = convolved_signal(f, kernel, t, x)
     for seed in seeds:
-        Y = q if draw is None else q + noise.sigma * draw(seed)
+        if draw is None:
+            Y = q
+        else:
+            Y = draw(seed)
+            Y *= noise.sigma
+            Y += q
         yield ObservationGrid(t=t, x=x, Y=Y)
 
 

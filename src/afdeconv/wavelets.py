@@ -190,8 +190,8 @@ def build_basis(spec: WaveletSpec, level: int, axis: int = 0) -> tuple[np.ndarra
     return m, base[:, None] * np.exp(-2j * np.pi * np.outer(m, shifts / 2 ** mra_level))
 
 
-# 16 MiB of complex exponentials per block; blocks of 2^21 raised the peak
-# resident memory of the lemma suite by 20 MiB.
+# 16 MiB of cos and sin values per block, computed in place; blocks of 2^21
+# exponentials raised the peak resident memory of the lemma suite by 20 MiB.
 _BLOCK_EXPONENTIALS = 1 << 20
 
 
@@ -201,13 +201,35 @@ def eval_on_points(points, offsets: np.ndarray, coeffs: np.ndarray) -> np.ndarra
     The result has shape ``points.shape + coeffs.shape[1:]``: a 1-D
     ``coeffs`` (one basis function, one profile) gives one value per point,
     a 2-D one (band, n), such as a whole level from ``build_basis``, gives n.
-    Points are taken in blocks of about 2^20 exponentials, which bounds the
-    memory of the phase matrix on large grids and wide bands.
+    The offsets must be distinct.  Only the real part is formed, so each
+    negative offset is first folded onto its positive twin,
+    ``Re c_{-m} e^{-i 2 pi m t} = Re conj(c_{-m}) e^{i 2 pi m t}``, and the
+    sum runs over the |m| only: a symmetric band costs half the cos and sin
+    values and half the product of the full band.  Points are taken in
+    blocks of about 2^20 (cos, sin) pairs, which bounds the memory of the
+    phase matrix on large grids and wide bands.
     """
     t = np.asarray(points, dtype=float).reshape(-1)
+    half, where = np.unique(np.abs(offsets), return_inverse=True)
+    h = half.size
+    # rows 0..h-1 hold Re c', rows h..2h-1 hold -Im c' of the folded
+    # coefficients c'_m = c_m + conj(c_{-m}), so Re sum = [cos, sin] @ rows
+    folded = np.zeros((2 * h,) + coeffs.shape[1:])
+    re, im = np.real(coeffs), np.imag(coeffs)
+    neg = offsets < 0
+    pos = ~neg
+    folded[where[pos]] = re[pos]
+    folded[h + where[pos]] = -im[pos]
+    folded[where[neg]] += re[neg]
+    folded[h + where[neg]] += im[neg]
     out = np.empty(t.shape + coeffs.shape[1:])
-    step = max(1, _BLOCK_EXPONENTIALS // max(1, offsets.size))
+    step = max(1, _BLOCK_EXPONENTIALS // max(1, h))
     for lo in range(0, t.size, step):
-        phase = np.outer(t[lo:lo + step], offsets) * (2j * np.pi)
-        out[lo:lo + step] = np.real(np.exp(phase, out=phase) @ coeffs)
+        block = t[lo:lo + step]
+        cos_sin = np.empty((block.size, 2 * h))
+        arg = np.multiply.outer(block, half, out=cos_sin[:, h:])
+        arg *= 2.0 * np.pi
+        np.cos(arg, out=cos_sin[:, :h])
+        np.sin(arg, out=arg)
+        out[lo:lo + step] = cos_sin @ folded
     return out.reshape(np.shape(points) + coeffs.shape[1:])

@@ -321,7 +321,8 @@ class TestValidation:
         """A file whose middle t is exactly the singularity x0 = 0.5 (within
         the design check's rounding of the quantile point), a --config
         naming a directory or a file that is not UTF-8, and an --out naming
-        an existing file exit 2 with a message, never a traceback."""
+        an existing file exit 2 with a message, never a traceback.  The
+        singular point's message names the file, the axis and the point."""
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
         if case == "t-point-on-x0":
@@ -348,7 +349,11 @@ class TestValidation:
             out.write_text("")
             argv = ["simulate", "--config", str(cfg)]
         assert cli.main(argv + ["--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if case == "t-point-on-x0":
+            assert str(csv_path) in err
+            assert "t-design density vanishes at point 9 of 17, t = 0.5," in err
 
 
 class TestSimulate:

@@ -383,6 +383,35 @@ class TestReconstruction:
         assert np.allclose(es.reconstruct(field, cfg, grid=grid), expected,
                            rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("grid", [8, 16, 32])
+    def test_reconstruct_aliases_every_kept_frequency(self, grid):
+        """With every coefficient kept, the kept bands reach the grid's
+        Nyquist frequency grid / 2 and pass the grid itself, so frequencies
+        fold onto the residues 0 and grid / 2, where a real grid needs both
+        a frequency and its twin; the grid still holds the direct synthesis
+        of the kept coefficients."""
+        f = md.tensor_sinusoid(1.5, 1.5, max_freq=64)
+        ker = md.power_kernel(1.0)
+        noise = md.NoiseSpec(alpha=1.0, sigma=0.3)
+        obs = md.simulate_observations(f, ker, UNIFORM, UNIFORM, noise,
+                                       N=128, M=128, seed=9)
+        cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, noise, J1=6, J2=6)
+        field = _estimate(obs, cfg)
+        points = np.arange(grid) / grid
+        expected = np.zeros((grid, grid))
+        kept = set()  # the kept frequencies m2 >= 0
+        for (j1, j2), blk in field.items():
+            blk.kept[:] = True
+            m1, psi = wv.build_basis(cfg.wavelet, j1, axis=0)
+            m2, eta = wv.build_basis(cfg.wavelet, j2, axis=1)
+            kept.update(m2[m2 >= 0].tolist())
+            expected += (wv.eval_on_points(points, m1, psi) @ blk.beta_hat
+                         @ wv.eval_on_points(points, m2, eta).T)
+        assert max(kept) > grid
+        assert {grid // 2, grid} <= kept
+        assert np.allclose(es.reconstruct(field, cfg, grid=grid), expected,
+                           rtol=0.0, atol=1e-12)
+
     def test_parseval_identity(self):
         """Grid energy of the reconstruction equals the coefficient energy."""
         f = md.tensor_sinusoid(1.5, 1.5, max_freq=64)

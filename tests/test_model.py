@@ -170,6 +170,33 @@ class TestLongMemoryNoise:
         b = md.sample_errors(spec, N=128, M=4, seed=11)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("alpha, kind, N, M", [
+        (0.5, "gaussian-fgn", 96, 12),
+        (0.7, "subgaussian-rademacher", 80, 9),
+        (1.0, "gaussian-fgn", 40, 5),
+        (0.7, "gaussian-fgn", 4100, 3)])
+    def test_columns_are_their_own_substreams(self, alpha, kind, N, M):
+        """Column l is drawn from the generator of the l-th SeedSequence
+        spawned from the seed, then coloured: bitwise equal to this plain
+        column-by-column reference on the Cholesky branch (Gaussian and
+        Rademacher innovations), with no colouring at alpha = 1, and on the
+        Davies-Harte branch (N above the exact-factor limit)."""
+        spec = md.NoiseSpec(alpha=alpha, kind=kind)
+        E = np.empty((N, M))
+        for l, ss in enumerate(np.random.SeedSequence(21).spawn(M)):
+            rng = np.random.default_rng(ss)
+            if N > md._EXACT_FACTOR_LIMIT and alpha < 1.0:
+                sq = md._davies_harte_embedding(N, alpha)
+                z = rng.standard_normal(2 * N) + 1j * rng.standard_normal(2 * N)
+                E[:, l] = np.real(np.fft.fft(sq * z))[:N] / np.sqrt(2 * N)
+            elif kind == "gaussian-fgn":
+                E[:, l] = rng.standard_normal(N)
+            else:
+                E[:, l] = 2.0 * rng.integers(0, 2, size=N) - 1.0
+        if N <= md._EXACT_FACTOR_LIMIT and alpha < 1.0:
+            E = md.noise_factor(N, alpha) @ E
+        assert np.array_equal(md.sample_errors(spec, N, M, seed=21), E)
+
 
 class TestTestFunctions:
 

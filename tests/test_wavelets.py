@@ -146,3 +146,30 @@ class TestEvaluation:
             assert np.allclose(V, direct, atol=1e-12)
             assert np.allclose(wv.eval_on_points(points, m, coeffs[:, 3]),
                                direct[..., 3], atol=1e-12)
+
+    @pytest.mark.parametrize("band", ["wavelet-level", "contiguous", "one-sided"])
+    def test_fold_equals_plain_sum(self, meyer, band):
+        """Folding each negative offset onto its positive twin leaves
+        Re sum_m c_m e^{i 2 pi m t} over every offset unchanged, for
+        coefficients that are not Hermitian, 1-D and 2-D, on a symmetric
+        wavelet band with a hole around 0, a contiguous band and a band of
+        positive offsets only."""
+        rng = np.random.default_rng(7)
+        if band == "wavelet-level":
+            m = wv.build_basis(meyer, 5, axis=0)[0]
+            assert 0 not in m and np.array_equal(np.sort(-m), m)
+            n = 6
+        elif band == "contiguous":
+            m, n = np.arange(-40, 41), 1
+        else:
+            m, n = np.arange(1, 57), 3
+        points = rng.random(97)
+        for shape in ((m.size,), (m.size, n)):
+            c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            plain = np.zeros((points.size,) + shape[1:])
+            for mk, ck in zip(m, c):
+                plain += np.real(np.multiply.outer(np.exp(2j * np.pi * mk * points), ck))
+            V = wv.eval_on_points(points, m, c)
+            assert V.shape == plain.shape
+            assert np.max(np.abs(V - plain)) <= 1e-12 * np.max(np.abs(plain))
+
