@@ -453,9 +453,12 @@ def _ladder_point(f, cfg, N, M, replicates, seed, grid, f_ref):
     values = np.empty(replicates)
     grids = md.simulate_replicates(f, cfg.kernel, cfg.d1, cfg.d2, cfg.noise,
                                    N, M, range(seed, seed + replicates))
+    # the replicates' reconstructions share the bases of every level
+    bases = tuple(es._bases(cfg, wv.level_range(cfg.wavelet, J, axis), axis)
+                  for axis, J in ((0, plan.J1), (1, plan.J2)))
     for r, obs in enumerate(grids):
         fld = es.estimate_field(plan, obs.Y)
-        values[r] = mise(es.reconstruct(fld, cfg, grid=grid), f_ref)
+        values[r] = mise(es.reconstruct(fld, cfg, grid=grid, bases=bases), f_ref)
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(replicates)) if replicates > 1 else 0.0
 
 
@@ -505,10 +508,10 @@ def rate_experiment(f: md.TestFunction, cfg: es.EstimatorConfig, ladder,
 
 
 def rate_report_csv(report: RateReport, path) -> None:
+    """One row per ladder point, every value %.17g (N and M are integers)."""
     columns = ("N", "M", "n", "mise_mean", "mise_se", "chi")
-    np.savetxt(path, [[p[c] for c in columns] for p in report.points],
-               fmt="%d,%d,%.17g,%.17g,%.17g,%.17g", header=",".join(columns),
-               comments="")
+    md._write_csv(path, ",".join(columns),
+                  np.array([[p[c] for c in columns] for p in report.points], dtype=float))
 
 
 def rate_report_text(report: RateReport) -> str:

@@ -355,9 +355,8 @@ def cmd_verify(cfg: dict, outdir: Path) -> list[Path]:
         rep = an.verify_lemma1(est_cfg, levels1=v["levels1"])
         path = outdir / "lemma1.csv"
         columns = ("j1", "k1", "j2", "k2", "ratio2", "ratio4")
-        np.savetxt(path, [[e[c] for c in columns] for e in rep.entries],
-                   fmt="%d,%d,%d,%d,%.17g,%.17g", header=",".join(columns),
-                   comments="")
+        md._write_csv(path, ",".join(columns),
+                      np.array([[e[c] for c in columns] for e in rep.entries], dtype=float))
         artifacts.append(path)
         lines.append(f"lemma1: spread2={rep.spread2:.4g} spread4={rep.spread4:.4g}")
     if 2 in lemmas:
@@ -365,10 +364,9 @@ def cmd_verify(cfg: dict, outdir: Path) -> list[Path]:
                                N_ladder=v["N_ladder"],
                                replicates=v.get("replicates", 500), seed=seed)
         path = outdir / "lemma2.csv"
-        np.savetxt(path, np.column_stack([rep.N_ladder, rep.variances,
-                                          rep.fourth_ratios, rep.exact_variances]),
-                   fmt="%d,%.17g,%.17g,%.17g",
-                   header="N,variance,fourth_ratio,variance_exact", comments="")
+        md._write_csv(path, "N,variance,fourth_ratio,variance_exact",
+                      np.column_stack([rep.N_ladder, rep.variances,
+                                       rep.fourth_ratios, rep.exact_variances]))
         artifacts.append(path)
         lines.append(f"lemma2: slope={rep.slope:.4f} (predicted {-rep.alpha})"
                      f" exact slope={rep.exact_slope:.4f}"
@@ -380,9 +378,9 @@ def cmd_verify(cfg: dict, outdir: Path) -> list[Path]:
                                replicates=v.get("replicates", 1000), seed=seed,
                                ladder=[tuple(p) for p in v["ladder"]] or None)
         path = outdir / "lemma3.csv"
-        np.savetxt(path, [(*key, freq) for key, freq in rep.frequencies.items()],
-                   fmt="%d,%d,%d,%d,%.17g",
-                   header="j1,k1,j2,k2,exceed_frequency", comments="")
+        md._write_csv(path, "j1,k1,j2,k2,exceed_frequency",
+                      np.array([(*key, freq) for key, freq in rep.frequencies.items()],
+                               dtype=float))
         artifacts.append(path)
         lines.append(f"lemma3: max exceedance frequency={rep.max_frequency:.4g}"
                      + (f" tail exponent={rep.tail_exponent:.3f}"

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model as md
 from . import wavelets as wv
 from .model import (DesignDensity, KernelSpec, NoiseSpec, ParameterError,
                     TestFunction)
@@ -346,7 +347,7 @@ def _fold(a: np.ndarray, first: int, grid: int, axis: int) -> np.ndarray:
 
 
 def reconstruct(field: dict[tuple[int, int], LevelBlock], cfg: EstimatorConfig,
-                grid: int = 512) -> np.ndarray:
+                grid: int = 512, bases=None) -> np.ndarray:
     """Tensor synthesis of the kept coefficients on the uniform (grid, grid)
     periodic grid: f_hat(t_a, x_b) at t_a = a / grid, x_b = b / grid.
 
@@ -358,10 +359,21 @@ def reconstruct(field: dict[tuple[int, int], LevelBlock], cfg: EstimatorConfig,
     twin conj(F[m1, m2]) = F[-m1, -m2] adds at (-m1, -m2) mod grid when
     -m2 mod grid <= grid / 2.  A column on the residue 0 or grid / 2 (a
     band wider than the grid aliases) takes both.
+
+    Level pairs that keep no coefficient add nothing and are skipped.
+    The bases come from ``bases``, a pair of ``_bases`` dicts (t, x)
+    holding at least the levels of the other pairs, which lets fields on
+    one plan share them; when it is None only those levels are built.
     """
-    basis1 = _bases(cfg, {j1 for j1, _ in field}, 0)
-    basis2 = _bases(cfg, {j2 for _, j2 in field}, 1)
-    b1, b2 = _band(basis1), _band(basis2)
+    field = {key: blk for key, blk in field.items() if blk.kept.any()}
+    if not field:
+        return np.zeros((grid, grid))
+    if bases is None:
+        bases = (_bases(cfg, {j1 for j1, _ in field}, 0),
+                 _bases(cfg, {j2 for _, j2 in field}, 1))
+    basis1, basis2 = bases
+    b1 = _band({j1: basis1[j1] for j1, _ in field})
+    b2 = _band({j2: basis2[j2] for _, j2 in field})
     F = np.zeros((2 * b1 + 1, b2 + 1), dtype=complex)  # rows m1 = -b1..b1
     for (j1, j2), blk in field.items():
         C = np.where(blk.kept, blk.beta_hat, 0.0)
@@ -382,34 +394,26 @@ def reconstruct(field: dict[tuple[int, int], LevelBlock], cfg: EstimatorConfig,
 
 _FIELD_COLUMNS = ("j1", "k1", "j2", "k2", "beta_hat", "lambda", "kept")
 
-# Values per block of save_field_csv: one %-format each
-_BLOCK_VALUES = 1 << 16
-
 
 def save_field_csv(field: dict[tuple[int, int], LevelBlock], path,
                    truth: dict[tuple[int, int], np.ndarray] | None = None) -> None:
     """Columns j1,k1,j2,k2,beta_hat,lambda,kept[,beta_true]; one row per
     index, level blocks in (j1, j2) order and k1, k2 row-major inside.
-    beta_true comes from ``truth``, blocks of ``true_coefficients``.  Per
-    block, j1, j2 and k2 are formatted once, into a one-k1-row template
-    holding chr(0) for k1."""
+    beta_true comes from ``truth``, blocks of ``true_coefficients``.  Every
+    value is written as %.17g writes it (the integers as %d), one level
+    block at a time, by ``model._write_rows``."""
     header = ",".join(_FIELD_COLUMNS + (() if truth is None else ("beta_true",)))
-    values = "%.17g,%.17g,%d" + ("" if truth is None else ",%.17g") + "\n"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
         for (j1, j2), blk in sorted(field.items()):
-            columns = [blk.beta_hat, blk.lam, blk.kept]
+            k1, k2 = np.indices(blk.beta_hat.shape)
+            columns = [np.full(k1.size, j1), k1.ravel(), np.full(k1.size, j2), k2.ravel(),
+                       blk.beta_hat.ravel(), blk.lam.ravel(), blk.kept.ravel()]
             if truth is not None:
-                columns.append(truth[(j1, j2)])
-            table = np.stack(columns, axis=-1)  # (count1, count2, values)
-            count1, count2 = table.shape[:2]
-            template = "".join(f"{j1},\0,{j2},{k2},{values}" for k2 in range(count2))
-            step = max(1, _BLOCK_VALUES // count2)
-            for a in range(0, count1, step):
-                rows = "".join(template.replace("\0", str(k1))
-                               for k1 in range(a, min(a + step, count1)))
-                fh.write(rows % tuple(table[a:a + step].ravel().tolist()))
+                columns.append(truth[(j1, j2)].ravel())
+            md._write_rows(fh, *columns)
 
 
 def save_reconstruction_csv(values: np.ndarray, path) -> None:
-    np.savetxt(path, values, delimiter=",", fmt="%.17g", newline="\n")
+    """The grid of ``reconstruct`` as plain CSV rows, every value %.17g."""
+    md._write_csv(path, None, values)

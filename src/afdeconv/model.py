@@ -590,6 +590,172 @@ def _read_csv(path, names) -> dict[str, np.ndarray]:
     return {name: table[:, header.index(name)] for name in names}
 
 
+# Values per block of _write_rows: one block of _csv_bytes peaks at about
+# 11 MiB traced
+_CSV_BLOCK_VALUES = 1 << 16
+
+# 5^s for the decimal scalings 10^s = 5^s 2^s, s = 2..27, in 32-bit halves
+_POW5 = np.array([5 ** s for s in range(28)], dtype=np.uint64)
+_POW5_HI, _POW5_LO = _POW5 >> np.uint64(32), _POW5 & np.uint64(0xFFFFFFFF)
+
+# Bytes per value in _csv_bytes's slot table, its separator included:
+# sign, "0.000" before a value below 1e-4, 17 digits and a point, the
+# exponent "e-XX", and the separator
+_SLOTS = 29
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """floor(a 10^(16 - k)) as uint64, and whether round-half-even rounds
+    it up, exactly, for 1e-11 < a < 1e15 and -11 <= k <= 14.
+
+    With a = m 2^(E - 53) from ``np.frexp`` (m < 2^53) and s = 16 - k,
+    a 10^s = m 5^s / 2^r with 5^s < 2^63 and 1 <= r <= 63: the 116-bit
+    product m 5^s is formed from 32-bit halves as hi 2^64 + lo, shifted
+    right by r, and the r bits shifted out are compared with one half.
+    """
+    U = np.uint64
+    f, E = np.frexp(a)
+    f *= 2.0 ** 53
+    m = f.astype(U)
+    s = 16 - k
+    p_hi, p_lo = _POW5_HI[s], _POW5_LO[s]
+    m_hi = m >> U(32)
+    m_lo = m & U(0xFFFFFFFF)
+    low = m_lo * p_lo
+    mid = m_hi * p_lo
+    mid += m_lo * p_hi
+    lo = mid << U(32)
+    lo += low
+    hi = m_hi * p_hi
+    hi += lo < low  # the carry out of lo
+    hi += mid >> U(32)
+    r = (53 - s - E).astype(U)
+    floor = hi << (U(64) - r)
+    floor |= lo >> r
+    lo <<= U(64) - r  # the remainder, scaled so that one half is 2^63
+    up = lo > U(1 << 63)
+    up |= (lo == U(1 << 63)) & (floor & U(1)).astype(bool)
+    return floor, up
+
+
+def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(D, k) with 10^16 <= D < 10^17 and a rounded to 17 significant
+    digits equal to D 10^(k - 16), for 1e-11 < a < 1e15.
+
+    k starts from log10 a and moves by one where the scaled floor falls
+    outside [10^16, 10^17).  Rounding never carries D to 10^17: no double
+    of the range lies within half a unit of the 17th digit below a power
+    of ten (the nearest lies over 1e-17 relative away).
+    """
+    k = np.floor(np.log10(a)).astype(np.int64)
+    np.clip(k, -11, 14, out=k)
+    D, up = _scaled(a, k)
+    while True:
+        high = D >= np.uint64(10 ** 17)
+        off = high | (D < np.uint64(10 ** 16))
+        if not off.any():
+            break
+        k[off] += np.where(high[off], 1, -1)
+        D[off], up[off] = _scaled(a[off], k[off])
+    D += up
+    return D, k
+
+
+def _csv_bytes(table: np.ndarray) -> bytes:
+    """The rows of a 2-D table exactly as one ``'%.17g' % value`` per value,
+    ``,`` between values and ``\\n`` after each row, would write them.
+
+    Every value 1e-11 < |x| < 1e15 and every zero is formatted in array
+    operations: ``_decimal`` gives its 17 correctly rounded digits, the
+    trailing zeros are dropped, and %g's layout (fixed notation for
+    exponents -4 <= k < 17, ``d.ddde-XX`` below) fills one row of
+    ``_SLOTS`` bytes, NUL where it writes nothing; the rows are joined and
+    the NULs deleted.  Any other value (a subnormal, an extreme value,
+    inf, nan) takes ``'%.17g' % value``.
+    """
+    U8 = np.uint8
+    table = np.asarray(table, dtype=np.float64)
+    width = table.shape[1]
+    v = table.ravel()
+    n = v.size
+    a = np.abs(v)
+    zero = a == 0.0
+    other = np.flatnonzero(~(zero | ((a > 1e-11) & (a < 1e15))))
+    a[zero] = 1.0
+    a[other] = 1.0
+    D, k = _decimal(a)
+    # chars[1 + i] is digit i; rows 0 and 18 are NUL
+    chars = np.zeros((19, n), U8)
+    upper = D // np.uint64(10 ** 8)
+    digits = (D - upper * np.uint64(10 ** 8)).astype(np.uint32)
+    for i in range(17, 0, -1):
+        if i == 9:
+            digits = upper.astype(np.uint32)
+        rest = digits // np.uint32(10)
+        digits -= rest * np.uint32(10)
+        digits += np.uint32(ord("0"))
+        chars[i] = digits
+        digits = rest
+    chars[1, zero] = ord("0")
+    shown = ((chars[1:18] != ord("0")) * np.arange(1, 18, dtype=U8)[:, None]).max(axis=0)
+    shown[zero] = 1  # significant digits
+    k = k.astype(np.int8)
+    fixed = k >= -4
+    small = fixed & (k < 0)  # 0.000ddd
+    whole = np.where(fixed, np.maximum(k + 1, 0), 1).astype(np.int8)  # digits before the point
+    chars[1:18] *= np.arange(17, dtype=np.int8)[:, None] < np.maximum(shown, whole)
+    point = np.where(fixed, k, 0).astype(np.int8)  # the digit before the point
+    point[(shown <= whole) | small] = 17  # no point among the digits
+    slots = np.zeros((_SLOTS, n), U8)
+    slots[0] = np.signbit(v) * U8(ord("-"))
+    slots[1] = small * U8(ord("0"))
+    slots[2] = small * U8(ord("."))
+    for j in range(3):
+        slots[3 + j] = (small & (-k - 1 > j)) * U8(ord("0"))
+    # body slot c holds digit c up to the digit before the point, the
+    # point next, then digit c - 1: in bytes mod 256,
+    # (digit c - 1) + (digit c - digit c - 1) [c <= point], and the point
+    body = slots[6:24]
+    np.subtract(chars[1:19], chars[0:18], out=body)
+    body *= np.arange(18, dtype=np.int8)[:, None] <= point
+    body += chars[0:18]
+    at = np.flatnonzero(point < 17)
+    body.reshape(-1)[(point[at] + 1).astype(np.intp) * n + at] = ord(".")
+    e = np.flatnonzero(~fixed)
+    exponent = -k[e]  # 5 to 11
+    slots[24, e] = ord("e")
+    slots[25, e] = ord("-")
+    slots[26, e] = ord("0") + exponent // 10
+    slots[27, e] = ord("0") + exponent % 10
+    slots[28] = ord(",")
+    slots[28, width - 1::width] = ord("\n")
+    rows = np.ascontiguousarray(slots.T)
+    if other.size:
+        text = b"".join((b"%.17g" % x).ljust(_SLOTS - 1, b"\0") for x in v[other].tolist())
+        rows[other, :-1] = np.frombuffer(text, U8).reshape(-1, _SLOTS - 1)
+    return rows.tobytes().translate(None, b"\0")
+
+
+def _write_rows(fh, *columns) -> None:
+    """Write to the binary file ``fh`` the rows of ``columns`` side by side,
+    through ``_csv_bytes`` in blocks of about ``_CSV_BLOCK_VALUES``
+    values (at least one row).  Each column is a 1-D array of one field
+    per row or a 2-D array of several; all have the same row count."""
+    width = sum(np.shape(c)[1] if np.ndim(c) == 2 else 1 for c in columns)
+    step = max(1, _CSV_BLOCK_VALUES // width)
+    for a in range(0, len(columns[0]), step):
+        fh.write(_csv_bytes(np.column_stack([c[a:a + step] for c in columns])))
+
+
+def _write_csv(path, header: str | None, *columns) -> None:
+    """A CSV file of the line ``header`` (none when None), then the rows
+    of ``columns`` as ``_write_rows`` writes them."""
+    with open(path, "wb") as fh:
+        if header is not None:
+            fh.write(header.encode() + b"\n")
+        _write_rows(fh, *columns)
+
+
 def _loaded_grid(path, t, x, Y) -> ObservationGrid:
     """The grid of a loaded file; ``ParameterError`` naming the file and the
     first non-finite t[i], x[l] or Y[i, l] (counted from 1), or a design
@@ -610,10 +776,11 @@ def _loaded_grid(path, t, x, Y) -> ObservationGrid:
 def save_csv(obs: ObservationGrid, path) -> None:
     """The N x M grid: a header line ``t/x`` followed by the M x values,
     then one line per i, t_i followed by its M responses; every value
-    %.17g, LF newlines."""
-    np.savetxt(path, np.column_stack((obs.t, obs.Y)), fmt="%.17g",
-               delimiter=",", newline="\n", comments="",
-               header=("t/x" + ",%.17g" * obs.M) % tuple(obs.x.tolist()))
+    %.17g, LF newlines, written by ``_write_rows``."""
+    with open(path, "wb") as fh:
+        fh.write(b"t/x,")
+        _write_rows(fh, obs.x[None, :])
+        _write_rows(fh, obs.t, obs.Y)
 
 
 def load_csv(path) -> ObservationGrid:

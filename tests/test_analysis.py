@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from afdeconv import analysis as an
 from afdeconv import estimator as es
 from afdeconv import model as md
+from afdeconv import wavelets as wv
 
 UNIFORM = md.DesignDensity(beta=0.0, x0=0.5)
 SINGULAR = md.DesignDensity(beta=0.3, x0=0.5)
@@ -353,17 +354,22 @@ class TestRateExperiment:
                                              / math.sqrt(replicates))
 
     def test_invariants_computed_once_per_point(self, monkeypatch):
-        """One clean signal and one Cholesky factor per ladder point, not
-        one per replicate."""
+        """One clean signal, one Cholesky factor and one basis of each
+        level for the plan and one for the reconstructions per ladder
+        point, not one per replicate."""
         calls = count_calls(monkeypatch, md, ["convolved_signal", "noise_factor"])
+        bases = count_calls(monkeypatch, wv, ["build_basis"])
         f = md.tensor_sinusoid(1.5, 1.5, max_freq=256)
         ker = md.power_kernel(1.0)
         noise = md.NoiseSpec(alpha=0.7, sigma=0.2)
         cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, noise)
-        an.rate_experiment(f, cfg,
-                           [(64, 64), (128, 128), (256, 256)], replicates=4,
-                           seed=5, grid=256)
+        ladder = [(64, 64), (128, 128), (256, 256)]
+        an.rate_experiment(f, cfg, ladder, replicates=4, seed=5, grid=256)
         assert calls == {"convolved_signal": 3, "noise_factor": 3}
+        levels = sum(len(wv.level_range(cfg.wavelet, J1, 0))
+                     + len(wv.level_range(cfg.wavelet, J2, 1))
+                     for J1, J2 in (cfg.resolve_levels(M, N) for N, M in ladder))
+        assert bases == {"build_basis": 2 * levels}
 
     def test_empty_ladder_rejected(self):
         f = md.tensor_sinusoid(1.0, 1.0, max_freq=64)
@@ -372,3 +378,19 @@ class TestRateExperiment:
         cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, silent)
         with pytest.raises(md.ParameterError):
             an.rate_experiment(f, cfg, ladder=[])
+
+
+def test_rate_report_csv_matches_row_oracle(tmp_path):
+    """rate_report.csv is the header, then N and M as %d and the other
+    columns as one %.17g f-string each, one line per ladder point."""
+    points = [{"N": 128, "M": 64, "n": 64 * 128 ** 0.5, "mise_mean": 0.1,
+               "mise_se": 1.2345678901234567e-7, "chi": 3.0e-12},
+              {"N": 1024, "M": 2048, "n": 2048 * 1024 ** 0.6, "mise_mean": 0.0,
+               "mise_se": math.nan, "chi": 1.0 / 3.0}]
+    report = an.RateReport(points=points, slope=-0.4, slope_se=0.01, regime=1,
+                           d=0.4, xi1=0, xi2=0, alpha=0.5)
+    path = tmp_path / "rate_report.csv"
+    an.rate_report_csv(report, path)
+    rows = "".join(f"{p['N']:d},{p['M']:d},{p['n']:.17g},{p['mise_mean']:.17g},"
+                   f"{p['mise_se']:.17g},{p['chi']:.17g}\n" for p in points)
+    assert path.read_bytes() == ("N,M,n,mise_mean,mise_se,chi\n" + rows).encode()

@@ -659,6 +659,41 @@ class TestVerifyAndBench:
         (rep,) = reports
         assert [row[:2] for row in rep.ladder] == [(128, 256), (64, 64)]
 
+    def test_lemma_csvs_match_row_oracle(self, tmp_path, monkeypatch):
+        """lemma1.csv, lemma2.csv and lemma3.csv hold the reports' values:
+        levels, shifts and N as %d, the rest as one %.17g f-string each."""
+        reports = {}
+        for lemma in (1, 2, 3):
+            verify = getattr(an, f"verify_lemma{lemma}")
+
+            def recorded(*args, _verify=verify, _lemma=lemma, **kwargs):
+                reports[_lemma] = _verify(*args, **kwargs)
+                return reports[_lemma]
+
+            monkeypatch.setattr(an, f"verify_lemma{lemma}", recorded)
+        path = write_config(tmp_path, extra={"verify": {
+            "lemmas": [1, 2, 3], "levels1": [3, 4], "N_ladder": [32, 64, 128],
+            "indices": [[3, 2, 2, 1], [2, 0, 3, 4]], "M": 32, "N": 64,
+            "replicates": 20}})
+        out = tmp_path / "v"
+        assert cli.main(["verify-lemmas", "--config", str(path),
+                         "--out", str(out)]) == 0
+        rep1, rep2, rep3 = reports[1], reports[2], reports[3]
+        expected = {
+            "lemma1.csv": "j1,k1,j2,k2,ratio2,ratio4\n" + "".join(
+                f"{e['j1']:d},{e['k1']:d},{e['j2']:d},{e['k2']:d},"
+                f"{e['ratio2']:.17g},{e['ratio4']:.17g}\n" for e in rep1.entries),
+            "lemma2.csv": "N,variance,fourth_ratio,variance_exact\n" + "".join(
+                f"{N:d},{v:.17g},{r:.17g},{x:.17g}\n" for N, v, r, x in zip(
+                    rep2.N_ladder, rep2.variances, rep2.fourth_ratios,
+                    rep2.exact_variances)),
+            "lemma3.csv": "j1,k1,j2,k2,exceed_frequency\n" + "".join(
+                f"{j1:d},{k1:d},{j2:d},{k2:d},{p:.17g}\n"
+                for (j1, k1, j2, k2), p in rep3.frequencies.items()),
+        }
+        for name, text in expected.items():
+            assert (out / name).read_bytes() == text.encode(), name
+
     def test_bench_and_report_roundtrip(self, tmp_path, capsys):
         path = write_config(
             tmp_path,

@@ -412,6 +412,45 @@ class TestReconstruction:
         assert np.allclose(es.reconstruct(field, cfg, grid=grid), expected,
                            rtol=0.0, atol=1e-12)
 
+    def test_reconstruct_builds_only_kept_levels(self, monkeypatch):
+        """A level pair that keeps no coefficient is skipped: build_basis is
+        called once for each level of a pair that keeps one, and the grid
+        is the direct synthesis of the kept coefficients."""
+        f = md.tensor_sinusoid(1.5, 1.5, max_freq=64)
+        ker = md.power_kernel(1.0)
+        noise = md.NoiseSpec(alpha=1.0, sigma=0.3)
+        obs = md.simulate_observations(f, ker, UNIFORM, UNIFORM, noise,
+                                       N=128, M=128, seed=9)
+        cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, noise, J1=5, J2=5)
+        field = _estimate(obs, cfg)
+        active = {min(field), (3, 4)}
+        for key, blk in field.items():
+            if key not in active:
+                blk.kept[:] = False
+        field[(3, 4)].kept[1, 2] = True
+        calls = []
+        build_basis = wv.build_basis
+
+        def spy(wspec, j, axis):
+            calls.append((j, axis))
+            return build_basis(wspec, j, axis)
+
+        monkeypatch.setattr(wv, "build_basis", spy)
+        recon = es.reconstruct(field, cfg, grid=64)
+        monkeypatch.undo()
+        assert sorted(calls) == sorted({(j1, 0) for j1, _ in active}
+                                       | {(j2, 1) for _, j2 in active})
+        points = np.arange(64) / 64
+        expected = np.zeros((64, 64))
+        for j1, j2 in active:
+            m1, psi = wv.build_basis(cfg.wavelet, j1, axis=0)
+            m2, eta = wv.build_basis(cfg.wavelet, j2, axis=1)
+            blk = field[(j1, j2)]
+            expected += (wv.eval_on_points(points, m1, psi)
+                         @ np.where(blk.kept, blk.beta_hat, 0.0)
+                         @ wv.eval_on_points(points, m2, eta).T)
+        assert np.allclose(recon, expected, rtol=0.0, atol=1e-12)
+
     def test_parseval_identity(self):
         """Grid energy of the reconstruction equals the coefficient energy."""
         f = md.tensor_sinusoid(1.5, 1.5, max_freq=64)
@@ -472,6 +511,17 @@ class TestErrorsAndIO:
             with pytest.raises(md.ParameterError, match="beta_true missing"):
                 md._read_csv(path, (*names, "beta_true"))
 
+    def test_reconstruction_csv_matches_row_oracle(self, tmp_path):
+        """The reconstruction grid is written as one %.17g f-string per
+        value, one line per row."""
+        values = np.random.default_rng(5).standard_normal((16, 16)) * 1e-3
+        values[0, :4] = [0.0, -0.0, 1e-300, 123.25]
+        path = tmp_path / "reconstruction.csv"
+        es.save_reconstruction_csv(values, path)
+        oracle = "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                         for row in values.tolist())
+        assert path.read_bytes() == oracle.encode()
+
     def test_field_csv_roundtrip(self, tmp_path):
         f = md.tensor_sinusoid(1.0, 1.0, max_freq=64)
         ker = md.power_kernel(1.0)
@@ -491,7 +541,7 @@ class TestErrorsAndIO:
         """On beta = 0.3 designs the block writer's bytes equal one f-string
         per index, also in blocks of 100 values, and the reader returns
         every value bitwise."""
-        monkeypatch.setattr(es, "_BLOCK_VALUES", 100)
+        monkeypatch.setattr(md, "_CSV_BLOCK_VALUES", 100)
         f = md.tensor_sinusoid(1.0, 1.0, max_freq=64)
         ker = md.power_kernel(1.0)
         d = md.DesignDensity(beta=0.3, x0=0.4)

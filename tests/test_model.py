@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from afdeconv import cli
 from afdeconv import estimator as es
@@ -712,3 +713,86 @@ def test_load_csv_rejects_or_recovers_corrupted_file(text):
     assert np.array_equal(back.Y, obs.Y)
     for name in ("t", "x"):
         assert np.all(np.abs(getattr(back, name) - getattr(obs, name)) <= 1e-12)
+
+
+def _percent_g(table) -> bytes:
+    """The oracle of the CSV writer: one %.17g f-string per value, ``,``
+    between values and ``\\n`` after each row."""
+    return "".join(",".join(f"{x:.17g}" for x in row) + "\n"
+                   for row in np.asarray(table, dtype=float).tolist()).encode()
+
+
+def _neighbours(x: float, steps: int = 8) -> list[float]:
+    """x and the `steps` floats on either side of it."""
+    below, above = [x], [x]
+    for _ in range(steps):
+        below.append(float(np.nextafter(below[-1], -np.inf)))
+        above.append(float(np.nextafter(above[-1], np.inf)))
+    return below[::-1] + above[1:]
+
+
+class TestCsvWriter:
+    """``model._csv_bytes`` and ``_write_csv`` write the bytes of one
+    %.17g f-string per value."""
+
+    @given(table=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                         max_side=12),
+                            elements=st.floats(allow_nan=True, allow_infinity=True,
+                                               allow_subnormal=True)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle_on_any_float(self, table):
+        assert md._csv_bytes(table) == _percent_g(table)
+
+    @given(values=st.lists(st.tuples(st.floats(1e-11, 1e15, exclude_min=True,
+                                               exclude_max=True), st.booleans()),
+                           min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle_in_the_array_range(self, values):
+        """Values 1e-11 < |x| < 1e15, which the array path formats."""
+        row = np.array([[-x if neg else x for x, neg in values]])
+        assert md._csv_bytes(row) == _percent_g(row)
+
+    def test_matches_oracle_on_random_bit_patterns(self):
+        """Every exponent (random bits) and the array range (log-uniform
+        magnitudes), 100,000 values each."""
+        rng = np.random.default_rng(17)
+        bits = rng.integers(0, 2 ** 64, 100_000, dtype=np.uint64, endpoint=False)
+        magnitudes = 10.0 ** rng.uniform(-11, 15, 100_000)
+        for values in (bits.view(np.float64), magnitudes * rng.choice([-1, 1], 100_000)):
+            table = values.reshape(-1, 250)
+            assert md._csv_bytes(table) == _percent_g(table)
+
+    @pytest.mark.parametrize("values", [
+        [100000000000000.125, 0.5, 2.5, 1.0000000000000002, 0.30000000000000004],
+        _neighbours(9.9999999999999995e-5) + _neighbours(9.9999999999999991e-6),
+        _neighbours(1e-4) + _neighbours(1e-5) + _neighbours(1e-11),
+        _neighbours(1e15) + _neighbours(1e16) + _neighbours(1e17),
+        [x for e in range(-12, 18) for x in _neighbours(10.0 ** e, 2)],
+        [5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+         -1.7976931348623157e308, 0.0, -0.0, np.inf, -np.inf, np.nan],
+    ], ids=["ties", "below-a-power-of-ten", "fixed-to-exponent", "large",
+            "powers-of-ten", "extremes"])
+    def test_matches_oracle_on_edge_values(self, values):
+        row = np.array([values])
+        assert md._csv_bytes(row) == _percent_g(row)
+
+    def test_tie_rounds_half_to_even(self):
+        """100000000000000.125 is exact, and its 17th digit is a tie."""
+        assert md._csv_bytes(np.array([[100000000000000.125]])) == b"100000000000000.12\n"
+
+    def test_integer_columns_match_percent_d(self):
+        """Integers below 2^53 are written as %d writes them."""
+        ints = np.array([0, 1, -1, 9, 10, 255, 1023, 2048, 99999, 10 ** 15 - 1,
+                         10 ** 15, 2 ** 53 - 1, -(2 ** 53 - 1)])
+        assert md._csv_bytes(ints[:, None]) == "".join(f"{i:d}\n" for i in ints).encode()
+
+    def test_table_spanning_several_blocks(self, tmp_path, monkeypatch):
+        """A header line, then 1-D and 2-D columns side by side in blocks of
+        7 values (two rows of 3 fields per block) write the oracle's bytes."""
+        monkeypatch.setattr(md, "_CSV_BLOCK_VALUES", 7)
+        rng = np.random.default_rng(3)
+        first, rest = np.arange(11), rng.standard_normal((11, 2)) * 1e-3
+        path = tmp_path / "table.csv"
+        md._write_csv(path, "a,b,c", first, rest)
+        expected = b"a,b,c\n" + _percent_g(np.column_stack((first, rest)))
+        assert path.read_bytes() == expected
