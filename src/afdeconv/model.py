@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from . import wavelets as wv
 
@@ -210,7 +209,13 @@ def lrd_covariance(N: int, alpha: float, sigma: float = 1.0) -> np.ndarray:
         raise ParameterError("N must be >= 2")
     if not 0.0 < alpha <= 1.0:
         raise ParameterError("alpha must be in (0, 1]")
-    return toeplitz(_fgn_autocov(N, alpha, sigma))
+    # Row i of the symmetric Toeplitz matrix is the window of
+    # [r_{N-1}, ..., r_1, r_0, r_1, ..., r_{N-1}] that starts at N-1-i:
+    # strided views of one 2N-1 vector, copied once, with no N x N index.
+    r = _fgn_autocov(N, alpha, sigma)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([r[:0:-1], r]), N)
+    return windows[::-1].copy()
 
 
 def noise_factor(N: int, alpha: float, sigma: float = 1.0) -> np.ndarray:

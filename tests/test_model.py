@@ -116,6 +116,19 @@ class TestLongMemoryNoise:
         assert np.allclose(S[0], r)
         assert np.allclose(S, S.T)
 
+    @pytest.mark.parametrize("alpha", [0.4, 1.0])
+    @pytest.mark.parametrize("N", [2, 3, 17, 256])
+    def test_covariance_is_exact_toeplitz(self, N, alpha):
+        """Every entry (i, j) is the lag-|i - j| autocovariance bit for
+        bit, in a C-contiguous float64 array: the Cholesky factor and so
+        every noise draw depend on these exact bytes."""
+        S = md.lrd_covariance(N, alpha, sigma=0.7)
+        r = md._fgn_autocov(N, alpha, 0.7)
+        reference = np.array([[r[abs(i - j)] for j in range(N)]
+                              for i in range(N)])
+        assert S.dtype == np.float64 and S.flags.c_contiguous
+        assert np.array_equal(S, reference)
+
     def test_alpha_one_is_white(self):
         S = md.lrd_covariance(32, 1.0)
         assert np.allclose(S, np.eye(32))

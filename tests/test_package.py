@@ -1,6 +1,10 @@
 import ast
 import importlib
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import afdeconv
@@ -71,3 +75,46 @@ def test_readme_python_example_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     exec(compile(blocks[0], str(readme), "exec"), {})
     assert (tmp_path / "coefficients.csv").is_file()
+
+
+def test_package_imports_only_numpy_and_yaml():
+    """The package needs no third-party package but numpy and PyYAML.
+
+    A fresh interpreter imports `afdeconv.cli`, and every top-level name
+    that the import system loaded for it (a module with a `__spec__`;
+    the in-memory runtime entries of numpy's Cython extensions have none)
+    is in the standard library or numpy, yaml or the package itself.
+    Taking the difference with the modules loaded before leaves out what
+    site-packages `.pth` files import at start-up.  An AST walk over every
+    import statement under `src/afdeconv`, function bodies included, then
+    finds no other package, so a lazy import is caught as well."""
+    package = Path(afdeconv.__file__).parent
+    probe = ("import json, sys\n"
+             "before = set(sys.modules)\n"
+             "import afdeconv.cli\n"
+             "print(json.dumps(sorted({name.split('.')[0]\n"
+             "    for name in set(sys.modules) - before\n"
+             "    if getattr(sys.modules[name], '__spec__', None) is not None})))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(package.parent), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    loaded = set(json.loads(result.stdout))
+    allowed = set(sys.stdlib_module_names) | {"afdeconv", "numpy", "yaml"}
+    assert "afdeconv" in loaded
+    assert sorted(loaded - allowed) == []
+
+    imported = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                imported.setdefault(name.split(".")[0], path.name)
+    foreign = {name: where for name, where in imported.items()
+               if name not in allowed}
+    assert foreign == {}, f"third-party imports outside numpy and yaml: {foreign}"
