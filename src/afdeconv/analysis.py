@@ -338,6 +338,9 @@ def verify_lemma2(cfg: es.EstimatorConfig, index, M: int, N_ladder,
     exact variance sigma^2 ||L^T V||_F^2 and its slope are reported next to
     the Monte Carlo ones.
     """
+    if replicates < 2:
+        raise md.ParameterError(f"replicates: lemma 2 needs at least 2 for its "
+                                f"sample variance, got {replicates}")
     variances, exact_variances, fourth_ratios = [], [], []
     kurt = math.nan
     noise = cfg.noise

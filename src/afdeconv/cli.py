@@ -236,11 +236,23 @@ def validate_config(cfg: dict, command: str) -> dict:
                 md.make_test_function(fn["name"], **kwargs)
             except md.ParameterError as exc:
                 errors.append(f"function.{exc}")
-    v, w = merged.get("verify"), merged["wavelet"]
+    k = merged["kernel"]
+    if isinstance(k, dict) and k["name"] == "identity":
+        nu = (cfg.get("kernel") or {}).get("nu", 0)
+        if _SCHEMA["kernel"]["nu"].ok(nu) and nu != 0:
+            errors.append(f"kernel.nu: the identity kernel has nu = 0, got {nu!r}")
+        k["nu"] = 0.0  # what the run uses, also when nu is not given
+    v, w, e = merged.get("verify"), merged["wavelet"], merged["estimator"]
+    w_ok = isinstance(w, dict) and all(_SCHEMA["wavelet"][m].ok(w[m]) for m in ("m10", "m20"))
+    if w_ok and isinstance(e, dict):
+        for key, m in (("J1", "m10"), ("J2", "m20")):
+            if _is_number(e[key], integer=True) and e[key] < w[m]:
+                errors.append(f"estimator.{key}: must be null or an integer >= "
+                              f"wavelet.{m} = {w[m]}, got {e[key]!r}")
     if "verify" in reads and _SCHEMA["verify"]["lemmas"].ok(v["lemmas"]):
         if 2 in v["lemmas"] and isinstance(v["N_ladder"], list) and len(v["N_ladder"]) < 3:
             errors.append("verify.N_ladder: needs at least 3 entries")
-        if isinstance(w, dict) and all(_SCHEMA["wavelet"][m].ok(w[m]) for m in ("m10", "m20")):
+        if w_ok:
             errors += _address_errors(v, wv.WaveletSpec(w["m10"], w["m20"]))
     if errors:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))

@@ -187,9 +187,6 @@ def quantile_design(n: int, density: DesignDensity) -> np.ndarray:
 # Long-memory errors
 # ----------------------------------------------------------------------
 
-_EXACT_FACTOR_LIMIT = 2048
-
-
 def _fgn_autocov(N: int, alpha: float, sigma: float) -> np.ndarray:
     H = 1.0 - alpha / 2.0
     k = np.arange(N, dtype=float)
@@ -219,7 +216,8 @@ def lrd_covariance(N: int, alpha: float, sigma: float = 1.0) -> np.ndarray:
 
 
 def noise_factor(N: int, alpha: float, sigma: float = 1.0) -> np.ndarray:
-    """Lower-triangular A_N with A_N A_N^T = Sigma_N (exact Cholesky)."""
+    """Lower-triangular A_N with A_N A_N^T = Sigma_N (exact Cholesky): the
+    lemma suites' factor of their linear forms."""
     try:
         return np.linalg.cholesky(lrd_covariance(N, alpha, sigma))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - valid alpha is SPD
@@ -260,66 +258,67 @@ def _draw_innovations(rng: np.random.Generator, shape, kind: str) -> np.ndarray:
     return bits.view(np.float64)
 
 
-def _davies_harte_embedding(N: int, alpha: float) -> np.ndarray:
-    r = _fgn_autocov(N, alpha, 1.0)
-    circ = np.concatenate([r, [0.0], r[-1:0:-1]])
-    lam = np.real(np.fft.fft(circ))
+_COLOUR_BLOCK = 64  # columns that _error_sampler colours at once
+
+
+def _circulant_scale(N: int, alpha: float) -> np.ndarray:
+    """sqrt(N lam_k), k = 0..N, and sqrt(2N lam_k) at k = 0 and N, for the eigenvalues lam
+    of the 2N circulant embedding [r_0, ..., r_{N-1}, r_N, r_{N-1}, ..., r_1] of fGn's r."""
+    r = _fgn_autocov(N + 1, alpha, 1.0)
+    lam = np.fft.rfft(np.concatenate([r, r[-2:0:-1]])).real
     if lam.min() < -1e-10:
-        raise ParameterError("covariance not positive definite "
-                             "(circulant embedding failed)")
-    return np.sqrt(np.maximum(lam, 0.0))
+        raise ParameterError("circulant embedding not positive definite")
+    lam = np.maximum(lam, 0.0) * N
+    lam[[0, N]] *= 2.0
+    return np.sqrt(lam)
+
+
+def _colour(scale: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """B r for each row r of 2N unit innovations, where B = Q Lambda^{1/2}, the first N rows
+    of the circulant embedding's real eigenbasis times the roots of its eigenvalues, has
+    B B^T = Sigma_N.  r fills X_0 = r_0, X_k = r_{2k-1} + i r_{2k} (0 < k < N), X_N = r_{2N-1}:
+    the first N values of the real inverse FFT of the scaled X are B r."""
+    N = scale.size - 1
+    spec = np.zeros((len(r), N + 1), dtype=complex)
+    flat = spec.view(np.float64)  # Re X_0, Im X_0, Re X_1, ..., Re X_N, Im X_N
+    flat[:, 0] = r[:, 0]
+    flat[:, 2:-1] = r[:, 1:]
+    spec *= scale
+    return np.fft.irfft(spec, 2 * N)[:, :N]
 
 
 def _error_sampler(spec: NoiseSpec, N: int, M: int) -> Callable[..., np.ndarray]:
-    """``draw(seed)`` returning the errors of ``sample_errors``.  The
-    colouring (Cholesky factor or circulant embedding) is built here, once;
-    each draw spawns the per-column substreams of its seed."""
-    if spec.alpha == 1.0 or N <= _EXACT_FACTOR_LIMIT:
-        factor = None if spec.alpha == 1.0 else noise_factor(N, spec.alpha, 1.0)
-
-        def column(rng):
-            return _draw_innovations(rng, N, spec.kind)
-    else:
-        # Large N: circulant-embedding spectral sampling (Gaussian only; the
-        # embedding mixes innovations, so the Rademacher kind keeps the exact
-        # factor path and is capped at the exact-factor size).
-        if spec.kind != "gaussian-fgn":
-            raise ParameterError(
-                f"subgaussian-rademacher noise requires N <= {_EXACT_FACTOR_LIMIT}")
-        factor = None
-        sq = _davies_harte_embedding(N, spec.alpha)
-        two_n = sq.size
-
-        def column(rng):
-            z = rng.standard_normal(two_n) + 1j * rng.standard_normal(two_n)
-            # Re sum a_k z_k e^{-i..} has variance sum a_k^2 = 2N r(0), and
-            # covariance 2N r(|j-j'|); dividing by sqrt(2N) restores r exactly.
-            return np.real(np.fft.fft(sq * z))[:N] / np.sqrt(two_n)
+    """``draw(seed)``, the errors of ``sample_errors``: column l takes N
+    innovations from the l-th substream of the seed at alpha = 1, else 2N
+    that ``_colour`` colours, ``_COLOUR_BLOCK`` columns at a time, for every
+    N and both kinds.  The lemma suites' ``noise_factor`` gives the same law
+    for Gaussian innovations, another of the same covariance for Rademacher."""
+    scale = None if spec.alpha == 1.0 else _circulant_scale(N, spec.alpha)
 
     def draw(seed) -> np.ndarray:
-        # column l of the errors is row l of the buffer, a contiguous write
-        eps = np.empty((M, N))
-        for l, ss in enumerate(np.random.SeedSequence(seed).spawn(M)):
-            eps[l] = column(np.random.default_rng(ss))
-        if factor is None:
+        streams = np.random.SeedSequence(seed).spawn(M)
+        if scale is None:  # row l of the buffer is column l of the errors
+            eps = np.empty((M, N))
+            for l, ss in enumerate(streams):
+                eps[l] = _draw_innovations(np.random.default_rng(ss), N, spec.kind)
             return eps.T
-        # the factor multiplies a C-ordered copy, because BLAS rounds a small
-        # product of the transposed view differently; rebinding frees the
-        # rows before the product, so the peak stays at two (N, M) arrays
-        eps = np.ascontiguousarray(eps.T)
-        return factor @ eps
+        eps = np.empty((N, M))  # C order, as q is, so Y = q + sigma eps adds like layouts
+        for lo in range(0, M, _COLOUR_BLOCK):
+            r = np.array([_draw_innovations(np.random.default_rng(ss), 2 * N, spec.kind)
+                          for ss in streams[lo:lo + _COLOUR_BLOCK]])
+            eps[:, lo:lo + len(r)] = _colour(scale, r).T
+        return eps
 
     return draw
 
 
 def sample_errors(spec: NoiseSpec, N: int, M: int, seed) -> np.ndarray:
-    """M independent unit-scale long-memory N-vectors, one per column.
-
-    Column l uses the substream spawned from (seed, l), so profiles are
-    reproducible and independent.  The returned errors have covariance
-    ``lrd_covariance(N, alpha, sigma=1)`` per column; the observation noise
-    scale sigma is applied by the caller (``Y = q + sigma * eps``).
-    """
+    """M independent unit-scale long-memory N-vectors, one per column, each
+    of covariance ``lrd_covariance(N, alpha, sigma=1)``: fractional Gaussian
+    noise for Gaussian innovations, a sub-Gaussian process of that
+    covariance for Rademacher ones.  Column l uses the substream spawned
+    from (seed, l), so profiles are reproducible and independent.  The
+    caller applies sigma (``Y = q + sigma * eps``)."""
     return _error_sampler(spec, N, M)(seed)
 
 

@@ -312,16 +312,18 @@ class TestRateExperiment:
             assert p["mise_se"] == pytest.approx(0.0, abs=1e-15)
 
     def test_threaded_equals_serial(self):
+        """Uncoloured (alpha = 1) and coloured (alpha = 0.7) noise alike."""
         f = md.tensor_sinusoid(1.5, 1.5, max_freq=256)
         ker = md.power_kernel(1.0)
-        noise = md.NoiseSpec(alpha=1.0, sigma=0.2)
-        cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, noise)
         kw = dict(ladder=[(64, 64), (128, 128), (256, 256)], replicates=2,
                   seed=5, grid=256)
-        serial = an.rate_experiment(f, cfg, threads=1, **kw)
-        threaded = an.rate_experiment(f, cfg, threads=3, **kw)
-        assert [p["mise_mean"] for p in serial.points] == \
-               [p["mise_mean"] for p in threaded.points]
+        for alpha in (1.0, 0.7):
+            noise = md.NoiseSpec(alpha=alpha, sigma=0.2)
+            cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, noise)
+            serial = an.rate_experiment(f, cfg, threads=1, **kw)
+            threaded = an.rate_experiment(f, cfg, threads=3, **kw)
+            assert [p["mise_mean"] for p in serial.points] == \
+                   [p["mise_mean"] for p in threaded.points]
 
     @pytest.mark.parametrize("kind, sigma", [("gaussian-fgn", 0.1),
                                              ("subgaussian-rademacher", 0.1),
@@ -354,10 +356,10 @@ class TestRateExperiment:
                                              / math.sqrt(replicates))
 
     def test_invariants_computed_once_per_point(self, monkeypatch):
-        """One clean signal, one Cholesky factor and one basis of each
+        """One clean signal, one noise colouring and one basis of each
         level for the plan and one for the reconstructions per ladder
         point, not one per replicate."""
-        calls = count_calls(monkeypatch, md, ["convolved_signal", "noise_factor"])
+        calls = count_calls(monkeypatch, md, ["convolved_signal", "_circulant_scale"])
         bases = count_calls(monkeypatch, wv, ["build_basis"])
         f = md.tensor_sinusoid(1.5, 1.5, max_freq=256)
         ker = md.power_kernel(1.0)
@@ -365,7 +367,7 @@ class TestRateExperiment:
         cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, noise)
         ladder = [(64, 64), (128, 128), (256, 256)]
         an.rate_experiment(f, cfg, ladder, replicates=4, seed=5, grid=256)
-        assert calls == {"convolved_signal": 3, "noise_factor": 3}
+        assert calls == {"convolved_signal": 3, "_circulant_scale": 3}
         levels = sum(len(wv.level_range(cfg.wavelet, J1, 0))
                      + len(wv.level_range(cfg.wavelet, J2, 1))
                      for J1, J2 in (cfg.resolve_levels(M, N) for N, M in ladder))

@@ -109,6 +109,12 @@ class TestValidation:
         ("estimator", {"J1": "x"}, "estimator.J1: must be null or an integer"),
         ("estimator", {"J1": 2.5}, "estimator.J1"),
         ("estimator", {"J2": True}, "estimator.J2"),
+        ("estimator", {"J1": -5, "J2": -5},
+         "estimator.J1: must be null or an integer >= wavelet.m10 = 3, got -5"),
+        ("estimator", {"J2": 2},
+         "estimator.J2: must be null or an integer >= wavelet.m20 = 3, got 2"),
+        ("kernel", {"name": "identity", "nu": 3},
+         "kernel.nu: the identity kernel has nu = 0, got 3"),
         ("noise", {"alfa": 0.3}, "noise.alfa: not a noise key"),
         ("noize", {"alpha": 0.3}, "config.noize: not a config key"),
         ("estimator", {"gama": 8}, "estimator.gama: not an estimator key"),
@@ -122,7 +128,8 @@ class TestValidation:
     ], ids=["m10-low", "m10-string", "m20-float", "m20-bool", "regularity",
             "grid_size", "family-haar", "family-null", "wavelet-scalar",
             "design-t-scalar", "besov-string", "besov-zero", "J1-string",
-            "J1-float", "J2-bool", "noise-alfa", "noize", "estimator-gama",
+            "J1-float", "J2-bool", "J1-below-m10", "J2-below-m20",
+            "identity-nu", "noise-alfa", "noize", "estimator-gama",
             "design-t-xo", "design-z", "kernel-nuu", "seed-float",
             "seed-string", "seed-negative", "seed-bool"])
     def test_config_values_checked(self, tmp_path, capsys, section, values,
@@ -130,7 +137,8 @@ class TestValidation:
         """A section must be a mapping, and every section and the root
         reject a key they do not read. The wavelet section takes only
         family (meyer), m10 and m20 (integers >= 2); J1 and J2 are null or
-        integers, besov_radius is positive and the seed is a nonnegative
+        integers of at least m10 and m20, besov_radius is positive, the
+        identity kernel takes no non-zero nu and the seed is a nonnegative
         integer. Anything else exits 2 with a message, not with a
         traceback or a silent load."""
         path = write_config(tmp_path, extra={section: values},
@@ -140,6 +148,17 @@ class TestValidation:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not (out / "observations.csv").exists()
+
+    def test_identity_kernel_records_nu_zero(self, tmp_path):
+        """The resolved config records the nu an identity-kernel run uses,
+        0, also when nu is not given (a non-zero nu exits 2, see
+        test_config_values_checked)."""
+        out = tmp_path / "o"
+        for kernel in ({"name": "identity"}, {"name": "identity", "nu": 0}):
+            path = write_config(tmp_path, kernel=kernel)
+            assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+            resolved = yaml.safe_load((out / "resolved_config.yaml").read_text())
+            assert resolved["kernel"] == {"name": "identity", "nu": 0.0}
 
     def test_seed_override_checked(self, tmp_path, capsys):
         """A --seed override is checked as the config's seed is."""
@@ -574,6 +593,17 @@ class TestVerifyAndBench:
                          "--out", str(out)]) == 0
         assert (out / "lemma1.csv").exists()
         assert "lemma1" in (out / "verify_summary.txt").read_text()
+
+    def test_lemma2_needs_two_replicates(self, tmp_path, capsys):
+        """Lemma 2's sample variance needs two replicates: one exits 2
+        naming lemma 2 and the key, with no numpy warning on the way."""
+        path = write_config(tmp_path, noise={"alpha": 0.6, "sigma": 1.0},
+                            extra={"verify": {"lemmas": [2], "replicates": 1}})
+        out = tmp_path / "v"
+        assert cli.main(["verify-lemmas", "--config", str(path), "--out", str(out)]) == 2
+        assert ("replicates: lemma 2 needs at least 2 for its sample variance, "
+                "got 1") in capsys.readouterr().err
+        assert not (out / "lemma2.csv").exists()
 
     @pytest.mark.parametrize("extra, named", [
         ({"verify": {"lemmas": [2], "index": [3, 99, 2, 1]}},

@@ -120,8 +120,8 @@ class TestLongMemoryNoise:
     @pytest.mark.parametrize("N", [2, 3, 17, 256])
     def test_covariance_is_exact_toeplitz(self, N, alpha):
         """Every entry (i, j) is the lag-|i - j| autocovariance bit for
-        bit, in a C-contiguous float64 array: the Cholesky factor and so
-        every noise draw depend on these exact bytes."""
+        bit, in a C-contiguous float64 array: the lemma suites' Cholesky
+        factor depends on these exact bytes."""
         S = md.lrd_covariance(N, alpha, sigma=0.7)
         r = md._fgn_autocov(N, alpha, 0.7)
         reference = np.array([[r[abs(i - j)] for j in range(N)]
@@ -158,11 +158,12 @@ class TestLongMemoryNoise:
         off = c[~np.eye(3, dtype=bool)]
         assert np.max(np.abs(off)) < 0.1
 
-    def test_davies_harte_matches_cholesky_distribution(self):
-        """Both sampling paths produce the target covariance."""
+    def test_large_draw_has_fgn_covariance(self):
+        """A draw above N = 2048 has unit marginal variance and the fGn
+        lag-1 autocovariance."""
         alpha = 0.7
         spec = md.NoiseSpec(alpha=alpha, sigma=1.0)
-        big = md.sample_errors(spec, N=4096, M=8, seed=3)  # circulant path
+        big = md.sample_errors(spec, N=4096, M=8, seed=3)
         assert big.shape == (4096, 8)
         # variance of each marginal is 1
         assert np.var(big) == pytest.approx(1.0, abs=0.1)
@@ -171,6 +172,21 @@ class TestLongMemoryNoise:
         r1 = 0.5 * (2 ** (2 * H) - 2)
         emp = np.mean(big[1:] * big[:-1])
         assert emp == pytest.approx(r1, abs=0.05)
+
+    @pytest.mark.parametrize("N", [16, 257, 2048, 4100])
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.6, 0.9])
+    def test_colouring_is_an_exact_root(self, N, alpha):
+        """The colouring applied to the 2N unit innovations gives the N x 2N
+        matrix B, 512 columns at a time, and B B^T is the fGn covariance to
+        rounding.  At alpha = 0.1 an embedding with 0 in place of r_N has
+        negative eigenvalues."""
+        scale = md._circulant_scale(N, alpha)
+        gram = np.zeros((N, N))
+        for lo in range(0, 2 * N, 512):
+            columns = md._colour(scale, np.eye(min(512, 2 * N - lo), 2 * N, k=lo))
+            gram += columns.T @ columns
+        gram -= md.lrd_covariance(N, alpha)
+        assert np.abs(gram).max() <= 1e-14
 
     def test_rademacher_unit_variance(self):
         spec = md.NoiseSpec(alpha=1.0, kind="subgaussian-rademacher",
@@ -188,27 +204,31 @@ class TestLongMemoryNoise:
         (0.5, "gaussian-fgn", 96, 12),
         (0.7, "subgaussian-rademacher", 80, 9),
         (1.0, "gaussian-fgn", 40, 5),
-        (0.7, "gaussian-fgn", 4100, 3)])
+        (0.7, "gaussian-fgn", 4100, 3),
+        (0.7, "subgaussian-rademacher", 4100, 3),
+        (0.5, "gaussian-fgn", 32, 70)])
     def test_columns_are_their_own_substreams(self, alpha, kind, N, M):
         """Column l is drawn from the generator of the l-th SeedSequence
-        spawned from the seed, then coloured: bitwise equal to this plain
-        column-by-column reference on the Cholesky branch (Gaussian and
-        Rademacher innovations), with no colouring at alpha = 1, and on the
-        Davies-Harte branch (N above the exact-factor limit)."""
+        spawned from the seed, then coloured on its own: bitwise equal to
+        this plain column-by-column reference for Gaussian and Rademacher
+        innovations, above N = 2048, across a block of columns, and with no
+        colouring at alpha = 1."""
         spec = md.NoiseSpec(alpha=alpha, kind=kind)
         E = np.empty((N, M))
+        width = N if alpha == 1.0 else 2 * N
         for l, ss in enumerate(np.random.SeedSequence(21).spawn(M)):
             rng = np.random.default_rng(ss)
-            if N > md._EXACT_FACTOR_LIMIT and alpha < 1.0:
-                sq = md._davies_harte_embedding(N, alpha)
-                z = rng.standard_normal(2 * N) + 1j * rng.standard_normal(2 * N)
-                E[:, l] = np.real(np.fft.fft(sq * z))[:N] / np.sqrt(2 * N)
-            elif kind == "gaussian-fgn":
-                E[:, l] = rng.standard_normal(N)
+            if kind == "gaussian-fgn":
+                r = rng.standard_normal(width)
             else:
-                E[:, l] = 2.0 * rng.integers(0, 2, size=N) - 1.0
-        if N <= md._EXACT_FACTOR_LIMIT and alpha < 1.0:
-            E = md.noise_factor(N, alpha) @ E
+                r = 2.0 * rng.integers(0, 2, size=width) - 1.0
+            if alpha < 1.0:
+                # Hermitian spectrum r_0, r_1 + i r_2, ..., r_{2N-1}, scaled
+                X = np.zeros(N + 1, dtype=complex)
+                X[0], X[N] = r[0], r[-1]
+                X[1:N] = r[1:-1:2] + 1j * r[2:-1:2]
+                r = np.fft.irfft(md._circulant_scale(N, alpha) * X, 2 * N)[:N]
+            E[:, l] = r
         assert np.array_equal(md.sample_errors(spec, N, M, seed=21), E)
 
 
@@ -301,7 +321,7 @@ class TestSimulation:
         """`simulate_replicates` computes the clean signal and the noise
         colouring once, yet yields, seed for seed, the grid of
         `simulate_observations` and of q + sigma * sample_errors(seed); the
-        last case takes the Davies-Harte branch."""
+        last case draws above N = 2048."""
         f = md.tensor_sinusoid(1.0, 1.0, max_freq=32)
         ker = md.power_kernel(1.0)
         d = md.DesignDensity(beta=0.3, x0=0.5)
