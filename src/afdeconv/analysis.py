@@ -456,8 +456,9 @@ def _ladder_point(f, cfg, N, M, replicates, seed, grid, f_ref):
     values = np.empty(replicates)
     grids = md.simulate_replicates(f, cfg.kernel, cfg.d1, cfg.d2, cfg.noise,
                                    N, M, range(seed, seed + replicates))
-    # the replicates' reconstructions share the bases of every level
-    bases = tuple(es._bases(cfg, wv.level_range(cfg.wavelet, J, axis), axis)
+    # the replicates' reconstructions share the level matrices of every level
+    bases = tuple(es._level_matrices(cfg, wv.level_range(cfg.wavelet, J, axis), axis,
+                                     np.arange(grid) / grid)
                   for axis, J in ((0, plan.J1), (1, plan.J2)))
     for r, obs in enumerate(grids):
         fld = es.estimate_field(plan, obs.Y)

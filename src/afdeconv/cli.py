@@ -52,7 +52,7 @@ def _int_list(val, size: int | None = None, low: int | None = None) -> bool:
 
 
 def _pairs(val) -> bool:
-    return isinstance(val, list) and all(_int_list(p, 2, low=1) for p in val)
+    return isinstance(val, list) and all(_int_list(p, 2, low=2) for p in val)
 
 
 _REQUIRED = object()  # no default: the key must be given
@@ -124,13 +124,13 @@ _SCHEMA = {
                                and all(_int_list(i, 4) for i in val),
                                "a non-empty list of lists of 4 integers"),
                "levels1": _Key([3, 4, 5, 6], _int_list, "a non-empty list of integers"),
-               "N_ladder": _Key([128, 256, 512, 1024], lambda val: _int_list(val, low=1),
-                                "a non-empty list of positive integers"),
+               "N_ladder": _Key([128, 256, 512, 1024], lambda val: _int_list(val, low=2),
+                                "a non-empty list of integers >= 2"),
                "M": _integer(_UNSET, 1), "N": _integer(256, 1),
                "replicates": _integer(_UNSET, 1),
-               "ladder": _Key([], _pairs, "a list of [N, M] pairs of positive integers")},
+               "ladder": _Key([], _pairs, "a list of [N, M] pairs of integers >= 2")},
     "bench": {"ladder": _Key(_REQUIRED, lambda val: _pairs(val) and len(val) > 0,
-                             "a non-empty list of [N, M] pairs of positive integers"),
+                             "a non-empty list of [N, M] pairs of integers >= 2"),
               "replicates": _integer(20, 1), "grid": _GRID},
     # unset keys keep the defaults of analysis.BesovParams
     "besov": {"s1": _real(_REQUIRED), "s2": _real(_REQUIRED),
@@ -249,11 +249,25 @@ def validate_config(cfg: dict, command: str) -> dict:
             if _is_number(e[key], integer=True) and e[key] < w[m]:
                 errors.append(f"estimator.{key}: must be null or an integer >= "
                               f"wavelet.{m} = {w[m]}, got {e[key]!r}")
+    ladders = {"bench.ladder": merged["bench"].get("ladder")} if "bench" in reads else {}
     if "verify" in reads and _SCHEMA["verify"]["lemmas"].ok(v["lemmas"]):
         if 2 in v["lemmas"] and isinstance(v["N_ladder"], list) and len(v["N_ladder"]) < 3:
             errors.append("verify.N_ladder: needs at least 3 entries")
+        ladders.update({f"verify.{key}": v[key] for lemma, key
+                        in ((2, "N_ladder"), (3, "ladder")) if lemma in v["lemmas"]})
         if w_ok:
             errors += _address_errors(v, wv.WaveletSpec(w["m10"], w["m20"]))
+    # a ladder's log-log fit sorts its sizes, N or M N^alpha, which must differ
+    alpha = merged["noise"].get("alpha") if isinstance(merged["noise"], dict) else None
+    for key, val in ladders.items():
+        if key == "verify.N_ladder" and _int_list(val, low=2):
+            what, sizes = "N", val
+        elif key != "verify.N_ladder" and _pairs(val) and _SCHEMA["noise"]["alpha"].ok(alpha):
+            what, sizes = f"M N^alpha at alpha = {alpha!r}", [M * N ** alpha for N, M in val]
+        else:
+            continue
+        if len(set(sizes)) < len(sizes):
+            errors.append(f"{key}: {what} must differ between entries, got {val!r}")
     if errors:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
     return merged

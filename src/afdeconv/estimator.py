@@ -238,22 +238,18 @@ class FieldPlan:
         self.J1, self.J2 = cfg.resolve_levels(self.M, self.N)
         inv_h1, self.inv_h2 = _design_weights(cfg, t, x)
         # eta_{j2,k2}(x_l), one (M, count) matrix per x-level
-        self.eta = {j2: wv.eval_on_points(x, *wv.build_basis(cfg.wavelet, j2, axis=1))
-                    for j2 in wv.level_range(cfg.wavelet, self.J2, axis=1)}
+        self.eta = _level_matrices(cfg, wv.level_range(cfg.wavelet, self.J2, axis=1), 1, x)
         # per t-level: rows |m| of the half band, which of them to
         # conjugate (m < 0), psi matrix, conj(g) on the band
-        basis1 = _bases(cfg, wv.level_range(cfg.wavelet, self.J1, axis=0), axis=0)
-        band = _band(basis1)
+        basis1 = {j1: wv.build_basis(cfg.wavelet, j1, 0)
+                  for j1 in wv.level_range(cfg.wavelet, self.J1, axis=0)}
+        band = max(m.max() for m, _ in basis1.values())
         self.t_basis = {j1: (np.abs(m), (m < 0)[:, None], psi,
                              _conj_kernel(cfg.kernel, m, x, j1))
                         for j1, (m, psi) in basis1.items()}
         # cos and sin rows of e^{i 2 pi m t_i} / h1(t_i), m = 0..b, stacked,
         # so the t-transform of the real Y is one real product
-        arg = np.outer(np.arange(band + 1), t)
-        arg *= 2.0 * np.pi
-        self.phase = np.empty((2 * (band + 1), self.N))
-        np.cos(arg, out=self.phase[:band + 1])
-        np.sin(arg, out=self.phase[band + 1:])
+        self.phase = np.ascontiguousarray(wv._cos_sin(t, np.arange(band + 1)).T)
         self.phase *= inv_h1
 
     def estimate(self, Y: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
@@ -299,17 +295,6 @@ def estimate_field(plan: FieldPlan, Y: np.ndarray) -> dict[tuple[int, int], Leve
 # True coefficients and reconstruction
 # ----------------------------------------------------------------------
 
-def _bases(cfg: EstimatorConfig, levels, axis: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """``wavelets.build_basis`` of each level of ``cfg``'s basis, keyed by
-    level."""
-    return {j: wv.build_basis(cfg.wavelet, j, axis) for j in levels}
-
-
-def _band(bases: dict[int, tuple[np.ndarray, np.ndarray]]) -> int:
-    """Largest |m| over the bands of the given levels."""
-    return max(m.max() for m, _ in bases.values())
-
-
 def true_coefficients(f: TestFunction, cfg: EstimatorConfig,
                       J1: int, J2: int) -> dict[tuple[int, int], np.ndarray]:
     """Tensor quadrature of f = u(t) v(x) against the basis, per level-pair
@@ -322,8 +307,8 @@ def true_coefficients(f: TestFunction, cfg: EstimatorConfig,
     has at least 4096 points (a finer grid on every level moved the lower
     blocks by up to 8.4e-6, the aliasing of v).
     """
-    basis1 = _bases(cfg, wv.level_range(cfg.wavelet, J1, axis=0), 0)
-    basis2 = _bases(cfg, wv.level_range(cfg.wavelet, J2, axis=1), 1)
+    basis1 = {j: wv.build_basis(cfg.wavelet, j, 0) for j in wv.level_range(cfg.wavelet, J1, 0)}
+    basis2 = {j: wv.build_basis(cfg.wavelet, j, 1) for j in wv.level_range(cfg.wavelet, J2, 1)}
     along_t = {j1: np.conj(psi).T @ f.u_hat_at(off1) for j1, (off1, psi) in basis1.items()}
     grid = {j2: max(4096, 1 << (2 * int(off2.max())).bit_length())
             for j2, (off2, _) in basis2.items()}
@@ -335,15 +320,11 @@ def true_coefficients(f: TestFunction, cfg: EstimatorConfig,
             for j1, a in along_t.items() for j2, b in along_x.items()}
 
 
-def _fold(a: np.ndarray, first: int, grid: int, axis: int) -> np.ndarray:
-    """Sum the entries of ``a`` along ``axis`` whose frequencies, ``first``,
-    ``first + 1``, ..., agree mod ``grid``: the length-``grid`` axis that
-    results is indexed by the frequency mod ``grid``."""
-    a = np.moveaxis(a, axis, 0)
-    lead = first % grid
-    padded = np.zeros((math.ceil((lead + len(a)) / grid) * grid,) + a.shape[1:], a.dtype)
-    padded[lead:lead + len(a)] = a
-    return np.moveaxis(padded.reshape((-1, grid) + a.shape[1:]).sum(axis=0), 0, axis)
+def _level_matrices(cfg: EstimatorConfig, levels, axis: int, points) -> dict[int, np.ndarray]:
+    """The (len(points), shift_count) matrix of every shift of each level
+    of ``cfg``'s basis at the points, keyed by level."""
+    return {j: wv.eval_on_points(points, *wv.build_basis(cfg.wavelet, j, axis))
+            for j in levels}
 
 
 def reconstruct(field: dict[tuple[int, int], LevelBlock], cfg: EstimatorConfig,
@@ -351,41 +332,25 @@ def reconstruct(field: dict[tuple[int, int], LevelBlock], cfg: EstimatorConfig,
     """Tensor synthesis of the kept coefficients on the uniform (grid, grid)
     periodic grid: f_hat(t_a, x_b) at t_a = a / grid, x_b = b / grid.
 
-    f_hat is real, so its Fourier block F[m1, m2] is Hermitian and only
-    the columns m2 >= 0 are formed, summed over every level pair.  They
-    are folded onto the grid's half spectrum, the frequencies k2 = 0 ..
-    grid / 2 of one real 2-D transform: column m2 adds F[m1, m2] at
-    (m1, m2) mod grid when m2 mod grid <= grid / 2, and for m2 > 0 its
-    twin conj(F[m1, m2]) = F[-m1, -m2] adds at (-m1, -m2) mod grid when
-    -m2 mod grid <= grid / 2.  A column on the residue 0 or grid / 2 (a
-    band wider than the grid aliases) takes both.
-
-    Level pairs that keep no coefficient add nothing and are skipped.
-    The bases come from ``bases``, a pair of ``_bases`` dicts (t, x)
-    holding at least the levels of the other pairs, which lets fields on
-    one plan share them; when it is None only those levels are built.
+    Per t-level j1 it adds ``Psi_{j1} sum_{j2} C_{j1 j2} Eta_{j2}^T``, with
+    C the kept coefficients of a level pair (0 elsewhere) and Psi, Eta the
+    ``_level_matrices`` at the grid points: point values, so a band wider
+    than the grid needs no folding.  Level pairs that keep no coefficient
+    are skipped.  ``bases``, a pair of ``_level_matrices`` dicts (t, x) at
+    the grid points holding at least the levels of the other pairs, lets
+    fields on one plan share them; when it is None only those are built.
     """
     field = {key: blk for key, blk in field.items() if blk.kept.any()}
-    if not field:
-        return np.zeros((grid, grid))
     if bases is None:
-        bases = (_bases(cfg, {j1 for j1, _ in field}, 0),
-                 _bases(cfg, {j2 for _, j2 in field}, 1))
-    basis1, basis2 = bases
-    b1 = _band({j1: basis1[j1] for j1, _ in field})
-    b2 = _band({j2: basis2[j2] for _, j2 in field})
-    F = np.zeros((2 * b1 + 1, b2 + 1), dtype=complex)  # rows m1 = -b1..b1
-    for (j1, j2), blk in field.items():
-        C = np.where(blk.kept, blk.beta_hat, 0.0)
-        off1, psi = basis1[j1]
-        off2, etam = basis2[j2]
-        right = off2 >= 0
-        F[np.ix_(off1 + b1, off2[right])] += psi @ C @ etam[right].T
-    folded = _fold(F, 0, grid, axis=1)  # columns m2 mod grid
-    twins = _fold(F[::-1, 1:], 1, grid, axis=1)  # m2 > 0, rows -m1
-    half = folded[:, :grid // 2 + 1]
-    half += np.conj(twins[:, -np.arange(grid // 2 + 1) % grid])
-    return np.fft.irfft2(_fold(half, -b1, grid, axis=0), s=(grid, grid)) * grid * grid
+        points = np.arange(grid) / grid
+        bases = (_level_matrices(cfg, {j1 for j1, _ in field}, 0, points),
+                 _level_matrices(cfg, {j2 for _, j2 in field}, 1, points))
+    psi, eta = bases
+    out = np.zeros((grid, grid))
+    for j1 in sorted({j1 for j1, _ in field}):
+        out += psi[j1] @ sum(np.where(blk.kept, blk.beta_hat, 0.0) @ eta[j2].T
+                             for (i1, j2), blk in field.items() if i1 == j1)
+    return out
 
 
 # ----------------------------------------------------------------------

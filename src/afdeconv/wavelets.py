@@ -8,8 +8,9 @@ column per shift k, and ``eval_on_points`` evaluates one column or the
 whole level at arbitrary points.  All downstream quadratures, inner
 products and deconvolution sums reduce to finite sums over this band, and
 ``eval_on_points`` is also the one Fourier synthesis of the simulator's
-test functions and clean signal.  This module is the only place that knows
-the shift phase ``exp(-i 2 pi m k / 2^j)``.
+test functions and clean signal and of the reconstruction grid.  This
+module alone knows the shift phase ``exp(-i 2 pi m k / 2^j)`` and forms
+``[cos | sin](2 pi t m)`` (``_cos_sin``, also ``FieldPlan``'s phase).
 
 The basis is the periodized Meyer basis, band-limited by construction, so
 the tables are exact.  Levels run up to ``MAX_LEVEL``.
@@ -225,11 +226,16 @@ def eval_on_points(points, offsets: np.ndarray, coeffs: np.ndarray) -> np.ndarra
     out = np.empty(t.shape + coeffs.shape[1:])
     step = max(1, _BLOCK_EXPONENTIALS // max(1, h))
     for lo in range(0, t.size, step):
-        block = t[lo:lo + step]
-        cos_sin = np.empty((block.size, 2 * h))
-        arg = np.multiply.outer(block, half, out=cos_sin[:, h:])
-        arg *= 2.0 * np.pi
-        np.cos(arg, out=cos_sin[:, :h])
-        np.sin(arg, out=arg)
-        out[lo:lo + step] = cos_sin @ folded
+        out[lo:lo + step] = _cos_sin(t[lo:lo + step], half) @ folded
     return out.reshape(np.shape(points) + coeffs.shape[1:])
+
+
+def _cos_sin(t: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``[cos | sin](2 pi t m)`` for 1-D points t and frequencies m: row i
+    holds cos(2 pi m t_i) for every m, then sin(2 pi m t_i)."""
+    cos_sin = np.empty((t.size, 2 * m.size))
+    arg = np.multiply.outer(t, m, out=cos_sin[:, m.size:])
+    arg *= 2.0 * np.pi
+    np.cos(arg, out=cos_sin[:, :m.size])
+    np.sin(arg, out=arg)
+    return cos_sin

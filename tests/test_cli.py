@@ -246,6 +246,56 @@ class TestValidation:
         assert key in capsys.readouterr().err
         assert not (out / "verify_summary.txt").exists()
 
+    @pytest.mark.parametrize("command, extra, named", [
+        ("bench-rate", {"bench": {"ladder": [[64, 64], [128, 128], [64, 64]]}},
+         "bench.ladder: M N^alpha at alpha = 0.5 must differ between entries"),
+        ("bench-rate", {"bench": {"ladder": [[256, 64], [64, 128], [512, 512]]}},
+         "bench.ladder: M N^alpha at alpha = 0.5 must differ between entries"),
+        ("verify-lemmas", {"verify": {"lemmas": [2], "N_ladder": [128, 128, 256]}},
+         "verify.N_ladder: N must differ between entries, got [128, 128, 256]"),
+        ("verify-lemmas", {"verify": {"lemmas": [3], "ladder": [[128, 64], [128, 64],
+                                                                 [256, 64]]}},
+         "verify.ladder: M N^alpha at alpha = 0.5 must differ between entries"),
+        ("bench-rate", {"bench": {"ladder": [[1, 8], [16, 16]]}},
+         "bench.ladder: must be a non-empty list of [N, M] pairs of integers >= 2"),
+        ("verify-lemmas", {"verify": {"lemmas": [2], "N_ladder": [1, 2, 4]}},
+         "verify.N_ladder: must be a non-empty list of integers >= 2"),
+        ("verify-lemmas", {"verify": {"lemmas": [3], "ladder": [[64, 1], [128, 64]]}},
+         "verify.ladder: must be a list of [N, M] pairs of integers >= 2"),
+        ("bench-rate", {"bench": {"replicates": 5}},
+         "bench.ladder: must be a non-empty list of [N, M] pairs of integers >= 2, "
+         "not given"),
+    ], ids=["bench-repeated", "bench-equal-n", "N_ladder-repeated",
+            "verify-ladder-repeated", "bench-size-1", "N_ladder-size-1",
+            "verify-ladder-size-1", "bench-ladder-missing"])
+    def test_ladder_sizes_checked(self, tmp_path, capsys, monkeypatch, command,
+                                  extra, named):
+        """Every size in a ladder is at least 2, and the sizes a ladder's
+        log-log fit sorts (N for `verify.N_ladder`, M N^alpha for the
+        [N, M] ladders, also for distinct pairs) differ: otherwise exit 2
+        naming the key before any ladder point runs.  A missing ladder is
+        named too."""
+        for name in ("rate_experiment", "verify_lemma2", "verify_lemma3"):
+            monkeypatch.setattr(an, name, lambda *a, **k: pytest.fail("work started"))
+        path = write_config(tmp_path, noise={"alpha": 0.5, "sigma": 0.25},
+                            extra=extra)
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("ladder", [[96, 192, 384], [128, 256, 512, 1024]])
+    def test_distinct_ladders_validate(self, tmp_path, ladder):
+        """Distinct ladders of N = M pass, and so does the N ladder up to
+        2048, at alpha = 0.5 as at the default alpha = 1."""
+        for noise in ({"alpha": 0.5, "sigma": 0.05}, {"alpha": 1.0, "sigma": 0.05}):
+            cfg = cli.load_config(write_config(tmp_path, noise=noise, extra={
+                "bench": {"ladder": [[n, n] for n in ladder]},
+                "verify": {"lemmas": [1, 2, 3], "N_ladder": ladder + [2048],
+                           "ladder": [[n, n] for n in ladder]}}))
+            cli.validate_config(cfg, "bench-rate")
+            cli.validate_config(cfg, "verify-lemmas")
+
     @pytest.mark.parametrize("command, section, key", [
         ("estimate", {"grid": "abc"}, "estimate.grid: must be an integer >= 2"),
         ("estimate", {"grid": True}, "estimate.grid"),

@@ -354,6 +354,12 @@ class TestThresholdingRules:
         assert kept[1] <= kept[0]
 
 
+def _direct_synthesis(points, m, coeffs):
+    """``Re(exp(2 pi i outer(points, m)) @ coeffs)``: every column of a
+    level at the points, summed over its full band with no folding."""
+    return np.real(np.exp(2j * np.pi * np.outer(points, m)) @ coeffs)
+
+
 class TestReconstruction:
 
     @pytest.mark.parametrize("grid, aliased", [(16, True), (512, False)])
@@ -376,9 +382,9 @@ class TestReconstruction:
             m1, psi = wv.build_basis(cfg.wavelet, j1, axis=0)
             m2, eta = wv.build_basis(cfg.wavelet, j2, axis=1)
             band = max(band, m1.max(), m2.max())
-            expected += (wv.eval_on_points(points, m1, psi)
+            expected += (_direct_synthesis(points, m1, psi)
                          @ np.where(blk.kept, blk.beta_hat, 0.0)
-                         @ wv.eval_on_points(points, m2, eta).T)
+                         @ _direct_synthesis(points, m2, eta).T)
         assert (2 * band + 1 > grid) == aliased
         assert np.allclose(es.reconstruct(field, cfg, grid=grid), expected,
                            rtol=0.0, atol=1e-12)
@@ -387,9 +393,8 @@ class TestReconstruction:
     def test_reconstruct_aliases_every_kept_frequency(self, grid):
         """With every coefficient kept, the kept bands reach the grid's
         Nyquist frequency grid / 2 and pass the grid itself, so frequencies
-        fold onto the residues 0 and grid / 2, where a real grid needs both
-        a frequency and its twin; the grid still holds the direct synthesis
-        of the kept coefficients."""
+        alias onto the residues 0 and grid / 2, and the grid still holds the
+        direct synthesis of the kept coefficients."""
         f = md.tensor_sinusoid(1.5, 1.5, max_freq=64)
         ker = md.power_kernel(1.0)
         noise = md.NoiseSpec(alpha=1.0, sigma=0.3)
@@ -405,8 +410,8 @@ class TestReconstruction:
             m1, psi = wv.build_basis(cfg.wavelet, j1, axis=0)
             m2, eta = wv.build_basis(cfg.wavelet, j2, axis=1)
             kept.update(m2[m2 >= 0].tolist())
-            expected += (wv.eval_on_points(points, m1, psi) @ blk.beta_hat
-                         @ wv.eval_on_points(points, m2, eta).T)
+            expected += (_direct_synthesis(points, m1, psi) @ blk.beta_hat
+                         @ _direct_synthesis(points, m2, eta).T)
         assert max(kept) > grid
         assert {grid // 2, grid} <= kept
         assert np.allclose(es.reconstruct(field, cfg, grid=grid), expected,
@@ -446,9 +451,9 @@ class TestReconstruction:
             m1, psi = wv.build_basis(cfg.wavelet, j1, axis=0)
             m2, eta = wv.build_basis(cfg.wavelet, j2, axis=1)
             blk = field[(j1, j2)]
-            expected += (wv.eval_on_points(points, m1, psi)
+            expected += (_direct_synthesis(points, m1, psi)
                          @ np.where(blk.kept, blk.beta_hat, 0.0)
-                         @ wv.eval_on_points(points, m2, eta).T)
+                         @ _direct_synthesis(points, m2, eta).T)
         assert np.allclose(recon, expected, rtol=0.0, atol=1e-12)
 
     def test_parseval_identity(self):

@@ -1,3 +1,4 @@
+import decimal
 import functools
 import re
 import tempfile
@@ -132,6 +133,32 @@ class TestLongMemoryNoise:
     def test_alpha_one_is_white(self):
         S = md.lrd_covariance(32, 1.0)
         assert np.allclose(S, np.eye(32))
+
+    @pytest.mark.parametrize("alpha", [1e-6, 0.1, 0.5, 0.9])
+    def test_autocovariance_keeps_its_digits(self, alpha):
+        """r_k agrees to 1e-13 relative with the second difference of
+        k^{2H} in 60-digit decimal arithmetic, at small lags and far out,
+        where the float64 second difference cancels up to 9 digits."""
+        two_h = decimal.Decimal(2 * (1.0 - alpha / 2.0))
+
+        def power(k):
+            return decimal.Decimal(abs(k)) ** two_h if k else decimal.Decimal(0)
+
+        r = md._fgn_autocov(100000, alpha, 1.0)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            for k in (0, 1, 2, 3, 4, 5, 17, 100, 1000, 4095, 31337, 99999):
+                exact = (power(k + 1) - 2 * power(k) + power(k - 1)) / 2
+                assert abs(decimal.Decimal(r[k]) - exact) <= decimal.Decimal(1e-13) * abs(exact)
+
+    def test_near_white_embedding_is_positive(self):
+        """At alpha = 1e-6 and N = 10000 the circulant embedding's smallest
+        eigenvalue, about 8.5e-7, is not lost to rounding."""
+        assert (md._circulant_scale(10000, 1e-6) ** 2).min() / 10000 > 8e-7
+
+    def test_alpha_one_autocovariance_is_exactly_white(self):
+        r = md._fgn_autocov(5000, 1.0, 0.7)
+        assert r[0] == 0.7 ** 2 and not r[1:].any()
 
     def test_eigenvalue_growth(self):
         """Largest eigenvalue grows like N^{1-alpha}."""
