@@ -450,12 +450,14 @@ class RateReport:
     notes: list[str] = dc_field(default_factory=list)
 
 
-def _ladder_point(f, cfg, N, M, replicates, seed, grid, f_ref):
+def _ladder_point(f, cfg, N, M, replicates, entropy, grid, f_ref):
+    """MISE mean and standard error over the replicates of one ladder
+    point; replicate r draws its noise from the seed entropy + [r]."""
     plan = es.FieldPlan(cfg, md.quantile_design(N, cfg.d1),
                         md.quantile_design(M, cfg.d2))
     values = np.empty(replicates)
     grids = md.simulate_replicates(f, cfg.kernel, cfg.d1, cfg.d2, cfg.noise,
-                                   N, M, range(seed, seed + replicates))
+                                   N, M, ([*entropy, r] for r in range(replicates)))
     # the replicates' reconstructions share the level matrices of every level
     bases = tuple(es._level_matrices(cfg, wv.level_range(cfg.wavelet, J, axis), axis,
                                      np.arange(grid) / grid)
@@ -475,7 +477,9 @@ def rate_experiment(f: md.TestFunction, cfg: es.EstimatorConfig, ladder,
     Averages the integrated squared error of the thresholded reconstruction
     over replicates at each ladder point, fits the log-log slope against the
     effective sample size n = M N^alpha, and attaches the classified
-    theoretical regime for comparison.
+    theoretical regime for comparison.  Replicate r of ladder point i
+    draws its noise from the seed entropy [seed, i, r], so runs with
+    different seeds share no replicate.
     """
     if not ladder:
         raise md.ParameterError("ladder must contain at least one (N, M) pair")
@@ -486,8 +490,7 @@ def rate_experiment(f: md.TestFunction, cfg: es.EstimatorConfig, ladder,
 
     def work(args):
         i, (N, M) = args
-        return _ladder_point(f, cfg, N, M, replicates,
-                             seed + 100003 * i, grid, f_ref)
+        return _ladder_point(f, cfg, N, M, replicates, [seed, i], grid, f_ref)
 
     jobs = list(enumerate(ladder))
     if threads > 1:

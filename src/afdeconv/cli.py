@@ -349,7 +349,7 @@ def cmd_estimate(cfg: dict, outdir: Path) -> list[Path]:
         raise es.SingularDesignError(f"{sec['observations']}: {exc}") from None
     J1, J2 = plan.J1, plan.J2
     field = es.estimate_field(plan, obs.Y)
-    del plan  # its design matrices would otherwise add to every later peak
+    del plan, obs  # the design matrices and the grid would add to every later peak
     truth = es.true_coefficients(f, est_cfg, J1, J2)
     kept = int(sum(blk.kept.sum() for blk in field.values()))
     grid = sec["grid"]

@@ -322,9 +322,9 @@ def true_coefficients(f: TestFunction, cfg: EstimatorConfig,
 
 def _level_matrices(cfg: EstimatorConfig, levels, axis: int, points) -> dict[int, np.ndarray]:
     """The (len(points), shift_count) matrix of every shift of each level
-    of ``cfg``'s basis at the points, keyed by level."""
-    return {j: wv.eval_on_points(points, *wv.build_basis(cfg.wavelet, j, axis))
-            for j in levels}
+    of ``cfg``'s basis at the points, keyed by level: one
+    ``wavelets.eval_level`` per level, one FFT over the shifts per point."""
+    return {j: wv.eval_level(cfg.wavelet, j, axis, points) for j in levels}
 
 
 def reconstruct(field: dict[tuple[int, int], LevelBlock], cfg: EstimatorConfig,
@@ -334,8 +334,9 @@ def reconstruct(field: dict[tuple[int, int], LevelBlock], cfg: EstimatorConfig,
 
     Per t-level j1 it adds ``Psi_{j1} sum_{j2} C_{j1 j2} Eta_{j2}^T``, with
     C the kept coefficients of a level pair (0 elsewhere) and Psi, Eta the
-    ``_level_matrices`` at the grid points: point values, so a band wider
-    than the grid needs no folding.  Level pairs that keep no coefficient
+    ``_level_matrices`` at the grid points (``wavelets.eval_level``, every
+    shift of a level at once): point values, so a band wider than the grid
+    needs no folding.  Level pairs that keep no coefficient
     are skipped.  ``bases``, a pair of ``_level_matrices`` dicts (t, x) at
     the grid points holding at least the levels of the other pairs, lets
     fields on one plan share them; when it is None only those are built.

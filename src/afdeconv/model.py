@@ -329,7 +329,8 @@ def sample_errors(spec: NoiseSpec, N: int, M: int, seed) -> np.ndarray:
     of covariance ``lrd_covariance(N, alpha, sigma=1)``: fractional Gaussian
     noise for Gaussian innovations, a sub-Gaussian process of that
     covariance for Rademacher ones.  Column l uses the substream spawned
-    from (seed, l), so profiles are reproducible and independent.  The
+    from (seed, l), so profiles are reproducible and independent; the
+    seed is an int or a list of ints, ``SeedSequence`` entropy.  The
     caller applies sigma (``Y = q + sigma * eps``)."""
     return _error_sampler(spec, N, M)(seed)
 

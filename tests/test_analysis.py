@@ -332,7 +332,7 @@ class TestRateExperiment:
         """A ladder point builds its designs, clean signal, noise colouring
         and plan once; its MISE mean and standard error equal, bit for bit,
         those of replicates simulated and estimated one by one (replicate r
-        of point i uses seed + 100003 i + r)."""
+        of point i uses the seed entropy [seed, i, r])."""
         f = md.tensor_sinusoid(1.5, 1.5, max_freq=256)
         ker = md.power_kernel(1.0)
         noise = md.NoiseSpec(alpha=0.7, kind=kind, sigma=sigma)
@@ -346,7 +346,7 @@ class TestRateExperiment:
             for r in range(replicates):
                 obs = md.simulate_observations(f, ker, SINGULAR, SINGULAR,
                                                noise, N=N, M=M,
-                                               seed=seed + 100003 * i + r)
+                                               seed=[seed, i, r])
                 fld = _estimate(obs, cfg)
                 values.append(an.mise(es.reconstruct(fld, cfg, grid=grid),
                                       f_ref))
@@ -355,12 +355,41 @@ class TestRateExperiment:
             assert point["mise_se"] == float(values.std(ddof=1)
                                              / math.sqrt(replicates))
 
+    def test_adjacent_seeds_share_no_replicate(self, monkeypatch):
+        """Runs with seeds s and s + 1 draw disjoint sets of replicates at
+        every ladder point."""
+        drawn = []  # per ladder point, its replicates' observations
+        replicates = md.simulate_replicates
+
+        def spy(*args):
+            drawn.append([])
+            for obs in replicates(*args):
+                drawn[-1].append(obs.Y.copy())
+                yield obs
+
+        monkeypatch.setattr(md, "simulate_replicates", spy)
+        f = md.tensor_sinusoid(1.5, 1.5, max_freq=64)
+        noise = md.NoiseSpec(alpha=0.7, sigma=0.2)
+        cfg = es.EstimatorConfig(md.power_kernel(1.0), UNIFORM, UNIFORM, noise)
+        runs = []
+        for seed in (5, 6):
+            drawn.clear()
+            an.rate_experiment(f, cfg, [(32, 32), (64, 32)], replicates=5,
+                               seed=seed, grid=64)
+            runs.append(list(drawn))
+        assert len(runs[0]) == len(runs[1]) == 2
+        for first, second in zip(*runs):
+            assert len(first) == len(second) == 5
+            assert not any(np.array_equal(a, b) for a in first for b in second)
+
     def test_invariants_computed_once_per_point(self, monkeypatch):
         """One clean signal, one noise colouring and one basis of each
         level for the plan and one for the reconstructions per ladder
-        point, not one per replicate."""
+        point, not one per replicate: the plan's t-levels from build_basis,
+        its x-levels and every level of the reconstructions from
+        eval_level."""
         calls = count_calls(monkeypatch, md, ["convolved_signal", "_circulant_scale"])
-        bases = count_calls(monkeypatch, wv, ["build_basis"])
+        bases = count_calls(monkeypatch, wv, ["build_basis", "eval_level"])
         f = md.tensor_sinusoid(1.5, 1.5, max_freq=256)
         ker = md.power_kernel(1.0)
         noise = md.NoiseSpec(alpha=0.7, sigma=0.2)
@@ -368,10 +397,12 @@ class TestRateExperiment:
         ladder = [(64, 64), (128, 128), (256, 256)]
         an.rate_experiment(f, cfg, ladder, replicates=4, seed=5, grid=256)
         assert calls == {"convolved_signal": 3, "_circulant_scale": 3}
-        levels = sum(len(wv.level_range(cfg.wavelet, J1, 0))
-                     + len(wv.level_range(cfg.wavelet, J2, 1))
-                     for J1, J2 in (cfg.resolve_levels(M, N) for N, M in ladder))
-        assert bases == {"build_basis": 2 * levels}
+        t_levels = x_levels = 0
+        for J1, J2 in (cfg.resolve_levels(M, N) for N, M in ladder):
+            t_levels += len(wv.level_range(cfg.wavelet, J1, 0))
+            x_levels += len(wv.level_range(cfg.wavelet, J2, 1))
+        assert bases == {"build_basis": t_levels,
+                         "eval_level": t_levels + 2 * x_levels}
 
     def test_empty_ladder_rejected(self):
         f = md.tensor_sinusoid(1.0, 1.0, max_freq=64)

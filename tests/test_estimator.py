@@ -270,6 +270,25 @@ class TestCoefficientRecovery:
             tracemalloc.stop()
         assert peak < Y.nbytes
 
+    def test_eta_peaks_below_its_bytes_plus_24_mib(self):
+        """At N = 64 and M = 2048 on beta = 0.3 designs, with x-levels up to
+        9 (16 MiB of eta), the traced peak of building the plan stays below
+        the bytes of its eta plus 24 MiB: each level is evaluated in small
+        blocks, with no (band, shifts) matrix and no (points, band) x
+        (band, shifts) product."""
+        import tracemalloc
+        d = md.DesignDensity(beta=0.3, x0=0.5)
+        t, x = md.quantile_design(64, d), md.quantile_design(2048, d)
+        tracemalloc.start()
+        try:
+            plan = _plan(t, x, d, d, md.power_kernel(1.0), 4, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(eta.nbytes for eta in plan.eta.values())
+        assert max(plan.eta) == 9 and returned >= 16 * 2 ** 20
+        assert peak < returned + 24 * 2 ** 20
+
     def test_linearity(self):
         ker = md.power_kernel(1.0)
         rng = np.random.default_rng(8)
@@ -418,7 +437,7 @@ class TestReconstruction:
                            rtol=0.0, atol=1e-12)
 
     def test_reconstruct_builds_only_kept_levels(self, monkeypatch):
-        """A level pair that keeps no coefficient is skipped: build_basis is
+        """A level pair that keeps no coefficient is skipped: eval_level is
         called once for each level of a pair that keeps one, and the grid
         is the direct synthesis of the kept coefficients."""
         f = md.tensor_sinusoid(1.5, 1.5, max_freq=64)
@@ -434,13 +453,13 @@ class TestReconstruction:
                 blk.kept[:] = False
         field[(3, 4)].kept[1, 2] = True
         calls = []
-        build_basis = wv.build_basis
+        eval_level = wv.eval_level
 
-        def spy(wspec, j, axis):
+        def spy(wspec, j, axis, points):
             calls.append((j, axis))
-            return build_basis(wspec, j, axis)
+            return eval_level(wspec, j, axis, points)
 
-        monkeypatch.setattr(wv, "build_basis", spy)
+        monkeypatch.setattr(wv, "eval_level", spy)
         recon = es.reconstruct(field, cfg, grid=64)
         monkeypatch.undo()
         assert sorted(calls) == sorted({(j1, 0) for j1, _ in active}

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from afdeconv import model as md
 from afdeconv import wavelets as wv
 
 
@@ -173,3 +174,71 @@ class TestEvaluation:
             assert V.shape == plain.shape
             assert np.max(np.abs(V - plain)) <= 1e-12 * np.max(np.abs(plain))
 
+
+    @pytest.mark.parametrize("offset", [1, -1])
+    def test_repeated_offsets_rejected(self, offset):
+        """A repeated offset would be assigned, not added, by the fold:
+        [m, m] with coefficients [1, 2] must give 3 cos(2 pi m t), so
+        eval_on_points refuses it and names the offset."""
+        with pytest.raises(ValueError, match=f"offset {offset} is repeated"):
+            wv.eval_on_points(np.array([0.1, 0.3]), np.array([offset, offset]),
+                              np.array([1.0, 2.0]))
+
+
+def _full_band(spec, level, axis, points):
+    """``Re(exp(2 pi i outer(points, m)) @ column)`` for every shift k of a
+    level: the plain complex sum over the whole band of its coefficients
+    ``psihat_{j,k}(m) = c_m exp(-2 pi i m k / S)``, 256 shifts at a time."""
+    m, base = wv.base_table(spec, level, axis)
+    count = wv.shift_count(spec, level, axis)
+    at_points = np.exp(2j * np.pi * np.outer(points, m)) * base
+    out = np.empty((points.size, count))
+    for lo in range(0, count, 256):
+        k = np.arange(lo, min(count, lo + 256))
+        out[:, k] = np.real(at_points @ np.exp(-2j * np.pi * np.outer(m, k / count)))
+    return out
+
+
+class TestEvalLevel:
+    """``eval_level`` equals the full-band complex sum of every shift."""
+
+    SPEC = wv.WaveletSpec(m10=3, m20=4)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("points", ["singular", "coarse"])
+    def test_equals_full_band_sum(self, axis, points):
+        """The scaling pseudo-level and wavelet levels of both axes, at 300
+        points of a beta = 0.3 design (more than one block at levels 7
+        and 9) and on a 16-point grid, coarser than every band from
+        level 4 on."""
+        pts = (md.quantile_design(300, md.DesignDensity(beta=0.3, x0=0.5))
+               if points == "singular" else np.arange(16) / 16)
+        m0 = self.SPEC.lowest_level(axis)
+        for level in (m0 - 1, m0, 5, 7, 9):
+            V = wv.eval_level(self.SPEC, level, axis, pts)
+            ref = _full_band(self.SPEC, level, axis, pts)
+            assert V.shape == (pts.size, wv.shift_count(self.SPEC, level, axis))
+            assert np.max(np.abs(V - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_level_11_at_a_few_points(self):
+        """The finest level the estimator builds (2048 shifts, band 2732),
+        at a few points including the singularity's neighbourhood."""
+        pts = np.array([0.0, 0.013, 0.4999, 0.5001, 0.77, 0.999])
+        for axis in (0, 1):
+            V = wv.eval_level(self.SPEC, 11, axis, pts)
+            ref = _full_band(self.SPEC, 11, axis, pts)
+            assert np.max(np.abs(V - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_band_wider_than_the_shift_count(self, monkeypatch):
+        """Several offsets of one residue mod S add up: a random complex
+        band over |m| <= 3S + 5, wider than any Meyer band, which has at
+        most one coefficient per residue above rounding."""
+        count = wv.shift_count(self.SPEC, 5, 0)
+        m = np.arange(-3 * count - 5, 3 * count + 6)
+        rng = np.random.default_rng(11)
+        c = rng.standard_normal(m.size) + 1j * rng.standard_normal(m.size)
+        monkeypatch.setattr(wv, "base_table", lambda spec, level, axis: (m, c))
+        pts = rng.random(50)
+        V = wv.eval_level(self.SPEC, 5, 0, pts)
+        ref = _full_band(self.SPEC, 5, 0, pts)
+        assert np.max(np.abs(V - ref)) <= 1e-12 * np.max(np.abs(ref))
