@@ -294,16 +294,17 @@ def _colored_deviations(V: np.ndarray, noise: md.NoiseSpec, replicates: int,
     """Draw the noise part of beta-tilde for many replicates at once.
 
     Uses the exact linear form: the deviation equals sum_l w_l . z_l with
-    w_l = sigma L^T V[:, l] and z the unit innovations, so sampling the
-    innovations directly reproduces the estimator's noise distribution.
-    Returns (w, deviations); Var = ||w||^2 since the innovations have unit
+    w_l = sigma A_N^T V[:, l], A_N the Cholesky factor of the error
+    covariance applied by ``model._fgn_factor_product`` (O(N) memory on top
+    of V and w), and z the unit innovations, so sampling the innovations
+    directly reproduces the estimator's noise distribution.  Returns
+    (w, deviations); Var = ||w||^2 since the innovations have unit
     variance.  The innovations are drawn in row blocks of about
     `_BLOCK_INNOVATIONS` values from the one generator, which gives the
     same stream as one draw of the whole (replicates, N*M) matrix.
     """
     N, M = V.shape
-    L = md.noise_factor(N, noise.alpha)
-    w = (noise.sigma * (L.T @ V)).ravel()
+    w = (noise.sigma * md._fgn_factor_product(V, noise.alpha)).ravel()
     rng = np.random.default_rng(seed)
     dev = np.empty(replicates)
     step = max(1, _BLOCK_INNOVATIONS // w.size)
@@ -335,8 +336,9 @@ def verify_lemma2(cfg: es.EstimatorConfig, index, M: int, N_ladder,
     Fits the slope of log Var against log N (predicted -alpha at fixed M),
     reports the sample kurtosis at the largest N, and the ratio of the
     empirical fourth central moment to the predicted two-term bound.  The
-    exact variance sigma^2 ||L^T V||_F^2 and its slope are reported next to
-    the Monte Carlo ones.
+    exact variance sigma^2 ||A_N^T V||_F^2 (A_N the Cholesky factor of the
+    error covariance, applied by ``model._fgn_factor_product``) and its slope
+    are reported next to the Monte Carlo ones.
     """
     if replicates < 2:
         raise md.ParameterError(f"replicates: lemma 2 needs at least 2 for its "
@@ -450,14 +452,15 @@ class RateReport:
     notes: list[str] = dc_field(default_factory=list)
 
 
-def _ladder_point(f, cfg, N, M, replicates, entropy, grid, f_ref):
-    """MISE mean and standard error over the replicates of one ladder
-    point; replicate r draws its noise from the seed entropy + [r]."""
+def _ladder_point(f, cfg, N, M, replicates, seed, i, grid, f_ref):
+    """MISE mean and standard error over the replicates of ladder point i;
+    replicate r draws its noise from SeedSequence(seed, spawn_key=(i, r))."""
     plan = es.FieldPlan(cfg, md.quantile_design(N, cfg.d1),
                         md.quantile_design(M, cfg.d2))
     values = np.empty(replicates)
     grids = md.simulate_replicates(f, cfg.kernel, cfg.d1, cfg.d2, cfg.noise,
-                                   N, M, ([*entropy, r] for r in range(replicates)))
+                                   N, M, (np.random.SeedSequence(seed, spawn_key=(i, r))
+                                          for r in range(replicates)))
     # the replicates' reconstructions share the level matrices of every level
     bases = tuple(es._level_matrices(cfg, wv.level_range(cfg.wavelet, J, axis), axis,
                                      np.arange(grid) / grid)
@@ -478,8 +481,11 @@ def rate_experiment(f: md.TestFunction, cfg: es.EstimatorConfig, ladder,
     over replicates at each ladder point, fits the log-log slope against the
     effective sample size n = M N^alpha, and attaches the classified
     theoretical regime for comparison.  Replicate r of ladder point i
-    draws its noise from the seed entropy [seed, i, r], so runs with
-    different seeds share no replicate.
+    draws its noise from SeedSequence(seed, spawn_key=(i, r)): unlike the
+    entropy [seed, i, r], this key is not padded into the key of the plain
+    seed, and a seed of 2^32 or more is not split into words that alias
+    (i, r), so replicates of different runs, and a replicate and a plain
+    ``simulate`` seed, never share their noise.
     """
     if not ladder:
         raise md.ParameterError("ladder must contain at least one (N, M) pair")
@@ -490,7 +496,7 @@ def rate_experiment(f: md.TestFunction, cfg: es.EstimatorConfig, ladder,
 
     def work(args):
         i, (N, M) = args
-        return _ladder_point(f, cfg, N, M, replicates, [seed, i], grid, f_ref)
+        return _ladder_point(f, cfg, N, M, replicates, seed, i, grid, f_ref)
 
     jobs = list(enumerate(ladder))
     if threads > 1:

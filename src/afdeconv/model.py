@@ -207,6 +207,13 @@ def _fgn_autocov(N: int, alpha: float, sigma: float) -> np.ndarray:
     return sigma ** 2 * np.concatenate([head, tail * k[3:] ** (2 * H)])
 
 
+def _check_fgn(N: int, alpha: float) -> None:
+    if N < 2:
+        raise ParameterError("N must be >= 2")
+    if not 0.0 < alpha <= 1.0:
+        raise ParameterError("alpha must be in (0, 1]")
+
+
 def lrd_covariance(N: int, alpha: float, sigma: float = 1.0) -> np.ndarray:
     """Fractional Gaussian noise covariance with Hurst H = 1 - alpha/2.
 
@@ -214,10 +221,7 @@ def lrd_covariance(N: int, alpha: float, sigma: float = 1.0) -> np.ndarray:
     lambda_min decreases in N to lambda_inf = 2*pi*f(pi) > 0, where f is the
     unit-variance fGn spectral density (lambda_inf = 1 at alpha = 1).
     """
-    if N < 2:
-        raise ParameterError("N must be >= 2")
-    if not 0.0 < alpha <= 1.0:
-        raise ParameterError("alpha must be in (0, 1]")
+    _check_fgn(N, alpha)
     # Row i of the symmetric Toeplitz matrix is the window of
     # [r_{N-1}, ..., r_1, r_0, r_1, ..., r_{N-1}] that starts at N-1-i:
     # strided views of one 2N-1 vector, copied once, with no N x N index.
@@ -227,13 +231,50 @@ def lrd_covariance(N: int, alpha: float, sigma: float = 1.0) -> np.ndarray:
     return windows[::-1].copy()
 
 
+def _schur_rows(N: int, alpha: float) -> Iterator[np.ndarray]:
+    """Row k of A_N^T from its diagonal on, k = 0..N-1, where A_N is the Cholesky
+    factor of Sigma_N = lrd_covariance(N, alpha), in O(N) memory and O(N^2) time.
+
+    Schur's recursion on the generators of Sigma_N - Z Sigma_N Z^T = g0 g0^T - g1 g1^T
+    (Z the down shift): g0 = r / sqrt(r_0), g1 = g0 with g1[0] = 0.  Row k is g0[k:];
+    then g0 shifts down by one and (g0, g1) turns by the hyperbolic rotation of
+    rho = g1[k+1] / g0[k+1], in the mixed form that Bojanczyk, Brent, de Hoog and
+    Sweet (SIMAX 1995) show to be as stable as Cholesky.  Each row is a view that
+    the next step overwrites."""
+    g0 = _fgn_autocov(N, alpha, 1.0)
+    g0 /= np.sqrt(g0[0])
+    g1 = g0.copy()
+    g1[0] = 0.0
+    for k in range(N):
+        yield g0[:N - k]  # g0 is kept unshifted: g0[i] is entry k + i
+        if k + 1 < N:
+            a, b = g0[:N - k - 1], g1[k + 1:]
+            rho = b[0] / a[0]
+            root = np.sqrt((1.0 - rho) * (1.0 + rho))
+            a -= rho * b
+            a /= root
+            b *= root
+            b -= rho * a
+
+
+def _fgn_factor_product(V: np.ndarray, alpha: float) -> np.ndarray:
+    """A_N^T V for the Cholesky factor A_N of Sigma_N = lrd_covariance(N, alpha), N =
+    len(V): one product per row of ``_schur_rows``, with no N x N matrix."""
+    out = np.empty_like(V, dtype=float)
+    for k, row in enumerate(_schur_rows(len(V), alpha)):
+        out[k] = row @ V[k:]
+    return out
+
+
 def noise_factor(N: int, alpha: float, sigma: float = 1.0) -> np.ndarray:
-    """Lower-triangular A_N with A_N A_N^T = Sigma_N (exact Cholesky): the
-    lemma suites' factor of their linear forms."""
-    try:
-        return np.linalg.cholesky(lrd_covariance(N, alpha, sigma))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - valid alpha is SPD
-        raise ParameterError("covariance not positive definite") from exc
+    """Lower-triangular A_N with A_N A_N^T = Sigma_N (the Cholesky factor),
+    column k from row k of ``_schur_rows``.  The lemma suites apply it to
+    their linear forms by ``_fgn_factor_product``, with no N x N matrix."""
+    _check_fgn(N, alpha)
+    A = np.zeros((N, N))
+    for k, row in enumerate(_schur_rows(N, alpha)):
+        A[k:, k] = row
+    return sigma * A
 
 
 NOISE_KINDS = ("gaussian-fgn", "subgaussian-rademacher")
@@ -303,12 +344,18 @@ def _error_sampler(spec: NoiseSpec, N: int, M: int) -> Callable[..., np.ndarray]
     """``draw(seed)``, the errors of ``sample_errors``: column l takes N
     innovations from the l-th substream of the seed at alpha = 1, else 2N
     that ``_colour`` colours, ``_COLOUR_BLOCK`` columns at a time, for every
-    N and both kinds.  The lemma suites' ``noise_factor`` gives the same law
-    for Gaussian innovations, another of the same covariance for Rademacher."""
+    N and both kinds.  The lemma suites' Cholesky factor, applied by
+    ``_fgn_factor_product``, gives the same law for Gaussian innovations,
+    another of the same covariance for Rademacher.  A ``SeedSequence`` seed
+    is taken as given, and its l-th child is built from its key, so a
+    repeated draw of one seed gives the same errors."""
     scale = None if spec.alpha == 1.0 else _circulant_scale(N, spec.alpha)
 
     def draw(seed) -> np.ndarray:
-        streams = np.random.SeedSequence(seed).spawn(M)
+        root = (seed if isinstance(seed, np.random.SeedSequence)
+                else np.random.SeedSequence(seed))
+        streams = [np.random.SeedSequence(root.entropy, spawn_key=(*root.spawn_key, l),
+                                          pool_size=root.pool_size) for l in range(M)]
         if scale is None:  # row l of the buffer is column l of the errors
             eps = np.empty((M, N))
             for l, ss in enumerate(streams):
@@ -328,10 +375,12 @@ def sample_errors(spec: NoiseSpec, N: int, M: int, seed) -> np.ndarray:
     """M independent unit-scale long-memory N-vectors, one per column, each
     of covariance ``lrd_covariance(N, alpha, sigma=1)``: fractional Gaussian
     noise for Gaussian innovations, a sub-Gaussian process of that
-    covariance for Rademacher ones.  Column l uses the substream spawned
-    from (seed, l), so profiles are reproducible and independent; the
-    seed is an int or a list of ints, ``SeedSequence`` entropy.  The
-    caller applies sigma (``Y = q + sigma * eps``)."""
+    covariance for Rademacher ones; the lemma suites' linear forms use the
+    Cholesky factor of the same covariance (``_fgn_factor_product``).
+    Column l uses the substream spawned from (seed, l), so profiles are
+    reproducible and independent; the seed is an int or a list of ints,
+    ``SeedSequence`` entropy, or a ``SeedSequence``.  The caller applies
+    sigma (``Y = q + sigma * eps``)."""
     return _error_sampler(spec, N, M)(seed)
 
 

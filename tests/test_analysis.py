@@ -192,23 +192,27 @@ class TestLemmaSuites:
         assert freqs[1] <= freqs[0]
 
     def test_lemma3_one_noise_factor_per_index(self, monkeypatch):
-        """The noise colouring w = sigma L^T V is built once per index and
+        """The noise colouring w = sigma A_N^T V is built once per index and
         serves both the draws and the norm ||w||."""
-        calls = count_calls(monkeypatch, md, ["noise_factor"])
+        calls = count_calls(monkeypatch, md, ["_fgn_factor_product"])
         f = md.tensor_sinusoid(2.0, 2.0, max_freq=128)
         ker = md.power_kernel(1.0)
         noise = md.NoiseSpec(alpha=0.8, sigma=1.0)
         cfg = es.EstimatorConfig(ker, UNIFORM, UNIFORM, noise)
         an.verify_lemma3(f, cfg, [(3, 2, 2, 1), (2, 0, 3, 4)],
                          M=64, N=64, replicates=50, seed=3)
-        assert calls == {"noise_factor": 2}
+        assert calls == {"_fgn_factor_product": 2}
+
+
+def replicate_key(seed, i, r):
+    """The noise key of replicate r of ladder point i of `rate_experiment`."""
+    return np.random.SeedSequence(seed, spawn_key=(i, r))
 
 
 def one_shot_deviations(V, noise, replicates, seed):
     """The reference: the whole (replicates, N*M) innovation matrix in one
     draw, then one product."""
-    L = md.noise_factor(V.shape[0], noise.alpha)
-    w = (noise.sigma * (L.T @ V)).ravel()
+    w = (noise.sigma * md._fgn_factor_product(V, noise.alpha)).ravel()
     rng = np.random.default_rng(seed)
     if noise.kind == "gaussian-fgn":
         Z = rng.standard_normal((replicates, w.size))
@@ -275,6 +279,30 @@ class TestColoredDeviations:
         assert got.dtype == np.float64
         assert np.array_equal(got, z * 2.0 - 1.0)
 
+    def test_factor_product_peak_memory(self):
+        """w = sigma A_N^T V takes O(N) memory on top of V and w: at
+        N = 2048, M = 16 the traced peak stays under 8 MiB, where one dense
+        N x N factor alone is 32 MiB."""
+        import tracemalloc
+        V = np.random.default_rng(3).standard_normal((2048, 16))
+        noise = md.NoiseSpec(alpha=0.6, sigma=1.0)
+        tracemalloc.start()
+        try:
+            an._colored_deviations(V, noise, 4, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
+    @pytest.mark.parametrize("kind", md.NOISE_KINDS)
+    def test_white_noise_form_is_sigma_v(self, kind):
+        """At alpha = 1 the factor is the identity, and w is sigma V bit
+        for bit."""
+        V = np.random.default_rng(6).standard_normal((33, 5))
+        noise = md.NoiseSpec(alpha=1.0, kind=kind, sigma=0.7)
+        w, _ = an._colored_deviations(V, noise, 3, seed=1)
+        assert np.array_equal(w, (0.7 * V).ravel())
+
     @pytest.mark.parametrize("kind", md.NOISE_KINDS)
     def test_lemma2_variance_matches_exact(self, kind):
         """The exact variance is sigma^2 sum_l V_l^T Sigma_N V_l, computed
@@ -332,7 +360,7 @@ class TestRateExperiment:
         """A ladder point builds its designs, clean signal, noise colouring
         and plan once; its MISE mean and standard error equal, bit for bit,
         those of replicates simulated and estimated one by one (replicate r
-        of point i uses the seed entropy [seed, i, r])."""
+        of point i uses the key SeedSequence(seed, spawn_key=(i, r)))."""
         f = md.tensor_sinusoid(1.5, 1.5, max_freq=256)
         ker = md.power_kernel(1.0)
         noise = md.NoiseSpec(alpha=0.7, kind=kind, sigma=sigma)
@@ -346,7 +374,7 @@ class TestRateExperiment:
             for r in range(replicates):
                 obs = md.simulate_observations(f, ker, SINGULAR, SINGULAR,
                                                noise, N=N, M=M,
-                                               seed=[seed, i, r])
+                                               seed=replicate_key(seed, i, r))
                 fld = _estimate(obs, cfg)
                 values.append(an.mise(es.reconstruct(fld, cfg, grid=grid),
                                       f_ref))
@@ -354,6 +382,33 @@ class TestRateExperiment:
             assert point["mise_mean"] == float(values.mean())
             assert point["mise_se"] == float(values.std(ddof=1)
                                              / math.sqrt(replicates))
+
+    def test_replicate_keys_do_not_collide(self):
+        """Replicate 0 of point 0 of seed 5 is not the noise of the plain
+        seed 5, and replicate 0 of point 7 of seed 2^32 + 5 is not
+        replicate 7 of point 1 of seed 5; both pairs drew the same noise
+        under the entropy keys [seed, i, r]."""
+        spec = md.NoiseSpec(alpha=0.7)
+
+        def draw(seed):
+            return md.sample_errors(spec, 16, 4, seed)
+
+        assert np.array_equal(draw([5, 0, 0]), draw(5))
+        assert np.array_equal(draw([2 ** 32 + 5, 7, 0]), draw([5, 1, 7]))
+        assert not np.array_equal(draw(replicate_key(5, 0, 0)), draw(5))
+        assert not np.array_equal(draw(replicate_key(2 ** 32 + 5, 7, 0)),
+                                  draw(replicate_key(5, 1, 7)))
+
+    def test_seed_sequence_is_taken_as_given(self):
+        """A SeedSequence seed draws what its entropy and key give, on
+        every draw of the same object."""
+        spec = md.NoiseSpec(alpha=0.7)
+        key = replicate_key(9, 2, 1)
+        first = md.sample_errors(spec, 16, 4, key)
+        assert np.array_equal(md.sample_errors(spec, 16, 4, key), first)
+        assert np.array_equal(md.sample_errors(spec, 16, 4, replicate_key(9, 2, 1)),
+                              first)
+        assert not np.array_equal(md.sample_errors(spec, 16, 4, 9), first)
 
     def test_adjacent_seeds_share_no_replicate(self, monkeypatch):
         """Runs with seeds s and s + 1 draw disjoint sets of replicates at

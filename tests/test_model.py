@@ -121,8 +121,8 @@ class TestLongMemoryNoise:
     @pytest.mark.parametrize("N", [2, 3, 17, 256])
     def test_covariance_is_exact_toeplitz(self, N, alpha):
         """Every entry (i, j) is the lag-|i - j| autocovariance bit for
-        bit, in a C-contiguous float64 array: the lemma suites' Cholesky
-        factor depends on these exact bytes."""
+        bit, in a C-contiguous float64 array: the dense reference of the
+        lemma suites' Cholesky factor depends on these exact bytes."""
         S = md.lrd_covariance(N, alpha, sigma=0.7)
         r = md._fgn_autocov(N, alpha, 0.7)
         reference = np.array([[r[abs(i - j)] for j in range(N)]
@@ -159,6 +159,31 @@ class TestLongMemoryNoise:
     def test_alpha_one_autocovariance_is_exactly_white(self):
         r = md._fgn_autocov(5000, 1.0, 0.7)
         assert r[0] == 0.7 ** 2 and not r[1:].any()
+
+    @pytest.mark.parametrize("alpha", [1e-6, 0.05, 0.3, 0.6, 0.9, 1.0])
+    @pytest.mark.parametrize("N", [2, 17, 257, 2048, 4100])
+    def test_factor_product_is_dense_cholesky(self, N, alpha):
+        """The Schur recursion's A_N^T V equals the dense Cholesky factor's
+        product to 1e-11 of its largest entry, from near-singular to white
+        covariances."""
+        V = np.random.default_rng(N).standard_normal((N, 3))
+        reference = np.linalg.cholesky(md.lrd_covariance(N, alpha)).T @ V
+        got = md._fgn_factor_product(V, alpha)
+        assert np.abs(got - reference).max() <= 1e-11 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("N", [1, 2, 300])
+    def test_factor_product_is_identity_when_white(self, N):
+        V = np.random.default_rng(N).standard_normal((N, 4))
+        assert np.array_equal(md._fgn_factor_product(V, 1.0), V)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.6])
+    def test_noise_factor_is_the_cholesky_factor(self, alpha):
+        """noise_factor stacks the recursion's rows: lower triangular, and
+        sigma times the dense Cholesky factor."""
+        A = md.noise_factor(64, alpha, sigma=0.7)
+        reference = 0.7 * np.linalg.cholesky(md.lrd_covariance(64, alpha))
+        assert np.array_equal(A, np.tril(A))
+        np.testing.assert_allclose(A, reference, rtol=0, atol=1e-13)
 
     def test_eigenvalue_growth(self):
         """Largest eigenvalue grows like N^{1-alpha}."""
