@@ -260,7 +260,7 @@ def _schur_rows(N: int, alpha: float) -> Iterator[np.ndarray]:
 def _fgn_factor_product(V: np.ndarray, alpha: float) -> np.ndarray:
     """A_N^T V for the Cholesky factor A_N of Sigma_N = lrd_covariance(N, alpha), N =
     len(V): one product per row of ``_schur_rows``, with no N x N matrix."""
-    out = np.empty_like(V, dtype=float)
+    out = np.empty(V.shape)
     for k, row in enumerate(_schur_rows(len(V), alpha)):
         out[k] = row @ V[k:]
     return out
@@ -273,8 +273,8 @@ def noise_factor(N: int, alpha: float, sigma: float = 1.0) -> np.ndarray:
     _check_fgn(N, alpha)
     A = np.zeros((N, N))
     for k, row in enumerate(_schur_rows(N, alpha)):
-        A[k:, k] = row
-    return sigma * A
+        A[k:, k] = sigma * row
+    return A
 
 
 NOISE_KINDS = ("gaussian-fgn", "subgaussian-rademacher")
