@@ -245,10 +245,9 @@ def verify_lemma1(cfg: es.EstimatorConfig, levels1, shifts_per_level: int = 4,
     h2 = d2.pdf(tg)
     # the x factor: one shift of the scaling pseudo-level, off the singularity
     j2 = cfg.wavelet.m20 - 1
-    m2, eta = wv.build_basis(cfg.wavelet, j2, axis=1)
-    count2 = eta.shape[1]
+    count2 = wv.shift_count(cfg.wavelet, j2, axis=1)
     k2 = (es._singular_shift(count2, d2.x0) + max(2, count2 // 4)) % count2
-    v = wv.eval_on_points(tg, m2, eta[:, k2])
+    v = wv.eval_level(cfg.wavelet, j2, 1, tg)[:, k2]
     q2_x = np.mean(v ** 2 / h2)
     q4_x = np.mean(v ** 4 / h2 ** 3)
     entries = []

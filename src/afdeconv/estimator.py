@@ -165,8 +165,8 @@ def _u_t_factor(cfg: EstimatorConfig, j1: int, k1, t, x=None) -> np.ndarray:
 
 
 def compute_U(cfg: EstimatorConfig, index, t_points, x_points) -> np.ndarray:
-    """U of index (j1, k1, j2, k2) on the grid (t_points x x_points);
-    shape (N, M)."""
+    """U of index (j1, k1, j2, k2) on the grid (t_points x x_points), shape
+    (N, M): the per-index reference that ``FieldPlan`` is tested against."""
     j1, k1, j2, k2 = index
     x = np.asarray(x_points, dtype=float)
     u_tx = _u_t_factor(cfg, j1, [k1], t_points, x)
@@ -216,13 +216,12 @@ class FieldPlan:
     through its Fourier coefficients ``psihat_{j1,k1}(m) / conj(g(m, x_l))``
     splits the sum into products: the t-transform
     ``What[m, l] = sum_i e^{i 2 pi m t_i} Y_il / (h1(t_i) h2(x_l))`` over
-    the union t-band, then per t-level
-    ``Z = Re(psi^T (What[band] / conj(G)))`` with psi the level matrix of
-    ``wavelets.build_basis``, then ``Z @ eta / (NM)`` per x-level.  The
-    weight is never formed as an N x M matrix: 1/h1 is folded into the
+    the union t-band, then per t-level ``Z = Re sum_m psihat_{j1,k}(m)
+    What[m] / conj(G(m))`` by ``wavelets.pair_level``, then ``Z @ eta / (NM)``.
+    The weight is never formed as an N x M matrix: 1/h1 is folded into the
     cos and sin rows of the transform and 1/h2 scales its columns.  Y is
-    real, so ``What[-m] = conj(What[m])`` and only m = 0..b is transformed,
-    for ``_BLOCK_COLUMNS`` columns of Y at a time.  The kernel enters as
+    real, so What is Hermitian and only m = 0..b is transformed, for
+    ``_BLOCK_COLUMNS`` columns of Y at a time.  The kernel enters as
     ``G = g(m, x)``, a band x 1 column for an x-independent kernel and a
     band x M block otherwise, so both kinds take this one path.  Reused
     across replicates that share the design, kernel and basis; equal for
@@ -239,14 +238,11 @@ class FieldPlan:
         inv_h1, self.inv_h2 = _design_weights(cfg, t, x)
         # eta_{j2,k2}(x_l), one (M, count) matrix per x-level
         self.eta = _level_matrices(cfg, wv.level_range(cfg.wavelet, self.J2, axis=1), 1, x)
-        # per t-level: rows |m| of the half band, which of them to
-        # conjugate (m < 0), psi matrix, conj(g) on the band
-        basis1 = {j1: wv.build_basis(cfg.wavelet, j1, 0)
-                  for j1 in wv.level_range(cfg.wavelet, self.J1, axis=0)}
-        band = max(m.max() for m, _ in basis1.values())
-        self.t_basis = {j1: (np.abs(m), (m < 0)[:, None], psi,
-                             _conj_kernel(cfg.kernel, m, x, j1))
-                        for j1, (m, psi) in basis1.items()}
+        # conj(g) over the signed band of each t-level
+        bands = {j1: wv.base_table(cfg.wavelet, j1, 0)[0]
+                 for j1 in wv.level_range(cfg.wavelet, self.J1, axis=0)}
+        self.conj_g = {j1: _conj_kernel(cfg.kernel, m, x, j1) for j1, m in bands.items()}
+        band = max(m.max() for m in bands.values())
         # cos and sin rows of e^{i 2 pi m t_i} / h1(t_i), m = 0..b, stacked,
         # so the t-transform of the real Y is one real product
         self.phase = np.ascontiguousarray(wv._cos_sin(t, np.arange(band + 1)).T)
@@ -256,21 +252,20 @@ class FieldPlan:
         if Y.shape != (self.N, self.M):
             raise ParameterError("observation shape mismatch")
         half = self.phase.shape[0] // 2
-        Z = {j1: np.empty((psi.shape[1], self.M))
-             for j1, (_, _, psi, _) in self.t_basis.items()}
+        spec = self.cfg.wavelet
+        Z = {j1: np.empty((wv.shift_count(spec, j1, 0), self.M)) for j1 in self.conj_g}
         for a in range(0, self.M, _BLOCK_COLUMNS):
             cols = slice(a, a + _BLOCK_COLUMNS)
             CS = self.phase @ Y[:, cols]
             CS *= self.inv_h2[cols]
             What = CS[:half] + 1j * CS[half:]
-            for j1, (rows, negative, psi, conj_g) in self.t_basis.items():
-                A = What[rows]
-                np.conjugate(A, out=A, where=negative)
-                A /= conj_g if conj_g.shape[1] == 1 else conj_g[:, cols]
-                Z[j1][:, cols] = np.real(psi.T @ A)
+            for j1, conj_g in self.conj_g.items():
+                Z[j1][:, cols] = wv.pair_level(
+                    spec, j1, 0, lambda h: What[h],
+                    conj_g if conj_g.shape[1] == 1 else conj_g[:, cols])
         scale = 1.0 / (self.N * self.M)
         return {(j1, j2): scale * (Z[j1] @ self.eta[j2])
-                for j1 in self.t_basis for j2 in self.eta}
+                for j1 in Z for j2 in self.eta}
 
 
 def estimate_field(plan: FieldPlan, Y: np.ndarray) -> dict[tuple[int, int], LevelBlock]:
@@ -297,27 +292,26 @@ def estimate_field(plan: FieldPlan, Y: np.ndarray) -> dict[tuple[int, int], Leve
 
 def true_coefficients(f: TestFunction, cfg: EstimatorConfig,
                       J1: int, J2: int) -> dict[tuple[int, int], np.ndarray]:
-    """Tensor quadrature of f = u(t) v(x) against the basis, per level-pair
-    block.
+    """Tensor quadrature of f = u(t) v(x) against the basis, per level pair.
 
     Each block is the outer product of the exact t-coefficients
     ``<u, psi_{j1,k1}>`` and ``<v, eta_{j2,k2}>`` from an FFT of v on a fine
-    x-grid, so the only discretization is the x-grid: per x-level, the
-    smallest power of two that holds the band, 2 b + 1 frequencies, and
-    has at least 4096 points (a finer grid on every level moved the lower
-    blocks by up to 8.4e-6, the aliasing of v).
+    x-grid, each level paired with conj(uhat) or conj(vhat) by
+    ``wavelets.pair_level``.  So the only discretization is the x-grid: per
+    x-level, the smallest power of two of at least 4096 points that holds
+    the band, 2 b + 1 frequencies (a finer grid on every level moved the
+    lower blocks by up to 8.4e-6, the aliasing of v).
     """
-    basis1 = {j: wv.build_basis(cfg.wavelet, j, 0) for j in wv.level_range(cfg.wavelet, J1, 0)}
-    basis2 = {j: wv.build_basis(cfg.wavelet, j, 1) for j in wv.level_range(cfg.wavelet, J2, 1)}
-    along_t = {j1: np.conj(psi).T @ f.u_hat_at(off1) for j1, (off1, psi) in basis1.items()}
-    grid = {j2: max(4096, 1 << (2 * int(off2.max())).bit_length())
-            for j2, (off2, _) in basis2.items()}
+    spec = cfg.wavelet
+    along_t = {j1: wv.pair_level(spec, j1, 0, lambda h: np.conj(f.u_hat_at(h))[:, None])[:, 0]
+               for j1 in wv.level_range(spec, J1, 0)}
+    grid = {j2: max(4096, 1 << (2 * int(wv.base_table(spec, j2, 1)[0].max())).bit_length())
+            for j2 in wv.level_range(spec, J2, 1)}
     vhat = {g: np.fft.fft(f.v(np.arange(g) / g)) / g   # indexed by m2 mod g
             for g in set(grid.values())}
-    along_x = {j2: vhat[grid[j2]][np.mod(off2, grid[j2])] @ np.conj(etam)
-               for j2, (off2, etam) in basis2.items()}
-    return {(j1, j2): np.real(np.outer(a, b))
-            for j1, a in along_t.items() for j2, b in along_x.items()}
+    along_x = {j2: wv.pair_level(spec, j2, 1, lambda h: np.conj(vhat[g][h % g])[:, None])[:, 0]
+               for j2, g in grid.items()}
+    return {(j1, j2): np.outer(a, b) for j1, a in along_t.items() for j2, b in along_x.items()}
 
 
 def _level_matrices(cfg: EstimatorConfig, levels, axis: int, points) -> dict[int, np.ndarray]:

@@ -1,18 +1,14 @@
 """Periodized band-limited wavelet bases on [0, 1].
 
-A basis level is one matrix of Fourier coefficients.  For a periodized
-wavelet ``psi_{j,k}(t) = sum_n 2^{j/2} psi(2^j (t+n) - k)``,
-``build_basis`` returns the band offsets ``m`` and the matrix
-``psihat_{j,k}(m) = int_0^1 psi_{j,k}(t) exp(-i 2 pi m t) dt`` with one
-column per shift k, and ``eval_on_points`` evaluates one column, or any
-(band, n) block of coefficients, at arbitrary points.  All downstream
-quadratures, inner products and deconvolution sums reduce to finite sums
-over this band, and ``eval_on_points`` is also the one Fourier synthesis
-of the simulator's test functions and clean signal.  A whole level at a
-set of points, every shift at once, is ``eval_level``: one FFT over the
-shifts per point, with no (band, shift count) matrix.  This module alone
-knows the shift phase ``exp(-i 2 pi m k / 2^j)`` and forms
-``[cos | sin](2 pi t m)`` (``_cos_sin``, also ``FieldPlan``'s phase).
+A basis level is one band of Fourier coefficients: for a periodized
+wavelet ``psi_{j,k}(t) = sum_n 2^{j/2} psi(2^j (t+n) - k)`` with S shifts,
+``base_table`` gives the offsets ``m`` and ``psihat_{j,0}(m)``, and shift k
+multiplies them by ``exp(-i 2 pi m k / S)``.  ``pair_level``, the one
+primitive for a whole level, pairs every shift with Hermitian spectra by
+one residue fold and one FFT; ``eval_level`` is its synthesis at points.
+``eval_on_points`` evaluates any (band, n) block of coefficients at any
+points: the simulator's synthesis and, given one index's level matrix,
+the per-index reference.  This module alone forms the Fourier phases.
 
 The basis is the periodized Meyer basis, band-limited by construction, so
 the tables are exact.  Levels run up to ``MAX_LEVEL``.
@@ -37,6 +33,7 @@ __all__ = [
     "build_basis",
     "base_table",
     "eval_on_points",
+    "pair_level",
     "eval_level",
     "shift_count",
     "level_range",
@@ -51,8 +48,8 @@ class ResolutionOverflowError(RuntimeError):
     """Requested level is above ``MAX_LEVEL``."""
 
 
-# Largest MRA level j.  The basis matrix of level 12 is (8192, 4096)
-# complex, 512 MiB.
+# Largest MRA level j.  Only the reference ``build_basis`` forms a level's
+# (band, S) matrix, (8192, 4096) complex or 512 MiB at level 12.
 MAX_LEVEL = 12
 
 
@@ -249,6 +246,37 @@ def _cos_sin(t: np.ndarray, m: np.ndarray) -> np.ndarray:
     return cos_sin
 
 
+def pair_level(spec: WaveletSpec, level: int, axis: int, spectrum,
+               divisor=None) -> np.ndarray:
+    """The (shift_count, n) values ``Re sum_m psihat_{j,k}(m) W(m) / d(m)``
+    of every shift k of one Omega level against n Hermitian spectra W.
+
+    ``spectrum(h)`` gives W at the offsets h >= 0 only, (len(h), n), as
+    W(-m) = conj(W(m)).  The divisor d, (band, 1) or (band, n) over the
+    signed band of ``base_table``, divides the shift-0 band c before the
+    fold ``c'_h = c_h + conj(c_{-h})``, so any d stays exact.  As the
+    shift phase ``exp(-i 2 pi h k / S)`` depends on h mod S only, the terms
+    c'_h W(h) are summed by residue into A, and Re FFT(A) is the result.
+    """
+    m, c = base_table(spec, level, axis)
+    count = shift_count(spec, level, axis)
+    c = c[:, None] if divisor is None else c[:, None] / divisor
+    half = np.abs(m)
+    lo, hi = int(half.min()), int(half.max())
+    neg = m < 0
+    folded = np.zeros((hi - lo + 1, c.shape[1]), dtype=complex)  # c'_h, h = lo..hi
+    folded[half[~neg] - lo] = c[~neg]
+    folded[half[neg] - lo] += np.conj(c[neg])
+    terms = spectrum(np.arange(lo, hi + 1)) * folded
+    # row r of A sums the h = r mod S: one slice per S consecutive h
+    A = np.zeros_like(terms, shape=(count, terms.shape[1]))  # W's memory order
+    for start in range(lo - lo % count, hi + 1, count):
+        u, v = max(start, lo), min(start + count, hi + 1)
+        A[u - start:v - start] += terms[u - lo:v - lo]
+    np.fft.fft(A, axis=0, out=A)
+    return A.real
+
+
 # Complex values per block of ``eval_level``, 0.5 MiB, a 32nd of
 # ``_BLOCK_EXPONENTIALS``.  Building the x-levels up to 9 at 2048 points
 # (16 MiB returned) took 64 ms for blocks of 2^13 to 2^18, and traced
@@ -256,44 +284,23 @@ def _cos_sin(t: np.ndarray, m: np.ndarray) -> np.ndarray:
 _BLOCK_LEVEL = 1 << 15
 
 
+def _phase(h: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(len(h), len(t)) values exp(i 2 pi h t), stored point by point."""
+    terms = np.empty((t.size, h.size), dtype=complex)
+    arg = np.multiply.outer(t, h, out=terms.imag)
+    arg *= 2.0 * np.pi
+    np.cos(arg, out=terms.real)
+    np.sin(arg, out=arg)
+    return terms.T
+
+
 def eval_level(spec: WaveletSpec, level: int, axis: int, points) -> np.ndarray:
     """The (len(points), shift_count) values ``psi_{j,k}(t)`` of every shift
-    k of one Omega level at every point t.
-
-    With S shifts, the shift phase ``exp(-i 2 pi m k / S)`` depends on m
-    only through its residue r = m mod S.  So the shift-0 band of
-    ``base_table`` is folded onto its non-negative half,
-    ``c'_h = c_h + conj(c_{-h})`` as in ``eval_on_points``, the terms are
-    grouped by residue, ``A_r(t) = sum_{h = r mod S} c'_h e^{i 2 pi h t}``,
-    and ``psi_{j,k}(t) = Re sum_r A_r(t) e^{-i 2 pi r k / S}`` is the real
-    part of one length-S FFT per point.  The cost is one exponential per
-    point and half-band offset plus the FFTs: no (band, S) matrix and no
-    (points, band) x (band, S) product is formed.  Points are taken in
-    blocks of about ``_BLOCK_LEVEL`` complex values.
-    """
-    m, c = base_table(spec, level, axis)
-    count = shift_count(spec, level, axis)
-    half = np.abs(m)
-    lo, hi = int(half.min()), int(half.max())
-    folded = np.zeros(hi - lo + 1, dtype=complex)  # c'_h at h = lo..hi
-    np.add.at(folded, half - lo, np.where(m < 0, np.conj(c), c))
-    h = np.arange(lo, hi + 1)
+    k of one Omega level at every point t: ``pair_level`` with W(h) =
+    ``exp(i 2 pi h t)``, on blocks of about ``_BLOCK_LEVEL`` complex values."""
     t = np.asarray(points, dtype=float).reshape(-1)
-    out = np.empty((t.size, count))
-    step = max(1, _BLOCK_LEVEL // max(h.size, count))
+    out = np.empty((t.size, shift_count(spec, level, axis)))
+    step = max(1, _BLOCK_LEVEL // max(base_table(spec, level, axis)[0].size // 2, out.shape[1]))
     for a in range(0, t.size, step):
-        block = t[a:a + step]
-        terms = np.empty((block.size, h.size), dtype=complex)
-        arg = np.multiply.outer(block, h, out=terms.imag)
-        arg *= 2.0 * np.pi
-        np.cos(arg, out=terms.real)
-        np.sin(arg, out=arg)
-        terms *= folded
-        # column r of A sums the h = r mod S: one slice per S consecutive h
-        A = np.zeros((block.size, count), dtype=complex)
-        for start in range(lo - lo % count, hi + 1, count):
-            u, v = max(start, lo), min(start + count, hi + 1)
-            A[:, u - start:v - start] += terms[:, u - lo:v - lo]
-        np.fft.fft(A, axis=1, out=A)
-        out[a:a + step] = A.real
+        out[a:a + step] = pair_level(spec, level, axis, lambda h: _phase(h, t[a:a + step])).T
     return out

@@ -440,9 +440,9 @@ class TestRateExperiment:
     def test_invariants_computed_once_per_point(self, monkeypatch):
         """One clean signal, one noise colouring and one basis of each
         level for the plan and one for the reconstructions per ladder
-        point, not one per replicate: the plan's t-levels from build_basis,
-        its x-levels and every level of the reconstructions from
-        eval_level."""
+        point, not one per replicate: the plan's x-levels and every level
+        of the reconstructions from eval_level, and no build_basis matrix
+        at all (the plan pairs its t-levels by pair_level)."""
         calls = count_calls(monkeypatch, md, ["convolved_signal", "_circulant_scale"])
         bases = count_calls(monkeypatch, wv, ["build_basis", "eval_level"])
         f = md.tensor_sinusoid(1.5, 1.5, max_freq=256)
@@ -456,7 +456,7 @@ class TestRateExperiment:
         for J1, J2 in (cfg.resolve_levels(M, N) for N, M in ladder):
             t_levels += len(wv.level_range(cfg.wavelet, J1, 0))
             x_levels += len(wv.level_range(cfg.wavelet, J2, 1))
-        assert bases == {"build_basis": t_levels,
+        assert bases == {"build_basis": 0,
                          "eval_level": t_levels + 2 * x_levels}
 
     def test_empty_ladder_rejected(self):

@@ -18,6 +18,8 @@ X_VARYING = md.KernelSpec(nu=1.0,
                           fourier=lambda m, x: _POWER.fourier(m)
                           * (1.0 + 0.5 * np.asarray(x)),
                           x_dependent=True)
+# power_kernel(1) times e^{i/2}: g(-m) = g(m) != conj(g(m)), not Hermitian
+NON_HERMITIAN = md.KernelSpec(nu=1.0, fourier=lambda m: _POWER.fourier(m) * np.exp(0.5j))
 
 
 def _config(nu=1.0, d1=UNIFORM, d2=UNIFORM, alpha=1.0, sigma=1.0,
@@ -226,8 +228,8 @@ class TestCoefficientRecovery:
         off[1, 2] = 0.0
         assert np.max(np.abs(off)) < 1e-10
 
-    @pytest.mark.parametrize("ker", [md.power_kernel(1.0), X_VARYING],
-                             ids=["power", "x-varying"])
+    @pytest.mark.parametrize("ker", [md.power_kernel(1.0), X_VARYING, NON_HERMITIAN],
+                             ids=["power", "x-varying", "non-hermitian"])
     @pytest.mark.parametrize("d1, d2", [
         (md.DesignDensity(beta=0.3, x0=0.5), md.DesignDensity(beta=0.3, x0=0.5)),
         (md.DesignDensity(beta=0.3, x0=0.4), md.DesignDensity(beta=0.6, x0=0.7))],
@@ -236,7 +238,8 @@ class TestCoefficientRecovery:
                                                          ker, d1, d2):
         """M = 40 over column blocks of 16 (three blocks, the last one
         short): the plan still equals the per-index quadrature, and an
-        all-zero Y estimates exactly zero."""
+        all-zero Y estimates exactly zero.  The non-Hermitian kernel
+        checks that conj(g) divides each signed offset before the fold."""
         monkeypatch.setattr(es, "_BLOCK_COLUMNS", 16)
         f = md.tensor_sinusoid(1.5, 1.5, max_freq=64)
         noise = md.NoiseSpec(alpha=0.8, sigma=0.5)

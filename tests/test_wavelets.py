@@ -185,18 +185,37 @@ class TestEvaluation:
                               np.array([1.0, 2.0]))
 
 
-def _full_band(spec, level, axis, points):
-    """``Re(exp(2 pi i outer(points, m)) @ column)`` for every shift k of a
-    level: the plain complex sum over the whole band of its coefficients
-    ``psihat_{j,k}(m) = c_m exp(-2 pi i m k / S)``, 256 shifts at a time."""
+def _full_band(spec, level, axis, spectrum, divisor=1.0):
+    """``Re sum_m psihat_{j,k}(m) W(m) / d(m)`` for every shift k of a
+    level, (shift count, n): the plain complex sum over the whole signed
+    band of ``psihat_{j,k}(m) = c_m exp(-2 pi i m k / S)``, with W(m) =
+    ``spectrum(m)`` (band, n) at every signed offset, 256 shifts at a
+    time."""
     m, base = wv.base_table(spec, level, axis)
     count = wv.shift_count(spec, level, axis)
-    at_points = np.exp(2j * np.pi * np.outer(points, m)) * base
-    out = np.empty((points.size, count))
+    weighted = spectrum(m) * (base[:, None] / divisor)
+    out = np.empty((count, weighted.shape[1]))
     for lo in range(0, count, 256):
         k = np.arange(lo, min(count, lo + 256))
-        out[:, k] = np.real(at_points @ np.exp(-2j * np.pi * np.outer(m, k / count)))
+        out[k] = np.real(np.exp(-2j * np.pi * np.outer(k / count, m)) @ weighted)
     return out
+
+
+def _at_points(points):
+    """W(m) = exp(2 pi i m t), one column per point t: the spectrum whose
+    pairing with a level is its values at the points."""
+    return lambda m: np.exp(2j * np.pi * np.outer(m, points))
+
+
+def _hermitian(rng, n):
+    """A random Hermitian spectrum, n columns, over every offset of the
+    finest level: (W at offsets h >= 0, W at signed offsets m), with
+    W(-m) = conj(W(m)) and W(0) real."""
+    top = wv.band_limit(wv.MAX_LEVEL)
+    W = rng.standard_normal((top + 1, n)) + 1j * rng.standard_normal((top + 1, n))
+    W[0] = W[0].real
+    return (lambda h: W[h],
+            lambda m: np.where(m[:, None] < 0, np.conj(W[np.abs(m)]), W[np.abs(m)]))
 
 
 class TestEvalLevel:
@@ -216,7 +235,7 @@ class TestEvalLevel:
         m0 = self.SPEC.lowest_level(axis)
         for level in (m0 - 1, m0, 5, 7, 9):
             V = wv.eval_level(self.SPEC, level, axis, pts)
-            ref = _full_band(self.SPEC, level, axis, pts)
+            ref = _full_band(self.SPEC, level, axis, _at_points(pts)).T
             assert V.shape == (pts.size, wv.shift_count(self.SPEC, level, axis))
             assert np.max(np.abs(V - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -226,7 +245,7 @@ class TestEvalLevel:
         pts = np.array([0.0, 0.013, 0.4999, 0.5001, 0.77, 0.999])
         for axis in (0, 1):
             V = wv.eval_level(self.SPEC, 11, axis, pts)
-            ref = _full_band(self.SPEC, 11, axis, pts)
+            ref = _full_band(self.SPEC, 11, axis, _at_points(pts)).T
             assert np.max(np.abs(V - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_band_wider_than_the_shift_count(self, monkeypatch):
@@ -240,5 +259,36 @@ class TestEvalLevel:
         monkeypatch.setattr(wv, "base_table", lambda spec, level, axis: (m, c))
         pts = rng.random(50)
         V = wv.eval_level(self.SPEC, 5, 0, pts)
-        ref = _full_band(self.SPEC, 5, 0, pts)
+        ref = _full_band(self.SPEC, 5, 0, _at_points(pts)).T
         assert np.max(np.abs(V - ref)) <= 1e-12 * np.max(np.abs(ref))
+        # and pair_level, with a random spectrum and a (band, n) divisor
+        half, signed = _hermitian(rng, 3)
+        d = 1.5 + rng.standard_normal((m.size, 3)) + 1j * rng.standard_normal((m.size, 3))
+        V = wv.pair_level(self.SPEC, 5, 0, half, d)
+        ref = _full_band(self.SPEC, 5, 0, signed, d)
+        assert np.max(np.abs(V - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestPairLevel:
+    """``pair_level`` equals the full-band complex sum of every shift,
+    divided before the fold by a divisor that is not Hermitian."""
+
+    SPEC = wv.WaveletSpec(m10=3, m20=4)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("columns", [1, 5], ids=["band-by-1", "band-by-n"])
+    def test_equals_full_band_sum(self, axis, columns):
+        """The scaling pseudo-level and wavelet levels of both axes, five
+        random Hermitian spectra, and a random complex divisor d with
+        d(-m) != conj(d(m)), one column for all spectra or one each."""
+        rng = np.random.default_rng(23)
+        half, signed = _hermitian(rng, 5)
+        m0 = self.SPEC.lowest_level(axis)
+        for level in (m0 - 1, m0, 5, 8):
+            m, _ = wv.base_table(self.SPEC, level, axis)
+            d = (1.5 + rng.standard_normal((m.size, columns))
+                 + 1j * rng.standard_normal((m.size, columns)))
+            V = wv.pair_level(self.SPEC, level, axis, half, d)
+            ref = _full_band(self.SPEC, level, axis, signed, d)
+            assert V.shape == (wv.shift_count(self.SPEC, level, axis), 5)
+            assert np.max(np.abs(V - ref)) <= 1e-12 * np.max(np.abs(ref))
