@@ -15,8 +15,7 @@ from .model import (DesignDensity, KernelSpec, NoiseSpec, ObservationGrid,
                     load_csv, lrd_covariance, make_kernel, make_test_function,
                     noise_factor, normalize_density, power_kernel,
                     quantile_design, sample_errors, save_csv,
-                    simulate_observations, simulate_replicates, single_atom,
-                    tensor_sinusoid)
+                    simulate_observations, simulate_replicates, tensor_sinusoid)
 from .estimator import (EstimatorConfig, FieldPlan, KernelNotInvertibleError,
                         SingularDesignError, choose_levels, estimate_field,
                         reconstruct, save_field_csv, save_reconstruction_csv,

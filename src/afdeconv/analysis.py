@@ -352,13 +352,13 @@ def verify_lemma2(cfg: es.EstimatorConfig, index, M: int, N_ladder,
         w, dev = _colored_deviations(V, noise, replicates, seed + i)
         variances.append(float(np.var(dev, ddof=1)))
         exact_variances.append(float(w @ w))
-        m4 = float(np.mean((dev - dev.mean()) ** 4))
+        centered = dev - dev.mean()
+        m4 = float(np.mean(centered ** 4))
         term1 = noise.sigma ** 4 / (M ** 3 * N ** 2) * order4
         term2 = noise.sigma ** 4 / (M ** 2 * N ** (2 * noise.alpha)) * order2 ** 2
         fourth_ratios.append(m4 / (term1 + term2))
         if i == len(N_ladder) - 1:
-            centered = dev - dev.mean()
-            kurt = float(np.mean(centered ** 4) / np.mean(centered ** 2) ** 2)
+            kurt = m4 / float(np.mean(centered ** 2)) ** 2
     slope, se = fit_rate(zip(N_ladder, variances))
     exact_slope, _ = fit_rate(zip(N_ladder, exact_variances))
     return Lemma2Report(alpha=noise.alpha, N_ladder=list(N_ladder),

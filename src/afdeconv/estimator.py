@@ -245,7 +245,8 @@ class FieldPlan:
         band = max(m.max() for m in bands.values())
         # cos and sin rows of e^{i 2 pi m t_i} / h1(t_i), m = 0..b, stacked,
         # so the t-transform of the real Y is one real product
-        self.phase = np.ascontiguousarray(wv._cos_sin(t, np.arange(band + 1)).T)
+        self.phase = np.empty((2 * (band + 1), self.N))
+        wv._cos_sin(t, np.arange(band + 1), self.phase[:band + 1].T, self.phase[band + 1:].T)
         self.phase *= inv_h1
 
     def estimate(self, Y: np.ndarray) -> dict[tuple[int, int], np.ndarray]:

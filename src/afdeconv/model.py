@@ -46,7 +46,6 @@ __all__ = [
     "identity_kernel",
     "tensor_sinusoid",
     "bump_ramp",
-    "single_atom",
     "make_test_function",
     "make_kernel",
     "save_csv",
@@ -481,18 +480,6 @@ def bump_ramp(center: float = 0.45, width: float = 0.15) -> TestFunction:
     m = np.arange(-8192, 8193)
     u_hat = width * np.sinc(m * width) ** 2 * np.exp(-2j * np.pi * m * center)
     return TestFunction(u=u, v=v, u_hat=u_hat, s1=1.5, s2=0.5, p=2.0)
-
-
-def single_atom(j1: int, k1: int, j2: int, k2: int, wspec) -> TestFunction:
-    """f equal to one tensor basis atom (testing aid)."""
-    m1, psi = wv.build_basis(wspec, j1, axis=0)
-    m2, eta = wv.build_basis(wspec, j2, axis=1)
-    psi, eta = psi[:, k1], eta[:, k2]
-    band = np.abs(m1).max()
-    u_hat = np.zeros(2 * band + 1, dtype=complex)
-    u_hat[m1 + band] = psi
-    return TestFunction(u=lambda t: wv.eval_on_points(t, m1, psi),
-                        v=lambda x: wv.eval_on_points(x, m2, eta), u_hat=u_hat)
 
 
 _TEST_FUNCTIONS = {

@@ -5,10 +5,11 @@ wavelet ``psi_{j,k}(t) = sum_n 2^{j/2} psi(2^j (t+n) - k)`` with S shifts,
 ``base_table`` gives the offsets ``m`` and ``psihat_{j,0}(m)``, and shift k
 multiplies them by ``exp(-i 2 pi m k / S)``.  ``pair_level``, the one
 primitive for a whole level, pairs every shift with Hermitian spectra by
-one residue fold and one FFT; ``eval_level`` is its synthesis at points.
-``eval_on_points`` evaluates any (band, n) block of coefficients at any
-points: the simulator's synthesis and, given one index's level matrix,
-the per-index reference.  This module alone forms the Fourier phases.
+one residue sum and one FFT; ``eval_level``, its synthesis at points,
+folds each level once.  ``eval_on_points`` evaluates any (band, n) block
+at any points: the simulator's synthesis and the per-index reference.
+``_fold`` is the one fold onto |m| and ``_cos_sin`` the one phase, also
+of the estimator's t-transform: this module alone forms Fourier phases.
 
 The basis is the periodized Meyer basis, band-limited by construction, so
 the tables are exact.  Levels run up to ``MAX_LEVEL``.
@@ -194,6 +195,41 @@ def build_basis(spec: WaveletSpec, level: int, axis: int = 0) -> tuple[np.ndarra
 # 16 MiB of cos and sin values per block, computed in place; blocks of 2^21
 # exponentials raised the peak resident memory of the lemma suite by 20 MiB.
 _BLOCK_EXPONENTIALS = 1 << 20
+# Values per slice of ``_fold``, 0.25 MiB: the slices are its only
+# temporaries; gathering each sign of a wide band whole doubled its peak.
+_BLOCK_FOLD = 1 << 15
+
+
+def _fold(offsets: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct h = |m| of distinct offsets m, and the rows [Re c'; -Im c']
+    of the fold ``c'_h = c_h + conj(c_{-h})``, which leaves every
+    ``Re sum_m c_m e^{i 2 pi m t}`` unchanged.  A repeated offset raises
+    ValueError: the fold would keep one of its terms."""
+    ordered = np.sort(offsets)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    if repeated.size:
+        raise ValueError(f"offset {repeated[0]} is repeated; offsets must be distinct")
+    half, where = np.unique(np.abs(offsets), return_inverse=True)
+    h = half.size
+    rows = np.zeros((2 * h,) + coeffs.shape[1:])
+    re, im = np.real(coeffs), np.imag(coeffs)
+    step = max(1, _BLOCK_FOLD // max(1, rows[:1].size))  # offsets per slice
+    pos, neg = np.flatnonzero(offsets >= 0), np.flatnonzero(offsets < 0)
+    for i in (pos[a:a + step] for a in range(0, pos.size, step)):
+        rows[where[i]] = re[i]
+        rows[h + where[i]] = -im[i]
+    for i in (neg[a:a + step] for a in range(0, neg.size, step)):
+        rows[where[i]] += re[i]
+        rows[h + where[i]] += im[i]
+    return half, rows
+
+
+def _cos_sin(t: np.ndarray, m: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> None:
+    """Fill the caller's (len(t), len(m)) arrays with cos and sin(2 pi t m)."""
+    arg = np.multiply.outer(t, m, out=sin)
+    arg *= 2.0 * np.pi
+    np.cos(arg, out=cos)
+    np.sin(arg, out=arg)
 
 
 def eval_on_points(points, offsets: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -202,48 +238,44 @@ def eval_on_points(points, offsets: np.ndarray, coeffs: np.ndarray) -> np.ndarra
     The result has shape ``points.shape + coeffs.shape[1:]``: a 1-D
     ``coeffs`` (one basis function, one profile) gives one value per point,
     a 2-D one (band, n) gives n; a whole level of shifts is ``eval_level``'s.
-    The offsets must be distinct: a repeated one raises ValueError, since
-    the fold would keep one of its terms.  Only the real part is formed,
-    so each negative offset is first folded onto its positive twin,
-    ``Re c_{-m} e^{-i 2 pi m t} = Re conj(c_{-m}) e^{i 2 pi m t}``, and the
-    sum runs over the |m| only: a symmetric band costs half the cos and sin
-    values and half the product of the full band.  Points are taken in
-    blocks of about 2^20 (cos, sin) pairs, which bounds the memory of the
-    phase matrix on large grids and wide bands.
+    The sum is the [cos | sin] block of the distinct |m| times the rows of
+    ``_fold``: a symmetric band costs half the cos and sin values and half
+    the product.  Blocks of about 2^20 points times |m| bound the memory.
     """
     t = np.asarray(points, dtype=float).reshape(-1)
-    ordered = np.sort(offsets)
-    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
-    if repeated.size:
-        raise ValueError(f"offset {repeated[0]} is repeated; offsets must be distinct")
-    half, where = np.unique(np.abs(offsets), return_inverse=True)
+    half, rows = _fold(offsets, coeffs)
     h = half.size
-    # rows 0..h-1 hold Re c', rows h..2h-1 hold -Im c' of the folded
-    # coefficients c'_m = c_m + conj(c_{-m}), so Re sum = [cos, sin] @ rows
-    folded = np.zeros((2 * h,) + coeffs.shape[1:])
-    re, im = np.real(coeffs), np.imag(coeffs)
-    neg = offsets < 0
-    pos = ~neg
-    folded[where[pos]] = re[pos]
-    folded[h + where[pos]] = -im[pos]
-    folded[where[neg]] += re[neg]
-    folded[h + where[neg]] += im[neg]
     out = np.empty(t.shape + coeffs.shape[1:])
     step = max(1, _BLOCK_EXPONENTIALS // max(1, h))
+    cos_sin = np.empty((min(step, t.size), 2 * h))  # reused: a new one per step raised peak RSS
     for lo in range(0, t.size, step):
-        out[lo:lo + step] = _cos_sin(t[lo:lo + step], half) @ folded
+        block = cos_sin[:t[lo:lo + step].size]
+        _cos_sin(t[lo:lo + step], half, block[:, :h], block[:, h:])
+        out[lo:lo + step] = block @ rows
     return out.reshape(np.shape(points) + coeffs.shape[1:])
 
 
-def _cos_sin(t: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``[cos | sin](2 pi t m)`` for 1-D points t and frequencies m: row i
-    holds cos(2 pi m t_i) for every m, then sin(2 pi m t_i)."""
-    cos_sin = np.empty((t.size, 2 * m.size))
-    arg = np.multiply.outer(t, m, out=cos_sin[:, m.size:])
-    arg *= 2.0 * np.pi
-    np.cos(arg, out=cos_sin[:, :m.size])
-    np.sin(arg, out=arg)
-    return cos_sin
+def _level_fold(spec: WaveletSpec, level: int, axis: int, divisor=None):
+    """(h, complex c'_h): a level's shift-0 band, divided by d, by ``_fold``."""
+    m, c = base_table(spec, level, axis)
+    half, rows = _fold(m, c[:, None] if divisor is None else c[:, None] / divisor)
+    folded = rows[:half.size].astype(complex)
+    np.negative(rows[half.size:], out=folded.imag)
+    return half, folded
+
+
+def _residue_fft(terms: np.ndarray, lo: int, count: int) -> np.ndarray:
+    """``Re sum_h terms[h - lo] exp(-i 2 pi h k / count)`` for k < count,
+    the terms c'_h W(h) of a folded band over h = lo, lo + 1, ..."""
+    hi = lo + terms.shape[0] - 1
+    # row r of A sums the h = r mod count, one slice per count consecutive
+    # h: the |m| of every Meyer band are contiguous (both axes, levels 2..12)
+    A = np.zeros_like(terms, shape=(count, terms.shape[1]))  # the terms' memory order
+    for start in range(lo - lo % count, hi + 1, count):
+        u, v = max(start, lo), min(start + count, hi + 1)
+        A[u - start:v - start] += terms[u - lo:v - lo]
+    np.fft.fft(A, axis=0, out=A)
+    return A.real
 
 
 def pair_level(spec: WaveletSpec, level: int, axis: int, spectrum,
@@ -253,54 +285,34 @@ def pair_level(spec: WaveletSpec, level: int, axis: int, spectrum,
 
     ``spectrum(h)`` gives W at the offsets h >= 0 only, (len(h), n), as
     W(-m) = conj(W(m)).  The divisor d, (band, 1) or (band, n) over the
-    signed band of ``base_table``, divides the shift-0 band c before the
-    fold ``c'_h = c_h + conj(c_{-h})``, so any d stays exact.  As the
-    shift phase ``exp(-i 2 pi h k / S)`` depends on h mod S only, the terms
-    c'_h W(h) are summed by residue into A, and Re FFT(A) is the result.
+    signed band of ``base_table``, divides the shift-0 band before the fold,
+    so any d stays exact; the shift phase ``exp(-i 2 pi h k / S)`` depends
+    on h mod S only, so one FFT of residue sums gives every shift.
     """
-    m, c = base_table(spec, level, axis)
-    count = shift_count(spec, level, axis)
-    c = c[:, None] if divisor is None else c[:, None] / divisor
-    half = np.abs(m)
-    lo, hi = int(half.min()), int(half.max())
-    neg = m < 0
-    folded = np.zeros((hi - lo + 1, c.shape[1]), dtype=complex)  # c'_h, h = lo..hi
-    folded[half[~neg] - lo] = c[~neg]
-    folded[half[neg] - lo] += np.conj(c[neg])
-    terms = spectrum(np.arange(lo, hi + 1)) * folded
-    # row r of A sums the h = r mod S: one slice per S consecutive h
-    A = np.zeros_like(terms, shape=(count, terms.shape[1]))  # W's memory order
-    for start in range(lo - lo % count, hi + 1, count):
-        u, v = max(start, lo), min(start + count, hi + 1)
-        A[u - start:v - start] += terms[u - lo:v - lo]
-    np.fft.fft(A, axis=0, out=A)
-    return A.real
+    half, folded = _level_fold(spec, level, axis, divisor)
+    return _residue_fft(spectrum(half) * folded, int(half[0]), shift_count(spec, level, axis))
 
 
-# Complex values per block of ``eval_level``, 0.5 MiB, a 32nd of
-# ``_BLOCK_EXPONENTIALS``.  Building the x-levels up to 9 at 2048 points
-# (16 MiB returned) took 64 ms for blocks of 2^13 to 2^18, and traced
-# 16.5, 17.7 and 28.2 MiB at peak for 2^13, 2^15 and 2^18.
+# Complex values per block of ``eval_level``, 0.5 MiB: the x-levels up to 9
+# at 2048 points took 64 ms for blocks of 2^13 to 2^18, and traced 16.5,
+# 17.7 and 28.2 MiB at peak for 2^13, 2^15 and 2^18.
 _BLOCK_LEVEL = 1 << 15
-
-
-def _phase(h: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """(len(h), len(t)) values exp(i 2 pi h t), stored point by point."""
-    terms = np.empty((t.size, h.size), dtype=complex)
-    arg = np.multiply.outer(t, h, out=terms.imag)
-    arg *= 2.0 * np.pi
-    np.cos(arg, out=terms.real)
-    np.sin(arg, out=arg)
-    return terms.T
 
 
 def eval_level(spec: WaveletSpec, level: int, axis: int, points) -> np.ndarray:
     """The (len(points), shift_count) values ``psi_{j,k}(t)`` of every shift
     k of one Omega level at every point t: ``pair_level`` with W(h) =
-    ``exp(i 2 pi h t)``, on blocks of about ``_BLOCK_LEVEL`` complex values."""
+    ``exp(i 2 pi h t)``, on blocks of about ``_BLOCK_LEVEL`` complex values,
+    all paired with one fold of the level."""
     t = np.asarray(points, dtype=float).reshape(-1)
-    out = np.empty((t.size, shift_count(spec, level, axis)))
-    step = max(1, _BLOCK_LEVEL // max(base_table(spec, level, axis)[0].size // 2, out.shape[1]))
+    count = shift_count(spec, level, axis)
+    half, folded = _level_fold(spec, level, axis)
+    out = np.empty((t.size, count))
+    step = max(1, _BLOCK_LEVEL // max(base_table(spec, level, axis)[0].size // 2, count))
+    phase = np.empty((min(step, t.size), half.size), dtype=complex)  # point by point
     for a in range(0, t.size, step):
-        out[a:a + step] = pair_level(spec, level, axis, lambda h: _phase(h, t[a:a + step])).T
+        W = phase[:t[a:a + step].size]
+        _cos_sin(t[a:a + step], half, W.real, W.imag)
+        terms = np.multiply(W.T, folded, out=W.T)  # in place
+        out[a:a + step] = _residue_fft(terms, int(half[0]), count).T
     return out

@@ -9,6 +9,8 @@ from afdeconv import estimator as es
 from afdeconv import model as md
 from afdeconv import wavelets as wv
 
+from atoms import single_atom
+
 WSPEC = wv.WaveletSpec()
 UNIFORM = md.DesignDensity(beta=0.0, x0=0.5)
 SILENT = md.NoiseSpec(alpha=1.0, sigma=0.0)
@@ -164,7 +166,7 @@ class TestCoefficientRecovery:
     def test_atom_recovered_exactly(self, kernel):
         """A single basis atom under a uniform design is estimated to
         machine precision: the quadrature is exact for band-limited data."""
-        f = md.single_atom(3, 2, 3, 5, WSPEC)
+        f = single_atom(3, 2, 3, 5, WSPEC)
         obs = md.simulate_observations(f, kernel, UNIFORM, UNIFORM, SILENT,
                                        N=256, M=256, seed=1)
         cfg = es.EstimatorConfig(kernel, UNIFORM, UNIFORM, SILENT, J1=5, J2=5)
@@ -208,7 +210,7 @@ class TestCoefficientRecovery:
         """A kernel with x-varying coefficients recovers a band-limited
         atom exactly."""
         ker = X_VARYING
-        f = md.single_atom(3, 1, 3, 2, WSPEC)
+        f = single_atom(3, 1, 3, 2, WSPEC)
         obs_clean = md.simulate_observations(f, md.identity_kernel(), UNIFORM,
                                              UNIFORM, SILENT, N=128, M=128,
                                              seed=0)

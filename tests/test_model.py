@@ -15,6 +15,8 @@ from afdeconv import estimator as es
 from afdeconv import model as md
 from afdeconv import wavelets as wv
 
+from atoms import single_atom
+
 # power_kernel(1) scaled by (1 + x/2): a kernel whose coefficients vary in x
 _POWER = md.power_kernel(1.0)
 X_VARYING = md.KernelSpec(nu=1.0,
@@ -330,7 +332,7 @@ class TestTestFunctions:
 class TestSimulation:
 
     def test_identity_kernel_passthrough(self):
-        f = md.single_atom(3, 1, 3, 2, wv.WaveletSpec())
+        f = single_atom(3, 1, 3, 2, wv.WaveletSpec())
         d = md.DesignDensity(beta=0.0, x0=0.5)
         silent = md.NoiseSpec(alpha=1.0, sigma=0.0)
         obs = md.simulate_observations(f, md.identity_kernel(), d, d, silent,

@@ -35,6 +35,16 @@ class TestBandStructure:
             inner = np.abs(m) < (2 ** level) / 3
             assert np.allclose(vals[inner], 0.0)
 
+    @pytest.mark.parametrize("m0", [2, 3, 4])
+    def test_folded_offsets_are_contiguous(self, m0):
+        """The |m| of every level's band, scaling pseudo-level included,
+        are one run lo..hi, which the residue sum of pair_level takes one
+        slice of S consecutive offsets at a time."""
+        spec = wv.WaveletSpec(m10=m0, m20=m0)
+        for level in range(m0 - 1, wv.MAX_LEVEL + 1):
+            half = np.unique(np.abs(wv.base_table(spec, level, 0)[0]))
+            assert np.array_equal(half, np.arange(half[0], half[-1] + 1))
+
     def test_zero_dc_for_wavelets(self, meyer):
         for level in (3, 4, 5):
             m, vals = wv.base_table(meyer, level, axis=0)
@@ -175,6 +185,40 @@ class TestEvaluation:
             assert np.max(np.abs(V - plain)) <= 1e-12 * np.max(np.abs(plain))
 
 
+    def test_fold_in_slices_equals_one_slice(self, monkeypatch):
+        """The fold gathers the band a slice at a time: slices of 7 values
+        over shuffled offsets with and without a negative twin give the
+        same bits as one slice."""
+        rng = np.random.default_rng(13)
+        m = rng.permutation(np.concatenate([np.arange(-30, 0), np.arange(0, 45)]))
+        c = rng.standard_normal((m.size, 4)) + 1j * rng.standard_normal((m.size, 4))
+        points = rng.random(40)
+        whole = [wv.eval_on_points(points, m, block) for block in (c, c[:, 0])]
+        monkeypatch.setattr(wv, "_BLOCK_FOLD", 7)
+        for block, one_slice in zip((c, c[:, 0]), whole):
+            assert np.array_equal(wv.eval_on_points(points, m, block), one_slice)
+
+    def test_peak_memory_is_the_folded_rows(self):
+        """A wide (band, n) block is folded in slices, so the traced peak
+        of eval_on_points stays under 1.1 times its folded real rows
+        [Re c'; -Im c'], 2 * 2049 x 512 floats or 16 MiB, at 8 points;
+        gathering each sign of the band whole doubled it.  The values are
+        the plain sum."""
+        import tracemalloc
+        rng = np.random.default_rng(17)
+        m = np.arange(-2048, 2049)
+        c = rng.standard_normal((m.size, 512)) + 1j * rng.standard_normal((m.size, 512))
+        points = rng.random(8)
+        tracemalloc.start()
+        try:
+            V = wv.eval_on_points(points, m, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * (2 * 2049 * 512 * 8)
+        plain = np.real(np.exp(2j * np.pi * np.outer(points, m)) @ c)
+        assert np.max(np.abs(V - plain)) <= 1e-12 * np.max(np.abs(plain))
+
     @pytest.mark.parametrize("offset", [1, -1])
     def test_repeated_offsets_rejected(self, offset):
         """A repeated offset would be assigned, not added, by the fold:
@@ -247,6 +291,23 @@ class TestEvalLevel:
             V = wv.eval_level(self.SPEC, 11, axis, pts)
             ref = _full_band(self.SPEC, 11, axis, _at_points(pts)).T
             assert np.max(np.abs(V - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_folds_each_level_once(self, monkeypatch):
+        """eval_level folds the level's band once and pairs the fold with
+        every block of points: level 7 at more than three blocks' worth of
+        points makes one fold."""
+        calls = {"_fold": 0, "_residue_fft": 0}
+        for name in calls:
+            def spy(*args, _name=name, _real=getattr(wv, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(wv, name, spy)
+        count = wv.shift_count(self.SPEC, 7, 0)
+        pts = np.random.default_rng(19).random(3 * (wv._BLOCK_LEVEL // count) + 1)
+        V = wv.eval_level(self.SPEC, 7, 0, pts)
+        assert V.shape == (pts.size, count)
+        assert calls["_residue_fft"] >= 3
+        assert calls["_fold"] == 1
 
     def test_band_wider_than_the_shift_count(self, monkeypatch):
         """Several offsets of one residue mod S add up: a random complex
