@@ -217,7 +217,9 @@ class FieldPlan:
     splits the sum into products: the t-transform
     ``What[m, l] = sum_i e^{i 2 pi m t_i} Y_il / (h1(t_i) h2(x_l))`` over
     the union t-band, then per t-level ``Z = Re sum_m psihat_{j1,k}(m)
-    What[m] / conj(G(m))`` by ``wavelets.pair_level``, then ``Z @ eta / (NM)``.
+    What[m] / conj(G(m))`` by ``wavelets.level_pairing``'s residue sum and
+    FFT, then ``Z @ eta / (NM)``; an x-independent G folds each t-level once
+    per plan.
     The weight is never formed as an N x M matrix: 1/h1 is folded into the
     cos and sin rows of the transform and 1/h2 scales its columns.  Y is
     real, so What is Hermitian and only m = 0..b is transformed, for
@@ -242,6 +244,10 @@ class FieldPlan:
         bands = {j1: wv.base_table(cfg.wavelet, j1, 0)[0]
                  for j1 in wv.level_range(cfg.wavelet, self.J1, axis=0)}
         self.conj_g = {j1: _conj_kernel(cfg.kernel, m, x, j1) for j1, m in bands.items()}
+        # an x-independent kernel's t-levels are folded once, here; an
+        # x-dependent one divides each block of columns by its own conj(g)
+        self.pairings = {j1: wv.level_pairing(cfg.wavelet, j1, 0, g)
+                         for j1, g in self.conj_g.items() if g.shape[1] == 1}
         band = max(m.max() for m in bands.values())
         # cos and sin rows of e^{i 2 pi m t_i} / h1(t_i), m = 0..b, stacked,
         # so the t-transform of the real Y is one real product
@@ -261,9 +267,9 @@ class FieldPlan:
             CS *= self.inv_h2[cols]
             What = CS[:half] + 1j * CS[half:]
             for j1, conj_g in self.conj_g.items():
-                Z[j1][:, cols] = wv.pair_level(
-                    spec, j1, 0, lambda h: What[h],
-                    conj_g if conj_g.shape[1] == 1 else conj_g[:, cols])
+                pair = (self.pairings.get(j1)
+                        or wv.level_pairing(spec, j1, 0, conj_g[:, cols]))
+                Z[j1][:, cols] = pair(lambda h: What[h])
         scale = 1.0 / (self.N * self.M)
         return {(j1, j2): scale * (Z[j1] @ self.eta[j2])
                 for j1 in Z for j2 in self.eta}

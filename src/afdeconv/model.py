@@ -11,7 +11,9 @@ coefficients of u over its own band, so the clean signal is one
 band-limited synthesis in t (``wavelets.eval_on_points``) times v(x).
 ``simulate_replicates`` computes the designs, q and the noise colouring
 once and yields one grid per seed; ``simulate_observations`` is its
-one-seed case.
+one-seed case.  A uniform design (beta = 0) is the midpoint grid
+(i - 1/2)/n exactly, so q is synthesized on it as a ``wavelets.Grid``,
+by one FFT; a singular design takes the dense synthesis at its points.
 """
 
 from __future__ import annotations
@@ -158,6 +160,8 @@ class DesignDensity:
 
     def quantile(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
+        if self.beta == 0.0:
+            return u  # H is the identity; the closed form is an ulp off it
         b1 = self.beta + 1.0
         u_mid = self.c / b1 * self.x0 ** b1
         lo = self.x0 - np.maximum(self.x0 ** b1 - b1 * u / self.c, 0.0) ** (1.0 / b1)
@@ -168,15 +172,16 @@ class DesignDensity:
 def quantile_design(n: int, density: DesignDensity) -> np.ndarray:
     """Design points t_i with H(t_i) = (i - 1/2) / n, strictly increasing.
 
-    The interior grid keeps every point strictly inside (0, 1).  A point
-    landing exactly on the density singularity is nudged by one ulp so the
-    reciprocal weights stay finite.
+    The interior grid keeps every point strictly inside (0, 1), and at
+    beta = 0 it is the midpoint grid ``wavelets.Grid(n, 0.5)`` exactly.  A
+    point landing exactly on the density singularity (beta > 0) is nudged
+    by one ulp so the reciprocal weights stay finite.
     """
     if n < 2:
         raise ParameterError("need at least two design points")
     u = (np.arange(1, n + 1) - 0.5) / n
     t = density.quantile(u)
-    at_sing = t == density.x0
+    at_sing = (t == density.x0) & (density.beta > 0.0)
     if np.any(at_sing):
         t[at_sing] = np.nextafter(density.x0, 1.0)
     return t
@@ -418,8 +423,9 @@ class TestFunction:
         return self.u(t) * self.v(x)
 
     def grid(self, size: int) -> np.ndarray:
-        g = np.arange(size) / size
-        return self.eval(g[:, None], g[None, :])
+        """f at (a/size, b/size) for a, b < size, u and v on a ``wavelets.Grid``."""
+        g = wv.Grid(size)
+        return np.multiply.outer(self.u(g), self.v(g))
 
 
 def _harmonic_profile(s: float, max_freq: int):
@@ -533,10 +539,11 @@ def convolved_signal(f: TestFunction, kernel: KernelSpec,
 
     The kernel convolves in t only, so q is one synthesis over the band of
     u: its coefficient block uhat * g is band x 1 for an x-independent
-    kernel and band x len(x) for an x-dependent one.
+    kernel and band x len(x) for an x-dependent one.  t and x are arrays or
+    ``wavelets.Grid`` points, which both syntheses, in t and of v, take.
     """
     m = np.arange(-f.band, f.band + 1)
-    coeffs = f.u_hat[:, None] * kernel.coeff(m[:, None], x[None, :])
+    coeffs = f.u_hat[:, None] * kernel.coeff(m[:, None], np.asarray(x)[None, :])
     return wv.eval_on_points(t, m, coeffs) * f.v(x)[None, :]
 
 
@@ -554,7 +561,9 @@ def simulate_replicates(f: TestFunction, kernel: KernelSpec,
     t = quantile_design(N, d1)
     x = quantile_design(M, d2)
     draw = _error_sampler(noise, N, M) if noise.sigma > 0 else None
-    q = convolved_signal(f, kernel, t, x)
+    # a uniform design is the midpoint grid, synthesized by one FFT
+    q = convolved_signal(f, kernel, *(wv.Grid(p.size, 0.5) if d.beta == 0.0 else p
+                                      for p, d in ((t, d1), (x, d2))))
     for seed in seeds:
         if draw is None:
             Y = q

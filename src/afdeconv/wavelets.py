@@ -5,11 +5,15 @@ wavelet ``psi_{j,k}(t) = sum_n 2^{j/2} psi(2^j (t+n) - k)`` with S shifts,
 ``base_table`` gives the offsets ``m`` and ``psihat_{j,0}(m)``, and shift k
 multiplies them by ``exp(-i 2 pi m k / S)``.  ``pair_level``, the one
 primitive for a whole level, pairs every shift with Hermitian spectra by
-one residue sum and one FFT; ``eval_level``, its synthesis at points,
-folds each level once.  ``eval_on_points`` evaluates any (band, n) block
+one residue sum and one FFT; ``level_pairing`` folds a level once for
+many pairings, and ``eval_level``, its synthesis at points, folds each
+level once.  ``eval_on_points`` evaluates any (band, n) block
 at any points: the simulator's synthesis and the per-index reference.
-``_fold`` is the one fold onto |m| and ``_cos_sin`` the one phase, also
-of the estimator's t-transform: this module alone forms Fourier phases.
+Given a ``Grid``, the uniform points (a + s)/n, it takes the same residue
+sum and one length-n FFT, exact and with no cos/sin block; given an
+array, it forms the dense [cos | sin] block.  ``_fold`` is the one fold
+onto |m| and ``_cos_sin`` the one phase, also of the estimator's
+t-transform: this module alone forms Fourier phases.
 
 The basis is the periodized Meyer basis, band-limited by construction, so
 the tables are exact.  Levels run up to ``MAX_LEVEL``.
@@ -34,7 +38,9 @@ __all__ = [
     "build_basis",
     "base_table",
     "eval_on_points",
+    "Grid",
     "pair_level",
+    "level_pairing",
     "eval_level",
     "shift_count",
     "level_range",
@@ -232,6 +238,24 @@ def _cos_sin(t: np.ndarray, m: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> 
     np.sin(arg, out=arg)
 
 
+@dataclass(frozen=True)
+class Grid:
+    """The n uniform points t_a = (a + shift) / n, a < n, as points of
+    ``eval_on_points``, which synthesizes on them by one FFT.  As an array
+    (``np.asarray``) they are those points, so a profile written for
+    arrays takes a Grid unchanged."""
+
+    n: int
+    shift: float = 0.0
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"a grid needs at least one point, got n = {self.n}")
+
+    def __array__(self, dtype=None, copy=None):
+        return ((np.arange(self.n) + self.shift) / self.n).astype(dtype or float, copy=False)
+
+
 def eval_on_points(points, offsets: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """``Re sum_m coeffs[m] exp(i 2 pi m t)`` at every point t.
 
@@ -241,7 +265,10 @@ def eval_on_points(points, offsets: np.ndarray, coeffs: np.ndarray) -> np.ndarra
     The sum is the [cos | sin] block of the distinct |m| times the rows of
     ``_fold``: a symmetric band costs half the cos and sin values and half
     the product.  Blocks of about 2^20 points times |m| bound the memory.
+    A ``Grid`` of points takes ``_eval_on_grid`` instead, with no block.
     """
+    if isinstance(points, Grid):
+        return _eval_on_grid(points, offsets, coeffs)
     t = np.asarray(points, dtype=float).reshape(-1)
     half, rows = _fold(offsets, coeffs)
     h = half.size
@@ -278,6 +305,36 @@ def _residue_fft(terms: np.ndarray, lo: int, count: int) -> np.ndarray:
     return A.real
 
 
+def _eval_on_grid(grid: Grid, offsets: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """``eval_on_points`` at the points (a + s) / n of a grid, exactly:
+    ``Re sum_h c'_h e^{i 2 pi h (a + s) / n}`` is the real part of the
+    residue sum of the terms conj(c'_h) e^{-i 2 pi h s / n} at shift a, so
+    one length-n FFT gives every point, for any n against the band.  The
+    residue sum places terms[i] at h = lo + i, so the |m| must be
+    contiguous; a gap raises ValueError naming the first missing |m|."""
+    half, rows = _fold(offsets, coeffs)
+    h = half.size
+    gap = np.flatnonzero(np.diff(half) > 1)[:1]
+    if gap.size:
+        raise ValueError(f"|m| = {half[gap[0]] + 1} is missing: a grid "
+                         "synthesis needs contiguous |m|")
+    rows = rows.reshape(2 * h, -1)
+    # the shift phase e^{-i 2 pi h s / n}, with h s reduced mod n
+    phase = np.empty(h, dtype=complex)
+    _cos_sin(np.array(1.0 / grid.n), np.mod(half * grid.shift, grid.n), phase.real, phase.imag)
+    np.negative(phase.imag, out=phase.imag)
+    out = np.empty((grid.n, rows.shape[1]))
+    # columns per block: the terms are h long and the residue sums n
+    step = max(1, _BLOCK_EXPONENTIALS // max(h, grid.n))
+    for a in range(0, rows.shape[1], step):
+        cols = slice(a, a + step)
+        terms = rows[:h, cols].astype(complex)  # conj(c'_h) = [Re c'; -Im c']
+        terms.imag = rows[h:, cols]
+        terms *= phase[:, None]
+        out[:, cols] = _residue_fft(terms, int(half[0]), grid.n)
+    return out.reshape((grid.n,) + coeffs.shape[1:])
+
+
 def pair_level(spec: WaveletSpec, level: int, axis: int, spectrum,
                divisor=None) -> np.ndarray:
     """The (shift_count, n) values ``Re sum_m psihat_{j,k}(m) W(m) / d(m)``
@@ -289,8 +346,16 @@ def pair_level(spec: WaveletSpec, level: int, axis: int, spectrum,
     so any d stays exact; the shift phase ``exp(-i 2 pi h k / S)`` depends
     on h mod S only, so one FFT of residue sums gives every shift.
     """
+    return level_pairing(spec, level, axis, divisor)(spectrum)
+
+
+def level_pairing(spec: WaveletSpec, level: int, axis: int, divisor=None):
+    """``pair_level`` with the level folded once: the function of
+    ``spectrum`` that returns its (shift_count, n) values, for a caller that
+    pairs one level and one divisor with many blocks of spectra."""
     half, folded = _level_fold(spec, level, axis, divisor)
-    return _residue_fft(spectrum(half) * folded, int(half[0]), shift_count(spec, level, axis))
+    count = shift_count(spec, level, axis)
+    return lambda spectrum: _residue_fft(spectrum(half) * folded, int(half[0]), count)
 
 
 # Complex values per block of ``eval_level``, 0.5 MiB: the x-levels up to 9

@@ -257,6 +257,29 @@ class TestCoefficientRecovery:
         for blk in plan.estimate(np.zeros_like(obs.Y)).values():
             assert np.all(blk == 0.0)
 
+    def test_x_independent_plan_folds_each_t_level_once(self, monkeypatch):
+        """For an x-independent kernel the plan folds every t-level when it
+        is built, so one estimate over three column blocks makes no _fold
+        call; an x-dependent kernel still folds its divisor per block, one
+        call for each of the two t-levels and each block."""
+        calls = []
+        fold = wv._fold
+
+        def spy(offsets, coeffs):
+            calls.append(offsets.size)
+            return fold(offsets, coeffs)
+
+        monkeypatch.setattr(wv, "_fold", spy)
+        monkeypatch.setattr(es, "_BLOCK_COLUMNS", 16)
+        t, x = md.quantile_design(48, UNIFORM), md.quantile_design(40, UNIFORM)
+        Y = np.random.default_rng(3).standard_normal((48, 40))
+        for ker, per_estimate in ((md.power_kernel(1.0), 0), (NON_HERMITIAN, 0),
+                                  (X_VARYING, 2 * 3)):
+            plan = _plan(t, x, UNIFORM, UNIFORM, ker, 4, 4)
+            calls.clear()
+            plan.estimate(Y)
+            assert len(calls) == per_estimate
+
     def test_estimate_holds_no_grid_sized_array(self):
         """At N = M = 512, with the levels of the rule for alpha = 0.5 and
         sigma = 0.05, the traced peak of FieldPlan.estimate stays below

@@ -104,6 +104,15 @@ class TestDesignDensity:
         assert t[0] > 0 and t[-1] < 1
         assert np.all(d.pdf(t) > 0)
 
+    @pytest.mark.parametrize("n", [96, 97, 192, 384, 1000, 1024])
+    def test_uniform_design_is_the_midpoint_grid(self, n):
+        """At beta = 0 the design is (i - 1/2)/n bit for bit, the points of
+        wavelets.Grid(n, 1/2) that the clean signal is synthesized on; at
+        odd n the midpoint x0 = 1/2 is kept, as the density does not
+        vanish there."""
+        t = md.quantile_design(n, md.DesignDensity(beta=0.0, x0=0.5))
+        assert np.array_equal(t, np.asarray(wv.Grid(n, 0.5)))
+
 
 class TestLongMemoryNoise:
 
@@ -357,6 +366,42 @@ class TestSimulation:
             expected = (f.u_hat_at(m)[:, None] * f.v(obs.x)[None, :]
                         * ker.coeff(m[:, None], obs.x[None, :]))
             assert np.allclose(spec_obs, expected, atol=1e-6)
+
+    @pytest.mark.parametrize("ker", [md.power_kernel(1.0), X_VARYING],
+                             ids=["power", "x-varying"])
+    def test_uniform_clean_signal_equals_dense_synthesis(self, ker):
+        """The clean signal on uniform designs, synthesized on grids, equals
+        the dense synthesis at the same points within 1e-13 of its largest
+        value, for a kernel constant in x and one that varies in x."""
+        f = md.tensor_sinusoid(1.0, 1.0, max_freq=1024)
+        d = md.DesignDensity(beta=0.0, x0=0.5)
+        silent = md.NoiseSpec(alpha=1.0, sigma=0.0)
+        obs = md.simulate_observations(f, ker, d, d, silent, N=96, M=40, seed=0)
+        dense = md.convolved_signal(f, ker, obs.t, obs.x)
+        assert np.max(np.abs(obs.Y - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+    def test_uniform_designs_form_no_cos_sin_block(self, monkeypatch):
+        """simulate_replicates at beta = 0 and TestFunction.grid synthesize
+        by the grid FFT: every _cos_sin call is a phase at one point (the
+        grid's shift phase), none a block of points; a beta = 0.3 design
+        still takes the dense block at its points."""
+        sizes = []
+        cos_sin = wv._cos_sin
+
+        def spy(t, m, cos, sin):
+            sizes.append(np.size(t))
+            cos_sin(t, m, cos, sin)
+
+        monkeypatch.setattr(wv, "_cos_sin", spy)
+        f = md.tensor_sinusoid(1.0, 1.0, max_freq=256)
+        ker, silent = md.power_kernel(1.0), md.NoiseSpec(alpha=1.0, sigma=0.0)
+        uniform, singular = md.DesignDensity(), md.DesignDensity(beta=0.3, x0=0.5)
+        next(md.simulate_replicates(f, ker, uniform, uniform, silent, 48, 40, [0]))
+        f.grid(64)
+        assert sizes and max(sizes) == 1
+        sizes.clear()
+        next(md.simulate_replicates(f, ker, singular, uniform, silent, 48, 40, [0]))
+        assert 48 in sizes
 
     def test_noise_scale(self):
         f = md.tensor_sinusoid(1.0, 1.0, max_freq=32)

@@ -229,6 +229,77 @@ class TestEvaluation:
                               np.array([1.0, 2.0]))
 
 
+def _grid_sum(n, shift, m, c):
+    """``Re sum_m c_m exp(i 2 pi m (a + s) / n)`` for a < n and s in {0, 1/2},
+    the plain complex sum with each phase reduced exactly: m (2a + 2s) mod
+    2n is an integer, so no product 2 pi m t rounds."""
+    a = np.arange(n)
+    r = np.mod(np.outer(2 * a + int(2 * shift), m), 2 * n)
+    return np.real(np.exp(1j * np.pi * r / n) @ c)
+
+
+class TestGridSynthesis:
+
+    @pytest.mark.parametrize("shift", [0.0, 0.5])
+    @pytest.mark.parametrize("n", [7, 96, 512])
+    @pytest.mark.parametrize("band", ["one-sided", "symmetric", "two-d"])
+    def test_equals_plain_sum(self, shift, n, band):
+        """On a Grid, eval_on_points by the residue FFT equals the plain
+        complex sum at its points, also for n below the band, where the
+        residues wrap, for non-Hermitian coefficients, 1-D and (band, n)."""
+        rng = np.random.default_rng(23)
+        m, shape = {"one-sided": (np.arange(1, 601), (600,)),
+                    "symmetric": (np.arange(-300, 301), (601,)),
+                    "two-d": (np.arange(-300, 301), (601, 4))}[band]
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        plain = _grid_sum(n, shift, m, c)
+        V = wv.eval_on_points(wv.Grid(n, shift), m, c)
+        assert V.shape == plain.shape == (n,) + shape[1:]
+        assert np.max(np.abs(V - plain)) <= 1e-13 * np.max(np.abs(plain))
+
+    def test_grid_is_its_points(self):
+        """As an array a Grid is (a + s) / n, the midpoint grid bit for bit
+        at s = 1/2, and the dense synthesis at those points agrees with
+        the grid synthesis to rounding."""
+        g = wv.Grid(96, 0.5)
+        assert np.array_equal(np.asarray(g), (np.arange(1, 97) - 0.5) / 96)
+        assert np.array_equal(np.asarray(wv.Grid(10)), np.arange(10) / 10)
+        m, coeffs = wv.build_basis(wv.WaveletSpec(), 5, axis=0)
+        dense = wv.eval_on_points(np.asarray(g), m, coeffs)
+        assert np.max(np.abs(wv.eval_on_points(g, m, coeffs) - dense)) <= 1e-13
+
+    def test_profiles_take_a_grid(self):
+        """Closed-form profiles read a Grid as its points, and a synthesized
+        profile takes the grid path: bump_ramp's u and v bit for bit,
+        tensor_sinusoid's u to rounding."""
+        g = wv.Grid(96, 0.5)
+        t = np.asarray(g)
+        f = md.bump_ramp()
+        assert np.array_equal(f.u(g), f.u(t)) and np.array_equal(f.v(g), f.v(t))
+        f = md.tensor_sinusoid(1.0, 1.0, max_freq=512)
+        assert np.max(np.abs(f.u(g) - f.u(t))) <= 1e-13 * np.max(np.abs(f.u(t)))
+
+    def test_column_blocks_equal_one_block(self, monkeypatch):
+        """A wide (band, n) block is synthesized a few columns at a time:
+        blocks of 3 columns give the same bits as one block."""
+        rng = np.random.default_rng(29)
+        m = np.arange(-300, 301)
+        c = rng.standard_normal((m.size, 8)) + 1j * rng.standard_normal((m.size, 8))
+        whole = wv.eval_on_points(wv.Grid(50, 0.5), m, c)
+        monkeypatch.setattr(wv, "_BLOCK_EXPONENTIALS", 1000)
+        assert np.array_equal(wv.eval_on_points(wv.Grid(50, 0.5), m, c), whole)
+
+    @pytest.mark.parametrize("offsets, missing", [([1, 3], 2), ([-4, -2, 0, 1], 3),
+                                                  ([0, 1, 2, 5, 7], 3)])
+    def test_gap_in_the_band_rejected(self, offsets, missing):
+        """The residue sum places the i-th folded term at h = lo + i, so a
+        gap in the |m| would add terms into the wrong residues: the grid
+        synthesis refuses it and names the first missing |m|."""
+        m = np.array(offsets)
+        with pytest.raises(ValueError, match=rf"\|m\| = {missing} is missing"):
+            wv.eval_on_points(wv.Grid(8, 0.5), m, np.ones(m.size))
+
+
 def _full_band(spec, level, axis, spectrum, divisor=1.0):
     """``Re sum_m psihat_{j,k}(m) W(m) / d(m)`` for every shift k of a
     level, (shift count, n): the plain complex sum over the whole signed
