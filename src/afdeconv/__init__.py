@@ -12,10 +12,10 @@ from .wavelets import (ResolutionOverflowError, WaveletSpec, band_limit,
 from .model import (DesignDensity, KernelSpec, NoiseSpec, ObservationGrid,
                     ParameterError, TestFunction, bump_ramp,
                     convolved_signal, fractional_kernel, identity_kernel,
-                    load_csv, lrd_covariance, make_kernel, make_test_function,
-                    noise_factor, normalize_density, power_kernel,
-                    quantile_design, sample_errors, save_csv,
-                    simulate_observations, simulate_replicates, tensor_sinusoid)
+                    load_csv, make_kernel, make_test_function, noise_factor,
+                    normalize_density, power_kernel, quantile_design,
+                    sample_errors, save_csv, simulate_observations,
+                    simulate_replicates, tensor_sinusoid)
 from .estimator import (EstimatorConfig, FieldPlan, KernelNotInvertibleError,
                         SingularDesignError, choose_levels, estimate_field,
                         reconstruct, save_field_csv, save_reconstruction_csv,

@@ -217,11 +217,6 @@ def fit_rate(points) -> tuple[float, float]:
 # Lemma verification suites
 # ----------------------------------------------------------------------
 
-def _quad_grid(size: int) -> np.ndarray:
-    # offset grid avoids evaluating the reciprocal density at a singularity
-    return (np.arange(size) + 0.5) / size
-
-
 @dataclass
 class Lemma1Report:
     entries: list[dict]
@@ -240,7 +235,9 @@ def verify_lemma1(cfg: es.EstimatorConfig, levels1, shifts_per_level: int = 4,
     max/min ratio spreads.
     """
     d1, d2 = cfg.d1, cfg.d2
-    tg = _quad_grid(grid)
+    # the midpoint grid avoids evaluating the reciprocal density at a
+    # singularity; an array, so the t-factor takes the per-index path
+    tg = np.asarray(wv.Grid(grid, 0.5))
     h1 = d1.pdf(tg)
     h2 = d2.pdf(tg)
     # the x factor: one shift of the scaling pseudo-level, off the singularity
@@ -461,8 +458,9 @@ def _ladder_point(f, cfg, N, M, replicates, seed, i, grid, f_ref):
                                    N, M, (np.random.SeedSequence(seed, spawn_key=(i, r))
                                           for r in range(replicates)))
     # the replicates' reconstructions share the level matrices of every level
-    bases = tuple(es._level_matrices(cfg, wv.level_range(cfg.wavelet, J, axis), axis,
-                                     np.arange(grid) / grid)
+    points = np.arange(grid) / grid
+    bases = tuple({j: wv.eval_level(cfg.wavelet, j, axis, points)
+                   for j in wv.level_range(cfg.wavelet, J, axis)}
                   for axis, J in ((0, plan.J1), (1, plan.J2)))
     for r, obs in enumerate(grids):
         fld = es.estimate_field(plan, obs.Y)

@@ -217,9 +217,10 @@ class FieldPlan:
     splits the sum into products: the t-transform
     ``What[m, l] = sum_i e^{i 2 pi m t_i} Y_il / (h1(t_i) h2(x_l))`` over
     the union t-band, then per t-level ``Z = Re sum_m psihat_{j1,k}(m)
-    What[m] / conj(G(m))`` by ``wavelets.level_pairing``'s residue sum and
-    FFT, then ``Z @ eta / (NM)``; an x-independent G folds each t-level once
-    per plan.
+    What[m] / conj(G(m))`` by ``wavelets.level_pairing``, the shift sums of
+    the level (one residue sum and one FFT), then ``Z @ eta / (NM)`` with
+    eta from ``wavelets.eval_level``; an x-independent G folds each t-level
+    once per plan.
     The weight is never formed as an N x M matrix: 1/h1 is folded into the
     cos and sin rows of the transform and 1/h2 scales its columns.  Y is
     real, so What is Hermitian and only m = 0..b is transformed, for
@@ -239,7 +240,8 @@ class FieldPlan:
         self.J1, self.J2 = cfg.resolve_levels(self.M, self.N)
         inv_h1, self.inv_h2 = _design_weights(cfg, t, x)
         # eta_{j2,k2}(x_l), one (M, count) matrix per x-level
-        self.eta = _level_matrices(cfg, wv.level_range(cfg.wavelet, self.J2, axis=1), 1, x)
+        self.eta = {j2: wv.eval_level(cfg.wavelet, j2, 1, x)
+                    for j2 in wv.level_range(cfg.wavelet, self.J2, axis=1)}
         # conj(g) over the signed band of each t-level
         bands = {j1: wv.base_table(cfg.wavelet, j1, 0)[0]
                  for j1 in wv.level_range(cfg.wavelet, self.J1, axis=0)}
@@ -304,28 +306,22 @@ def true_coefficients(f: TestFunction, cfg: EstimatorConfig,
     Each block is the outer product of the exact t-coefficients
     ``<u, psi_{j1,k1}>`` and ``<v, eta_{j2,k2}>`` from an FFT of v on a fine
     x-grid, each level paired with conj(uhat) or conj(vhat) by
-    ``wavelets.pair_level``.  So the only discretization is the x-grid: per
-    x-level, the smallest power of two of at least 4096 points that holds
-    the band, 2 b + 1 frequencies (a finer grid on every level moved the
-    lower blocks by up to 8.4e-6, the aliasing of v).
+    ``wavelets.level_pairing``, the level's shift sums.  So the only
+    discretization is the x-grid: per x-level, the smallest power of two of
+    at least 4096 points that holds the band, 2 b + 1 frequencies (a finer
+    grid on every level moved the lower blocks by up to 8.4e-6, the
+    aliasing of v).
     """
     spec = cfg.wavelet
-    along_t = {j1: wv.pair_level(spec, j1, 0, lambda h: np.conj(f.u_hat_at(h))[:, None])[:, 0]
+    along_t = {j1: wv.level_pairing(spec, j1, 0)(lambda h: np.conj(f.u_hat_at(h))[:, None])[:, 0]
                for j1 in wv.level_range(spec, J1, 0)}
     grid = {j2: max(4096, 1 << (2 * int(wv.base_table(spec, j2, 1)[0].max())).bit_length())
             for j2 in wv.level_range(spec, J2, 1)}
     vhat = {g: np.fft.fft(f.v(np.arange(g) / g)) / g   # indexed by m2 mod g
             for g in set(grid.values())}
-    along_x = {j2: wv.pair_level(spec, j2, 1, lambda h: np.conj(vhat[g][h % g])[:, None])[:, 0]
+    along_x = {j2: wv.level_pairing(spec, j2, 1)(lambda h: np.conj(vhat[g][h % g])[:, None])[:, 0]
                for j2, g in grid.items()}
     return {(j1, j2): np.outer(a, b) for j1, a in along_t.items() for j2, b in along_x.items()}
-
-
-def _level_matrices(cfg: EstimatorConfig, levels, axis: int, points) -> dict[int, np.ndarray]:
-    """The (len(points), shift_count) matrix of every shift of each level
-    of ``cfg``'s basis at the points, keyed by level: one
-    ``wavelets.eval_level`` per level, one FFT over the shifts per point."""
-    return {j: wv.eval_level(cfg.wavelet, j, axis, points) for j in levels}
 
 
 def reconstruct(field: dict[tuple[int, int], LevelBlock], cfg: EstimatorConfig,
@@ -334,19 +330,19 @@ def reconstruct(field: dict[tuple[int, int], LevelBlock], cfg: EstimatorConfig,
     periodic grid: f_hat(t_a, x_b) at t_a = a / grid, x_b = b / grid.
 
     Per t-level j1 it adds ``Psi_{j1} sum_{j2} C_{j1 j2} Eta_{j2}^T``, with
-    C the kept coefficients of a level pair (0 elsewhere) and Psi, Eta the
-    ``_level_matrices`` at the grid points (``wavelets.eval_level``, every
-    shift of a level at once): point values, so a band wider than the grid
-    needs no folding.  Level pairs that keep no coefficient
-    are skipped.  ``bases``, a pair of ``_level_matrices`` dicts (t, x) at
-    the grid points holding at least the levels of the other pairs, lets
-    fields on one plan share them; when it is None only those are built.
+    C the kept coefficients of a level pair (0 elsewhere) and Psi, Eta
+    every shift of a level at the grid points (``wavelets.eval_level``):
+    point values, so a band wider than the grid needs no folding.  Level
+    pairs that keep no coefficient are skipped.  ``bases``, a pair of
+    dicts (t, x) of those matrices keyed by level, holding at least the
+    levels of the other pairs, lets fields on one plan share them; when it
+    is None only those are built.
     """
     field = {key: blk for key, blk in field.items() if blk.kept.any()}
     if bases is None:
         points = np.arange(grid) / grid
-        bases = (_level_matrices(cfg, {j1 for j1, _ in field}, 0, points),
-                 _level_matrices(cfg, {j2 for _, j2 in field}, 1, points))
+        bases = tuple({j: wv.eval_level(cfg.wavelet, j, axis, points)
+                       for j in {key[axis] for key in field}} for axis in (0, 1))
     psi, eta = bases
     out = np.zeros((grid, grid))
     for j1 in sorted({j1 for j1, _ in field}):

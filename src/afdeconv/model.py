@@ -37,7 +37,6 @@ __all__ = [
     "TestFunction",
     "normalize_density",
     "quantile_design",
-    "lrd_covariance",
     "noise_factor",
     "sample_errors",
     "convolved_signal",
@@ -218,26 +217,9 @@ def _check_fgn(N: int, alpha: float) -> None:
         raise ParameterError("alpha must be in (0, 1]")
 
 
-def lrd_covariance(N: int, alpha: float, sigma: float = 1.0) -> np.ndarray:
-    """Fractional Gaussian noise covariance with Hurst H = 1 - alpha/2.
-
-    The N x N Toeplitz matrix has lambda_max of order N^{1-alpha}, and its
-    lambda_min decreases in N to lambda_inf = 2*pi*f(pi) > 0, where f is the
-    unit-variance fGn spectral density (lambda_inf = 1 at alpha = 1).
-    """
-    _check_fgn(N, alpha)
-    # Row i of the symmetric Toeplitz matrix is the window of
-    # [r_{N-1}, ..., r_1, r_0, r_1, ..., r_{N-1}] that starts at N-1-i:
-    # strided views of one 2N-1 vector, copied once, with no N x N index.
-    r = _fgn_autocov(N, alpha, sigma)
-    windows = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate([r[:0:-1], r]), N)
-    return windows[::-1].copy()
-
-
 def _schur_rows(N: int, alpha: float) -> Iterator[np.ndarray]:
     """Row k of A_N^T from its diagonal on, k = 0..N-1, where A_N is the Cholesky
-    factor of Sigma_N = lrd_covariance(N, alpha), in O(N) memory and O(N^2) time.
+    factor of the fGn covariance Sigma_N, in O(N) memory and O(N^2) time.
 
     Schur's recursion on the generators of Sigma_N - Z Sigma_N Z^T = g0 g0^T - g1 g1^T
     (Z the down shift): g0 = r / sqrt(r_0), g1 = g0 with g1[0] = 0.  Row k is g0[k:];
@@ -262,7 +244,7 @@ def _schur_rows(N: int, alpha: float) -> Iterator[np.ndarray]:
 
 
 def _fgn_factor_product(V: np.ndarray, alpha: float) -> np.ndarray:
-    """A_N^T V for the Cholesky factor A_N of Sigma_N = lrd_covariance(N, alpha), N =
+    """A_N^T V for the Cholesky factor A_N of the fGn covariance Sigma_N, N =
     len(V): one product per row of ``_schur_rows``, with no N x N matrix."""
     out = np.empty(V.shape)
     for k, row in enumerate(_schur_rows(len(V), alpha)):
@@ -377,8 +359,8 @@ def _error_sampler(spec: NoiseSpec, N: int, M: int) -> Callable[..., np.ndarray]
 
 def sample_errors(spec: NoiseSpec, N: int, M: int, seed) -> np.ndarray:
     """M independent unit-scale long-memory N-vectors, one per column, each
-    of covariance ``lrd_covariance(N, alpha, sigma=1)``: fractional Gaussian
-    noise for Gaussian innovations, a sub-Gaussian process of that
+    of covariance Sigma_N, the unit-scale fGn Toeplitz matrix: fractional
+    Gaussian noise for Gaussian innovations, a sub-Gaussian process of that
     covariance for Rademacher ones; the lemma suites' linear forms use the
     Cholesky factor of the same covariance (``_fgn_factor_product``).
     Column l uses the substream spawned from (seed, l), so profiles are

@@ -3,15 +3,15 @@
 A basis level is one band of Fourier coefficients: for a periodized
 wavelet ``psi_{j,k}(t) = sum_n 2^{j/2} psi(2^j (t+n) - k)`` with S shifts,
 ``base_table`` gives the offsets ``m`` and ``psihat_{j,0}(m)``, and shift k
-multiplies them by ``exp(-i 2 pi m k / S)``.  ``pair_level``, the one
-primitive for a whole level, pairs every shift with Hermitian spectra by
-one residue sum and one FFT; ``level_pairing`` folds a level once for
-many pairings, and ``eval_level``, its synthesis at points, folds each
-level once.  ``eval_on_points`` evaluates any (band, n) block
-at any points: the simulator's synthesis and the per-index reference.
-Given a ``Grid``, the uniform points (a + s)/n, it takes the same residue
-sum and one length-n FFT, exact and with no cos/sin block; given an
-array, it forms the dense [cos | sin] block.  ``_fold`` is the one fold
+multiplies them by ``exp(-i 2 pi m k / S)``.  Every shift of a band is one
+primitive, ``_shift_sums``: one fold onto |m|, one residue sum over h mod
+S and one FFT.  ``level_pairing`` folds a level once and pairs every shift
+with Hermitian spectra, ``eval_level`` pairs it with ``exp(i 2 pi h t)``
+to evaluate every shift at points, and ``eval_on_points`` on a ``Grid``,
+the uniform points (a + s)/n, synthesizes any band by the same sums with
+count n.  On other points ``eval_on_points`` forms the dense
+[cos | sin] block of any (band, n) block: the simulator's synthesis on
+singular designs and the per-index reference.  ``_fold`` is the one fold
 onto |m| and ``_cos_sin`` the one phase, also of the estimator's
 t-transform: this module alone forms Fourier phases.
 
@@ -39,7 +39,6 @@ __all__ = [
     "base_table",
     "eval_on_points",
     "Grid",
-    "pair_level",
     "level_pairing",
     "eval_level",
     "shift_count",
@@ -265,10 +264,26 @@ def eval_on_points(points, offsets: np.ndarray, coeffs: np.ndarray) -> np.ndarra
     The sum is the [cos | sin] block of the distinct |m| times the rows of
     ``_fold``: a symmetric band costs half the cos and sin values and half
     the product.  Blocks of about 2^20 points times |m| bound the memory.
-    A ``Grid`` of points takes ``_eval_on_grid`` instead, with no block.
+
+    On the points (a + s) / n of a ``Grid`` the sum is exact by one FFT:
+    ``Re sum_h c'_h e^{i 2 pi h (a + s) / n}`` equals
+    ``Re sum_h conj(c'_h) e^{-i 2 pi h s / n} e^{-i 2 pi h a / n}``, the
+    shift sums (``_shift_sums``) of conj(coeffs) with count n paired with
+    the shift phase, for any n against the band, a block of columns at a
+    time.
     """
     if isinstance(points, Grid):
-        return _eval_on_grid(points, offsets, coeffs)
+        n = points.n
+        c = coeffs.reshape(coeffs.shape[0], -1)
+        out = np.empty((n, c.shape[1]))
+        # columns per block: the terms are about max |m| long and the sums n
+        step = max(1, _BLOCK_EXPONENTIALS // max(np.abs(offsets).max() + 1, n))
+        for a in range(0, c.shape[1], step):
+            half, pair = _shift_sums(offsets, np.conj(c[:, a:a + step]), n)
+            phase = np.empty(half.size, dtype=complex)  # e^{i 2 pi h s / n}, h s mod n
+            _cos_sin(np.array(1.0 / n), np.mod(half * points.shift, n), phase.real, phase.imag)
+            out[:, a:a + step] = pair(np.conj(phase)[:, None])
+        return out.reshape((n,) + coeffs.shape[1:])
     t = np.asarray(points, dtype=float).reshape(-1)
     half, rows = _fold(offsets, coeffs)
     h = half.size
@@ -282,21 +297,11 @@ def eval_on_points(points, offsets: np.ndarray, coeffs: np.ndarray) -> np.ndarra
     return out.reshape(np.shape(points) + coeffs.shape[1:])
 
 
-def _level_fold(spec: WaveletSpec, level: int, axis: int, divisor=None):
-    """(h, complex c'_h): a level's shift-0 band, divided by d, by ``_fold``."""
-    m, c = base_table(spec, level, axis)
-    half, rows = _fold(m, c[:, None] if divisor is None else c[:, None] / divisor)
-    folded = rows[:half.size].astype(complex)
-    np.negative(rows[half.size:], out=folded.imag)
-    return half, folded
-
-
 def _residue_fft(terms: np.ndarray, lo: int, count: int) -> np.ndarray:
     """``Re sum_h terms[h - lo] exp(-i 2 pi h k / count)`` for k < count,
     the terms c'_h W(h) of a folded band over h = lo, lo + 1, ..."""
     hi = lo + terms.shape[0] - 1
-    # row r of A sums the h = r mod count, one slice per count consecutive
-    # h: the |m| of every Meyer band are contiguous (both axes, levels 2..12)
+    # row r of A sums the h = r mod count, one slice per count consecutive h
     A = np.zeros_like(terms, shape=(count, terms.shape[1]))  # the terms' memory order
     for start in range(lo - lo % count, hi + 1, count):
         u, v = max(start, lo), min(start + count, hi + 1)
@@ -305,57 +310,44 @@ def _residue_fft(terms: np.ndarray, lo: int, count: int) -> np.ndarray:
     return A.real
 
 
-def _eval_on_grid(grid: Grid, offsets: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """``eval_on_points`` at the points (a + s) / n of a grid, exactly:
-    ``Re sum_h c'_h e^{i 2 pi h (a + s) / n}`` is the real part of the
-    residue sum of the terms conj(c'_h) e^{-i 2 pi h s / n} at shift a, so
-    one length-n FFT gives every point, for any n against the band.  The
-    residue sum places terms[i] at h = lo + i, so the |m| must be
-    contiguous; a gap raises ValueError naming the first missing |m|."""
+def _shift_sums(offsets: np.ndarray, coeffs: np.ndarray, count: int):
+    """(h, pair): the distinct h = |m| of the band and the function
+    ``pair(W) = Re sum_h c'_h W(h) exp(-i 2 pi h k / count)``, (count, n)
+    for k < count, of the fold c'_h = c_h + conj(c_{-h}) of the (band, n)
+    ``coeffs`` and any W (len(h), n) or (len(h), 1).
+
+    Every shift of a band, paired or synthesized, is this one sum: the
+    shift phase depends on h mod count only, so the terms add by residue
+    and one length-count FFT gives every k.  The residue sum places the
+    i-th term at h = lo + i, so a gap in the |m| raises ValueError naming
+    the first missing |m|; the |m| of every Meyer band are contiguous
+    (both axes, levels 2..12).  ``pair`` writes into no W it is given.
+    """
     half, rows = _fold(offsets, coeffs)
-    h = half.size
     gap = np.flatnonzero(np.diff(half) > 1)[:1]
     if gap.size:
-        raise ValueError(f"|m| = {half[gap[0]] + 1} is missing: a grid "
-                         "synthesis needs contiguous |m|")
-    rows = rows.reshape(2 * h, -1)
-    # the shift phase e^{-i 2 pi h s / n}, with h s reduced mod n
-    phase = np.empty(h, dtype=complex)
-    _cos_sin(np.array(1.0 / grid.n), np.mod(half * grid.shift, grid.n), phase.real, phase.imag)
-    np.negative(phase.imag, out=phase.imag)
-    out = np.empty((grid.n, rows.shape[1]))
-    # columns per block: the terms are h long and the residue sums n
-    step = max(1, _BLOCK_EXPONENTIALS // max(h, grid.n))
-    for a in range(0, rows.shape[1], step):
-        cols = slice(a, a + step)
-        terms = rows[:h, cols].astype(complex)  # conj(c'_h) = [Re c'; -Im c']
-        terms.imag = rows[h:, cols]
-        terms *= phase[:, None]
-        out[:, cols] = _residue_fft(terms, int(half[0]), grid.n)
-    return out.reshape((grid.n,) + coeffs.shape[1:])
+        raise ValueError(f"|m| = {half[gap[0]] + 1} is missing: a shift sum "
+                         "needs contiguous |m|")
+    folded = rows[:half.size].astype(complex)
+    np.negative(rows[half.size:], out=folded.imag)
+    return half, lambda W: _residue_fft(W * folded, int(half[0]), count)
 
 
-def pair_level(spec: WaveletSpec, level: int, axis: int, spectrum,
-               divisor=None) -> np.ndarray:
-    """The (shift_count, n) values ``Re sum_m psihat_{j,k}(m) W(m) / d(m)``
-    of every shift k of one Omega level against n Hermitian spectra W.
+def level_pairing(spec: WaveletSpec, level: int, axis: int, divisor=None):
+    """The function of ``spectrum`` that returns the (shift_count, n)
+    values ``Re sum_m psihat_{j,k}(m) W(m) / d(m)`` of every shift k of
+    one Omega level against n Hermitian spectra W, the level folded once
+    for every spectrum it is paired with.
 
     ``spectrum(h)`` gives W at the offsets h >= 0 only, (len(h), n), as
     W(-m) = conj(W(m)).  The divisor d, (band, 1) or (band, n) over the
     signed band of ``base_table``, divides the shift-0 band before the fold,
-    so any d stays exact; the shift phase ``exp(-i 2 pi h k / S)`` depends
-    on h mod S only, so one FFT of residue sums gives every shift.
+    so any d stays exact; the rest is ``_shift_sums``.
     """
-    return level_pairing(spec, level, axis, divisor)(spectrum)
-
-
-def level_pairing(spec: WaveletSpec, level: int, axis: int, divisor=None):
-    """``pair_level`` with the level folded once: the function of
-    ``spectrum`` that returns its (shift_count, n) values, for a caller that
-    pairs one level and one divisor with many blocks of spectra."""
-    half, folded = _level_fold(spec, level, axis, divisor)
-    count = shift_count(spec, level, axis)
-    return lambda spectrum: _residue_fft(spectrum(half) * folded, int(half[0]), count)
+    m, c = base_table(spec, level, axis)
+    half, pair = _shift_sums(m, c[:, None] if divisor is None else c[:, None] / divisor,
+                             shift_count(spec, level, axis))
+    return lambda spectrum: pair(spectrum(half))
 
 
 # Complex values per block of ``eval_level``, 0.5 MiB: the x-levels up to 9
@@ -366,18 +358,24 @@ _BLOCK_LEVEL = 1 << 15
 
 def eval_level(spec: WaveletSpec, level: int, axis: int, points) -> np.ndarray:
     """The (len(points), shift_count) values ``psi_{j,k}(t)`` of every shift
-    k of one Omega level at every point t: ``pair_level`` with W(h) =
+    k of one Omega level at every point t: ``level_pairing`` with W(h) =
     ``exp(i 2 pi h t)``, on blocks of about ``_BLOCK_LEVEL`` complex values,
     all paired with one fold of the level."""
     t = np.asarray(points, dtype=float).reshape(-1)
     count = shift_count(spec, level, axis)
-    half, folded = _level_fold(spec, level, axis)
+    pair = level_pairing(spec, level, axis)
+    m = base_table(spec, level, axis)[0]
     out = np.empty((t.size, count))
-    step = max(1, _BLOCK_LEVEL // max(base_table(spec, level, axis)[0].size // 2, count))
-    phase = np.empty((min(step, t.size), half.size), dtype=complex)  # point by point
+    step = max(1, _BLOCK_LEVEL // max(m.size // 2, count))
+    # e^{i 2 pi h t} point by point over the |m|, contiguous as level_pairing checked
+    h = np.abs(m)
+    phase = np.empty((min(step, t.size), h.max() - h.min() + 1), dtype=complex)
     for a in range(0, t.size, step):
-        W = phase[:t[a:a + step].size]
-        _cos_sin(t[a:a + step], half, W.real, W.imag)
-        terms = np.multiply(W.T, folded, out=W.T)  # in place
-        out[a:a + step] = _residue_fft(terms, int(half[0]), count).T
+        block = t[a:a + step]
+        W = phase[:block.size]
+
+        def at_points(half):
+            _cos_sin(block, half, W.real, W.imag)
+            return W.T
+        out[a:a + step] = pair(at_points).T
     return out

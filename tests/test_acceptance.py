@@ -18,6 +18,8 @@ from afdeconv import estimator as es
 from afdeconv import model as md
 from afdeconv import wavelets as wv
 
+from reference import lrd_covariance
+
 UNIFORM = md.DesignDensity(beta=0.0, x0=0.5)
 THREADS = 4
 
@@ -104,7 +106,7 @@ class TestAcceptance:
                        * (1 - 2 ** -s) * zeta(s))
             lo, hi = [], []
             for N in ladder:
-                eig = np.linalg.eigvalsh(md.lrd_covariance(N, alpha))
+                eig = np.linalg.eigvalsh(lrd_covariance(N, alpha))
                 lo.append(eig[0])
                 hi.append(eig[-1] / N ** (1 - alpha))
             drift_hi = max(hi) / min(hi)

@@ -9,6 +9,8 @@ from afdeconv import estimator as es
 from afdeconv import model as md
 from afdeconv import wavelets as wv
 
+from reference import lrd_covariance
+
 UNIFORM = md.DesignDensity(beta=0.0, x0=0.5)
 SINGULAR = md.DesignDensity(beta=0.3, x0=0.5)
 
@@ -318,7 +320,7 @@ class TestColoredDeviations:
         se = math.sqrt(2 / (replicates - 1))
         for N, var, exact in zip(ladder, rep.variances, rep.exact_variances):
             V = an._deviation_weights(cfg, idx, N, M)
-            cov = md.lrd_covariance(N, noise.alpha)
+            cov = lrd_covariance(N, noise.alpha)
             truth = noise.sigma ** 2 * float(np.sum(V * (cov @ V)))
             assert exact == pytest.approx(truth, rel=1e-9)
             assert abs(var / truth - 1) <= 5 * se
@@ -442,7 +444,7 @@ class TestRateExperiment:
         level for the plan and one for the reconstructions per ladder
         point, not one per replicate: the plan's x-levels and every level
         of the reconstructions from eval_level, and no build_basis matrix
-        at all (the plan pairs its t-levels by pair_level)."""
+        at all (the plan pairs its t-levels by level_pairing)."""
         calls = count_calls(monkeypatch, md, ["convolved_signal", "_circulant_scale"])
         bases = count_calls(monkeypatch, wv, ["build_basis", "eval_level"])
         f = md.tensor_sinusoid(1.5, 1.5, max_freq=256)

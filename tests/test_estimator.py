@@ -128,7 +128,7 @@ class TestThreshold:
         at least max(2, count/8) from k0."""
         d2 = md.DesignDensity(beta=0.3, x0=0.5)
         cfg = _config(d2=d2)
-        x = an._quad_grid(8192)
+        x = np.asarray(wv.Grid(8192, 0.5))
         h2 = d2.pdf(x)
         ratios = {2: [], 4: []}
         for j2 in range(cfg.wavelet.m20 - 1, 7):

@@ -16,6 +16,7 @@ from afdeconv import model as md
 from afdeconv import wavelets as wv
 
 from atoms import single_atom
+from reference import lrd_covariance
 
 # power_kernel(1) scaled by (1 + x/2): a kernel whose coefficients vary in x
 _POWER = md.power_kernel(1.0)
@@ -121,7 +122,7 @@ class TestLongMemoryNoise:
         with H = 1 - alpha/2."""
         alpha = 0.6
         H = 1 - alpha / 2
-        S = md.lrd_covariance(16, alpha)
+        S = lrd_covariance(16, alpha)
         k = np.arange(16)
         r = 0.5 * (np.abs(k + 1) ** (2 * H) - 2 * np.abs(k) ** (2 * H)
                    + np.abs(k - 1) ** (2 * H))
@@ -134,7 +135,7 @@ class TestLongMemoryNoise:
         """Every entry (i, j) is the lag-|i - j| autocovariance bit for
         bit, in a C-contiguous float64 array: the dense reference of the
         lemma suites' Cholesky factor depends on these exact bytes."""
-        S = md.lrd_covariance(N, alpha, sigma=0.7)
+        S = lrd_covariance(N, alpha, sigma=0.7)
         r = md._fgn_autocov(N, alpha, 0.7)
         reference = np.array([[r[abs(i - j)] for j in range(N)]
                               for i in range(N)])
@@ -142,7 +143,7 @@ class TestLongMemoryNoise:
         assert np.array_equal(S, reference)
 
     def test_alpha_one_is_white(self):
-        S = md.lrd_covariance(32, 1.0)
+        S = lrd_covariance(32, 1.0)
         assert np.allclose(S, np.eye(32))
 
     @pytest.mark.parametrize("alpha", [1e-6, 0.1, 0.5, 0.9])
@@ -178,7 +179,7 @@ class TestLongMemoryNoise:
         product to 1e-11 of its largest entry, from near-singular to white
         covariances."""
         V = np.random.default_rng(N).standard_normal((N, 3))
-        reference = np.linalg.cholesky(md.lrd_covariance(N, alpha)).T @ V
+        reference = np.linalg.cholesky(lrd_covariance(N, alpha)).T @ V
         got = md._fgn_factor_product(V, alpha)
         assert np.abs(got - reference).max() <= 1e-11 * np.abs(reference).max()
 
@@ -192,7 +193,7 @@ class TestLongMemoryNoise:
         """noise_factor stacks the recursion's rows: lower triangular, and
         sigma times the dense Cholesky factor."""
         A = md.noise_factor(64, alpha, sigma=0.7)
-        reference = 0.7 * np.linalg.cholesky(md.lrd_covariance(64, alpha))
+        reference = 0.7 * np.linalg.cholesky(lrd_covariance(64, alpha))
         assert np.array_equal(A, np.tril(A))
         np.testing.assert_allclose(A, reference, rtol=0, atol=1e-13)
 
@@ -201,7 +202,7 @@ class TestLongMemoryNoise:
         alpha = 0.5
         lams = []
         for N in (64, 256):
-            S = md.lrd_covariance(N, alpha)
+            S = lrd_covariance(N, alpha)
             lams.append(np.linalg.eigvalsh(S).max())
         observed = np.log(lams[1] / lams[0]) / np.log(4.0)
         assert observed == pytest.approx(1 - alpha, abs=0.05)
@@ -210,7 +211,7 @@ class TestLongMemoryNoise:
         spec = md.NoiseSpec(alpha=0.6, sigma=1.0)
         e = md.sample_errors(spec, N=64, M=4000, seed=9)
         assert e.shape == (64, 4000)
-        S = md.lrd_covariance(64, 0.6)
+        S = lrd_covariance(64, 0.6)
         emp = e @ e.T / 4000
         assert np.max(np.abs(emp - S)) < 0.15
 
@@ -248,7 +249,7 @@ class TestLongMemoryNoise:
         for lo in range(0, 2 * N, 512):
             columns = md._colour(scale, np.eye(min(512, 2 * N - lo), 2 * N, k=lo))
             gram += columns.T @ columns
-        gram -= md.lrd_covariance(N, alpha)
+        gram -= lrd_covariance(N, alpha)
         assert np.abs(gram).max() <= 1e-14
 
     def test_rademacher_unit_variance(self):

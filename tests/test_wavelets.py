@@ -38,7 +38,7 @@ class TestBandStructure:
     @pytest.mark.parametrize("m0", [2, 3, 4])
     def test_folded_offsets_are_contiguous(self, m0):
         """The |m| of every level's band, scaling pseudo-level included,
-        are one run lo..hi, which the residue sum of pair_level takes one
+        are one run lo..hi, which the residue sum of _shift_sums takes one
         slice of S consecutive offsets at a time."""
         spec = wv.WaveletSpec(m10=m0, m20=m0)
         for level in range(m0 - 1, wv.MAX_LEVEL + 1):
@@ -393,16 +393,52 @@ class TestEvalLevel:
         V = wv.eval_level(self.SPEC, 5, 0, pts)
         ref = _full_band(self.SPEC, 5, 0, _at_points(pts)).T
         assert np.max(np.abs(V - ref)) <= 1e-12 * np.max(np.abs(ref))
-        # and pair_level, with a random spectrum and a (band, n) divisor
+        # and level_pairing, with a random spectrum and a (band, n) divisor
         half, signed = _hermitian(rng, 3)
         d = 1.5 + rng.standard_normal((m.size, 3)) + 1j * rng.standard_normal((m.size, 3))
-        V = wv.pair_level(self.SPEC, 5, 0, half, d)
+        V = wv.level_pairing(self.SPEC, 5, 0, d)(half)
         ref = _full_band(self.SPEC, 5, 0, signed, d)
         assert np.max(np.abs(V - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+    @pytest.mark.parametrize("offsets, missing", [([-9, -8, -6, 6, 8, 9], 7),
+                                                  ([-5, -4, 4, 5, 7], 6)])
+    def test_gap_in_a_level_band_rejected(self, monkeypatch, offsets, missing):
+        """A level band whose |m| have a gap would add terms into the wrong
+        residues: level_pairing and eval_level refuse it and name the first
+        missing |m|."""
+        m = np.array(offsets)
+        monkeypatch.setattr(wv, "base_table", lambda spec, level, axis: (m, np.ones(m.size)))
+        with pytest.raises(ValueError, match=rf"\|m\| = {missing} is missing"):
+            wv.level_pairing(self.SPEC, 3, 0)
+        with pytest.raises(ValueError, match=rf"\|m\| = {missing} is missing"):
+            wv.eval_level(self.SPEC, 3, 0, np.array([0.1, 0.7]))
+
+    def test_every_shift_sum_folds_once(self, monkeypatch):
+        """Level syntheses, level pairings and grid syntheses are one
+        primitive: each folds its band once, through _shift_sums, however
+        many blocks of points or spectra it then pairs with the fold."""
+        calls = []
+        for name in ("_shift_sums", "_fold"):
+            monkeypatch.setattr(wv, name, lambda *args, _name=name, _real=getattr(wv, name):
+                                calls.append(_name) or _real(*args))
+        count = wv.shift_count(self.SPEC, 7, 0)
+        pts = np.random.default_rng(31).random(3 * (wv._BLOCK_LEVEL // count) + 1)
+        wv.eval_level(self.SPEC, 7, 0, pts)
+        assert calls == ["_shift_sums", "_fold"]
+        calls.clear()
+        pair = wv.level_pairing(self.SPEC, 6, 1)
+        half, _ = _hermitian(np.random.default_rng(37), 2)
+        for _ in range(3):
+            pair(half)
+        assert calls == ["_shift_sums", "_fold"]
+        calls.clear()
+        m, c = wv.build_basis(self.SPEC, 5, axis=0)
+        wv.eval_on_points(wv.Grid(64, 0.5), m, c[:, :4])
+        assert calls == ["_shift_sums", "_fold"]
+
 class TestPairLevel:
-    """``pair_level`` equals the full-band complex sum of every shift,
+    """``level_pairing`` equals the full-band complex sum of every shift,
     divided before the fold by a divisor that is not Hermitian."""
 
     SPEC = wv.WaveletSpec(m10=3, m20=4)
@@ -420,7 +456,7 @@ class TestPairLevel:
             m, _ = wv.base_table(self.SPEC, level, axis)
             d = (1.5 + rng.standard_normal((m.size, columns))
                  + 1j * rng.standard_normal((m.size, columns)))
-            V = wv.pair_level(self.SPEC, level, axis, half, d)
+            V = wv.level_pairing(self.SPEC, level, axis, d)(half)
             ref = _full_band(self.SPEC, level, axis, signed, d)
             assert V.shape == (wv.shift_count(self.SPEC, level, axis), 5)
             assert np.max(np.abs(V - ref)) <= 1e-12 * np.max(np.abs(ref))
