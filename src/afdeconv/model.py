@@ -326,6 +326,69 @@ def _colour(scale: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec, 2 * N)[:, :N]
 
 
+# numpy's SeedSequence hash: the constants and multipliers of its entropy
+# mixing (A), of generate_state (B) and of its mix of two words (L, R)
+_HASH_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hash_constants(start: int, mult: int, steps: int, count: int) -> np.ndarray:
+    """The hash constant start * mult^k mod 2^32 for k = steps .. steps + count."""
+    c = [start * pow(mult, steps, 1 << 32) % (1 << 32)]
+    for _ in range(count):
+        c.append(c[-1] * mult % (1 << 32))
+    return np.array(c, dtype=np.uint32)
+
+
+def _hashmix(words: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """numpy's hashmix of words[..., k] by the constant c[k], advanced to c[k + 1]."""
+    v = (words ^ c[:-1]) * c[1:]
+    return v ^ (v >> 16)
+
+
+def _uint32_words(entropy) -> int:
+    """How many uint32 words a SeedSequence makes of an int or a nest of ints."""
+    if isinstance(entropy, (int, np.integer)):
+        return max(1, (int(entropy).bit_length() + 31) // 32)
+    return sum(_uint32_words(v) for v in entropy)
+
+
+def _spawn_states(root: np.random.SeedSequence, M: int) -> np.ndarray:
+    """(M, 4) uint64: row l is ``SeedSequence(root.entropy, spawn_key=(*root.spawn_key, l),
+    pool_size=root.pool_size).generate_state(4, np.uint64)``, the PCG64 seed of column l.
+    Child l assembles the root's words (its entropy padded with zeros to the pool size,
+    then its key) and one more word l, so its pool is ``root.pool`` with l mixed into every
+    word by the hash constant that the root's n words left after their n * pool_size
+    hashes; the state is numpy's 8-word hash of that pool."""
+    p = root.pool_size
+    n = max(_uint32_words(root.entropy), p) + _uint32_words(root.spawn_key)
+    word = _hashmix(np.arange(M, dtype=np.uint32)[:, None],
+                    _hash_constants(_HASH_A, _MULT_A, n * p, p))
+    pool = _MIX_L * root.pool - _MIX_R * word
+    pool ^= pool >> 16
+    state = _hashmix(pool[:, np.arange(8) % p], _hash_constants(_HASH_B, _MULT_B, 0, 8))
+    # little-endian word pairs, as numpy's generate_state pairs them
+    return np.ascontiguousarray(state, "<u4").view("<u8").astype(np.uint64)
+
+
+class _SpawnedSeed(np.random.bit_generator.ISeedSequence):
+    """The seed sequence of one column: hands PCG64 the state ``_spawn_states`` derived."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, np.dtype(dtype)) != (len(self.state), self.state.dtype):
+            raise ValueError("a spawned seed holds exactly one PCG64 state")
+        return self.state
+
+
+def _column_rng(state: np.ndarray) -> np.random.Generator:
+    """``default_rng`` of the child whose PCG64 state is ``state``, a row of ``_spawn_states``."""
+    return np.random.Generator(np.random.PCG64(_SpawnedSeed(state)))
+
+
 def _error_sampler(spec: NoiseSpec, N: int, M: int) -> Callable[..., np.ndarray]:
     """``draw(seed)``, the errors of ``sample_errors``: column l takes N
     innovations from the l-th substream of the seed at alpha = 1, else 2N
@@ -334,23 +397,31 @@ def _error_sampler(spec: NoiseSpec, N: int, M: int) -> Callable[..., np.ndarray]
     ``_fgn_factor_product``, gives the same law for Gaussian innovations,
     another of the same covariance for Rademacher.  A ``SeedSequence`` seed
     is taken as given, and its l-th child is built from its key, so a
-    repeated draw of one seed gives the same errors."""
+    repeated draw of one seed gives the same errors.  Column l's generator
+    is ``default_rng`` of that child: ``_spawn_states`` derives the PCG64
+    states of all M children at once, the states numpy's own
+    ``SeedSequence`` gives, so every draw is that of the child itself.
+    Each draw checks column 0's state against numpy's and raises
+    RuntimeError if they differ."""
     scale = None if spec.alpha == 1.0 else _circulant_scale(N, spec.alpha)
 
     def draw(seed) -> np.ndarray:
         root = (seed if isinstance(seed, np.random.SeedSequence)
                 else np.random.SeedSequence(seed))
-        streams = [np.random.SeedSequence(root.entropy, spawn_key=(*root.spawn_key, l),
-                                          pool_size=root.pool_size) for l in range(M)]
+        states = _spawn_states(root, M)
+        first = np.random.SeedSequence(root.entropy, spawn_key=(*root.spawn_key, 0),
+                                       pool_size=root.pool_size)
+        if M and not np.array_equal(states[0], first.generate_state(4, np.uint64)):
+            raise RuntimeError("numpy's SeedSequence no longer hashes as _spawn_states does")
         if scale is None:  # row l of the buffer is column l of the errors
             eps = np.empty((M, N))
-            for l, ss in enumerate(streams):
-                eps[l] = _draw_innovations(np.random.default_rng(ss), N, spec.kind)
+            for l, state in enumerate(states):
+                eps[l] = _draw_innovations(_column_rng(state), N, spec.kind)
             return eps.T
         eps = np.empty((N, M))  # C order, as q is, so Y = q + sigma eps adds like layouts
         for lo in range(0, M, _COLOUR_BLOCK):
-            r = np.array([_draw_innovations(np.random.default_rng(ss), 2 * N, spec.kind)
-                          for ss in streams[lo:lo + _COLOUR_BLOCK]])
+            r = np.array([_draw_innovations(_column_rng(state), 2 * N, spec.kind)
+                          for state in states[lo:lo + _COLOUR_BLOCK]])
             eps[:, lo:lo + len(r)] = _colour(scale, r).T
         return eps
 
@@ -365,8 +436,10 @@ def sample_errors(spec: NoiseSpec, N: int, M: int, seed) -> np.ndarray:
     Cholesky factor of the same covariance (``_fgn_factor_product``).
     Column l uses the substream spawned from (seed, l), so profiles are
     reproducible and independent; the seed is an int or a list of ints,
-    ``SeedSequence`` entropy, or a ``SeedSequence``.  The caller applies
-    sigma (``Y = q + sigma * eps``)."""
+    ``SeedSequence`` entropy, or a ``SeedSequence``.  The generators of all
+    M substreams are seeded at once with the states numpy's ``spawn``
+    gives them, so every draw is that of ``default_rng`` of the child
+    itself.  The caller applies sigma (``Y = q + sigma * eps``)."""
     return _error_sampler(spec, N, M)(seed)
 
 

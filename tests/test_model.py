@@ -16,7 +16,7 @@ from afdeconv import model as md
 from afdeconv import wavelets as wv
 
 from atoms import single_atom
-from reference import lrd_covariance
+from reference import lrd_covariance, sample_errors_by_column
 
 # power_kernel(1) scaled by (1 + x/2): a kernel whose coefficients vary in x
 _POWER = md.power_kernel(1.0)
@@ -278,22 +278,56 @@ class TestLongMemoryNoise:
         innovations, above N = 2048, across a block of columns, and with no
         colouring at alpha = 1."""
         spec = md.NoiseSpec(alpha=alpha, kind=kind)
-        E = np.empty((N, M))
-        width = N if alpha == 1.0 else 2 * N
-        for l, ss in enumerate(np.random.SeedSequence(21).spawn(M)):
-            rng = np.random.default_rng(ss)
-            if kind == "gaussian-fgn":
-                r = rng.standard_normal(width)
-            else:
-                r = 2.0 * rng.integers(0, 2, size=width) - 1.0
-            if alpha < 1.0:
-                # Hermitian spectrum r_0, r_1 + i r_2, ..., r_{2N-1}, scaled
-                X = np.zeros(N + 1, dtype=complex)
-                X[0], X[N] = r[0], r[-1]
-                X[1:N] = r[1:-1:2] + 1j * r[2:-1:2]
-                r = np.fft.irfft(md._circulant_scale(N, alpha) * X, 2 * N)[:N]
-            E[:, l] = r
+        E = sample_errors_by_column(spec, N, M, 21)
         assert np.array_equal(md.sample_errors(spec, N, M, seed=21), E)
+
+    @pytest.mark.parametrize("seed", [
+        np.random.SeedSequence(5, spawn_key=(3, 4)),  # a replicate's key
+        2 ** 127 + 99,
+        [7, 2 ** 40 + 3],
+        np.random.SeedSequence(11, pool_size=8)],
+        ids=["replicate-key", "int-128-bit", "list-wide-word", "pool-size-8"])
+    @pytest.mark.parametrize("alpha", [1.0, 0.7])
+    @pytest.mark.parametrize("kind", md.NOISE_KINDS)
+    def test_seeds_of_the_package_draw_their_own_substreams(self, seed, alpha, kind):
+        """The seeds the package passes, a replicate's key, wide entropy and
+        a larger pool, draw bitwise what the column-by-column reference
+        draws, for M of one column, and one or two past a colouring block."""
+        spec = md.NoiseSpec(alpha=alpha, kind=kind)
+        for M in (1, 65, 130):
+            assert np.array_equal(md.sample_errors(spec, 24, M, seed),
+                                  sample_errors_by_column(spec, 24, M, seed))
+
+    @given(entropy=st.integers(0, 2 ** 160)
+           | st.lists(st.integers(0, 2 ** 160), min_size=1, max_size=4),
+           key=st.lists(st.integers(0, 2 ** 40), max_size=3),
+           pool_size=st.integers(4, 8), M=st.integers(1, 300))
+    @settings(max_examples=100, deadline=None)
+    def test_spawn_states_are_numpys(self, entropy, key, pool_size, M):
+        """Row l of ``_spawn_states`` is the PCG64 state numpy's
+        SeedSequence gives the l-th child of the root."""
+        root = np.random.SeedSequence(entropy, spawn_key=key, pool_size=pool_size)
+        states = md._spawn_states(root, M)
+        assert states.shape == (M, 4) and states.dtype == np.uint64
+        for l in range(M):
+            child = np.random.SeedSequence(entropy, spawn_key=(*key, l),
+                                           pool_size=pool_size)
+            assert np.array_equal(states[l], child.generate_state(4, np.uint64))
+
+    def test_a_state_unlike_numpys_raises(self, monkeypatch):
+        """A draw whose column 0 would not be numpy's child 0 raises instead
+        of drawing other streams."""
+        spawn_states = md._spawn_states
+
+        def one_bit_off(root, M):
+            states = spawn_states(root, M)
+            states[0, 3] ^= 1
+            return states
+
+        monkeypatch.setattr(md, "_spawn_states", one_bit_off)
+        for alpha in (1.0, 0.7):
+            with pytest.raises(RuntimeError, match="SeedSequence"):
+                md.sample_errors(md.NoiseSpec(alpha=alpha), 16, 3, 5)
 
 
 class TestTestFunctions:

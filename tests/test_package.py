@@ -118,3 +118,37 @@ def test_package_imports_only_numpy_and_yaml():
     foreign = {name: where for name, where in imported.items()
                if name not in allowed}
     assert foreign == {}, f"third-party imports outside numpy and yaml: {foreign}"
+
+
+def test_package_reaches_no_private_numpy_name():
+    """No import of numpy under `src/afdeconv` and no attribute chain that
+    starts at it (``np.random.bit_generator.x``) names a private part, one
+    that starts with ``_`` and is no dunder: numpy may change or drop those
+    in any release."""
+    package = Path(afdeconv.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names
+                   if alias.name == "numpy"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                chains = [alias.name.split(".") for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                chains = [[*node.module.split("."), alias.name] for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                chain, root = [], node
+                while isinstance(root, ast.Attribute):
+                    chain.insert(0, root.attr)
+                    root = root.value
+                if not (isinstance(root, ast.Name) and root.id in aliases):
+                    continue
+                chains = [["numpy", *chain]]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {'.'.join(chain)}"
+                      for chain in chains if chain[0] == "numpy"
+                      and any(part.startswith("_") and not part.endswith("__")
+                              for part in chain)]
+    assert found == [], f"private numpy names: {found}"
