@@ -224,8 +224,7 @@ class Lemma1Report:
     spread4: float
 
 
-def verify_lemma1(cfg: es.EstimatorConfig, levels1, shifts_per_level: int = 4,
-                  grid: int = 8192) -> Lemma1Report:
+def verify_lemma1(cfg: es.EstimatorConfig, levels1) -> Lemma1Report:
     """Check the scaling laws of the deconvolving-function integrals.
 
     Computes fine-grid quadratures of int U^2/(h1 h2) and int U^4/(h1^3 h2^3)
@@ -236,8 +235,8 @@ def verify_lemma1(cfg: es.EstimatorConfig, levels1, shifts_per_level: int = 4,
     """
     d1, d2 = cfg.d1, cfg.d2
     # the midpoint grid avoids evaluating the reciprocal density at a
-    # singularity; an array, so the t-factor takes the per-index path
-    tg = np.asarray(wv.Grid(grid, 0.5))
+    # singularity
+    tg = np.asarray(wv.Grid(8192, 0.5))
     h1 = d1.pdf(tg)
     h2 = d2.pdf(tg)
     # the x factor: one shift of the scaling pseudo-level, off the singularity
@@ -251,10 +250,10 @@ def verify_lemma1(cfg: es.EstimatorConfig, levels1, shifts_per_level: int = 4,
     for j1 in levels1:
         count1 = wv.shift_count(cfg.wavelet, j1, axis=0)
         k10 = es._singular_shift(count1, d1.x0)
-        # shifts away from the singularity, spaced across the circle
-        ks1 = np.array([(k10 + max(2, count1 // 8) + i * max(1, count1 // (shifts_per_level + 1))) % count1
-                        for i in range(shifts_per_level)])
-        u = es._u_t_factor(cfg, j1, ks1, tg)
+        # four shifts away from the singularity, spaced across the circle
+        ks1 = (k10 + max(2, count1 // 8) + max(1, count1 // 5) * np.arange(4)) % count1
+        conj_g = es._conj_kernel(cfg.kernel, wv.base_table(cfg.wavelet, j1, 0)[0], None, j1)
+        u = wv.eval_level(cfg.wavelet, j1, 0, tg, conj_g)[:, ks1]
         ratio2 = (np.mean(u ** 2 / h1[:, None], axis=0) * q2_x
                   / es._variance_order(cfg, 2, j1, ks1, j2, k2))
         ratio4 = (np.mean(u ** 4 / h1[:, None] ** 3, axis=0) * q4_x

@@ -126,7 +126,7 @@ _SCHEMA = {
                "levels1": _Key([3, 4, 5, 6], _int_list, "a non-empty list of integers"),
                "N_ladder": _Key([128, 256, 512, 1024], lambda val: _int_list(val, low=2),
                                 "a non-empty list of integers >= 2"),
-               "M": _integer(_UNSET, 1), "N": _integer(256, 1),
+               "M": _integer(_UNSET, 2), "N": _integer(256, 2),
                "replicates": _integer(_UNSET, 1),
                "ladder": _Key([], _pairs, "a list of [N, M] pairs of integers >= 2")},
     "bench": {"ladder": _Key(_REQUIRED, lambda val: _pairs(val) and len(val) > 0,

@@ -155,23 +155,15 @@ def _conj_kernel(kernel: KernelSpec, m: np.ndarray, x, level: int) -> np.ndarray
     return np.conj(g)
 
 
-def _u_t_factor(cfg: EstimatorConfig, j1: int, k1, t, x=None) -> np.ndarray:
-    """U's t-factor sum_m psihat_{j1,k}(m) / conj(g(m, x)) e^{2 pi i m t}
-    at the points t, one column per shift k in the list k1: shape
-    (len(t), len(k1)), or (len(t), len(x)) for one shift of an
-    x-dependent kernel, which needs x."""
-    m1, psi = wv.build_basis(cfg.wavelet, j1, axis=0)
-    return wv.eval_on_points(t, m1, psi[:, k1] / _conj_kernel(cfg.kernel, m1, x, j1))
-
-
 def compute_U(cfg: EstimatorConfig, index, t_points, x_points) -> np.ndarray:
     """U of index (j1, k1, j2, k2) on the grid (t_points x x_points), shape
-    (N, M): the per-index reference that ``FieldPlan`` is tested against."""
+    (N, M): ``wavelets.eval_level`` of level j1 divided by conj(g(m, x)), one
+    call per x_l if g varies in x, times eta_{j2,k2}(x), also ``eval_level``'s."""
     j1, k1, j2, k2 = index
-    x = np.asarray(x_points, dtype=float)
-    u_tx = _u_t_factor(cfg, j1, [k1], t_points, x)
-    m2, eta = wv.build_basis(cfg.wavelet, j2, axis=1)
-    return u_tx * wv.eval_on_points(x, m2, eta[:, k2])[None, :]
+    conj_g = _conj_kernel(cfg.kernel, wv.base_table(cfg.wavelet, j1, 0)[0], x_points, j1)
+    u_tx = np.column_stack([wv.eval_level(cfg.wavelet, j1, 0, t_points, g[:, None])[:, k1]
+                            for g in conj_g.T])
+    return u_tx * wv.eval_level(cfg.wavelet, j2, 1, x_points)[:, k2]
 
 
 def _design_weights(cfg: EstimatorConfig, t, x) -> tuple[np.ndarray, np.ndarray]:
@@ -228,8 +220,9 @@ class FieldPlan:
     ``G = g(m, x)``, a band x 1 column for an x-independent kernel and a
     band x M block otherwise, so both kinds take this one path.  Reused
     across replicates that share the design, kernel and basis; equal for
-    every index, up to rounding, to the per-index quadrature with
-    ``compute_U``.  Kernel, designs, basis and levels are those of ``cfg``.
+    every index, up to rounding, to the quadrature against ``compute_U``
+    (U of one index, also by ``wavelets.eval_level``).  Kernel, designs,
+    basis and levels are those of ``cfg``.
     """
 
     def __init__(self, cfg: EstimatorConfig, t, x):
@@ -355,26 +348,23 @@ def reconstruct(field: dict[tuple[int, int], LevelBlock], cfg: EstimatorConfig,
 # Serialization
 # ----------------------------------------------------------------------
 
-_FIELD_COLUMNS = ("j1", "k1", "j2", "k2", "beta_hat", "lambda", "kept")
+_FIELD_COLUMNS = ("j1", "k1", "j2", "k2", "beta_hat", "lambda", "kept", "beta_true")
 
 
 def save_field_csv(field: dict[tuple[int, int], LevelBlock], path,
-                   truth: dict[tuple[int, int], np.ndarray] | None = None) -> None:
-    """Columns j1,k1,j2,k2,beta_hat,lambda,kept[,beta_true]; one row per
+                   truth: dict[tuple[int, int], np.ndarray]) -> None:
+    """Columns j1,k1,j2,k2,beta_hat,lambda,kept,beta_true; one row per
     index, level blocks in (j1, j2) order and k1, k2 row-major inside.
     beta_true comes from ``truth``, blocks of ``true_coefficients``.  Every
     value is written as %.17g writes it (the integers as %d), one level
     block at a time, by ``model._write_rows``."""
-    header = ",".join(_FIELD_COLUMNS + (() if truth is None else ("beta_true",)))
     with open(path, "wb") as fh:
-        fh.write(header.encode() + b"\n")
+        fh.write(",".join(_FIELD_COLUMNS).encode() + b"\n")
         for (j1, j2), blk in sorted(field.items()):
             k1, k2 = np.indices(blk.beta_hat.shape)
-            columns = [np.full(k1.size, j1), k1.ravel(), np.full(k1.size, j2), k2.ravel(),
-                       blk.beta_hat.ravel(), blk.lam.ravel(), blk.kept.ravel()]
-            if truth is not None:
-                columns.append(truth[(j1, j2)].ravel())
-            md._write_rows(fh, *columns)
+            md._write_rows(fh, np.full(k1.size, j1), k1.ravel(), np.full(k1.size, j2),
+                           k2.ravel(), blk.beta_hat.ravel(), blk.lam.ravel(),
+                           blk.kept.ravel(), truth[(j1, j2)].ravel())
 
 
 def save_reconstruction_csv(values: np.ndarray, path) -> None:

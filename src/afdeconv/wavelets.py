@@ -7,13 +7,13 @@ multiplies them by ``exp(-i 2 pi m k / S)``.  Every shift of a band is one
 primitive, ``_shift_sums``: one fold onto |m|, one residue sum over h mod
 S and one FFT.  ``level_pairing`` folds a level once and pairs every shift
 with Hermitian spectra, ``eval_level`` pairs it with ``exp(i 2 pi h t)``
-to evaluate every shift at points, and ``eval_on_points`` on a ``Grid``,
-the uniform points (a + s)/n, synthesizes any band by the same sums with
-count n.  On other points ``eval_on_points`` forms the dense
-[cos | sin] block of any (band, n) block: the simulator's synthesis on
-singular designs and the per-index reference.  ``_fold`` is the one fold
-onto |m| and ``_cos_sin`` the one phase, also of the estimator's
-t-transform: this module alone forms Fourier phases.
+to evaluate every shift at points (divided by conj(g), U's t-factor),
+and ``eval_on_points`` on a ``Grid``, the uniform points (a + s)/n,
+synthesizes any band by the same sums with count n.  On other points
+``eval_on_points`` forms the dense [cos | sin] block of any (band, n)
+block, the simulator's synthesis on singular designs.  ``_fold`` is the
+one fold onto |m| and ``_cos_sin`` the one phase, also of the
+estimator's t-transform: this module alone forms Fourier phases.
 
 The basis is the periodized Meyer basis, band-limited by construction, so
 the tables are exact.  Levels run up to ``MAX_LEVEL``.
@@ -259,8 +259,8 @@ def eval_on_points(points, offsets: np.ndarray, coeffs: np.ndarray) -> np.ndarra
     """``Re sum_m coeffs[m] exp(i 2 pi m t)`` at every point t.
 
     The result has shape ``points.shape + coeffs.shape[1:]``: a 1-D
-    ``coeffs`` (one basis function, one profile) gives one value per point,
-    a 2-D one (band, n) gives n; a whole level of shifts is ``eval_level``'s.
+    ``coeffs`` (one profile) gives one value per point, a 2-D one (band, n)
+    gives n; every shift of a level, divided or not, is ``eval_level``'s.
     The sum is the [cos | sin] block of the distinct |m| times the rows of
     ``_fold``: a symmetric band costs half the cos and sin values and half
     the product.  Blocks of about 2^20 points times |m| bound the memory.
@@ -341,10 +341,14 @@ def level_pairing(spec: WaveletSpec, level: int, axis: int, divisor=None):
 
     ``spectrum(h)`` gives W at the offsets h >= 0 only, (len(h), n), as
     W(-m) = conj(W(m)).  The divisor d, (band, 1) or (band, n) over the
-    signed band of ``base_table``, divides the shift-0 band before the fold,
-    so any d stays exact; the rest is ``_shift_sums``.
+    signed band of ``base_table`` (any other shape raises ValueError),
+    divides the shift-0 band before the fold, so any d stays exact; the
+    rest is ``_shift_sums``.
     """
     m, c = base_table(spec, level, axis)
+    if divisor is not None and (np.ndim(divisor) != 2 or np.shape(divisor)[0] != m.size):
+        raise ValueError(f"divisor of shape {np.shape(divisor)}: level {level} needs "
+                         f"(band, 1) or (band, n) with band = {m.size}")
     half, pair = _shift_sums(m, c[:, None] if divisor is None else c[:, None] / divisor,
                              shift_count(spec, level, axis))
     return lambda spectrum: pair(spectrum(half))
@@ -356,14 +360,18 @@ def level_pairing(spec: WaveletSpec, level: int, axis: int, divisor=None):
 _BLOCK_LEVEL = 1 << 15
 
 
-def eval_level(spec: WaveletSpec, level: int, axis: int, points) -> np.ndarray:
-    """The (len(points), shift_count) values ``psi_{j,k}(t)`` of every shift
-    k of one Omega level at every point t: ``level_pairing`` with W(h) =
-    ``exp(i 2 pi h t)``, on blocks of about ``_BLOCK_LEVEL`` complex values,
-    all paired with one fold of the level."""
+def eval_level(spec: WaveletSpec, level: int, axis: int, points, divisor=None) -> np.ndarray:
+    """The (len(points), shift_count) values ``Re sum_m psihat_{j,k}(m)
+    exp(i 2 pi m t) / d(m)`` of every shift k of one Omega level at every
+    point t: ``level_pairing`` with W(h) = ``exp(i 2 pi h t)``, on blocks of
+    about ``_BLOCK_LEVEL`` complex values, all paired with one fold of the
+    level.  Without d they are ``psi_{j,k}(t)``; d = conj(g), one (band, 1)
+    column as ``level_pairing`` takes it (else ValueError), gives U's t-factor."""
+    if divisor is not None and np.shape(divisor)[1:] != (1,):
+        raise ValueError(f"divisor of shape {np.shape(divisor)}: eval_level needs (band, 1)")
     t = np.asarray(points, dtype=float).reshape(-1)
     count = shift_count(spec, level, axis)
-    pair = level_pairing(spec, level, axis)
+    pair = level_pairing(spec, level, axis, divisor)
     m = base_table(spec, level, axis)[0]
     out = np.empty((t.size, count))
     step = max(1, _BLOCK_LEVEL // max(m.size // 2, count))

@@ -3,6 +3,7 @@
 import numpy as np
 
 from afdeconv import model as md
+from afdeconv import wavelets as wv
 
 
 def lrd_covariance(N: int, alpha: float, sigma: float = 1.0) -> np.ndarray:
@@ -45,3 +46,17 @@ def sample_errors_by_column(spec: md.NoiseSpec, N: int, M: int, seed) -> np.ndar
             r = np.fft.irfft(md._circulant_scale(N, spec.alpha) * X, 2 * N)[:N]
         E[:, l] = r
     return E
+
+
+def dense_U(cfg, index, t, x) -> np.ndarray:
+    """U of index (j1, k1, j2, k2) on the grid (t x x), shape (N, M), by
+    the dense synthesis: column k1 of ``build_basis``'s (band, S) matrix,
+    divided by conj(g(m, x)) and summed at every point t by
+    ``eval_on_points``, times column k2 of the x-level summed at x."""
+    j1, k1, j2, k2 = index
+    x = np.asarray(x, dtype=float)
+    m1, psi = wv.build_basis(cfg.wavelet, j1, axis=0)
+    conj_g = np.conj(cfg.kernel.coeff(m1[:, None], x[None, :]))
+    u_tx = wv.eval_on_points(t, m1, psi[:, [k1]] / conj_g)
+    m2, eta = wv.build_basis(cfg.wavelet, j2, axis=1)
+    return u_tx * wv.eval_on_points(x, m2, eta[:, k2])[None, :]

@@ -162,7 +162,7 @@ class TestLemmaSuites:
     def test_lemma1_constant_ratio_identity_kernel(self):
         """g = 1 and uniform design: the U^2 ratio is constant in k."""
         rep = an.verify_lemma1(_lemma_config(md.identity_kernel(), UNIFORM, UNIFORM),
-                               levels1=[4], grid=4096)
+                               levels1=[4])
         r2 = [e["ratio2"] for e in rep.entries]
         assert max(r2) / min(r2) == pytest.approx(1.0, abs=1e-8)
 

@@ -228,6 +228,8 @@ class TestValidation:
         ({"lemmas": [2], "N_ladder": [128, 256]}, "verify.N_ladder"),
         ({"lemmas": [2], "M": 0}, "verify.M"),
         ({"lemmas": [3], "N": True}, "verify.N"),
+        ({"lemmas": [2], "M": 1}, "verify.M"),
+        ({"lemmas": [3], "N": 1}, "verify.N"),
         ({"lemmas": [2], "replicates": 2.5}, "verify.replicates"),
         ({"lemmas": [3], "ladder": [[64]]}, "verify.ladder"),
         ({"lemmas": [3], "ladder": [[64, 64.5]]}, "verify.ladder"),

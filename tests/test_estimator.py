@@ -10,6 +10,7 @@ from afdeconv import model as md
 from afdeconv import wavelets as wv
 
 from atoms import single_atom
+from reference import dense_U
 
 WSPEC = wv.WaveletSpec()
 UNIFORM = md.DesignDensity(beta=0.0, x0=0.5)
@@ -116,7 +117,7 @@ class TestThreshold:
             assert lam[peak] == max(lam)
             assert lam[peak - 2] < lam[peak] and lam[peak + 2] < lam[peak]
         # lemma 1 probes the x scaling level off the singularity
-        rep = an.verify_lemma1(cfg, levels1=[3], shifts_per_level=1, grid=1024)
+        rep = an.verify_lemma1(cfg, levels1=[3])
         assert abs(rep.entries[0]["k2"] - peak) >= 2
 
     def test_variance_law_x_factor(self):
@@ -520,6 +521,30 @@ class TestReconstruction:
         assert grid_energy == pytest.approx(coeff_energy, rel=1e-10)
 
 
+class TestDeconvolvingFunction:
+
+    @pytest.mark.parametrize("ker", [md.power_kernel(1.0), X_VARYING, NON_HERMITIAN],
+                             ids=["power", "x-varying", "non-hermitian"])
+    @pytest.mark.parametrize("d", [UNIFORM, md.DesignDensity(beta=0.3, x0=0.4),
+                                   md.DesignDensity(beta=0.3, x0=0.5)],
+                             ids=["uniform", "singular-0.4", "singular-0.5"])
+    def test_equals_dense_synthesis(self, ker, d):
+        """compute_U, every shift of a level by eval_level, equals the dense
+        synthesis of one build_basis column to 1e-12 of its largest value,
+        on levels m0 - 1 .. 5 of both axes at the shift k0 nearest the
+        singularity, the one next to it and the one half a circle away."""
+        cfg = es.EstimatorConfig(ker, d, d, SILENT)
+        t, x = md.quantile_design(48, d), md.quantile_design(40, d)
+        for j in range(WSPEC.m10 - 1, 6):
+            count = wv.shift_count(WSPEC, j, 0)
+            k0 = es._singular_shift(count, d.x0)
+            for k in (k0 % count, (k0 + 1) % count, (k0 + count // 2) % count):
+                U = es.compute_U(cfg, (j, k, j, k), t, x)
+                ref = dense_U(cfg, (j, k, j, k), t, x)
+                assert U.shape == (48, 40)
+                assert np.max(np.abs(U - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 class TestErrorsAndIO:
 
     def test_kernel_not_invertible(self):
@@ -543,25 +568,19 @@ class TestErrorsAndIO:
     def _check_field_rows(path, field, truth):
         """The file read by the package's CSV reader lists every index once,
         level blocks in (j1, j2) order and k1, k2 row-major inside, with
-        every value bitwise; without the truth there is no beta_true."""
-        with_truth = truth is not None
-        names = es._FIELD_COLUMNS + (("beta_true",) if with_truth else ())
-        data = md._read_csv(path, names)
-        expected = {name: [] for name in names}
+        every value bitwise."""
+        data = md._read_csv(path, es._FIELD_COLUMNS)
+        expected = {name: [] for name in es._FIELD_COLUMNS}
         for (j1, j2), blk in sorted(field.items()):
             k1, k2 = np.indices(blk.beta_hat.shape)
             for name, values in (("j1", np.full(k1.size, j1)), ("k1", k1),
                                  ("j2", np.full(k1.size, j2)), ("k2", k2),
                                  ("beta_hat", blk.beta_hat),
                                  ("lambda", blk.lam), ("kept", blk.kept),
-                                 ("beta_true", with_truth and truth[(j1, j2)])):
-                if name in names:
-                    expected[name].append(np.ravel(values))
-        for name in names:
+                                 ("beta_true", truth[(j1, j2)])):
+                expected[name].append(np.ravel(values))
+        for name in es._FIELD_COLUMNS:
             assert np.array_equal(data[name], np.concatenate(expected[name]))
-        if not with_truth:
-            with pytest.raises(md.ParameterError, match="beta_true missing"):
-                md._read_csv(path, (*names, "beta_true"))
 
     def test_reconstruction_csv_matches_row_oracle(self, tmp_path):
         """The reconstruction grid is written as one %.17g f-string per
@@ -587,9 +606,7 @@ class TestErrorsAndIO:
         es.save_field_csv(field, path, truth)
         self._check_field_rows(path, field, truth)
 
-    @pytest.mark.parametrize("with_truth", [True, False])
-    def test_field_csv_bytes_and_exact_roundtrip(self, tmp_path, monkeypatch,
-                                                 with_truth):
+    def test_field_csv_bytes_and_exact_roundtrip(self, tmp_path, monkeypatch):
         """On beta = 0.3 designs the block writer's bytes equal one f-string
         per index, also in blocks of 100 values, and the reader returns
         every value bitwise."""
@@ -600,20 +617,17 @@ class TestErrorsAndIO:
         noise = md.NoiseSpec(alpha=0.8, sigma=0.5)
         obs = md.simulate_observations(f, ker, d, d, noise, N=64, M=64, seed=9)
         cfg = es.EstimatorConfig(ker, d, d, noise, J1=4, J2=5)
-        truth = es.true_coefficients(f, cfg, 4, 5) if with_truth else None
+        truth = es.true_coefficients(f, cfg, 4, 5)
         field = _estimate(obs, cfg)
         path = tmp_path / "field.csv"
         es.save_field_csv(field, path, truth)
-        rows = ["j1,k1,j2,k2,beta_hat,lambda,kept"
-                + (",beta_true" if with_truth else "")]
+        rows = ["j1,k1,j2,k2,beta_hat,lambda,kept,beta_true"]
         for (j1, j2), blk in sorted(field.items()):
             count1, count2 = blk.beta_hat.shape
             for k1 in range(count1):
                 for k2 in range(count2):
-                    row = (f"{j1},{k1},{j2},{k2},{blk.beta_hat[k1, k2]:.17g},"
-                           f"{blk.lam[k1, k2]:.17g},{int(blk.kept[k1, k2])}")
-                    if with_truth:
-                        row += f",{truth[(j1, j2)][k1, k2]:.17g}"
-                    rows.append(row)
+                    rows.append(f"{j1},{k1},{j2},{k2},{blk.beta_hat[k1, k2]:.17g},"
+                                f"{blk.lam[k1, k2]:.17g},{int(blk.kept[k1, k2])},"
+                                f"{truth[(j1, j2)][k1, k2]:.17g}")
         assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
         self._check_field_rows(path, field, truth)

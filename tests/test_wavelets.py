@@ -448,9 +448,12 @@ class TestPairLevel:
     def test_equals_full_band_sum(self, axis, columns):
         """The scaling pseudo-level and wavelet levels of both axes, five
         random Hermitian spectra, and a random complex divisor d with
-        d(-m) != conj(d(m)), one column for all spectra or one each."""
+        d(-m) != conj(d(m)), one column for all spectra or one each.  One
+        column also divides eval_level, at 300 points of a beta = 0.3
+        design."""
         rng = np.random.default_rng(23)
         half, signed = _hermitian(rng, 5)
+        pts = md.quantile_design(300, md.DesignDensity(beta=0.3, x0=0.5))
         m0 = self.SPEC.lowest_level(axis)
         for level in (m0 - 1, m0, 5, 8):
             m, _ = wv.base_table(self.SPEC, level, axis)
@@ -460,3 +463,25 @@ class TestPairLevel:
             ref = _full_band(self.SPEC, level, axis, signed, d)
             assert V.shape == (wv.shift_count(self.SPEC, level, axis), 5)
             assert np.max(np.abs(V - ref)) <= 1e-12 * np.max(np.abs(ref))
+            if columns == 1:
+                V = wv.eval_level(self.SPEC, level, axis, pts, d)
+                ref = _full_band(self.SPEC, level, axis, _at_points(pts), d).T
+                assert np.max(np.abs(V - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_divisor_shape_checked(self):
+        """level_pairing takes a (band, 1) or (band, n) divisor and
+        eval_level a (band, 1) one; a 1-D divisor, a wrong band or more
+        columns at the points raise ValueError rather than broadcast into
+        wrong values."""
+        band = wv.base_table(self.SPEC, 4, 0)[0].size
+        pts = np.array([0.1, 0.6])
+        for d in (np.ones(band), np.ones((band + 1, 1)), np.ones((band, 1, 1))):
+            with pytest.raises(ValueError, match="divisor of shape"):
+                wv.level_pairing(self.SPEC, 4, 0, d)
+            with pytest.raises(ValueError, match="divisor of shape"):
+                wv.eval_level(self.SPEC, 4, 0, pts, d)
+        with pytest.raises(ValueError, match="divisor of shape"):
+            wv.eval_level(self.SPEC, 4, 0, pts, np.ones((band, 2)))
+        assert wv.level_pairing(self.SPEC, 4, 0, np.ones((band, 2)))(
+            lambda h: np.ones((h.size, 2))).shape == (16, 2)
+
